@@ -16,6 +16,8 @@ from .linalg import (
     CircuitVector,
     IncidenceSystem,
     RowBasis,
+    _echelon,
+    _incidence_row,
     column_kernel,
     extract_circuit,
 )
@@ -52,13 +54,6 @@ class GoodnessVerdict:
         return self.good
 
 
-def _dense_incidence(S: PointSet, columns, col_index, p) -> list[int]:
-    row = [0] * len(columns)
-    for i, label in enumerate(p):
-        row[col_index[(i, label)]] = 1
-    return row
-
-
 def is_good(S: PointSet) -> GoodnessVerdict:
     """Decide goodness by rank; on failure return a verified loop certificate."""
     S.require_nonempty("goodness")
@@ -66,7 +61,7 @@ def is_good(S: PointSet) -> GoodnessVerdict:
     col_index = {c: j for j, c in enumerate(columns)}
     basis = RowBasis(len(columns))
     for p in S:
-        if basis.add(_dense_incidence(S, columns, col_index, p)) is None:
+        if basis.add(_incidence_row(p, col_index)) is None:
             return GoodnessVerdict(False, extract_circuit(S.space, S.points))
     return GoodnessVerdict(True, None)
 
@@ -85,14 +80,12 @@ def is_full(S: PointSet, definitional: bool = False) -> bool:
         return False
     columns = S.coordinates()
     col_index = {c: j for j, c in enumerate(columns)}
-    basis = RowBasis(len(columns))
-    for p in S:
-        basis.add(_dense_incidence(S, columns, col_index, p))
+    basis = _echelon((_incidence_row(p, col_index) for p in S), len(columns))
     members = set(S.points)
     for candidate in S.product_points():
         if candidate in members:
             continue
-        if not basis.contains(_dense_incidence(S, columns, col_index, candidate)):
+        if not basis.contains(_incidence_row(candidate, col_index)):
             return False
     return True
 
@@ -111,14 +104,12 @@ def extend_to_maximal(S: PointSet) -> PointSet:
     _require_good(S, "extend_to_maximal")
     columns = S.space.coordinates()
     col_index = {c: j for j, c in enumerate(columns)}
-    basis = RowBasis(len(columns))
-    for p in S:
-        basis.add(_dense_incidence(S, columns, col_index, p))
+    basis = _echelon((_incidence_row(p, col_index) for p in S), len(columns))
     members = set(S.points)
     for candidate in S.space.all_points():
         if candidate in members:
             continue
-        if basis.add(_dense_incidence(S, columns, col_index, candidate)) is not None:
+        if basis.add(_incidence_row(candidate, col_index)) is not None:
             members.add(candidate)
     result = PointSet(S.space, tuple(members))
     for i in range(S.space.n):
@@ -136,9 +127,7 @@ def full_closure(S: PointSet) -> PointSet:
     _require_good(S, "full_closure")
     columns = S.coordinates()
     col_index = {c: j for j, c in enumerate(columns)}
-    basis = RowBasis(len(columns))
-    for p in S:
-        basis.add(_dense_incidence(S, columns, col_index, p))
+    basis = _echelon((_incidence_row(p, col_index) for p in S), len(columns))
     members = set(S.points)
     target_rank = len(columns) - (S.space.n - 1)
     for candidate in S.product_points():
@@ -146,7 +135,7 @@ def full_closure(S: PointSet) -> PointSet:
             break
         if candidate in members:
             continue
-        if basis.add(_dense_incidence(S, columns, col_index, candidate)) is not None:
+        if basis.add(_incidence_row(candidate, col_index)) is not None:
             members.add(candidate)
     result = PointSet(S.space, tuple(members))
     if result.deficiency() != S.space.n - 1:
@@ -158,14 +147,12 @@ def _first_addable(S: PointSet) -> tuple:
     """First product candidate (lexicographic) whose vector leaves the row span."""
     columns = S.coordinates()
     col_index = {c: j for j, c in enumerate(columns)}
-    basis = RowBasis(len(columns))
-    for p in S:
-        basis.add(_dense_incidence(S, columns, col_index, p))
+    basis = _echelon((_incidence_row(p, col_index) for p in S), len(columns))
     members = set(S.points)
     for candidate in S.product_points():
         if candidate in members:
             continue
-        if not basis.contains(_dense_incidence(S, columns, col_index, candidate)):
+        if not basis.contains(_incidence_row(candidate, col_index)):
             return candidate
     raise PreconditionError("set is already full")
 

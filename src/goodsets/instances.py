@@ -104,9 +104,8 @@ def parse_instance(data: dict) -> Instance:
     f = None
     if "f" in data:
         table = {p: Fraction(0) for p in file_points}
-        for key, raw in data["f"].items():
-            idx = _point_index(key, file_points)
-            table[file_points[idx]] = parse_rational(raw)
+        for p, raw in _indexed_entries(data, "f", file_points):
+            table[p] = parse_rational(raw)
         f = FunctionTable(point_set, table)
 
     pins = None
@@ -128,13 +127,12 @@ def parse_instance(data: dict) -> Instance:
     measure = None
     if "measure" in data:
         weights = {}
-        for key, raw in data["measure"].items():
-            idx = _point_index(key, file_points)
+        for p, raw in _indexed_entries(data, "measure", file_points):
             w = parse_rational(raw)
             if w < 0:
                 raise InstanceError("measure weights must be nonnegative")
             if w > 0:
-                weights[file_points[idx]] = w
+                weights[p] = w
         try:
             support = PointSet(space, tuple(weights))
             measure = FiniteMeasure(support, weights)
@@ -142,6 +140,14 @@ def parse_instance(data: dict) -> Instance:
             raise InstanceError(str(exc)) from exc
 
     return Instance(space, point_set, file_points, f, pins, measure)
+
+
+def _indexed_entries(data: dict, name: str, file_points) -> list:
+    """(point, raw value) pairs of an object field keyed by point index."""
+    table = data[name]
+    if not isinstance(table, dict):
+        raise InstanceError(f"{name!r} must be an object keyed by point index")
+    return [(file_points[_point_index(key, file_points)], raw) for key, raw in table.items()]
 
 
 def _point_index(key, file_points) -> int:

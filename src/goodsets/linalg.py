@@ -1,23 +1,28 @@
-"""Exact rational linear algebra over the point/coordinate incidence system.
+"""Exact linear algebra over the point/coordinate incidence system.
 
 The decomposition equation u_1(x_1) + ... + u_n(x_n) = f(x) is linear with
 0/1 coefficients: one row per point of S, one column per coordinate value in
 the union of the projections.  Rank decisions drive every correctness claim
-in this package, so elimination is done over `Fraction` with no rounding
-anywhere.  Pins (prescribed coordinate values) enter as extra unit rows, not
-by column elimination, which keeps the unique / underdetermined /
-inconsistent reporting uniform.
+in this package, so there is exactly one elimination, the integer
+:class:`RowBasis`; rank, kernel, solve, span membership and circuit
+coefficients are views on it.  A rational right-hand side is scaled to
+integers by the lcm of its denominators, and `Fraction` appears only at the
+final division by a pivot entry.  Pins (prescribed coordinate values) enter
+as extra unit rows, not by column elimination, which keeps the unique /
+underdetermined / inconsistent reporting uniform.
 
-Dependency certificates (loops) come out of :func:`extract_circuit`: a
-deletion loop shrinks a dependent point list to a minimal one, whose
-coefficient vector is then the unique normalized integer kernel element.
+Dependency certificates (loops) come out of :func:`extract_circuit`: one
+reverse pass over the canonical support finds the first point that turns
+the rows dependent; from that point on the support holds exactly one
+circuit, whose coefficient vector is the unique normalized integer kernel
+element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .model import (
@@ -51,13 +56,20 @@ UNDERDETERMINED = "underdetermined"
 INCONSISTENT = "inconsistent"
 
 
+def _primitive(v: list[int]) -> list[int]:
+    g = 0
+    for x in v:
+        g = gcd(g, x)
+    return [x // g for x in v] if g > 1 else v
+
+
 class RowBasis:
     """Incremental integer row-echelon basis with exact arithmetic.
 
     Rows are kept primitive (gcd 1) with their leading entry positive, one
     per pivot column.  `add` either absorbs an independent vector or reports
-    dependence; nothing else mutates, so backtracking callers can undo with
-    `remove_pivot`.
+    dependence, and backtracking callers can undo it with `remove_pivot`;
+    `back_substitute` rewrites the rows in place without changing their span.
     """
 
     def __init__(self, ncols: int):
@@ -82,12 +94,7 @@ class RowBasis:
             if row is None:
                 break
             a, b = row[j], v[j]
-            v = [b_k * a - row_k * b for b_k, row_k in zip(v, row)]
-            g = 0
-            for x in v:
-                g = gcd(g, abs(x))
-            if g > 1:
-                v = [x // g for x in v]
+            v = _primitive([b_k * a - row_k * b for b_k, row_k in zip(v, row)])
             j += 1
         if any(v):
             lead = next(i for i, x in enumerate(v) if x)
@@ -110,6 +117,79 @@ class RowBasis:
     def remove_pivot(self, pivot: int):
         del self.pivot_rows[pivot]
 
+    def back_substitute(self):
+        """Clear every pivot column above its pivot, in place.
+
+        The rows keep their span, primitivity and positive leading entries;
+        afterwards pivot column p is nonzero only in row p, so each solution
+        or kernel entry is a single division by that row's pivot entry.
+        """
+        pivots = sorted(self.pivot_rows)
+        for k in range(len(pivots) - 1, 0, -1):
+            prow = self.pivot_rows[pivots[k]]
+            a = prow[pivots[k]]
+            for q in pivots[:k]:
+                row = self.pivot_rows[q]
+                b = row[pivots[k]]
+                if b:
+                    self.pivot_rows[q] = _primitive(
+                        [x * a - y * b for x, y in zip(row, prow)]
+                    )
+
+
+def _echelon(rows: Iterable[Sequence[int]], ncols: int) -> RowBasis:
+    basis = RowBasis(ncols)
+    for row in rows:
+        basis.add(row)
+    return basis
+
+
+def _null_vectors(basis: RowBasis, ncols: int) -> list[list[Fraction]]:
+    """Kernel of a back-substituted basis: one vector per free column, 1 there."""
+    vectors = []
+    for fc in range(ncols):
+        if fc in basis.pivot_rows:
+            continue
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for p, row in basis.pivot_rows.items():
+            v[p] = Fraction(-row[fc], row[p])
+        vectors.append(v)
+    return vectors
+
+
+def _augment(rows, rhs: Sequence[Fraction]) -> tuple[list[list[int]], int]:
+    """Rows extended by the rhs column, scaled by the lcm of its denominators."""
+    scale = lcm(*(b.denominator for b in rhs))
+    return [list(r) + [int(b * scale)] for r, b in zip(rows, rhs)], scale
+
+
+def _canonical_solution(rows, rhs: Sequence[Fraction], ncols: int):
+    """(x, basis): x solves rows . x = rhs with free columns at 0, or is None.
+
+    The basis is the back-substituted echelon form of the augmented rows when
+    the system is consistent, so its first ncols columns carry the kernel.
+    """
+    augmented, scale = _augment(rows, rhs)
+    basis = _echelon(augmented, ncols + 1)
+    if ncols in basis.pivot_rows:
+        return None, basis
+    basis.back_substitute()
+    x = [Fraction(0)] * ncols
+    for p, row in basis.pivot_rows.items():
+        x[p] = Fraction(row[ncols], row[p] * scale)
+    return x, basis
+
+
+def _incidence_row(point: Point, col_index: Mapping) -> list[int]:
+    """0/1 row of a point over the indexed columns; other coordinates are dropped."""
+    row = [0] * len(col_index)
+    for coord in enumerate(point):
+        j = col_index.get(coord)
+        if j is not None:
+            row[j] = 1
+    return row
+
 
 @dataclass(frozen=True)
 class PinRow:
@@ -131,16 +211,11 @@ class IncidenceSystem:
         point_set.require_nonempty("incidence system")
         columns = point_set.coordinates()
         col_index = {c: j for j, c in enumerate(columns)}
-        rows = []
-        for p in point_set:
-            row = [0] * len(columns)
-            for i, label in enumerate(p):
-                row[col_index[(i, label)]] = 1
-            rows.append(tuple(row))
+        rows = tuple(tuple(_incidence_row(p, col_index)) for p in point_set)
         object.__setattr__(self, "point_set", point_set)
         object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "col_index", col_index)
-        object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "rows", rows)
 
     @property
     def space(self) -> Space:
@@ -151,76 +226,31 @@ class IncidenceSystem:
         return self.point_set.points
 
 
-def _rref(rows: list[list[Fraction]], ncols: int, track: bool = False):
-    """Reduced row echelon form; optionally track T with T * original = R."""
-    m = len(rows)
-    R = [list(map(Fraction, r)) for r in rows]
-    T = [[Fraction(i == j) for j in range(m)] for i in range(m)] if track else None
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, m) if R[i][c] != 0), None)
-        if pr is None:
-            continue
-        R[r], R[pr] = R[pr], R[r]
-        if track:
-            T[r], T[pr] = T[pr], T[r]
-        inv = R[r][c]
-        if inv != 1:
-            R[r] = [x / inv for x in R[r]]
-            if track:
-                T[r] = [x / inv for x in T[r]]
-        for i in range(m):
-            if i != r and R[i][c] != 0:
-                factor = R[i][c]
-                R[i] = [a - factor * b for a, b in zip(R[i], R[r])]
-                if track:
-                    T[i] = [a - factor * b for a, b in zip(T[i], T[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return R, pivots, T
-
-
-def _kernel_basis(R, pivots, ncols) -> list[list[Fraction]]:
-    """Null-space basis from an RREF, one vector per free column, canonical order."""
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -R[r][fc]
-        basis.append(v)
-    return basis
+def _stack_pins(system: IncidenceSystem, coords) -> list[list[int]]:
+    """The incidence rows followed by one unit row per pinned coordinate."""
+    rows = [list(r) for r in system.rows]
+    for coord in coords:
+        j = system.col_index.get(coord)
+        if j is None:
+            raise PreconditionError(
+                f"pinned coordinate {coord!r} is not a column of the system"
+            )
+        unit = [0] * len(system.columns)
+        unit[j] = 1
+        rows.append(unit)
+    return rows
 
 
 def rank(system: IncidenceSystem) -> int:
     """Exact rank of the incidence rows over the rationals."""
-    _, pivots, _ = _rref([list(r) for r in system.rows], len(system.columns))
-    return len(pivots)
+    return _echelon(system.rows, len(system.columns)).rank
 
 
-def _stacked(system: IncidenceSystem, pins: PinSet | None):
-    """Incidence rows plus one unit row per pin; labels identify row origins."""
-    rows = [list(map(Fraction, r)) for r in system.rows]
-    labels: list = list(system.points)
-    rhs_pins: list[Fraction] = []
-    if pins is not None:
-        for coord, value in pins:
-            j = system.col_index.get(coord)
-            if j is None:
-                raise PreconditionError(
-                    f"pinned coordinate {coord!r} is not a column of the system"
-                )
-            unit = [Fraction(0)] * len(system.columns)
-            unit[j] = Fraction(1)
-            rows.append(unit)
-            labels.append(PinRow(coord))
-            rhs_pins.append(value)
-    return rows, labels, rhs_pins
+def _kernel_dicts(system: IncidenceSystem, basis: RowBasis) -> list[dict]:
+    return [
+        {system.columns[j]: v for j, v in enumerate(vec) if v != 0}
+        for vec in _null_vectors(basis, len(system.columns))
+    ]
 
 
 def column_kernel(system: IncidenceSystem, pins: PinSet | None = None) -> list[dict]:
@@ -229,13 +259,10 @@ def column_kernel(system: IncidenceSystem, pins: PinSet | None = None) -> list[d
     Pinning with value 0 is what the kernel of the pinned system means; the
     pin *values* are ignored here on purpose.
     """
-    rows, _, _ = _stacked(system, pins)
-    ncols = len(system.columns)
-    R, pivots, _ = _rref(rows, ncols)
-    return [
-        {system.columns[j]: v for j, v in enumerate(vec) if v != 0}
-        for vec in _kernel_basis(R, pivots, ncols)
-    ]
+    coords = () if pins is None else pins.coordinates()
+    basis = _echelon(_stack_pins(system, coords), len(system.columns))
+    basis.back_substitute()
+    return _kernel_dicts(system, basis)
 
 
 @dataclass(frozen=True)
@@ -259,6 +286,20 @@ class LinearSolve:
         return self.verdict == UNIQUE
 
 
+def _witness(rows, rhs: Sequence[Fraction], labels) -> tuple:
+    """A row combination that kills every column but not the rhs.
+
+    Eliminates [rows | D rhs | I]: on an inconsistent system the rhs column
+    is a pivot, and its basis row is zero on the columns and carries the
+    combination in the identity block.
+    """
+    augmented, _ = _augment(rows, rhs)
+    m, ncols = len(augmented), len(augmented[0]) - 1
+    extended = [r + [int(i == k) for i in range(m)] for k, r in enumerate(augmented)]
+    combination = _echelon(extended, ncols + 1 + m).pivot_rows[ncols][ncols + 1 :]
+    return tuple((label, Fraction(c)) for label, c in zip(labels, combination) if c)
+
+
 def solve_pinned(
     system: IncidenceSystem, rhs: FunctionTable, pins: PinSet | None = None
 ) -> LinearSolve:
@@ -270,37 +311,24 @@ def solve_pinned(
     """
     if set(rhs.domain.points) != set(system.points):
         raise PreconditionError("right-hand side must be total on the system's points")
-    rows, labels, rhs_pins = _stacked(system, pins)
+    pins = PinSet(()) if pins is None else pins
+    rows = _stack_pins(system, pins.coordinates())
+    b = [rhs(p) for p in system.points] + [value for _, value in pins]
     ncols = len(system.columns)
-    b = [rhs(p) for p in system.points] + rhs_pins
 
-    R, pivots, T = _rref(rows, ncols, track=True)
-    c = [
-        sum((T[i][k] * b[k] for k in range(len(b)) if T[i][k] != 0), Fraction(0))
-        for i in range(len(rows))
-    ]
-    for i in range(len(pivots), len(rows)):
-        if c[i] != 0:
-            witness = tuple(
-                (labels[k], T[i][k]) for k in range(len(b)) if T[i][k] != 0
-            )
-            return LinearSolve(INCONSISTENT, None, (), witness)
-
-    solution = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        solution[pc] = c[r]
+    solution, basis = _canonical_solution(rows, b, ncols)
+    if solution is None:
+        labels = list(system.points) + [PinRow(c) for c in pins.coordinates()]
+        return LinearSolve(INCONSISTENT, None, (), _witness(rows, b, labels))
 
     tables: list[dict] = [dict() for _ in range(system.space.n)]
     for j, (axis, label) in enumerate(system.columns):
         tables[axis][label] = solution[j]
     decomposition = Decomposition(system.space, tuple(tables))
 
-    if len(pivots) == ncols:
+    if basis.rank == ncols:
         return LinearSolve(UNIQUE, decomposition, (), None)
-    kernel = tuple(
-        {system.columns[j]: v for j, v in enumerate(vec) if v != 0}
-        for vec in _kernel_basis(R, pivots, ncols)
-    )
+    kernel = tuple(_kernel_dicts(system, basis))
     return LinearSolve(UNDERDETERMINED, decomposition, kernel, None)
 
 
@@ -312,13 +340,9 @@ def in_span(system: IncidenceSystem, vector: Mapping[Coordinate, object]) -> boo
         if j is None:
             raise PreconditionError(f"coordinate {coord!r} is not a column of the system")
         dense[j] = Fraction(v)
-    R, pivots, _ = _rref([list(r) for r in system.rows], len(system.columns))
-    residual = dense
-    for r, pc in enumerate(pivots):
-        coef = residual[pc]
-        if coef != 0:
-            residual = [a - coef * b for a, b in zip(residual, R[r])]
-    return not any(residual)
+    scale = lcm(*(v.denominator for v in dense))
+    basis = _echelon(system.rows, len(system.columns))
+    return basis.contains([int(v * scale) for v in dense])
 
 
 @dataclass(frozen=True)
@@ -337,73 +361,48 @@ class CircuitVector:
         return len(self.points)
 
 
-def _incidence_rows(space: Space, points: Sequence[Point], columns, col_index):
-    rows = []
-    for p in points:
-        row = [0] * len(columns)
-        for i, label in enumerate(p):
-            row[col_index[(i, label)]] = 1
-        rows.append(row)
-    return rows
-
-
 def _dependent(space: Space, points: Sequence[Point], columns, col_index) -> bool:
-    basis = RowBasis(len(columns))
-    for row in _incidence_rows(space, points, columns, col_index):
-        if basis.add(row) is None:
-            return True
-    return False
+    rows = [_incidence_row(p, col_index) for p in points]
+    return _echelon(rows, len(columns)).rank < len(points)
 
 
 def extract_circuit(space: Space, points: Iterable[Point]) -> CircuitVector:
-    """Shrink a dependent point list to a circuit and compute its coefficients.
+    """Find a circuit among dependent points and compute its coefficients.
 
-    Deletion loop: scan the support in canonical order and drop any point
-    whose removal keeps the rest dependent, until nothing is droppable.  The
-    survivor is minimal, so the kernel of its transposed incidence matrix is
-    one-dimensional and scales to a unique normalized integer vector.
+    One pass scans the canonical support in reverse; the first point e_k
+    whose row is dependent on the rows after it makes T = support[k:] hold
+    exactly one circuit.  That circuit is the support of the one-dimensional
+    kernel of T's transposed incidence matrix, and it is what the deletion
+    loop (drop, in canonical order, any point whose removal keeps the rest
+    dependent) would leave.  The kernel vector scales to a unique normalized
+    integer vector.
     """
     support = sorted({space.validate_point(p) for p in points}, key=space.point_key)
     columns = space.coordinates()
     col_index = {c: j for j, c in enumerate(columns)}
-    if not _dependent(space, support, columns, col_index):
+    rows = [_incidence_row(p, col_index) for p in support]
+    scan = RowBasis(len(columns))
+    k = next((k for k in reversed(range(len(rows))) if scan.add(rows[k]) is None), None)
+    if k is None:
         raise PreconditionError("points are linearly independent; no circuit exists")
 
-    changed = True
-    while changed:
-        changed = False
-        for p in list(support):
-            rest = [q for q in support if q != p]
-            if _dependent(space, rest, columns, col_index):
-                support = rest
-                changed = True
-                break
-
-    # Kernel of the transpose: coefficients per point.
-    rows_t = [
-        [Fraction(row[j]) for row in _incidence_rows(space, support, columns, col_index)]
-        for j in range(len(columns))
-    ]
-    R, pivots, _ = _rref(rows_t, len(support))
-    kernel = _kernel_basis(R, pivots, len(support))
+    # Kernel of the transpose: coefficients per point of T.
+    tail, tail_rows = support[k:], rows[k:]
+    basis = _echelon(([row[j] for row in tail_rows] for j in range(len(columns))), len(tail))
+    basis.back_substitute()
+    kernel = _null_vectors(basis, len(tail))
     if len(kernel) != 1:
         raise VerificationError(
-            f"circuit kernel dimension {len(kernel)}; deletion loop is broken"
+            f"circuit kernel dimension {len(kernel)}; the one-pass scan is broken"
         )
-    vec = kernel[0]
-    denom_lcm = 1
-    for v in vec:
-        denom_lcm = denom_lcm * v.denominator // gcd(denom_lcm, v.denominator)
-    ints = [int(v * denom_lcm) for v in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    ints = [x // g for x in ints]
+    scale = lcm(*(v.denominator for v in kernel[0]))
+    ints = _primitive([int(v * scale) for v in kernel[0]])
+    if ints[0] == 0:
+        raise VerificationError("circuit coefficient vanished at the first dependent point")
     if ints[0] < 0:
         ints = [-x for x in ints]
-    if any(x == 0 for x in ints):
-        raise VerificationError("circuit coefficient vanished; support is not minimal")
-    return CircuitVector(tuple(support), tuple(ints))
+    circuit = [(p, c) for p, c in zip(tail, ints) if c]
+    return CircuitVector(tuple(p for p, _ in circuit), tuple(c for _, c in circuit))
 
 
 def verify_circuit(space: Space, circuit: CircuitVector):

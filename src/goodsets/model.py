@@ -170,6 +170,7 @@ class PointSet:
 
     space: Space
     points: tuple[Point, ...]
+    _members: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen = set()
@@ -181,6 +182,7 @@ class PointSet:
                 validated.append(p)
         validated.sort(key=self.space.point_key)
         object.__setattr__(self, "points", tuple(validated))
+        object.__setattr__(self, "_members", frozenset(seen))
 
     @classmethod
     def of(cls, space: Space, points: Iterable) -> "PointSet":
@@ -206,7 +208,7 @@ class PointSet:
         return iter(self.points)
 
     def __contains__(self, point) -> bool:
-        return tuple(point) in set(self.points)
+        return tuple(point) in self._members
 
     def require_nonempty(self, what: str = "operation"):
         if not self.points:

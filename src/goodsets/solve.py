@@ -8,10 +8,11 @@ Four routes produce the same numbers and certify each other:
   off the target's values; assembly asserts all overlaps agree.
 * componentwise -- the geodesic route per relatedness component, valid when
   components share no coordinate of any kind.
-* boundary -- prescribe values on a computed boundary; either solved
-  directly with the pins stacked in, or, when the boundary meets every axis,
-  through the associated full set: extend the right-hand side onto the comb,
-  solve on the full superset, and read the values back.
+* boundary -- prescribe values on a boundary: the pins are stacked under
+  the incidence rows, the stacked system must be square, and one pinned
+  solve must come out unique.  (The comb through a boundary that meets
+  every axis is the structural construction of
+  `goodness.associated_full_set`, not a solve route.)
 
 `bound_diagnostics` reports the finite-scale boundedness data: geodesic
 lengths from a base and the largest solution value over singleton indicator
@@ -23,12 +24,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .goodness import associated_full_set, is_good
+from .goodness import is_good
 from .linalg import (
     UNIQUE,
     IncidenceSystem,
     LinearSolve,
-    _rref,
+    _canonical_solution,
+    _echelon,
+    _incidence_row,
     solve_pinned,
 )
 from .model import (
@@ -41,7 +44,7 @@ from .model import (
     PreconditionError,
     VerificationError,
 )
-from .structure import geodesic, related_components
+from .structure import _geodesic, related_components
 
 __all__ = [
     "BoundDiagnostics",
@@ -125,30 +128,10 @@ def geodesic_matrix(G: PointSet, base) -> GeodesicMatrix:
         )
     ordered = (base,) + tuple(p for p in G if p != base)
     col_index = {c: j for j, c in enumerate(columns)}
-    matrix = []
-    for p in ordered:
-        row = [0] * len(columns)
-        for coord in enumerate(p):
-            j = col_index.get(coord)
-            if j is not None:
-                row[j] = 1
-        matrix.append(tuple(row))
-    _, pivots, _ = _rref([[Fraction(x) for x in row] for row in matrix], len(columns))
-    if len(pivots) != len(columns):
+    matrix = tuple(tuple(_incidence_row(p, col_index)) for p in ordered)
+    if _echelon(matrix, len(columns)).rank != len(columns):
         raise VerificationError("geodesic matrix is singular")
-    return GeodesicMatrix(ordered, columns, tuple(matrix))
-
-
-def _solve_square(matrix, rhs) -> list[Fraction]:
-    ncols = len(matrix[0])
-    rows = [[Fraction(x) for x in row] + [b] for row, b in zip(matrix, rhs)]
-    R, pivots, _ = _rref(rows, ncols)
-    if len(pivots) != ncols:
-        raise VerificationError("square system is singular")
-    solution = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        solution[pc] = R[r][ncols]
-    return solution
+    return GeodesicMatrix(ordered, columns, matrix)
 
 
 def solve_via_geodesics(S: PointSet, f: FunctionTable, base=None) -> SolveReport:
@@ -171,14 +154,17 @@ def solve_via_geodesics(S: PointSet, f: FunctionTable, base=None) -> SolveReport
     values: dict[Coordinate, Fraction] = {coord: Fraction(0) for coord in pinned}
     max_len = 0
     for y in S:
-        G = geodesic(S, base, y)
+        G = _geodesic(S, base, y)
         if G is None:
             raise PreconditionError(
                 f"{y!r} is unrelated to the base; use the componentwise or boundary method"
             )
         max_len = max(max_len, G.length)
         gm = geodesic_matrix(G.points, base)
-        g = _solve_square(gm.matrix, [f(p) for p in gm.points])
+        ncols = len(gm.columns)
+        g, basis = _canonical_solution(gm.matrix, [f(p) for p in gm.points], ncols)
+        if g is None or basis.rank != ncols:
+            raise VerificationError("square system is singular")
         by_col = dict(zip(gm.columns, g))
         for coord in enumerate(y):
             v = Fraction(0) if coord in pinned else by_col[coord]
@@ -255,15 +241,6 @@ def solve_componentwise(S: PointSet, f: FunctionTable, bases=None) -> SolveRepor
     )
 
 
-def _group_boundary(S: PointSet, coords) -> dict[int, list]:
-    by_axis: dict[int, list] = {i: [] for i in range(S.space.n)}
-    for axis, label in coords:
-        by_axis[axis].append(label)
-    for i in range(S.space.n):
-        by_axis[i].sort(key=lambda v: S.space.value_index(i, v))
-    return by_axis
-
-
 def solve_with_boundary(
     S: PointSet, f: FunctionTable, boundary_values: PinSet
 ) -> SolveReport:
@@ -273,86 +250,29 @@ def solve_with_boundary(
     incidence rows must give a square invertible system, which is exactly
     "every f and every prescription admit one solution".  The boundary from
     `structure.boundary` always qualifies; so does the coordinate set of a
-    full complement from `full_split`.  When the boundary meets every axis
-    and the comb through it stays outside S, the associated-full-set route
-    is taken: f is extended onto the comb by the prescribed values' own sums
-    (identically zero when the prescribed values are zero), solved on the
-    full superset, and the result -- provably equal to the direct pinned
-    solve -- is returned.  Otherwise the pins are stacked into a direct
-    solve.  The verdict is always unique.
+    full complement from `full_split`.  The stacked system is checked to be
+    square and then solved once; any verdict but unique means the pins are
+    not a boundary.
     """
     S.require_nonempty("solve_with_boundary")
     if not is_good(S):
         raise PreconditionError("solve_with_boundary requires a good set")
-    bound = boundary_values.coordinates()
     system = IncidenceSystem(S)
-    for coord in bound:
-        if coord not in system.col_index:
-            raise PreconditionError(
-                f"pinned coordinate {coord!r} lies outside the projections"
-            )
-    stacked = [[Fraction(x) for x in row] for row in system.rows]
-    for coord in bound:
-        unit = [Fraction(0)] * len(system.columns)
-        unit[system.col_index[coord]] = Fraction(1)
-        stacked.append(unit)
-    ncols = len(system.columns)
-    square = len(stacked) == ncols
-    if not square or len(_rref(stacked, ncols)[1]) != ncols:
-        raise PreconditionError("pins do not coincide with a boundary of the set")
-    pin_value = dict(boundary_values.pins)
+    not_boundary = "pins do not coincide with a boundary of the set"
+    if len(system.rows) + len(boundary_values) != len(system.columns):
+        raise PreconditionError(not_boundary)
+    outcome = solve_pinned(system, f, boundary_values)
+    if not outcome.unique:
+        raise PreconditionError(not_boundary)
+    decomposition = outcome.decomposition
 
-    by_axis = _group_boundary(S, bound)
-    comb_route = all(by_axis[i] for i in range(S.space.n))
-    if comb_route:
-        base = tuple(by_axis[i][0] for i in range(S.space.n))
-        comb = set()
-        for i in range(S.space.n):
-            for v in by_axis[i]:
-                comb.add(tuple(v if k == i else base[k] for k in range(S.space.n)))
-        comb_route = not any(p in S for p in comb)
-
-    if comb_route:
-        F = associated_full_set(S, bound)
-        extension = {}
-        for p in F:
-            if p in S:
-                extension[p] = f(p)
-            else:
-                extension[p] = sum(
-                    (pin_value[(i, label)] for i, label in enumerate(p)), Fraction(0)
-                )
-        extended = FunctionTable(F, extension)
-        pins = PinSet(
-            tuple(((i, base[i]), pin_value[(i, base[i])]) for i in range(S.space.n - 1))
-        )
-        outcome = solve_pinned(IncidenceSystem(F), extended, pins)
-        if outcome.verdict != UNIQUE:
-            raise VerificationError("full superset solve was not unique")
-        decomposition = outcome.decomposition
-        method = "boundary"
-    else:
-        outcome = solve_pinned(system, f, boundary_values)
-        if outcome.verdict != UNIQUE:
-            raise VerificationError("boundary pins did not force a unique solution")
-        decomposition = outcome.decomposition
-        method = "boundary"
-
-    for coord in bound:
-        if decomposition.value(*coord) != pin_value[coord]:
+    for coord, value in boundary_values:
+        if decomposition.value(*coord) != value:
             raise VerificationError("solution does not honor a prescribed boundary value")
     for p in S:
         if decomposition.evaluate(p) != f(p):
             raise VerificationError("boundary solve does not reproduce f")
-    return SolveReport(
-        method=method,
-        verdict=UNIQUE,
-        decomposition=decomposition,
-        kernel=(),
-        witness=None,
-        max_geodesic_length=None,
-        max_abs_value=_max_abs(decomposition),
-    )
+    return _report("boundary", outcome)
 
 
 @dataclass(frozen=True)
@@ -382,7 +302,7 @@ def bound_diagnostics(S: PointSet, base=None) -> BoundDiagnostics:
 
     lengths = {}
     for y in S:
-        g = geodesic(S, base, y)
+        g = _geodesic(S, base, y)
         if g is None:
             raise PreconditionError("diagnostics are per component; this set has several")
         lengths[y] = g.length

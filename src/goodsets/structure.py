@@ -25,10 +25,9 @@ by exact rank.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .goodness import is_full, is_good
-from .linalg import IncidenceSystem, _rref
+from .linalg import IncidenceSystem, _echelon, _stack_pins
 from .model import (
     Coordinate,
     PinSet,
@@ -142,8 +141,11 @@ def related(S: PointSet, x, y) -> bool:
     """True iff some full subset of S contains both points."""
     if not is_good(S):
         raise PreconditionError("related requires a good set")
-    x = _require_member(S, x)
-    y = _require_member(S, y)
+    return _related(S, _require_member(S, x), _require_member(S, y))
+
+
+def _related(S: PointSet, x: Point, y: Point) -> bool:
+    """The search behind `related`, for a good S and two of its points."""
     if x == y:
         return True
     if S.deficiency() == S.space.n - 1:
@@ -159,8 +161,11 @@ def geodesic(S: PointSet, x, y) -> Geodesic | None:
     """
     if not is_good(S):
         raise PreconditionError("geodesic requires a good set")
-    x = _require_member(S, x)
-    y = _require_member(S, y)
+    return _geodesic(S, _require_member(S, x), _require_member(S, y))
+
+
+def _geodesic(S: PointSet, x: Point, y: Point) -> Geodesic | None:
+    """The search behind `geodesic`, for a good S and two of its points."""
     hits = _geodesic_search(S, x, y, find_all=True)
     if not hits:
         return None
@@ -209,7 +214,7 @@ def related_components(S: PointSet) -> ComponentPartition:
     for i in range(m):
         direct[i][i] = True
         for j in range(i + 1, m):
-            if related(S, pts[i], pts[j]):
+            if _related(S, pts[i], pts[j]):
                 direct[i][j] = direct[j][i] = True
                 parent[find(j)] = find(i)
 
@@ -253,7 +258,7 @@ def full_component(S: PointSet, x) -> PointSet:
     if not is_good(S):
         raise PreconditionError("full_component requires a good set")
     x = _require_member(S, x)
-    members = [p for p in S if p == x or related(S, x, p)]
+    members = [p for p in S if p == x or _related(S, x, p)]
     comp = PointSet(S.space, tuple(members))
     if not is_full(comp):
         raise VerificationError("a relatedness class is not full")
@@ -365,11 +370,8 @@ def boundary(S: PointSet, verify: bool = True) -> BoundaryConstruction:
             row[gen_index[(i, ei.class_of(i, rep[i]))]] = 1
         relations.append(tuple(row))
 
-    R, pivots, _ = _rref(
-        [[Fraction(x) for x in row] for row in relations], len(generators)
-    )
-    pivot_set = set(pivots)
-    basis = tuple(j for j in range(len(generators)) if j not in pivot_set)
+    pivots = sorted(_echelon(relations, len(generators)).pivot_rows)
+    basis = tuple(j for j in range(len(generators)) if j not in pivots)
     bound = tuple((generators[j][0], generators[j][1][0]) for j in basis)
 
     construction = BoundaryConstruction(
@@ -402,14 +404,9 @@ def verify_boundary(S: PointSet, construction: BoundaryConstruction):
             f"boundary size {len(bound)} differs from deficiency {S.deficiency()}"
         )
     system = IncidenceSystem(S)
-    rows = [[Fraction(x) for x in row] for row in system.rows]
-    for coord in bound:
-        unit = [Fraction(0)] * len(system.columns)
-        unit[system.col_index[coord]] = Fraction(1)
-        rows.append(unit)
+    rows = _stack_pins(system, bound)
     ncols = len(system.columns)
     if len(rows) != ncols:
         raise VerificationError("stacked boundary system is not square")
-    _, pivots, _ = _rref(rows, ncols)
-    if len(pivots) != ncols:
+    if _echelon(rows, ncols).rank != ncols:
         raise VerificationError("boundary pins do not force a unique solution")

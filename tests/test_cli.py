@@ -242,6 +242,17 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("field", ["f", "measure"])
+def test_non_object_table_is_parse_error(capsys, tmp_path, field):
+    data = example_instance("t4")
+    data[field] = []
+    path = tmp_path / "t4.json"
+    path.write_text(dumps_canonical(data))
+    code, report, err = run_cli(capsys, "check-good", str(path))
+    assert code == 3 and report is None
+    assert "instance error" in err and field in err
+
+
 def test_emit_examples_command(capsys, tmp_path):
     code, report, _ = run_cli(capsys, "emit-examples", str(tmp_path / "out"))
     assert code == 0

@@ -10,6 +10,7 @@ from util import (
     RECTANGLE,
     T4,
     cube_set,
+    int_space,
     oracle_independent,
     oracle_rank,
     oracle_zero_marginal_dependency,
@@ -247,6 +248,43 @@ def test_extract_circuit_random_certificates():
             continue
         circuit = gs.extract_circuit(S.space, S.points)
         gs.verify_circuit(S.space, circuit)
+        done += 1
+
+
+def _deletion_loop_support(space, points):
+    """Oracle: shrink to a circuit by the deletion loop, dependence by sympy rank.
+
+    Scan the support in canonical order, drop the first point whose removal
+    keeps the rest dependent, and restart until no point can be dropped.
+    """
+    support = sorted(set(points), key=space.point_key)
+    changed = True
+    while changed:
+        changed = False
+        for p in support:
+            rest = [q for q in support if q != p]
+            if not oracle_independent(space, rest):
+                support = rest
+                changed = True
+                break
+    return support
+
+
+def test_extract_circuit_matches_deletion_loop():
+    rng = random.Random(37)
+    done = 0
+    while done < 40:
+        sizes = tuple(rng.randint(2, 3) for _ in range(rng.choice((2, 3, 4))))
+        space = int_space(sizes)
+        product = list(space.all_points())
+        S = gs.PointSet.of(space, rng.sample(product, rng.randint(3, min(9, len(product)))))
+        if oracle_independent(space, S.points):
+            continue
+        circuit = gs.extract_circuit(space, S.points)
+        assert list(circuit.points) == _deletion_loop_support(space, S.points)
+        null = oracle_zero_marginal_dependency(space, circuit.points)
+        ratio = circuit.coefficients[0] / null[0]
+        assert [ratio * c for c in null] == list(circuit.coefficients)
         done += 1
 
 
