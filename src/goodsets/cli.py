@@ -177,6 +177,8 @@ def _cmd_boundary(instance: Instance, args) -> dict:
 def _parse_inline_pins(instance: Instance, text: str) -> PinSet:
     try:
         entries = json.loads(text)
+        if not isinstance(entries, list):
+            raise TypeError("not a JSON list of pins")
         pins = tuple(
             (
                 (instance.space.axis_index(str(p["axis"])), str(p["value"])),

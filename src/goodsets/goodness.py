@@ -76,18 +76,7 @@ def is_full(S: PointSet, definitional: bool = False) -> bool:
     S.require_nonempty("fullness")
     if not definitional:
         return bool(is_good(S)) and S.deficiency() == S.space.n - 1
-    if not is_good(S):
-        return False
-    columns = S.coordinates()
-    col_index = {c: j for j, c in enumerate(columns)}
-    basis = _echelon((_incidence_row(p, col_index) for p in S), len(columns))
-    members = set(S.points)
-    for candidate in S.product_points():
-        if candidate in members:
-            continue
-        if not basis.contains(_incidence_row(candidate, col_index)):
-            return False
-    return True
+    return bool(is_good(S)) and _first_addable(S) is None
 
 
 def _require_good(S: PointSet, what: str):
@@ -143,8 +132,8 @@ def full_closure(S: PointSet) -> PointSet:
     return result
 
 
-def _first_addable(S: PointSet) -> tuple:
-    """First product candidate (lexicographic) whose vector leaves the row span."""
+def _first_addable(S: PointSet) -> tuple | None:
+    """First product candidate (lexicographic) outside the row span; None if there is none."""
     columns = S.coordinates()
     col_index = {c: j for j, c in enumerate(columns)}
     basis = _echelon((_incidence_row(p, col_index) for p in S), len(columns))
@@ -154,7 +143,7 @@ def _first_addable(S: PointSet) -> tuple:
             continue
         if not basis.contains(_incidence_row(candidate, col_index)):
             return candidate
-    raise PreconditionError("set is already full")
+    return None
 
 
 def full_split(S: PointSet) -> PointSet:

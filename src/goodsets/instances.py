@@ -55,7 +55,7 @@ class InstanceError(ValueError):
 
 
 def parse_rational(text) -> Fraction:
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if not isinstance(text, str) or not _RATIONAL.match(text):
         raise InstanceError(f"not an exact rational string: {text!r}")
@@ -104,12 +104,13 @@ def parse_instance(data: dict) -> Instance:
     f = None
     if "f" in data:
         table = {p: Fraction(0) for p in file_points}
-        for p, raw in _indexed_entries(data, "f", file_points):
-            table[p] = parse_rational(raw)
+        table.update(_indexed_entries(data, "f", file_points))
         f = FunctionTable(point_set, table)
 
     pins = None
     if "pins" in data:
+        if not isinstance(data["pins"], list):
+            raise InstanceError("'pins' must be a list of pin objects")
         entries = []
         for pin in data["pins"]:
             try:
@@ -127,8 +128,7 @@ def parse_instance(data: dict) -> Instance:
     measure = None
     if "measure" in data:
         weights = {}
-        for p, raw in _indexed_entries(data, "measure", file_points):
-            w = parse_rational(raw)
+        for p, w in _indexed_entries(data, "measure", file_points):
             if w < 0:
                 raise InstanceError("measure weights must be nonnegative")
             if w > 0:
@@ -143,11 +143,18 @@ def parse_instance(data: dict) -> Instance:
 
 
 def _indexed_entries(data: dict, name: str, file_points) -> list:
-    """(point, raw value) pairs of an object field keyed by point index."""
+    """(point, rational) pairs of an object field keyed by point index."""
     table = data[name]
     if not isinstance(table, dict):
         raise InstanceError(f"{name!r} must be an object keyed by point index")
-    return [(file_points[_point_index(key, file_points)], raw) for key, raw in table.items()]
+    entries = []
+    for key, raw in table.items():
+        p = file_points[_point_index(key, file_points)]
+        try:
+            entries.append((p, parse_rational(raw)))
+        except InstanceError as exc:
+            raise InstanceError(f"{name!r} at point {key}: {exc}") from None
+    return entries
 
 
 def _point_index(key, file_points) -> int:

@@ -21,6 +21,7 @@ instances are safe under concurrent use.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
@@ -142,16 +143,7 @@ class Space:
 
     def all_points(self) -> Iterator[Point]:
         """The whole product, lexicographic by value indices."""
-
-        def rec(i):
-            if i == self.n:
-                yield ()
-                return
-            for v in self.axes[i].values:
-                for rest in rec(i + 1):
-                    yield (v,) + rest
-
-        return rec(0)
+        return itertools.product(*(ax.values for ax in self.axes))
 
 
 def incidence_vector(space: Space, point: Point) -> dict:
@@ -255,17 +247,7 @@ class PointSet:
 
     def product_points(self) -> Iterator[Point]:
         """The product of the projections, lexicographic by value indices."""
-        projs = self.projections()
-
-        def rec(i):
-            if i == self.space.n:
-                yield ()
-                return
-            for v in projs[i]:
-                for rest in rec(i + 1):
-                    yield (v,) + rest
-
-        return rec(0)
+        return itertools.product(*self.projections())
 
 
 @dataclass(frozen=True)

@@ -11,15 +11,27 @@ lowers the deficiency by at most one).  The search is exponential in the
 worst case; there is no known polynomial relatedness test for n > 2, and
 desk-scale sets are the target.
 
-Relatedness classes are full, they partition the set, and they drive the
-boundary construction: per axis, chains of components sharing a value merge
-projection values into equivalence classes; each class becomes a formal
-variable; each component contributes the relation "its n incident class
-variables sum to zero"; a basis chosen among the variables (the free columns
-of an exact elimination) yields the boundary once the least value of each
-basis class is picked.  Prescribing arbitrary values on the boundary then
-makes the decomposition of every right-hand side unique, which is certified
-by exact rank.
+Relatedness classes are grown from the full subsets the search finds.  Two
+full subsets F1, F2 of a good set that share a point have a full union: with
+C(.) the coordinate set and def(.) the deficiency,
+def(F1 | F2) = 2(n - 1) - |C(F1) & C(F2)| + |F1 & F2|, and the nonempty good
+set F1 & F2 has |C(F1) & C(F2)| >= |C(F1 & F2)| >= |F1 & F2| + n - 1, so
+def(F1 | F2) <= n - 1, which the good set F1 | F2 can only meet with
+equality.  Hence x's class is the union of the full subsets through x, it is
+full, and the classes partition the set.  Growing it costs one search per
+point not yet in it, and a hit adds the whole full subset it found.  The
+partition grows each class from the least point not yet assigned and
+searches only the unassigned points: a full subset holding that point and a
+point of an earlier class would have put it in that class.
+
+The classes drive the boundary construction: per axis, chains of components
+sharing a value merge projection values into equivalence classes; each class
+becomes a formal variable; each component contributes the relation "its n
+incident class variables sum to zero"; a basis chosen among the variables
+(the free columns of an exact elimination) yields the boundary once the
+least value of each basis class is picked.  Prescribing arbitrary values on
+the boundary then makes the decomposition of every right-hand side unique,
+which is certified by exact rank.
 """
 
 from __future__ import annotations
@@ -141,14 +153,8 @@ def related(S: PointSet, x, y) -> bool:
     """True iff some full subset of S contains both points."""
     if not is_good(S):
         raise PreconditionError("related requires a good set")
-    return _related(S, _require_member(S, x), _require_member(S, y))
-
-
-def _related(S: PointSet, x: Point, y: Point) -> bool:
-    """The search behind `related`, for a good S and two of its points."""
-    if x == y:
-        return True
-    if S.deficiency() == S.space.n - 1:
+    x, y = _require_member(S, x), _require_member(S, y)
+    if x == y or S.deficiency() == S.space.n - 1:
         return True  # S itself is a full subset containing both
     return bool(_geodesic_search(S, x, y, find_all=False))
 
@@ -190,54 +196,49 @@ class ComponentPartition:
         return len(self.components)
 
 
-def related_components(S: PointSet) -> ComponentPartition:
-    """Pairwise relatedness, union-find closure, and the structural assertions.
+def _component(S: PointSet, x: Point) -> PointSet:
+    """x's relatedness class in the good set S: the union of the full subsets through x.
 
-    Relatedness is already transitive, so the closure is a safety net: any
-    pair joined by the closure but missed by the pairwise search flags an
-    internal error.  Every class must be full, and distinct classes may share
-    at most n - 2 kinds of coordinates.
+    Each point not yet in the class gets one search for a full subset through
+    it and x; a hit adds that whole subset, a miss marks the point unrelated.
+    A marked point that another hit adds anyway means the search missed a
+    full subset, as does a class that is not full.
+    """
+    members = set(S.points) if S.deficiency() == S.space.n - 1 else {x}
+    unrelated = []
+    for p in S:
+        if p in members:
+            continue
+        hits = _geodesic_search(S, x, p, find_all=False)
+        if hits:
+            members.update(hits[0])
+        else:
+            unrelated.append(p)
+    if any(p in members for p in unrelated):
+        raise VerificationError("a full subset joins a point the search called unrelated")
+    comp = PointSet(S.space, tuple(members))
+    if not is_full(comp):
+        raise VerificationError("a relatedness class is not full")
+    return comp
+
+
+def related_components(S: PointSet) -> ComponentPartition:
+    """Relatedness classes in order of their least points, plus the structural assertions.
+
+    Each class is grown from the least point not yet assigned, searching only
+    the unassigned points: a full subset through that point holding a point
+    of an earlier class would put it in that class.  Distinct classes may
+    share at most n - 2 kinds of coordinates.
     """
     if not is_good(S):
         raise PreconditionError("related_components requires a good set")
-    pts = list(S.points)
-    m = len(pts)
-    direct = [[False] * m for _ in range(m)]
-    parent = list(range(m))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(m):
-        direct[i][i] = True
-        for j in range(i + 1, m):
-            if _related(S, pts[i], pts[j]):
-                direct[i][j] = direct[j][i] = True
-                parent[find(j)] = find(i)
-
-    roots: dict[int, list[Point]] = {}
-    for i in range(m):
-        roots.setdefault(find(i), []).append(pts[i])
-    for i in range(m):
-        for j in range(i + 1, m):
-            if find(i) == find(j) and not direct[i][j]:
-                raise VerificationError(
-                    "transitive closure added a pair the pairwise search missed"
-                )
-
-    components = tuple(
-        PointSet(S.space, tuple(group))
-        for _, group in sorted(roots.items())
-    )
-    index = {}
-    for ci, comp in enumerate(components):
-        for q in comp:
-            index[q] = ci
-        if not is_full(comp):
-            raise VerificationError("a relatedness class is not full")
+    components = []
+    remaining = S.points
+    while remaining:
+        comp = _component(PointSet(S.space, remaining), remaining[0])
+        components.append(comp)
+        remaining = tuple(p for p in remaining if p not in comp)
+    index = {q: ci for ci, comp in enumerate(components) for q in comp}
     # Distinct components may share at most n - 2 kinds of coordinates.
     for a in range(len(components)):
         for b in range(a + 1, len(components)):
@@ -250,19 +251,14 @@ def related_components(S: PointSet) -> ComponentPartition:
                 raise VerificationError(
                     "distinct components share too many coordinate kinds"
                 )
-    return ComponentPartition(components, index)
+    return ComponentPartition(tuple(components), index)
 
 
 def full_component(S: PointSet, x) -> PointSet:
     """The largest full subset of S containing x (its relatedness class)."""
     if not is_good(S):
         raise PreconditionError("full_component requires a good set")
-    x = _require_member(S, x)
-    members = [p for p in S if p == x or _related(S, x, p)]
-    comp = PointSet(S.space, tuple(members))
-    if not is_full(comp):
-        raise VerificationError("a relatedness class is not full")
-    return comp
+    return _component(S, _require_member(S, x))
 
 
 @dataclass(frozen=True)

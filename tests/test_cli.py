@@ -111,6 +111,14 @@ def test_solve_inline_pins_override(capsys, inst_dir):
     assert report["result"]["decomposition"]["x"]["x0"] == "1"
 
 
+@pytest.mark.parametrize("pins", ["{}", "5", "null"])
+def test_solve_inline_pins_must_be_a_list(capsys, inst_dir, pins):
+    code, report, err = run_cli(
+        capsys, "solve", str(inst_dir / "ex10_depth1.json"), "--pins", pins
+    )
+    assert code == 2 and report is None and "--pins" in err
+
+
 def test_solve_requires_f(capsys, inst_dir):
     code, report, err = run_cli(capsys, "solve", str(inst_dir / "t4.json"))
     assert code == 2 and "f table" in err
@@ -242,10 +250,20 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert code == 3
 
 
-@pytest.mark.parametrize("field", ["f", "measure"])
-def test_non_object_table_is_parse_error(capsys, tmp_path, field):
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        pytest.param("f", [], id="f"),
+        pytest.param("measure", [], id="measure"),
+        pytest.param("pins", 5, id="pins-number"),
+        pytest.param("pins", None, id="pins-null"),
+        pytest.param("pins", {}, id="pins-object"),
+        pytest.param("f", {"0": True}, id="f-boolean"),
+    ],
+)
+def test_non_object_table_is_parse_error(capsys, tmp_path, field, value):
     data = example_instance("t4")
-    data[field] = []
+    data[field] = value
     path = tmp_path / "t4.json"
     path.write_text(dumps_canonical(data))
     code, report, err = run_cli(capsys, "check-good", str(path))

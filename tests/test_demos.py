@@ -1,16 +1,24 @@
+import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
 
-DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
+ROOT = pathlib.Path(__file__).parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# The demos import goodsets from the checkout, as the in-process tests do.
+PYTHONPATH = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
 def test_demo_runs_clean(script):
     proc = subprocess.run(
-        [sys.executable, str(script)], capture_output=True, text=True, timeout=120
+        [sys.executable, str(script)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": PYTHONPATH},
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()

@@ -23,7 +23,7 @@ def test_rational_parsing():
     assert parse_rational("3/4") == Fraction(3, 4)
     assert parse_rational("-7") == Fraction(-7)
     assert parse_rational(5) == Fraction(5)
-    for bad in ("0.5", "1e3", "1/0", "1.0", "", "a/b", "1/-2"):
+    for bad in ("0.5", "1e3", "1/0", "1.0", "", "a/b", "1/-2", True, False, None, 0.5):
         with pytest.raises(InstanceError):
             parse_rational(bad)
 
@@ -110,6 +110,18 @@ def test_parse_errors():
     float_measure["measure"] = {"0": "0.25"}
     with pytest.raises(InstanceError):
         parse_instance(float_measure)
+    for field, value in (
+        ("pins", 5),
+        ("pins", None),
+        ("pins", {}),
+        ("pins", [{"axis": "x", "value": "0", "rational": True}]),
+        ("f", {"0": True}),
+        ("measure", {"0": False}),
+    ):
+        data = example_instance("t4")
+        data[field] = value
+        with pytest.raises(InstanceError):
+            parse_instance(data)
 
 
 def test_load_instance_errors(tmp_path):

@@ -186,8 +186,9 @@ def test_boundary_solve_rejects_non_boundary_pins():
 
 
 def test_comb_route_matches_direct_stacked():
-    # A boundary meeting every axis (a full complement's coordinates) takes
-    # the associated-full-set route; it must equal the plain stacked solve.
+    # A boundary meeting every axis (a full complement's coordinates) goes
+    # through the one stacked solve; it must equal solve_pinned on the same
+    # pins.
     rng = random.Random(83)
     done = 0
     while done < 12:

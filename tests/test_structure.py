@@ -9,6 +9,7 @@ from util import (
     RECTANGLE,
     T4,
     bipartite_components,
+    brute_force_components,
     bipartite_is_forest,
     cube_set,
     int_space,
@@ -115,6 +116,23 @@ def test_full_component_is_class():
     comp = gs.full_component(S, (0, 0, 0))
     assert set(comp.points) == {(0, 0, 0), (1, 0, 0)}
     assert gs.is_full(comp)
+
+
+def test_components_match_brute_force_subsets():
+    rng = random.Random(59)
+    multi = 0
+    for _ in range(60):
+        sizes = tuple(rng.randint(2, 4) for _ in range(rng.choice((3, 4))))
+        S = random_good_set(rng, int_space(sizes), 9)
+        expected = brute_force_components(S.points)
+        assert sorted(p for c in expected for p in c) == list(S.points)
+        partition = gs.related_components(S)
+        assert sorted(frozenset(c.points) for c in partition.components) == sorted(expected)
+        for x in S:
+            (cls,) = [c for c in expected if x in c]
+            assert frozenset(gs.full_component(S, x).points) == cls
+        multi += len(expected) > 1
+    assert multi >= 25
 
 
 def test_ei_classes_single_component():

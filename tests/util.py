@@ -2,10 +2,12 @@
 
 The oracles here stay independent of the code paths they check: incidence
 rows are rebuilt from the encoding's definition, rank/null-space questions go
-through sympy, and the n = 2 statements use a union-find over the bipartite
-multigraph rather than any linear algebra.
+through sympy, the n = 2 statements use a union-find over the bipartite
+multigraph rather than any linear algebra, and relatedness classes come from
+enumerating every subset.
 """
 
+import itertools
 from fractions import Fraction
 
 import goodsets as gs
@@ -174,3 +176,23 @@ def bipartite_components(points):
     for p in points:
         groups.setdefault(find(("L", p[0])), set()).add(tuple(p))
     return sorted(frozenset(g) for g in groups.values())
+
+
+def brute_force_components(points):
+    """Relatedness classes of a good set by enumerating every subset.
+
+    Every subset of a good set is good, so a subset is full exactly when
+    its coordinate count minus its size is n - 1.  A point's class is the
+    union of the full subsets holding it; the distinct classes come back
+    sorted, without assuming that they partition the set.
+    """
+    pts = [tuple(p) for p in points]
+    n = len(pts[0])
+    classes = {p: {p} for p in pts}
+    for size in range(2, len(pts) + 1):
+        for subset in itertools.combinations(pts, size):
+            kinds = {(i, p[i]) for p in subset for i in range(n)}
+            if len(kinds) - size == n - 1:
+                for p in subset:
+                    classes[p].update(subset)
+    return sorted({frozenset(c) for c in classes.values()}, key=sorted)
