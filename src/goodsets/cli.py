@@ -4,8 +4,9 @@ Every analysis command reads one instance file, runs the corresponding
 library operation, and prints a deterministic JSON report to stdout (or to
 ``--out``).  The verdict lives in the payload; the exit code only says
 whether the computation ran: 0 = computed, 2 = precondition violated,
-3 = instance could not be parsed.  Timing goes to stderr so that reports are
-byte-identical across runs on identical input.
+3 = instance could not be parsed, 4 = internal error (a certificate or
+invariant check failed, which indicates a bug, not bad input).  Timing goes
+to stderr so that reports are byte-identical across runs on identical input.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .instances import (
 )
 from .linalg import PinRow, verify_circuit
 from .measures import FiniteMeasure
-from .model import PinSet, PreconditionError
+from .model import PinSet, PreconditionError, VerificationError
 
 __all__ = ["main", "run"]
 
@@ -49,6 +50,7 @@ COMMANDS = (
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
 EXIT_PARSE = 3
+EXIT_INTERNAL = 4
 
 
 def _loop_payload(instance: Instance, loop) -> dict:
@@ -369,6 +371,9 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except VerificationError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     text = dumps_canonical(report)
     out = getattr(args, "out", None)
     if out:

@@ -11,6 +11,7 @@ implemented so they can be played against each other in tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .linalg import (
     CircuitVector,
@@ -84,6 +85,19 @@ def _require_good(S: PointSet, what: str):
         raise PreconditionError(f"{what} requires a good set")
 
 
+def _addable(S: PointSet, columns, candidates):
+    """Greedy growth: the candidates outside S that each enlarge the row span.
+
+    In order, each yielded candidate's incidence row is independent of S's
+    rows and of the rows yielded before it.
+    """
+    col_index = {c: j for j, c in enumerate(columns)}
+    basis = _echelon((_incidence_row(p, col_index) for p in S), len(columns))
+    for candidate in candidates:
+        if candidate not in S and basis.add(_incidence_row(candidate, col_index)) is not None:
+            yield candidate
+
+
 def extend_to_maximal(S: PointSet) -> PointSet:
     """Grow S greedily to a maximal good set in the whole space.
 
@@ -91,16 +105,7 @@ def extend_to_maximal(S: PointSet) -> PointSet:
     span only grows.  The result's projections cover every axis entirely.
     """
     _require_good(S, "extend_to_maximal")
-    columns = S.space.coordinates()
-    col_index = {c: j for j, c in enumerate(columns)}
-    basis = _echelon((_incidence_row(p, col_index) for p in S), len(columns))
-    members = set(S.points)
-    for candidate in S.space.all_points():
-        if candidate in members:
-            continue
-        if basis.add(_incidence_row(candidate, col_index)) is not None:
-            members.add(candidate)
-    result = PointSet(S.space, tuple(members))
+    result = S.union(_addable(S, S.space.coordinates(), S.space.all_points()))
     for i in range(S.space.n):
         if set(result.projection(i)) != set(S.space.axes[i].values):
             raise VerificationError("maximal extension does not cover an axis")
@@ -110,23 +115,12 @@ def extend_to_maximal(S: PointSet) -> PointSet:
 def full_closure(S: PointSet) -> PointSet:
     """The full set over S's own projections, grown lexicographically.
 
-    Projections are preserved; the loop stops exactly when deficiency
+    Projections are preserved; the growth stops exactly when deficiency
     reaches n - 1.
     """
     _require_good(S, "full_closure")
-    columns = S.coordinates()
-    col_index = {c: j for j, c in enumerate(columns)}
-    basis = _echelon((_incidence_row(p, col_index) for p in S), len(columns))
-    members = set(S.points)
-    target_rank = len(columns) - (S.space.n - 1)
-    for candidate in S.product_points():
-        if basis.rank == target_rank:
-            break
-        if candidate in members:
-            continue
-        if basis.add(_incidence_row(candidate, col_index)) is not None:
-            members.add(candidate)
-    result = PointSet(S.space, tuple(members))
+    missing = S.deficiency() - (S.space.n - 1)
+    result = S.union(islice(_addable(S, S.coordinates(), S.product_points()), missing))
     if result.deficiency() != S.space.n - 1:
         raise VerificationError("full closure did not reach deficiency n-1")
     return result
@@ -134,16 +128,7 @@ def full_closure(S: PointSet) -> PointSet:
 
 def _first_addable(S: PointSet) -> tuple | None:
     """First product candidate (lexicographic) outside the row span; None if there is none."""
-    columns = S.coordinates()
-    col_index = {c: j for j, c in enumerate(columns)}
-    basis = _echelon((_incidence_row(p, col_index) for p in S), len(columns))
-    members = set(S.points)
-    for candidate in S.product_points():
-        if candidate in members:
-            continue
-        if not basis.contains(_incidence_row(candidate, col_index)):
-            return candidate
-    return None
+    return next(_addable(S, S.coordinates(), S.product_points()), None)
 
 
 def full_split(S: PointSet) -> PointSet:

@@ -84,10 +84,30 @@ class Instance:
         return self.file_points.index(tuple(point))
 
 
+def _list(value, what: str) -> list:
+    """A JSON list; a string here would otherwise be read character by character."""
+    if not isinstance(value, list):
+        raise InstanceError(f"{what} must be a list, not {value!r}")
+    return value
+
+
+def _label(value) -> str:
+    """An axis name or value label: any JSON scalar, as its string."""
+    if isinstance(value, (list, dict)):
+        raise InstanceError(f"a name or label must be a scalar, not {value!r}")
+    return str(value)
+
+
 def parse_instance(data: dict) -> Instance:
     try:
-        axes = [(str(ax["name"]), [str(v) for v in ax["values"]]) for ax in data["axes"]]
-        raw_points = [tuple(str(v) for v in p) for p in data["points"]]
+        axes = [
+            (_label(ax["name"]), [_label(v) for v in _list(ax["values"], "axis values")])
+            for ax in _list(data["axes"], "'axes'")
+        ]
+        raw_points = [
+            tuple(_label(v) for v in _list(p, "each of 'points'"))
+            for p in _list(data["points"], "'points'")
+        ]
     except (KeyError, TypeError) as exc:
         raise InstanceError(f"missing or malformed field: {exc}") from exc
     try:
@@ -114,8 +134,8 @@ def parse_instance(data: dict) -> Instance:
         entries = []
         for pin in data["pins"]:
             try:
-                axis = space.axis_index(str(pin["axis"]))
-                label = str(pin["value"])
+                axis = space.axis_index(_label(pin["axis"]))
+                label = _label(pin["value"])
                 value = parse_rational(pin["rational"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise InstanceError(f"malformed pin {pin!r}: {exc}") from exc

@@ -1,15 +1,17 @@
 """Relatedness, geodesics, component partitions, and boundary construction.
 
 Two points of a good set are *related* when some full subset contains both;
-a minimal such subset is a *geodesic*, and it is unique.  Relatedness is
-decided by subset search: iterative deepening on the cardinality, depth
-first over the remaining points in canonical order.  Inside a good set every
-subset is good, so fullness of a candidate is pure coordinate counting
-(deficiency = n - 1), and a partial selection dies once its deficiency can
-no longer come down to n - 1 with the adds that remain (each added point
-lowers the deficiency by at most one).  The search is exponential in the
-worst case; there is no known polynomial relatedness test for n > 2, and
-desk-scale sets are the target.
+a minimal such subset is a *geodesic*, and it is unique.  Both come from
+one depth-first search over the points in canonical order, across all sizes.
+Inside a good set every subset is good, so a selection is full exactly when
+need = deficiency - (n - 1) is zero, and as an added point lowers the
+deficiency by at most one, every full extension has at least size + need
+points.  So a selection is pruned, losing no full set the search is after,
+when `need` exceeds the points left after it or, when every minimal subset
+is wanted, when size + need exceeds the least full size found so far.  A
+full selection is a leaf, as its extensions are not minimal.  The search is
+exponential in the worst case; there is no known polynomial relatedness test
+for n > 2, and desk-scale sets are the target.
 
 Relatedness classes are grown from the full subsets the search finds.  Two
 full subsets F1, F2 of a good set that share a point have a full union: with
@@ -71,70 +73,55 @@ def _require_member(S: PointSet, p) -> Point:
     return p
 
 
-def _full_subsets_of_size(S: PointSet, required: tuple[Point, ...], k: int, find_all: bool):
-    """Full k-subsets of the good set S containing the required points.
+def _geodesic_search(S: PointSet, x: Point, y: Point, find_all: bool):
+    """Full subsets of the good set S containing {x, y}, or [] if unrelated.
 
-    With find_all=False the search stops at the first hit.
+    With find_all=False the first one the search meets, of any size; with
+    find_all=True every one of minimal cardinality.
     """
     n = S.space.n
+    required = (x,) if x == y else (x, y)
     coords_of = {p: tuple(enumerate(p)) for p in S}
     rest = [p for p in S if p not in required]
     counts: dict[Coordinate, int] = {}
-    distinct = 0
     for p in required:
         for coord in coords_of[p]:
-            if counts.get(coord, 0) == 0:
-                distinct += 1
             counts[coord] = counts.get(coord, 0) + 1
+    distinct = len(counts)
 
     found: list[tuple[Point, ...]] = []
     chosen: list[Point] = []
+    best = len(S)
 
     def dfs(start: int) -> bool:
-        nonlocal distinct
+        nonlocal distinct, best
         size = len(required) + len(chosen)
-        deficiency = distinct - size
-        if deficiency - (k - size) > n - 1:
-            return False
-        if size == k:
-            if deficiency == n - 1:
-                found.append(tuple(chosen))
-                return not find_all
-            return False
-        if len(rest) - start < k - size:
+        need = distinct - size - (n - 1)
+        if need == 0:
+            if size < best:
+                best = size
+                found.clear()
+            found.append(required + tuple(chosen))
+            return not find_all
+        if need > len(rest) - start or size + need > best:
             return False
         for idx in range(start, len(rest)):
             p = rest[idx]
-            added = []
             for coord in coords_of[p]:
-                if counts.get(coord, 0) == 0:
-                    distinct += 1
-                    added.append(coord)
                 counts[coord] = counts.get(coord, 0) + 1
+                distinct += counts[coord] == 1
             chosen.append(p)
             stop = dfs(idx + 1)
             chosen.pop()
             for coord in coords_of[p]:
                 counts[coord] -= 1
-            for coord in added:
-                if counts[coord] == 0:
-                    distinct -= 1
+                distinct -= counts[coord] == 0
             if stop:
                 return True
         return False
 
     dfs(0)
     return found
-
-
-def _geodesic_search(S: PointSet, x: Point, y: Point, find_all: bool):
-    """Minimal-cardinality full subsets containing {x, y}, or [] if unrelated."""
-    required = (x,) if x == y else (x, y)
-    for k in range(len(required), len(S) + 1):
-        hits = _full_subsets_of_size(S, required, k, find_all)
-        if hits:
-            return [required + extra for extra in hits]
-    return []
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import subprocess
 
 import pytest
 
+from goodsets import structure
 from goodsets.cli import main
 from goodsets.instances import dumps_canonical, emit_examples, example_instance
 
@@ -259,6 +260,7 @@ def test_parse_error_exit_code(capsys, tmp_path):
         pytest.param("pins", None, id="pins-null"),
         pytest.param("pins", {}, id="pins-object"),
         pytest.param("f", {"0": True}, id="f-boolean"),
+        pytest.param("points", ["101", "110", "011", "000"], id="points-strings"),
     ],
 )
 def test_non_object_table_is_parse_error(capsys, tmp_path, field, value):
@@ -269,6 +271,19 @@ def test_non_object_table_is_parse_error(capsys, tmp_path, field, value):
     code, report, err = run_cli(capsys, "check-good", str(path))
     assert code == 3 and report is None
     assert "instance error" in err and field in err
+
+
+def test_internal_error_exit_code(capsys, inst_dir, monkeypatch):
+    def two_minimal(S, x, y, find_all):
+        return [(x, y), (y, x)]
+
+    monkeypatch.setattr(structure, "_geodesic_search", two_minimal)
+    code, report, err = run_cli(
+        capsys, "geodesic", str(inst_dir / "t4.json"), "--from", "0", "--to", "3"
+    )
+    assert code == 4 and report is None
+    assert err.startswith("internal error: 2 distinct minimal full subsets")
+    assert "Traceback" not in err
 
 
 def test_emit_examples_command(capsys, tmp_path):

@@ -110,6 +110,7 @@ def test_parse_errors():
     float_measure["measure"] = {"0": "0.25"}
     with pytest.raises(InstanceError):
         parse_instance(float_measure)
+    other_axes = example_instance("t4")["axes"][1:]
     for field, value in (
         ("pins", 5),
         ("pins", None),
@@ -117,6 +118,11 @@ def test_parse_errors():
         ("pins", [{"axis": "x", "value": "0", "rational": True}]),
         ("f", {"0": True}),
         ("measure", {"0": False}),
+        ("points", ["101", "110", "011", "000"]),
+        ("axes", [{"name": name, "values": "01"} for name in "xyz"]),
+        ("axes", [{"name": ["x"], "values": ["0", "1"]}] + other_axes),
+        ("axes", [{"name": {"x": 0}, "values": ["0", "1"]}] + other_axes),
+        ("axes", [{"name": "x", "values": [["0"], "1"]}] + other_axes),
     ):
         data = example_instance("t4")
         data[field] = value

@@ -10,6 +10,7 @@ from util import (
     T4,
     bipartite_components,
     brute_force_components,
+    brute_force_geodesic,
     bipartite_is_forest,
     cube_set,
     int_space,
@@ -133,6 +134,27 @@ def test_components_match_brute_force_subsets():
             assert frozenset(gs.full_component(S, x).points) == cls
         multi += len(expected) > 1
     assert multi >= 25
+
+
+def test_geodesics_match_brute_force_subsets():
+    rng = random.Random(61)
+    pairs = related_pairs = 0
+    for _ in range(120):
+        sizes = tuple(rng.randint(2, 4) for _ in range(rng.choice((3, 4))))
+        S = random_good_set(rng, int_space(sizes), 9)
+        for x, y in itertools.combinations_with_replacement(S.points, 2):
+            expected = brute_force_geodesic(S.points, x, y)
+            assert gs.related(S, x, y) == bool(expected)
+            g = gs.geodesic(S, x, y)
+            if expected:
+                assert len(expected) == 1
+                assert frozenset(g.points.points) == expected[0]
+                assert g.endpoints == (x, y)
+            else:
+                assert g is None
+            pairs += 1
+            related_pairs += bool(expected)
+    assert pairs >= 1000 and 0 < related_pairs < pairs
 
 
 def test_ei_classes_single_component():

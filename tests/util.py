@@ -3,8 +3,8 @@
 The oracles here stay independent of the code paths they check: incidence
 rows are rebuilt from the encoding's definition, rank/null-space questions go
 through sympy, the n = 2 statements use a union-find over the bipartite
-multigraph rather than any linear algebra, and relatedness classes come from
-enumerating every subset.
+multigraph rather than any linear algebra, and relatedness classes and
+geodesics come from enumerating every subset.
 """
 
 import itertools
@@ -196,3 +196,26 @@ def brute_force_components(points):
                 for p in subset:
                     classes[p].update(subset)
     return sorted({frozenset(c) for c in classes.values()}, key=sorted)
+
+
+def brute_force_geodesic(points, x, y):
+    """Every smallest full subset holding x and y, by enumerating subsets by size.
+
+    Fullness is coordinate counting as in `brute_force_components`.  The
+    result lists each smallest full subset as a frozenset, without assuming
+    there is only one; it is empty when no subset holding both is full.
+    """
+    pts = [tuple(p) for p in points]
+    n = len(pts[0])
+    required = {tuple(x), tuple(y)}
+    rest = [p for p in pts if p not in required]
+    for extra in range(len(rest) + 1):
+        hits = []
+        for subset in itertools.combinations(rest, extra):
+            chosen = required.union(subset)
+            kinds = {(i, p[i]) for p in chosen for i in range(n)}
+            if len(kinds) - len(chosen) == n - 1:
+                hits.append(frozenset(chosen))
+        if hits:
+            return hits
+    return []
