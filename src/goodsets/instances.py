@@ -169,7 +169,7 @@ def _indexed_entries(data: dict, name: str, file_points) -> list:
         raise InstanceError(f"{name!r} must be an object keyed by point index")
     entries = []
     for key, raw in table.items():
-        p = file_points[_point_index(key, file_points)]
+        p = file_points[_point_index(name, key, file_points)]
         try:
             entries.append((p, parse_rational(raw)))
         except InstanceError as exc:
@@ -177,13 +177,16 @@ def _indexed_entries(data: dict, name: str, file_points) -> list:
     return entries
 
 
-def _point_index(key, file_points) -> int:
+def _point_index(name: str, key, file_points) -> int:
+    """The point index a key names; only the canonical decimal form is one."""
     try:
         idx = int(key)
     except (TypeError, ValueError):
-        raise InstanceError(f"point index {key!r} is not an integer") from None
+        raise InstanceError(f"{name!r} point index {key!r} is not an integer") from None
+    if key != str(idx):
+        raise InstanceError(f"{name!r} point index {key!r} is not written as {str(idx)!r}")
     if not 0 <= idx < len(file_points):
-        raise InstanceError(f"point index {idx} out of range")
+        raise InstanceError(f"{name!r} point index {idx} out of range")
     return idx
 
 

@@ -241,6 +241,29 @@ def _stack_pins(system: IncidenceSystem, coords) -> list[list[int]]:
     return rows
 
 
+def _pinned_inverse(system: IncidenceSystem, coords) -> dict[Coordinate, list[Fraction]]:
+    """Rows of A^-1 by column, A the incidence rows stacked over the pin rows.
+
+    Entry k of the row at column c is the weight of right-hand side entry k
+    (the points, then the pins) in u_c.  One elimination of [A | I] followed
+    by back-substitution leaves D A^-1 in the identity block, D diagonal.
+    """
+    rows = _stack_pins(system, coords)
+    size = len(system.columns)
+    if len(rows) != size:
+        raise VerificationError(f"pinned system is {len(rows)} x {size}; expected square")
+    basis = _echelon(
+        (row + [int(i == k) for i in range(size)] for k, row in enumerate(rows)), 2 * size
+    )
+    if any(p >= size for p in basis.pivot_rows):
+        raise VerificationError("pinned system is singular")
+    basis.back_substitute()
+    return {
+        c: [Fraction(v, basis.pivot_rows[j][j]) for v in basis.pivot_rows[j][size:]]
+        for j, c in enumerate(system.columns)
+    }
+
+
 def rank(system: IncidenceSystem) -> int:
     """Exact rank of the incidence rows over the rationals."""
     return _echelon(system.rows, len(system.columns)).rank

@@ -16,7 +16,8 @@ Four routes produce the same numbers and certify each other:
 
 `bound_diagnostics` reports the finite-scale boundedness data: geodesic
 lengths from a base and the largest solution value over singleton indicator
-right-hand sides.
+right-hand sides, read off one exact inverse of the system pinned at the
+base's first n - 1 coordinates.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .linalg import (
     _canonical_solution,
     _echelon,
     _incidence_row,
+    _pinned_inverse,
     solve_pinned,
 )
 from .model import (
@@ -289,9 +291,11 @@ class BoundDiagnostics:
 def bound_diagnostics(S: PointSet, base=None) -> BoundDiagnostics:
     """Geodesic lengths from a base and the worst solution value over indicators.
 
-    The indicator sweep solves u = 1_{p} for every p in S with the base's
-    first n - 1 coordinates pinned at zero and records the largest absolute
-    value appearing in any solution.
+    The indicator sweep is the largest absolute value of any u solving
+    u = 1_{p}, p in S, with the base's first n - 1 coordinates pinned at
+    zero.  Those solutions are the point columns of one pinned inverse, so
+    the sweep is read off that inverse; a singular system is an internal
+    error.
     """
     S.require_nonempty("bound_diagnostics")
     if not is_good(S):
@@ -306,14 +310,9 @@ def bound_diagnostics(S: PointSet, base=None) -> BoundDiagnostics:
         if g is None:
             raise PreconditionError("diagnostics are per component; this set has several")
         lengths[y] = g.length
-    pins = PinSet.zeros([(i, base[i]) for i in range(S.space.n - 1)])
-    system = IncidenceSystem(S)
-    worst = Fraction(0)
-    for p in S:
-        outcome = solve_pinned(system, FunctionTable.indicator(S, p), pins)
-        if outcome.verdict != UNIQUE:
-            raise VerificationError("single-component set did not solve uniquely")
-        worst = max(worst, _max_abs(outcome.decomposition))
+    pins = [(i, base[i]) for i in range(S.space.n - 1)]
+    inverse = _pinned_inverse(IncidenceSystem(S), pins)
+    worst = max(abs(v) for row in inverse.values() for v in row[: len(S)])
     total = sum(lengths.values())
     return BoundDiagnostics(
         base=base,

@@ -26,6 +26,21 @@ partition grows each class from the least point not yet assigned and
 searches only the unassigned points: a full subset holding that point and a
 point of an earlier class would have put it in that class.
 
+The same equality gives |C(F1) & C(F2)| = |F1 & F2| + n - 1, which squeezes
+|C(F1 & F2)| to that value: two full subsets sharing a point meet in a full
+set.  So the geodesic of x and y lies inside every full F through both (else
+its meet with F would be a smaller full set through them), and a geodesic is
+searched inside one such F: the set itself when it is full, else the first
+full subset a search meets.  Inside F the search starts from the *core* of
+x and y.  Pinning x's first n - 1 coordinates makes F's system square and
+invertible, and for a full G in F through x the pinned solve on G agrees
+with the one on F on C(G), so u_c for c in C(G) depends only on f on G.
+Hence the points with a nonzero entry in the rows of the inverse at y's
+coordinates lie in every full G through x and y, and with x and y they form
+the core.  Every minimal full subset through x and y contains it, so the
+uniqueness check still sees every competitor, and most often the core is
+the geodesic and the search ends at its root.
+
 The classes drive the boundary construction: per axis, chains of components
 sharing a value merge projection values into equivalence classes; each class
 becomes a formal variable; each component contributes the relation "its n
@@ -41,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .goodness import is_full, is_good
-from .linalg import IncidenceSystem, _echelon, _stack_pins
+from .linalg import IncidenceSystem, _echelon, _pinned_inverse, _stack_pins
 from .model import (
     Coordinate,
     PinSet,
@@ -73,14 +88,29 @@ def _require_member(S: PointSet, p) -> Point:
     return p
 
 
+def _core(F: PointSet, x: Point, y: Point) -> tuple[Point, ...]:
+    """x, y and the points that every full subset of F through x and y holds.
+
+    F is full and holds x and y; with x's first n - 1 coordinates pinned,
+    these are the points with a nonzero entry in a row of the inverse at one
+    of y's coordinates.
+    """
+    system = IncidenceSystem(F)
+    inverse = _pinned_inverse(system, [(i, x[i]) for i in range(F.space.n - 1)])
+    support = {x, y}
+    support.update(p for c in enumerate(y) for p, v in zip(system.points, inverse[c]) if v)
+    return tuple(p for p in F if p in support)
+
+
 def _geodesic_search(S: PointSet, x: Point, y: Point, find_all: bool):
     """Full subsets of the good set S containing {x, y}, or [] if unrelated.
 
-    With find_all=False the first one the search meets, of any size; with
-    find_all=True every one of minimal cardinality.
+    With find_all=False the first one the search meets, of any size.  With
+    find_all=True, S must be full; the search starts from the core of x and
+    y and returns every full subset of minimal cardinality.
     """
     n = S.space.n
-    required = (x,) if x == y else (x, y)
+    required = _core(S, x, y) if find_all else ((x,) if x == y else (x, y))
     coords_of = {p: tuple(enumerate(p)) for p in S}
     rest = [p for p in S if p not in required]
     counts: dict[Coordinate, int] = {}
@@ -158,10 +188,18 @@ def geodesic(S: PointSet, x, y) -> Geodesic | None:
 
 
 def _geodesic(S: PointSet, x: Point, y: Point) -> Geodesic | None:
-    """The search behind `geodesic`, for a good S and two of its points."""
-    hits = _geodesic_search(S, x, y, find_all=True)
-    if not hits:
-        return None
+    """The search behind `geodesic`, for a good S and two of its points.
+
+    The minimal search runs inside S when S is full, else inside the first
+    full subset through x and y that a search meets.
+    """
+    F = S
+    if S.deficiency() != S.space.n - 1:
+        hits = _geodesic_search(S, x, y, find_all=False)
+        if not hits:
+            return None
+        F = PointSet(S.space, hits[0])
+    hits = _geodesic_search(F, x, y, find_all=True)
     if len(hits) != 1:
         raise VerificationError(
             f"{len(hits)} distinct minimal full subsets join the pair; expected one"

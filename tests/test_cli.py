@@ -261,6 +261,7 @@ def test_parse_error_exit_code(capsys, tmp_path):
         pytest.param("pins", {}, id="pins-object"),
         pytest.param("f", {"0": True}, id="f-boolean"),
         pytest.param("points", ["101", "110", "011", "000"], id="points-strings"),
+        pytest.param("f", {"1": "5", "01": "7"}, id="f-non-canonical-index"),
     ],
 )
 def test_non_object_table_is_parse_error(capsys, tmp_path, field, value):

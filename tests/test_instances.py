@@ -118,6 +118,11 @@ def test_parse_errors():
         ("pins", [{"axis": "x", "value": "0", "rational": True}]),
         ("f", {"0": True}),
         ("measure", {"0": False}),
+        ("f", {" 1": "5"}),
+        ("f", {"01": "7"}),
+        ("f", {"+1": "5"}),
+        ("f", {"1": "5", "01": "7"}),
+        ("measure", {"-0": "1"}),
         ("points", ["101", "110", "011", "000"]),
         ("axes", [{"name": name, "values": "01"} for name in "xyz"]),
         ("axes", [{"name": ["x"], "values": ["0", "1"]}] + other_axes),

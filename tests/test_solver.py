@@ -1,10 +1,11 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 import goodsets as gs
-from goodsets.instances import example_instance, parse_instance
+from goodsets.instances import _example10, example_instance, parse_instance
 from util import (
     DIAGONAL,
     T4,
@@ -322,6 +323,49 @@ def test_bound_diagnostics_doubling_chain():
     diag = gs.bound_diagnostics(inst.point_set, ("x0", "y0", "z0"))
     assert diag.max_abs_indicator_value == 32
     assert diag.max_geodesic_length == 16
+
+
+def _indicator_sweep(S, base):
+    """Largest |value| over the pinned solves of every point indicator."""
+    pins = gs.PinSet.zeros([(i, base[i]) for i in range(S.space.n - 1)])
+    system = gs.IncidenceSystem(S)
+    worst = Fraction(0)
+    for p in S:
+        outcome = gs.solve_pinned(system, gs.FunctionTable.indicator(S, p), pins)
+        assert outcome.verdict == "unique"
+        tables = outcome.decomposition.tables
+        worst = max(worst, max(abs(v) for t in tables for v in t.values()))
+    return worst
+
+
+def test_bound_diagnostics_matches_indicator_sweep():
+    for depth in range(1, 7):
+        S = ex10(depth).point_set
+        diag = gs.bound_diagnostics(S)
+        assert diag.max_abs_indicator_value == _indicator_sweep(S, S.points[0])
+    rng = random.Random(71)
+    for _ in range(40):
+        S = gs.full_closure(random_good_set(rng, random_space(rng), 8))
+        base = rng.choice(S.points)
+        diag = gs.bound_diagnostics(S, base)
+        assert diag.max_abs_indicator_value == _indicator_sweep(S, base)
+
+
+def test_doubling_chain_frontier_depth_twelve():
+    # 37 points: each geodesic is one pinned inverse plus an empty search.
+    depth = 12
+    S = parse_instance(_example10(depth)).point_set
+    f = random_function(random.Random(73), S)
+    start = time.monotonic()
+    diag = gs.bound_diagnostics(S)
+    report = gs.solve_via_geodesics(S, f)
+    elapsed = time.monotonic() - start
+    assert len(S) == 37
+    assert diag.max_geodesic_length == 3 * depth + 1
+    assert diag.max_abs_indicator_value == 2**depth
+    assert report.max_geodesic_length == 3 * depth + 1
+    assert all(report.decomposition.evaluate(p) == f(p) for p in S)
+    assert elapsed < 10
 
 
 def test_bound_diagnostics_rejects_multiple_components():

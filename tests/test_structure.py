@@ -4,12 +4,14 @@ import random
 import pytest
 
 import goodsets as gs
+from goodsets import structure
 from util import (
     DIAGONAL,
     RECTANGLE,
     T4,
     bipartite_components,
     brute_force_components,
+    brute_force_full_subsets,
     brute_force_geodesic,
     bipartite_is_forest,
     cube_set,
@@ -155,6 +157,31 @@ def test_geodesics_match_brute_force_subsets():
             pairs += 1
             related_pairs += bool(expected)
     assert pairs >= 1000 and 0 < related_pairs < pairs
+
+
+def test_geodesics_lie_inside_every_full_subset():
+    # Two full subsets of a good set that share a point meet in a full set,
+    # so a geodesic lies inside every full subset through its endpoints, and
+    # so does the core its search starts from.
+    rng = random.Random(67)
+    pairs = completed = 0
+    for _ in range(80):
+        sizes = tuple(rng.randint(2, 4) for _ in range(rng.choice((3, 4))))
+        S = random_good_set(rng, int_space(sizes), 9)
+        full_subsets = brute_force_full_subsets(S.points)
+        for x, y in itertools.combinations_with_replacement(S.points, 2):
+            expected = brute_force_geodesic(S.points, x, y)
+            if not expected:
+                continue
+            (g,) = expected
+            for F in full_subsets:
+                if x in F and y in F:
+                    assert g <= F
+            core = frozenset(structure._core(gs.full_component(S, x), x, y))
+            assert core <= g
+            pairs += 1
+            completed += core != g
+    assert pairs >= 500 and completed > 0
 
 
 def test_ei_classes_single_component():

@@ -178,30 +178,41 @@ def bipartite_components(points):
     return sorted(frozenset(g) for g in groups.values())
 
 
-def brute_force_components(points):
-    """Relatedness classes of a good set by enumerating every subset.
+def brute_force_full_subsets(points):
+    """Every nonempty full subset of a good set, by enumerating every subset.
 
     Every subset of a good set is good, so a subset is full exactly when
-    its coordinate count minus its size is n - 1.  A point's class is the
-    union of the full subsets holding it; the distinct classes come back
-    sorted, without assuming that they partition the set.
+    its coordinate count minus its size is n - 1.
     """
     pts = [tuple(p) for p in points]
     n = len(pts[0])
-    classes = {p: {p} for p in pts}
-    for size in range(2, len(pts) + 1):
+    full = []
+    for size in range(1, len(pts) + 1):
         for subset in itertools.combinations(pts, size):
             kinds = {(i, p[i]) for p in subset for i in range(n)}
             if len(kinds) - size == n - 1:
-                for p in subset:
-                    classes[p].update(subset)
+                full.append(frozenset(subset))
+    return full
+
+
+def brute_force_components(points):
+    """Relatedness classes of a good set from `brute_force_full_subsets`.
+
+    A point's class is the union of the full subsets holding it; the
+    distinct classes come back sorted, without assuming that they partition
+    the set.
+    """
+    classes = {tuple(p): {tuple(p)} for p in points}
+    for subset in brute_force_full_subsets(points):
+        for p in subset:
+            classes[p].update(subset)
     return sorted({frozenset(c) for c in classes.values()}, key=sorted)
 
 
 def brute_force_geodesic(points, x, y):
     """Every smallest full subset holding x and y, by enumerating subsets by size.
 
-    Fullness is coordinate counting as in `brute_force_components`.  The
+    Fullness is coordinate counting as in `brute_force_full_subsets`.  The
     result lists each smallest full subset as a frozenset, without assuming
     there is only one; it is empty when no subset holding both is full.
     """
