@@ -3,7 +3,8 @@
 Every analysis command reads one instance file, runs the corresponding
 library operation, and prints a deterministic JSON report to stdout (or to
 ``--out``).  The verdict lives in the payload; the exit code only says
-whether the computation ran: 0 = computed, 2 = precondition violated,
+whether the computation ran: 0 = computed, 2 = precondition violated
+(including a report or example file that cannot be written),
 3 = instance could not be parsed, 4 = internal error (a certificate or
 invariant check failed, which indicates a bug, not bad input).  Timing goes
 to stderr so that reports are byte-identical across runs on identical input.
@@ -12,6 +13,7 @@ to stderr so that reports are byte-identical across runs on identical input.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
@@ -338,7 +340,10 @@ def _digest(path) -> dict:
 def run(args) -> tuple[dict, int]:
     """Dispatch a parsed command; returns (report, exit code)."""
     if args.command == "emit-examples":
-        written = instances.emit_examples(args.directory)
+        try:
+            written = instances.emit_examples(args.directory)
+        except OSError as exc:
+            raise PreconditionError(f"cannot write {args.directory}: {exc}") from exc
         report = {
             "command": "emit-examples",
             "result": {"files": [p.name for p in written], "directory": args.directory},
@@ -359,12 +364,31 @@ def run(args) -> tuple[dict, int]:
     return {**echo, "instance": digest, "result": result}, EXIT_OK
 
 
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Read and print exact rationals of any length.
+
+    Python 3.10.7+ caps int/str conversions at 4300 digits by default; an
+    instance file may hold longer rationals, and a report longer values.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is None:
+        yield
+        return
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:
-        report, code = run(args)
+        with _unlimited_int_digits():
+            report, code = run(args)
     except InstanceError as exc:
         print(f"instance error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -377,7 +401,11 @@ def main(argv=None) -> int:
     text = dumps_canonical(report)
     out = getattr(args, "out", None)
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            print(f"precondition violated: cannot write {out}: {exc}", file=sys.stderr)
+            return EXIT_PRECONDITION
     else:
         sys.stdout.write(text)
     elapsed_ms = (time.monotonic() - started) * 1000.0

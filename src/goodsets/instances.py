@@ -59,7 +59,10 @@ def parse_rational(text) -> Fraction:
         return Fraction(text)
     if not isinstance(text, str) or not _RATIONAL.match(text):
         raise InstanceError(f"not an exact rational string: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ValueError as exc:  # more digits than the interpreter converts
+        raise InstanceError(f"rational of {len(text)} characters: {exc}") from None
 
 
 def format_rational(value: Fraction) -> str:
@@ -190,14 +193,24 @@ def _point_index(name: str, key, file_points) -> int:
     return idx
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object whose keys are distinct; a repeated key would drop an entry."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise InstanceError(f"duplicate key {key!r} in a JSON object")
+        data[key] = value
+    return data
+
+
 def load_instance(path) -> Instance:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InstanceError(f"cannot read {path}: {exc}") from exc
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        data = json.loads(text, object_pairs_hook=_unique_keys)
+    except ValueError as exc:  # malformed JSON, or an integer with too many digits
         raise InstanceError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise InstanceError("instance file must hold a JSON object")

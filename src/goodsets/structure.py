@@ -1,45 +1,53 @@
 """Relatedness, geodesics, component partitions, and boundary construction.
 
 Two points of a good set are *related* when some full subset contains both;
-a minimal such subset is a *geodesic*, and it is unique.  Both come from
-one depth-first search over the points in canonical order, across all sizes.
-Inside a good set every subset is good, so a selection is full exactly when
-need = deficiency - (n - 1) is zero, and as an added point lowers the
-deficiency by at most one, every full extension has at least size + need
-points.  So a selection is pruned, losing no full set the search is after,
-when `need` exceeds the points left after it or, when every minimal subset
-is wanted, when size + need exceeds the least full size found so far.  A
-full selection is a leaf, as its extensions are not minimal.  The search is
-exponential in the worst case; there is no known polynomial relatedness test
-for n > 2, and desk-scale sets are the target.
+a minimal such subset is a *geodesic*, and it is unique.  Both are decided
+in polynomial time, by exact eliminations and no search over subsets.
 
-Relatedness classes are grown from the full subsets the search finds.  Two
-full subsets F1, F2 of a good set that share a point have a full union: with
-C(.) the coordinate set and def(.) the deficiency,
+Notation.  C(G) is the coordinate set of G, def(G) = |C(G)| - |G| its
+deficiency, and K(G) the column kernel of G's incidence rows: the functions
+g on C(G) with sum_i g(i, p_i) = 0 for every p in G.  In a good G the rows
+are independent, so dim K(G) = def(G) >= n - 1, with equality exactly when
+G is full.  The *signature* of p in G is (g(i, p_i)) for g over a basis of
+K(G) and i over the axes.
+
+Theorem.  Split G by signature and split each part again by its own
+signature until every part is full; the final parts are the relatedness
+classes.
+  (a) All points of a full F inside G share one signature.  Restricted to
+      C(F), each g in K(G) lies in K(F).  The per-axis constants summing to
+      zero lie in K(F) and have dimension n - 1 = dim K(F), so they are all
+      of it: g(i, p_i) is the same for every p in F.
+  (b) If all points of a good G share one signature, every basis g is
+      constant on each axis, as each coordinate of G is some p_i.  Then
+      K(G) lies in the per-axis constants, def(G) <= n - 1, and G is full.
+By (a) every full subset of G stays inside one part at every step, and a
+part that is full is a full subset itself; by (b) a part that is not full
+splits.  So at most |G| - 1 splits, one kernel each, leave parts that are
+full and that hold every full subset through any of their points.  Two full
+subsets F1, F2 sharing a point have a full union:
 def(F1 | F2) = 2(n - 1) - |C(F1) & C(F2)| + |F1 & F2|, and the nonempty good
 set F1 & F2 has |C(F1) & C(F2)| >= |C(F1 & F2)| >= |F1 & F2| + n - 1, so
 def(F1 | F2) <= n - 1, which the good set F1 | F2 can only meet with
-equality.  Hence x's class is the union of the full subsets through x, it is
-full, and the classes partition the set.  Growing it costs one search per
-point not yet in it, and a hit adds the whole full subset it found.  The
-partition grows each class from the least point not yet assigned and
-searches only the unassigned points: a full subset holding that point and a
-point of an earlier class would have put it in that class.
+equality.  Hence x's class, the union of the full subsets through x, is the
+final part holding x.  A full group is taken as final before any kernel is
+built, so full and maximal sets cost no elimination here.
 
-The same equality gives |C(F1) & C(F2)| = |F1 & F2| + n - 1, which squeezes
-|C(F1 & F2)| to that value: two full subsets sharing a point meet in a full
-set.  So the geodesic of x and y lies inside every full F through both (else
-its meet with F would be a smaller full set through them), and a geodesic is
-searched inside one such F: the set itself when it is full, else the first
-full subset a search meets.  Inside F the search starts from the *core* of
-x and y.  Pinning x's first n - 1 coordinates makes F's system square and
-invertible, and for a full G in F through x the pinned solve on G agrees
+Geodesics.  The same equality gives |C(F1) & C(F2)| = |F1 & F2| + n - 1,
+which squeezes |C(F1 & F2)| to that value: two full subsets sharing a point
+meet in a full set.  This meet property makes the minimal full subset
+through x and y unique, and it lies inside every full set through both.  Let
+F be x's class.  Pinning x's first n - 1 coordinates makes F's system square
+and invertible, and for a full G in F through x the pinned solve on G agrees
 with the one on F on C(G), so u_c for c in C(G) depends only on f on G.
 Hence the points with a nonzero entry in the rows of the inverse at y's
 coordinates lie in every full G through x and y, and with x and y they form
-the core.  Every minimal full subset through x and y contains it, so the
-uniqueness check still sees every competitor, and most often the core is
-the geodesic and the search ends at its root.
+the *core*.  When the core is full it is the geodesic.  Otherwise the
+completion goes over the points p of F outside the core and replaces F by
+x's class in F - {p} whenever that class still holds y.  The result R is
+full and holds x and y; a point p of R outside the geodesic would have been
+dropped when it was visited, since the geodesic lies in F - {p} and so in
+x's class there.  So R is the geodesic.
 
 The classes drive the boundary construction: per axis, chains of components
 sharing a value merge projection values into equivalence classes; each class
@@ -55,8 +63,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .goodness import is_full, is_good
-from .linalg import IncidenceSystem, _echelon, _pinned_inverse, _stack_pins
+from .goodness import is_good
+from .linalg import IncidenceSystem, _echelon, _pinned_inverse, _stack_pins, column_kernel
 from .model import (
     Coordinate,
     PinSet,
@@ -102,56 +110,32 @@ def _core(F: PointSet, x: Point, y: Point) -> tuple[Point, ...]:
     return tuple(p for p in F if p in support)
 
 
-def _geodesic_search(S: PointSet, x: Point, y: Point, find_all: bool):
-    """Full subsets of the good set S containing {x, y}, or [] if unrelated.
+def _signature_groups(G: PointSet) -> list[list[Point]]:
+    """G's points grouped by their signature over a basis of K(G), in G's order."""
+    kernel = column_kernel(IncidenceSystem(G))
+    groups: dict[tuple, list[Point]] = {}
+    for p in G:
+        groups.setdefault(tuple(g.get(c, 0) for g in kernel for c in enumerate(p)), []).append(p)
+    return list(groups.values())
 
-    With find_all=False the first one the search meets, of any size.  With
-    find_all=True, S must be full; the search starts from the core of x and
-    y and returns every full subset of minimal cardinality.
+
+def _classes(S: PointSet, x: Point | None = None) -> list[PointSet]:
+    """The relatedness classes of the good set S; with x, only the one holding x.
+
+    A full group is final; any other group splits by signature, and one that
+    does not split means the theorem failed.
     """
-    n = S.space.n
-    required = _core(S, x, y) if find_all else ((x,) if x == y else (x, y))
-    coords_of = {p: tuple(enumerate(p)) for p in S}
-    rest = [p for p in S if p not in required]
-    counts: dict[Coordinate, int] = {}
-    for p in required:
-        for coord in coords_of[p]:
-            counts[coord] = counts.get(coord, 0) + 1
-    distinct = len(counts)
-
-    found: list[tuple[Point, ...]] = []
-    chosen: list[Point] = []
-    best = len(S)
-
-    def dfs(start: int) -> bool:
-        nonlocal distinct, best
-        size = len(required) + len(chosen)
-        need = distinct - size - (n - 1)
-        if need == 0:
-            if size < best:
-                best = size
-                found.clear()
-            found.append(required + tuple(chosen))
-            return not find_all
-        if need > len(rest) - start or size + need > best:
-            return False
-        for idx in range(start, len(rest)):
-            p = rest[idx]
-            for coord in coords_of[p]:
-                counts[coord] = counts.get(coord, 0) + 1
-                distinct += counts[coord] == 1
-            chosen.append(p)
-            stop = dfs(idx + 1)
-            chosen.pop()
-            for coord in coords_of[p]:
-                counts[coord] -= 1
-                distinct -= counts[coord] == 0
-            if stop:
-                return True
-        return False
-
-    dfs(0)
-    return found
+    groups, classes = [S], []
+    while groups:
+        G = groups.pop()
+        if G.deficiency() == S.space.n - 1:
+            classes.append(G)
+            continue
+        parts = _signature_groups(G)
+        if len(parts) == 1:
+            raise VerificationError("a group that is not full has one kernel signature")
+        groups.extend(PointSet(S.space, part) for part in parts if x is None or x in part)
+    return classes
 
 
 @dataclass(frozen=True)
@@ -171,16 +155,13 @@ def related(S: PointSet, x, y) -> bool:
     if not is_good(S):
         raise PreconditionError("related requires a good set")
     x, y = _require_member(S, x), _require_member(S, y)
-    if x == y or S.deficiency() == S.space.n - 1:
-        return True  # S itself is a full subset containing both
-    return bool(_geodesic_search(S, x, y, find_all=False))
+    return y in _classes(S, x)[0]
 
 
 def geodesic(S: PointSet, x, y) -> Geodesic | None:
     """The unique minimal full subset containing x and y, or None if unrelated.
 
-    At the minimal cardinality *all* qualifying subsets are enumerated and
-    exactly one must exist; a violation is a fatal internal error.
+    A result that is not full or misses the core is a fatal internal error.
     """
     if not is_good(S):
         raise PreconditionError("geodesic requires a good set")
@@ -188,23 +169,23 @@ def geodesic(S: PointSet, x, y) -> Geodesic | None:
 
 
 def _geodesic(S: PointSet, x: Point, y: Point) -> Geodesic | None:
-    """The search behind `geodesic`, for a good S and two of its points.
-
-    The minimal search runs inside S when S is full, else inside the first
-    full subset through x and y that a search meets.
-    """
-    F = S
-    if S.deficiency() != S.space.n - 1:
-        hits = _geodesic_search(S, x, y, find_all=False)
-        if not hits:
-            return None
-        F = PointSet(S.space, hits[0])
-    hits = _geodesic_search(F, x, y, find_all=True)
-    if len(hits) != 1:
-        raise VerificationError(
-            f"{len(hits)} distinct minimal full subsets join the pair; expected one"
-        )
-    return Geodesic((x, y), PointSet(S.space, hits[0]))
+    """The core of x and y in x's class, completed by deleting points, for a good S."""
+    n = S.space.n
+    F = _classes(S, x)[0]
+    if y not in F:
+        return None
+    core = _core(F, x, y)
+    G = PointSet(S.space, core)
+    if G.deficiency() != n - 1:
+        G = F
+        for p in F:
+            if p in G and p not in core:
+                H = _classes(G.difference([p]), x)[0]
+                if y in H:
+                    G = H
+    if G.deficiency() != n - 1 or any(p not in G for p in core):
+        raise VerificationError("the geodesic is not full or misses its core")
+    return Geodesic((x, y), G)
 
 
 @dataclass(frozen=True)
@@ -221,48 +202,14 @@ class ComponentPartition:
         return len(self.components)
 
 
-def _component(S: PointSet, x: Point) -> PointSet:
-    """x's relatedness class in the good set S: the union of the full subsets through x.
-
-    Each point not yet in the class gets one search for a full subset through
-    it and x; a hit adds that whole subset, a miss marks the point unrelated.
-    A marked point that another hit adds anyway means the search missed a
-    full subset, as does a class that is not full.
-    """
-    members = set(S.points) if S.deficiency() == S.space.n - 1 else {x}
-    unrelated = []
-    for p in S:
-        if p in members:
-            continue
-        hits = _geodesic_search(S, x, p, find_all=False)
-        if hits:
-            members.update(hits[0])
-        else:
-            unrelated.append(p)
-    if any(p in members for p in unrelated):
-        raise VerificationError("a full subset joins a point the search called unrelated")
-    comp = PointSet(S.space, tuple(members))
-    if not is_full(comp):
-        raise VerificationError("a relatedness class is not full")
-    return comp
-
-
 def related_components(S: PointSet) -> ComponentPartition:
     """Relatedness classes in order of their least points, plus the structural assertions.
 
-    Each class is grown from the least point not yet assigned, searching only
-    the unassigned points: a full subset through that point holding a point
-    of an earlier class would put it in that class.  Distinct classes may
-    share at most n - 2 kinds of coordinates.
+    Distinct classes may share at most n - 2 kinds of coordinates.
     """
     if not is_good(S):
         raise PreconditionError("related_components requires a good set")
-    components = []
-    remaining = S.points
-    while remaining:
-        comp = _component(PointSet(S.space, remaining), remaining[0])
-        components.append(comp)
-        remaining = tuple(p for p in remaining if p not in comp)
+    components = sorted(_classes(S), key=lambda c: S.space.point_key(c.points[0]))
     index = {q: ci for ci, comp in enumerate(components) for q in comp}
     # Distinct components may share at most n - 2 kinds of coordinates.
     for a in range(len(components)):
@@ -283,7 +230,7 @@ def full_component(S: PointSet, x) -> PointSet:
     """The largest full subset of S containing x (its relatedness class)."""
     if not is_good(S):
         raise PreconditionError("full_component requires a good set")
-    return _component(S, _require_member(S, x))
+    return _classes(S, _require_member(S, x))[0]
 
 
 @dataclass(frozen=True)

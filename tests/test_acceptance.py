@@ -64,7 +64,7 @@ def test_criterion_02_geodesic_distance_four():
     def body():
         S = cube_set(T4)
         for x, y in itertools.combinations(S.points, 2):
-            g = gs.geodesic(S, x, y)  # enumerates all minimal full subsets
+            g = gs.geodesic(S, x, y)  # checks that the result is full and holds its core
             assert g is not None and g.length == 4
             assert set(g.points) == set(S.points)
 

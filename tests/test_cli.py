@@ -1,6 +1,7 @@
 import json
 import shutil
 import subprocess
+import sys
 
 import pytest
 
@@ -274,16 +275,26 @@ def test_non_object_table_is_parse_error(capsys, tmp_path, field, value):
     assert "instance error" in err and field in err
 
 
-def test_internal_error_exit_code(capsys, inst_dir, monkeypatch):
-    def two_minimal(S, x, y, find_all):
-        return [(x, y), (y, x)]
+def test_unsplit_group_exits_internal(capsys, inst_dir, monkeypatch):
+    # A group that is not full must split by kernel signature; keeping ex07
+    # (deficiency 5) whole breaks that.
+    monkeypatch.setattr(structure, "_signature_groups", lambda G: [list(G.points)])
+    code, report, err = run_cli(capsys, "components", str(inst_dir / "ex07.json"))
+    assert code == 4 and report is None
+    assert err.startswith("internal error: a group that is not full has one kernel signature")
+    assert "Traceback" not in err
 
-    monkeypatch.setattr(structure, "_geodesic_search", two_minimal)
+
+def test_internal_error_exit_code(capsys, inst_dir, monkeypatch):
+    def core_outside_class(F, x, y):
+        return (x, y, ("1", "1", "1"))
+
+    monkeypatch.setattr(structure, "_core", core_outside_class)
     code, report, err = run_cli(
         capsys, "geodesic", str(inst_dir / "t4.json"), "--from", "0", "--to", "3"
     )
     assert code == 4 and report is None
-    assert err.startswith("internal error: 2 distinct minimal full subsets")
+    assert err.startswith("internal error: the geodesic is not full or misses its core")
     assert "Traceback" not in err
 
 
@@ -314,3 +325,53 @@ def test_console_script_end_to_end(inst_dir):
         ["goodsets", "stats", str(inst_dir / "nope.json")], capture_output=True
     )
     assert missing.returncode == 3
+
+
+def test_non_utf8_instance_is_parse_error(capsys, tmp_path):
+    bad = tmp_path / "bytes.json"
+    bad.write_bytes(b"\xff\xfe")
+    code, report, err = run_cli(capsys, "check-good", str(bad))
+    assert code == 3 and report is None
+    assert err.startswith("instance error: cannot read") and "Traceback" not in err
+
+
+def test_out_into_missing_directory_exits_2(capsys, inst_dir, tmp_path):
+    out = tmp_path / "missing" / "report.json"
+    code, report, err = run_cli(
+        capsys, "check-good", str(inst_dir / "t4.json"), "--out", str(out)
+    )
+    assert code == 2 and report is None
+    assert f"cannot write {out}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_emit_examples_onto_a_file_exits_2(capsys, tmp_path):
+    target = tmp_path / "taken"
+    target.write_text("not a directory")
+    code, report, err = run_cli(capsys, "emit-examples", str(target))
+    assert code == 2 and report is None
+    assert f"cannot write {target}" in err and "Traceback" not in err
+    assert target.read_text() == "not a directory"
+
+
+def test_duplicate_key_is_parse_error(capsys, tmp_path):
+    path = tmp_path / "dup.json"
+    text = dumps_canonical(example_instance("t4"))
+    path.write_text(text.replace('"points"', '"f": {"1": "5", "1": "7"}, "points"'))
+    code, report, err = run_cli(capsys, "check-good", str(path))
+    assert code == 3 and report is None
+    assert err.startswith("instance error:") and "duplicate key '1'" in err
+
+
+def test_rationals_longer_than_the_int_digit_limit(capsys, tmp_path):
+    # 5000 digits in, 5001 out: past the interpreter's default 4300-digit cap.
+    huge = "9" * 5000
+    data = example_instance("ex10_depth2")
+    data["f"]["0"] = huge
+    path = tmp_path / "huge.json"
+    path.write_text(dumps_canonical(data))
+    limit = sys.get_int_max_str_digits()
+    code, report, _ = run_cli(capsys, "solve", str(path))
+    assert code == 0
+    assert report["result"]["decomposition"]["z"]["z2"] == "3" + "9" * 4999 + "6"  # 4 f(0)
+    assert sys.get_int_max_str_digits() == limit

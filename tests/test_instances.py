@@ -26,6 +26,16 @@ def test_rational_parsing():
     for bad in ("0.5", "1e3", "1/0", "1.0", "", "a/b", "1/-2", True, False, None, 0.5):
         with pytest.raises(InstanceError):
             parse_rational(bad)
+    with pytest.raises(InstanceError):
+        parse_rational("9" * 5000)  # past the interpreter's default digit cap
+
+
+def test_load_rejects_integer_literal_past_digit_cap(tmp_path):
+    text = dumps_canonical(example_instance("t4"))
+    path = tmp_path / "huge.json"
+    path.write_text(text.replace('"points"', '"f": {"0": ' + "9" * 5000 + '}, "points"'))
+    with pytest.raises(InstanceError):
+        load_instance(path)
 
 
 def test_rational_formatting():

@@ -352,7 +352,7 @@ def test_bound_diagnostics_matches_indicator_sweep():
 
 
 def test_doubling_chain_frontier_depth_twelve():
-    # 37 points: each geodesic is one pinned inverse plus an empty search.
+    # 37 points: each geodesic is its core, read off one pinned inverse.
     depth = 12
     S = parse_instance(_example10(depth)).point_set
     f = random_function(random.Random(73), S)

@@ -1,10 +1,12 @@
 import itertools
 import random
+import time
 
 import pytest
 
 import goodsets as gs
 from goodsets import structure
+from goodsets.instances import _example10, parse_instance
 from util import (
     DIAGONAL,
     RECTANGLE,
@@ -76,7 +78,7 @@ def test_geodesic_uniqueness_sampled():
     for _ in range(20):
         S = random_good_set(rng, random_space(rng, (2, 3), max_axis=3), 7)
         for x, y in itertools.combinations(S.points, 2):
-            g = gs.geodesic(S, x, y)  # enumerates all minimal candidates
+            g = gs.geodesic(S, x, y)  # checks that the result is full and holds its core
             if g is not None:
                 assert gs.is_full(g.points)
                 assert x in g.points and y in g.points
@@ -162,7 +164,7 @@ def test_geodesics_match_brute_force_subsets():
 def test_geodesics_lie_inside_every_full_subset():
     # Two full subsets of a good set that share a point meet in a full set,
     # so a geodesic lies inside every full subset through its endpoints, and
-    # so does the core its search starts from.
+    # so does the core its completion starts from.
     rng = random.Random(67)
     pairs = completed = 0
     for _ in range(80):
@@ -326,3 +328,50 @@ def test_components_share_few_kinds():
                     & set(partition.components[b].projection(i))
                 )
                 assert shared <= S.space.n - 2
+
+
+def _assert_class_invariants(S, partition):
+    """Full classes (definitional check) that partition S, in least-point order."""
+    classes = partition.components
+    assert all(gs.is_full(c, definitional=True) for c in classes)
+    assert sorted(p for c in classes for p in c) == sorted(S.points)
+    keys = [S.space.point_key(c.points[0]) for c in classes]
+    assert keys == sorted(keys)
+
+
+def _chain_minus_middle(depth):
+    S = parse_instance(_example10(depth)).point_set
+    return S.difference([S.points[len(S) // 2]])
+
+
+def test_chain_minus_middle_components_frontier():
+    # 60 points in 46 classes, one kernel per split.
+    S = _chain_minus_middle(20)
+    start = time.monotonic()
+    partition = gs.related_components(S)
+    elapsed = time.monotonic() - start
+    assert len(S) == 60 and len(partition) == 46
+    _assert_class_invariants(S, partition)
+    assert elapsed < 10
+    small = _chain_minus_middle(4)
+    ours = sorted(frozenset(c.points) for c in gs.related_components(small).components)
+    assert ours == sorted(brute_force_components(small.points))
+
+
+def test_thinned_maximal_sets_components_frontier():
+    # Maximal good sets in 6^4 (21 points) with random points removed.
+    rng = random.Random(83)
+    space = int_space((6, 6, 6, 6))
+    elapsed = 0.0
+    multi = 0
+    for _ in range(20):
+        maximal = gs.extend_to_maximal(random_good_set(rng, space, 21))
+        assert len(maximal) == 21
+        S = maximal.difference(rng.sample(maximal.points, rng.randint(3, 12)))
+        start = time.monotonic()
+        partition = gs.related_components(S)
+        elapsed += time.monotonic() - start
+        _assert_class_invariants(S, partition)
+        multi += len(partition) > 1
+    assert multi >= 10
+    assert elapsed < 10
