@@ -71,13 +71,18 @@ def is_full(S: PointSet, definitional: bool = False) -> bool:
     """Is S maximal good within the product of its own projections?
 
     Fast path: good and deficiency = n - 1.  The definitional check instead
-    tests that every candidate of the projection product lies in the row
-    span; the two must agree everywhere and tests enforce that.
+    tests that every point of the projection product lies in the row span,
+    by rank alone; the two must agree everywhere and tests enforce that.
     """
     S.require_nonempty("fullness")
     if not definitional:
         return bool(is_good(S)) and S.deficiency() == S.space.n - 1
-    return bool(is_good(S)) and _first_addable(S) is None
+    if not is_good(S):
+        return False
+    columns = S.coordinates()
+    col_index = {c: j for j, c in enumerate(columns)}
+    basis = _echelon((_incidence_row(p, col_index) for p in S), len(columns))
+    return all(basis.contains(_incidence_row(p, col_index)) for p in S.product_points())
 
 
 def _require_good(S: PointSet, what: str):
@@ -89,12 +94,33 @@ def _addable(S: PointSet, columns, candidates):
     """Greedy growth: the candidates outside S that each enlarge the row span.
 
     In order, each yielded candidate's incidence row is independent of S's
-    rows and of the rows yielded before it.
+    rows and of the rows yielded before it.  S must be good, and `columns`
+    must hold every coordinate of S and of the candidates.
+
+    T = S plus the points yielded so far stays good.  A good T with
+    |C(T)| - |T| = n - 1 is full, and a full set spans every point of the
+    product of its projections; so while T is full, a candidate inside C(T)
+    is dependent and is skipped without an elimination.  Only candidates
+    with a new coordinate, or those met while T is not full, are reduced.
+    `is_full(definitional=True)` does not rest on this fact, since it is the
+    check that holds the deficiency count to the definition.
     """
+    n = S.space.n
     col_index = {c: j for j, c in enumerate(columns)}
     basis = _echelon((_incidence_row(p, col_index) for p in S), len(columns))
+    used = [set(S.projection(i)) for i in range(n)]
+    excess = sum(map(len, used)) - len(S) - (n - 1)
     for candidate in candidates:
-        if candidate not in S and basis.add(_incidence_row(candidate, col_index)) is not None:
+        if candidate in S:
+            continue
+        if excess == 0 and all(v in used[i] for i, v in enumerate(candidate)):
+            continue
+        if basis.add(_incidence_row(candidate, col_index)) is not None:
+            for i, v in enumerate(candidate):
+                if v not in used[i]:
+                    used[i].add(v)
+                    excess += 1
+            excess -= 1
             yield candidate
 
 

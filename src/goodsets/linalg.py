@@ -57,9 +57,7 @@ INCONSISTENT = "inconsistent"
 
 
 def _primitive(v: list[int]) -> list[int]:
-    g = 0
-    for x in v:
-        g = gcd(g, x)
+    g = gcd(*v)
     return [x // g for x in v] if g > 1 else v
 
 
@@ -80,8 +78,8 @@ class RowBasis:
     def rank(self) -> int:
         return len(self.pivot_rows)
 
-    def reduce(self, vec: Sequence[int]) -> list[int]:
-        """Eliminate `vec` against the basis; the residual is primitive or zero."""
+    def _reduce(self, vec: Sequence[int]) -> tuple[list[int], int]:
+        """(residual, lead): the residual's first nonzero column, ncols if it is zero."""
         v = [int(x) for x in vec]
         if len(v) != self.ncols:
             raise PreconditionError("vector length does not match column count")
@@ -92,25 +90,27 @@ class RowBasis:
                 continue
             row = self.pivot_rows.get(j)
             if row is None:
+                if v[j] < 0:
+                    v = [-x for x in v]
                 break
             a, b = row[j], v[j]
-            v = _primitive([b_k * a - row_k * b for b_k, row_k in zip(v, row)])
+            # v and the pivot row are both zero before column j.
+            v[j:] = _primitive([b_k * a - row_k * b for b_k, row_k in zip(v[j:], row[j:])])
             j += 1
-        if any(v):
-            lead = next(i for i, x in enumerate(v) if x)
-            if v[lead] < 0:
-                v = [-x for x in v]
-        return v
+        return v, j
+
+    def reduce(self, vec: Sequence[int]) -> list[int]:
+        """Eliminate `vec` against the basis; the residual is primitive or zero."""
+        return self._reduce(vec)[0]
 
     def contains(self, vec: Sequence[int]) -> bool:
-        return not any(self.reduce(vec))
+        return self._reduce(vec)[1] == self.ncols
 
     def add(self, vec: Sequence[int]) -> int | None:
         """Insert if independent; returns the new pivot column, else None."""
-        r = self.reduce(vec)
-        if not any(r):
+        r, lead = self._reduce(vec)
+        if lead == self.ncols:
             return None
-        lead = next(i for i, x in enumerate(r) if x)
         self.pivot_rows[lead] = r
         return lead
 
@@ -384,11 +384,6 @@ class CircuitVector:
         return len(self.points)
 
 
-def _dependent(space: Space, points: Sequence[Point], columns, col_index) -> bool:
-    rows = [_incidence_row(p, col_index) for p in points]
-    return _echelon(rows, len(columns)).rank < len(points)
-
-
 def extract_circuit(space: Space, points: Iterable[Point]) -> CircuitVector:
     """Find a circuit among dependent points and compute its coefficients.
 
@@ -429,7 +424,12 @@ def extract_circuit(space: Space, points: Iterable[Point]) -> CircuitVector:
 
 
 def verify_circuit(space: Space, circuit: CircuitVector):
-    """Re-check a circuit: exact cancellation, minimality, normalization."""
+    """Re-check a circuit: exact cancellation, minimality, normalization.
+
+    Once the coefficients cancel and are all nonzero, the support is minimal
+    exactly when its rows have rank |support| - 1: the relation then spans
+    the whole space of relations, and it vanishes on no point.
+    """
     pts = circuit.points
     coeffs = circuit.coefficients
     if len(pts) != len(coeffs) or not pts:
@@ -449,7 +449,6 @@ def verify_circuit(space: Space, circuit: CircuitVector):
         raise VerificationError("circuit coefficients are not normalized")
     columns = space.coordinates()
     col_index = {c: j for j, c in enumerate(columns)}
-    for p in pts:
-        rest = [q for q in pts if q != p]
-        if rest and _dependent(space, rest, columns, col_index):
-            raise VerificationError("circuit support is not minimal")
+    basis = _echelon((_incidence_row(p, col_index) for p in pts), len(columns))
+    if basis.rank != len(pts) - 1:
+        raise VerificationError("circuit support is not minimal")

@@ -212,13 +212,10 @@ def related_components(S: PointSet) -> ComponentPartition:
     components = sorted(_classes(S), key=lambda c: S.space.point_key(c.points[0]))
     index = {q: ci for ci, comp in enumerate(components) for q in comp}
     # Distinct components may share at most n - 2 kinds of coordinates.
-    for a in range(len(components)):
-        for b in range(a + 1, len(components)):
-            shared = sum(
-                1
-                for i in range(S.space.n)
-                if set(components[a].projection(i)) & set(components[b].projection(i))
-            )
+    kinds = [[{p[i] for p in comp} for i in range(S.space.n)] for comp in components]
+    for a in range(len(kinds)):
+        for b in range(a + 1, len(kinds)):
+            shared = sum(1 for va, vb in zip(kinds[a], kinds[b]) if not va.isdisjoint(vb))
             if shared > S.space.n - 2:
                 raise VerificationError(
                     "distinct components share too many coordinate kinds"

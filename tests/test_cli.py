@@ -285,6 +285,23 @@ def test_unsplit_group_exits_internal(capsys, inst_dir, monkeypatch):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("parts", [((0,), (1, 2, 3)), ((1, 2), (0, 3))])
+def test_shared_kinds_check_exits_internal(capsys, inst_dir, monkeypatch, parts):
+    # t4 is full.  Split into two "classes", its least point and the other
+    # three share a value on every axis, and points 1, 2 and points 0, 3 on
+    # two of the three; both break the n - 2 shared-kinds bound.
+    def split(S, x=None):
+        return [S.subset(S.points[k] for k in part) for part in parts]
+
+    monkeypatch.setattr(structure, "_classes", split)
+    code, report, err = run_cli(capsys, "components", str(inst_dir / "t4.json"))
+    assert code == 4 and report is None
+    assert err.startswith(
+        "internal error: distinct components share too many coordinate kinds"
+    )
+    assert "Traceback" not in err
+
+
 def test_internal_error_exit_code(capsys, inst_dir, monkeypatch):
     def core_outside_class(F, x, y):
         return (x, y, ("1", "1", "1"))

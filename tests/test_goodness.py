@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -110,6 +111,54 @@ def test_extend_to_maximal_cube():
     for candidate in space.all_points():
         if candidate not in M:
             assert not gs.is_good(M.union([candidate])).good
+
+
+def _greedy_maximal(S):
+    """The plain greedy: every candidate of the space goes through `RowBasis.add`."""
+    columns = S.space.coordinates()
+    index = {c: j for j, c in enumerate(columns)}
+
+    def row(p):
+        r = [0] * len(columns)
+        for c in enumerate(p):
+            r[index[c]] = 1
+        return r
+
+    basis = gs.RowBasis(len(columns))
+    for p in S:
+        basis.add(row(p))
+    grown = [c for c in S.space.all_points() if c not in S and basis.add(row(c)) is not None]
+    return gs.PointSet.of(S.space, S.points + tuple(grown)).points
+
+
+def test_extend_to_maximal_matches_plain_greedy():
+    rng = random.Random(71)
+    for _ in range(240):
+        S = random_good_set(rng, random_space(rng, (2, 3, 4), max_axis=4), 8)
+        assert gs.extend_to_maximal(S).points == _greedy_maximal(S)
+
+
+def test_definitional_is_full_ignores_deficiency(monkeypatch):
+    # With every deficiency reading n - 1, only the fast path is fooled.
+    monkeypatch.setattr(gs.PointSet, "deficiency", lambda self: self.space.n - 1)
+    D = cube_set(DIAGONAL)
+    assert gs.is_full(D)
+    assert not gs.is_full(D, definitional=True)
+    assert gs.is_full(cube_set(T4), definitional=True)
+
+
+def test_extend_to_maximal_frontier():
+    # 88 points in 30^3 from two seed points.
+    space = int_space((30, 30, 30))
+    seeds = [(0, 0, 0), (1, 1, 1)]
+    start = time.monotonic()
+    M = gs.extend_to_maximal(gs.PointSet.of(space, seeds))
+    elapsed = time.monotonic() - start
+    assert len(M) == 3 * 30 - 2
+    assert gs.is_good(M).good
+    assert all(p in M for p in seeds)
+    assert all(set(M.projection(i)) == set(range(30)) for i in range(3))
+    assert elapsed < 10
 
 
 def test_full_closure_diagonal():

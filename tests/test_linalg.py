@@ -251,6 +251,44 @@ def test_extract_circuit_random_certificates():
         done += 1
 
 
+def _two_rectangles():
+    space = int_space((4, 4))
+    points = ((0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (2, 3), (3, 2), (3, 3))
+    return space, points
+
+
+def test_verify_circuit_rejects_union_of_two_circuits():
+    # Cancels with every coefficient nonzero and normalized, but each
+    # rectangle alone is a circuit.
+    space, points = _two_rectangles()
+    vector = gs.CircuitVector(points, (1, -1, -1, 1, 1, -1, -1, 1))
+    with pytest.raises(gs.VerificationError, match="not minimal"):
+        gs.verify_circuit(space, vector)
+    gs.verify_circuit(space, gs.CircuitVector(points[:4], (1, -1, -1, 1)))
+
+
+def test_verify_circuit_rejects_zero_coefficient():
+    space, points = _two_rectangles()
+    vector = gs.CircuitVector(points[:5], (1, -1, -1, 1, 0))
+    with pytest.raises(gs.VerificationError, match="zero coefficient"):
+        gs.verify_circuit(space, vector)
+
+
+def test_verify_circuit_rejects_non_cancelling_vector():
+    space, points = _two_rectangles()
+    vector = gs.CircuitVector(points[:4], (1, -1, 1, -1))
+    with pytest.raises(gs.VerificationError, match="do not cancel"):
+        gs.verify_circuit(space, vector)
+
+
+@pytest.mark.parametrize("coefficients", [(2, -2, -2, 2), (-1, 1, 1, -1)])
+def test_verify_circuit_rejects_non_normalized_vector(coefficients):
+    space, points = _two_rectangles()
+    vector = gs.CircuitVector(points[:4], coefficients)
+    with pytest.raises(gs.VerificationError, match="not normalized"):
+        gs.verify_circuit(space, vector)
+
+
 def _deletion_loop_support(space, points):
     """Oracle: shrink to a circuit by the deletion loop, dependence by sympy rank.
 
