@@ -90,12 +90,14 @@ def _require_good(S: PointSet, what: str):
         raise PreconditionError(f"{what} requires a good set")
 
 
-def _addable(S: PointSet, columns, candidates):
+def _addable(S: PointSet, columns, candidates, what: str):
     """Greedy growth: the candidates outside S that each enlarge the row span.
 
     In order, each yielded candidate's incidence row is independent of S's
-    rows and of the rows yielded before it.  S must be good, and `columns`
-    must hold every coordinate of S and of the candidates.
+    rows and of the rows yielded before it.  `columns` must hold every
+    coordinate of S and of the candidates.  S's rows are eliminated once,
+    here and before any candidate is drawn, and that elimination is also
+    the goodness check: a dependent row raises "<what> requires a good set".
 
     T = S plus the points yielded so far stays good.  A good T with
     |C(T)| - |T| = n - 1 is full, and a full set spans every point of the
@@ -105,23 +107,32 @@ def _addable(S: PointSet, columns, candidates):
     `is_full(definitional=True)` does not rest on this fact, since it is the
     check that holds the deficiency count to the definition.
     """
+    S.require_nonempty("goodness")
     n = S.space.n
     col_index = {c: j for j, c in enumerate(columns)}
-    basis = _echelon((_incidence_row(p, col_index) for p in S), len(columns))
+    basis = RowBasis(len(columns))
+    for p in S:
+        if basis.add(_incidence_row(p, col_index)) is None:
+            raise PreconditionError(f"{what} requires a good set")
     used = [set(S.projection(i)) for i in range(n)]
     excess = sum(map(len, used)) - len(S) - (n - 1)
-    for candidate in candidates:
-        if candidate in S:
-            continue
-        if excess == 0 and all(v in used[i] for i, v in enumerate(candidate)):
-            continue
-        if basis.add(_incidence_row(candidate, col_index)) is not None:
-            for i, v in enumerate(candidate):
-                if v not in used[i]:
-                    used[i].add(v)
-                    excess += 1
-            excess -= 1
-            yield candidate
+
+    def grow():
+        nonlocal excess
+        for candidate in candidates:
+            if candidate in S:
+                continue
+            if excess == 0 and all(v in used[i] for i, v in enumerate(candidate)):
+                continue
+            if basis.add(_incidence_row(candidate, col_index)) is not None:
+                for i, v in enumerate(candidate):
+                    if v not in used[i]:
+                        used[i].add(v)
+                        excess += 1
+                excess -= 1
+                yield candidate
+
+    return grow()
 
 
 def extend_to_maximal(S: PointSet) -> PointSet:
@@ -130,8 +141,8 @@ def extend_to_maximal(S: PointSet) -> PointSet:
     Candidates run in lexicographic order; one pass suffices because the row
     span only grows.  The result's projections cover every axis entirely.
     """
-    _require_good(S, "extend_to_maximal")
-    result = S.union(_addable(S, S.space.coordinates(), S.space.all_points()))
+    grown = _addable(S, S.space.coordinates(), S.space.all_points(), "extend_to_maximal")
+    result = S.union(grown)
     for i in range(S.space.n):
         if set(result.projection(i)) != set(S.space.axes[i].values):
             raise VerificationError("maximal extension does not cover an axis")
@@ -144,17 +155,12 @@ def full_closure(S: PointSet) -> PointSet:
     Projections are preserved; the growth stops exactly when deficiency
     reaches n - 1.
     """
-    _require_good(S, "full_closure")
+    grown = _addable(S, S.coordinates(), S.product_points(), "full_closure")
     missing = S.deficiency() - (S.space.n - 1)
-    result = S.union(islice(_addable(S, S.coordinates(), S.product_points()), missing))
+    result = S.union(islice(grown, missing))
     if result.deficiency() != S.space.n - 1:
         raise VerificationError("full closure did not reach deficiency n-1")
     return result
-
-
-def _first_addable(S: PointSet) -> tuple | None:
-    """First product candidate (lexicographic) outside the row span; None if there is none."""
-    return next(_addable(S, S.coordinates(), S.product_points()), None)
 
 
 def full_split(S: PointSet) -> PointSet:
@@ -166,12 +172,15 @@ def full_split(S: PointSet) -> PointSet:
     swaps one coordinate of the fixed point to a value where the solution is
     nonzero; the new point lowers the deficiency by exactly one.
     """
-    _require_good(S, "full_split")
-    if is_full(S):
+    grown = _addable(S, S.coordinates(), S.product_points(), "full_split")
+    n = S.space.n
+    if S.deficiency() == n - 1:
         raise PreconditionError("full_split requires a set that is not full")
 
-    n = S.space.n
-    F = S.union([_first_addable(S)])
+    first = next(grown, None)
+    if first is None:
+        raise VerificationError("a good set that is not full has no addable point")
+    F = S.union([first])
     while F.deficiency() > n - 1:
         extra = F.difference(S.points)
         x0 = extra.points[0]

@@ -17,7 +17,8 @@ Four routes produce the same numbers and certify each other:
 `bound_diagnostics` reports the finite-scale boundedness data: geodesic
 lengths from a base and the largest solution value over singleton indicator
 right-hand sides, read off one exact inverse of the system pinned at the
-base's first n - 1 coordinates.
+base's first n - 1 coordinates; every geodesic core from the base is read
+off that inverse too.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .model import (
     PreconditionError,
     VerificationError,
 )
-from .structure import _geodesic, related_components
+from .structure import _classes, _geodesic, related_components
 
 __all__ = [
     "BoundDiagnostics",
@@ -136,13 +137,29 @@ def geodesic_matrix(G: PointSet, base) -> GeodesicMatrix:
     return GeodesicMatrix(ordered, columns, matrix)
 
 
+def _class_inverse(S: PointSet, base: Point, unrelated) -> dict:
+    """S's inverse pinned at the base's first n - 1 coordinates, S one class.
+
+    The base's class is found once, and the first point of S outside it, in
+    S's order, raises `unrelated(y)`.  Every geodesic from the base reads its
+    core off the returned inverse.
+    """
+    F = _classes(S, base)[0]
+    for y in S:
+        if y not in F:
+            raise unrelated(y)
+    return _pinned_inverse(IncidenceSystem(S), [(i, base[i]) for i in range(S.space.n - 1)])
+
+
 def solve_via_geodesics(S: PointSet, f: FunctionTable, base=None) -> SolveReport:
     """Case of a single relatedness component: assemble per-point geodesic solves.
 
     Pins the base's first n - 1 coordinates at zero; for each point the
     geodesic system is solved exactly and the point's own coordinate values
-    are read off.  Coordinates reached by several geodesics must agree, and
-    the assembled split must reproduce f; both are asserted.
+    are read off.  The geodesics' cores come from one pinned inverse of S,
+    and each geodesic keeps its own square solve.  Coordinates reached by
+    several geodesics must agree, and the assembled split must reproduce f;
+    both are asserted.
     """
     S.require_nonempty("solve_via_geodesics")
     if not is_good(S):
@@ -150,17 +167,20 @@ def solve_via_geodesics(S: PointSet, f: FunctionTable, base=None) -> SolveReport
     base = S.points[0] if base is None else S.space.validate_point(tuple(base))
     if base not in S:
         raise PreconditionError("base point must belong to the set")
+    inverse = _class_inverse(
+        S,
+        base,
+        lambda y: PreconditionError(
+            f"{y!r} is unrelated to the base; use the componentwise or boundary method"
+        ),
+    )
     n = S.space.n
     pinned = {(i, base[i]) for i in range(n - 1)}
 
     values: dict[Coordinate, Fraction] = {coord: Fraction(0) for coord in pinned}
     max_len = 0
     for y in S:
-        G = _geodesic(S, base, y)
-        if G is None:
-            raise PreconditionError(
-                f"{y!r} is unrelated to the base; use the componentwise or boundary method"
-            )
+        G = _geodesic(S, base, y, inverse)
         max_len = max(max_len, G.length)
         gm = geodesic_matrix(G.points, base)
         ncols = len(gm.columns)
@@ -294,8 +314,8 @@ def bound_diagnostics(S: PointSet, base=None) -> BoundDiagnostics:
     The indicator sweep is the largest absolute value of any u solving
     u = 1_{p}, p in S, with the base's first n - 1 coordinates pinned at
     zero.  Those solutions are the point columns of one pinned inverse, so
-    the sweep is read off that inverse; a singular system is an internal
-    error.
+    the sweep is read off the inverse that every geodesic core is read off
+    too; a singular system is an internal error.
     """
     S.require_nonempty("bound_diagnostics")
     if not is_good(S):
@@ -304,14 +324,12 @@ def bound_diagnostics(S: PointSet, base=None) -> BoundDiagnostics:
     if base not in S:
         raise PreconditionError("base point must belong to the set")
 
-    lengths = {}
-    for y in S:
-        g = _geodesic(S, base, y)
-        if g is None:
-            raise PreconditionError("diagnostics are per component; this set has several")
-        lengths[y] = g.length
-    pins = [(i, base[i]) for i in range(S.space.n - 1)]
-    inverse = _pinned_inverse(IncidenceSystem(S), pins)
+    inverse = _class_inverse(
+        S,
+        base,
+        lambda y: PreconditionError("diagnostics are per component; this set has several"),
+    )
+    lengths = {y: _geodesic(S, base, y, inverse).length for y in S}
     worst = max(abs(v) for row in inverse.values() for v in row[: len(S)])
     total = sum(lengths.values())
     return BoundDiagnostics(

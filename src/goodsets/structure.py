@@ -42,12 +42,14 @@ and invertible, and for a full G in F through x the pinned solve on G agrees
 with the one on F on C(G), so u_c for c in C(G) depends only on f on G.
 Hence the points with a nonzero entry in the rows of the inverse at y's
 coordinates lie in every full G through x and y, and with x and y they form
-the *core*.  When the core is full it is the geodesic.  Otherwise the
-completion goes over the points p of F outside the core and replaces F by
-x's class in F - {p} whenever that class still holds y.  The result R is
-full and holds x and y; a point p of R outside the geodesic would have been
-dropped when it was visited, since the geodesic lies in F - {p} and so in
-x's class there.  So R is the geodesic.
+the *core*.  Reading it takes only the n rows at y's coordinates, so one
+geodesic eliminates for those rows alone, and a sweep over every y from one
+base reads all its cores off one full inverse.  When the core is full it is
+the geodesic.  Otherwise the completion goes over the points p of F outside
+the core and replaces F by x's class in F - {p} whenever that class still
+holds y.  The result R is full and holds x and y; a point p of R outside the
+geodesic would have been dropped when it was visited, since the geodesic
+lies in F - {p} and so in x's class there.  So R is the geodesic.
 
 The classes drive the boundary construction: per axis, chains of components
 sharing a value merge projection values into equivalence classes; each class
@@ -96,17 +98,20 @@ def _require_member(S: PointSet, p) -> Point:
     return p
 
 
-def _core(F: PointSet, x: Point, y: Point) -> tuple[Point, ...]:
+def _core(F: PointSet, x: Point, y: Point, inverse=None) -> tuple[Point, ...]:
     """x, y and the points that every full subset of F through x and y holds.
 
     F is full and holds x and y; with x's first n - 1 coordinates pinned,
     these are the points with a nonzero entry in a row of the inverse at one
-    of y's coordinates.
+    of y's coordinates.  Only those n rows are read: without a given
+    `inverse` (F's pinned inverse, as `_pinned_inverse` returns it) they are
+    the only rows computed.
     """
-    system = IncidenceSystem(F)
-    inverse = _pinned_inverse(system, [(i, x[i]) for i in range(F.space.n - 1)])
+    if inverse is None:
+        pins = [(i, x[i]) for i in range(F.space.n - 1)]
+        inverse = _pinned_inverse(IncidenceSystem(F), pins, targets=enumerate(y))
     support = {x, y}
-    support.update(p for c in enumerate(y) for p, v in zip(system.points, inverse[c]) if v)
+    support.update(p for c in enumerate(y) for p, v in zip(F.points, inverse[c]) if v)
     return tuple(p for p in F if p in support)
 
 
@@ -168,13 +173,17 @@ def geodesic(S: PointSet, x, y) -> Geodesic | None:
     return _geodesic(S, _require_member(S, x), _require_member(S, y))
 
 
-def _geodesic(S: PointSet, x: Point, y: Point) -> Geodesic | None:
-    """The core of x and y in x's class, completed by deleting points, for a good S."""
+def _geodesic(S: PointSet, x: Point, y: Point, inverse=None) -> Geodesic | None:
+    """The core of x and y in x's class, completed by deleting points, for a good S.
+
+    A given `inverse` is that of x's class pinned at x, shared by the cores
+    of every y.
+    """
     n = S.space.n
     F = _classes(S, x)[0]
     if y not in F:
         return None
-    core = _core(F, x, y)
+    core = _core(F, x, y) if inverse is None else _core(F, x, y, inverse)
     G = PointSet(S.space, core)
     if G.deficiency() != n - 1:
         G = F

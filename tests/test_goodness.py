@@ -4,6 +4,7 @@ import time
 import pytest
 
 import goodsets as gs
+from goodsets import goodness
 from util import (
     DIAGONAL,
     E5,
@@ -224,6 +225,31 @@ def test_full_split_preconditions():
         gs.full_split(pset(RECTANGLE))
     with pytest.raises(gs.PreconditionError):
         gs.full_split(cube_set(T4))
+
+
+def test_non_good_inputs_raise_before_growth():
+    # Goodness is read off the one elimination of S's rows that the growth
+    # starts from.  The rectangle and the full cube have deficiency below
+    # n - 1, so full_closure would slice no candidate at all.
+    rng = random.Random(89)
+    bad = [pset(RECTANGLE), cube_set(list(int_space((2, 2, 2)).all_points()))]
+    while len(bad) < 60:
+        S = random_point_set(rng, random_space(rng, (2, 3, 4), max_axis=3), 9)
+        if not oracle_independent(S.space, S.points):
+            bad.append(S)
+    for S in bad:
+        for fn in (gs.extend_to_maximal, gs.full_closure, gs.full_split):
+            with pytest.raises(gs.PreconditionError) as exc:
+                fn(S)
+            assert str(exc.value) == f"{fn.__name__} requires a good set"
+
+    def untouched():
+        raise AssertionError("a candidate was drawn")
+        yield
+
+    S = pset(RECTANGLE)
+    with pytest.raises(gs.PreconditionError, match="^probe requires a good set$"):
+        goodness._addable(S, S.coordinates(), untouched(), "probe")
 
 
 def test_associated_full_set_missing_axis():

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 import goodsets as gs
+from goodsets.instances import _example10, parse_instance
+from goodsets.linalg import _pinned_inverse
 from util import (
     DIAGONAL,
     E5_PLUS,
@@ -15,6 +17,7 @@ from util import (
     oracle_rank,
     oracle_zero_marginal_dependency,
     pset,
+    random_good_set,
 )
 
 
@@ -379,3 +382,48 @@ def test_row_basis_rank_matches_oracle():
         from sympy import Matrix
 
         assert basis.rank == Matrix(rows).rank()
+
+
+def _full_sets_and_chains():
+    rng = random.Random(31)
+    sets = []
+    for n in (2, 3, 4) * 12:
+        space = int_space(tuple(rng.randint(2, 4) for _ in range(n)))
+        sets.append(gs.full_closure(random_good_set(rng, space, 9)))
+    sets += [parse_instance(_example10(depth)).point_set for depth in range(1, 9)]
+    return rng, sets
+
+
+def test_pinned_inverse_is_an_inverse():
+    # Rows of A^-1 against the stacked pinned system A, multiplied out in
+    # plain Fraction arithmetic: every product is the identity.
+    rng, sets = _full_sets_and_chains()
+    for S in sets:
+        base = rng.choice(S.points)
+        pins = [(i, base[i]) for i in range(S.space.n - 1)]
+        system = gs.IncidenceSystem(S)
+        columns = system.columns
+        stacked = [[int(c in set(enumerate(p))) for c in columns] for p in S]
+        stacked += [[int(c == pin) for c in columns] for pin in pins]
+        assert len(stacked) == len(columns)
+        inverse = _pinned_inverse(system, pins)
+        assert list(inverse) == list(columns)
+        for c in columns:
+            row = inverse[c]
+            for k, d in enumerate(columns):
+                entry = sum((row[e] * stacked[e][k] for e in range(len(stacked))), Fraction(0))
+                assert entry == (c == d)
+        targets = rng.sample(columns, rng.randint(1, len(columns)))
+        assert _pinned_inverse(system, pins, targets) == {c: inverse[c] for c in targets}
+        y = rng.choice(S.points)
+        core_rows = _pinned_inverse(system, pins, enumerate(y))
+        assert core_rows == {c: inverse[c] for c in enumerate(y)}
+
+
+def test_pinned_inverse_rejects_singular_and_foreign_targets():
+    S = cube_set(T4)
+    system = gs.IncidenceSystem(S)
+    with pytest.raises(gs.VerificationError, match="singular"):
+        _pinned_inverse(system, [(0, 0), (0, 1)])
+    with pytest.raises(gs.PreconditionError):
+        _pinned_inverse(system, [(0, 0), (1, 0)], [(0, 7)])

@@ -9,6 +9,7 @@ from goodsets.instances import _example10, example_instance, parse_instance
 from util import (
     DIAGONAL,
     T4,
+    brute_force_geodesic,
     cube_set,
     int_space,
     pset,
@@ -366,6 +367,67 @@ def test_doubling_chain_frontier_depth_twelve():
     assert report.max_geodesic_length == 3 * depth + 1
     assert all(report.decomposition.evaluate(p) == f(p) for p in S)
     assert elapsed < 10
+
+
+def test_doubling_chain_frontier_depth_forty():
+    # 121 points: every geodesic core is read off one pinned inverse.
+    depth = 40
+    S = parse_instance(_example10(depth)).point_set
+    f = random_function(random.Random(79), S)
+    start = time.monotonic()
+    diag = gs.bound_diagnostics(S)
+    diag_elapsed = time.monotonic() - start
+    start = time.monotonic()
+    report = gs.solve_via_geodesics(S, f)
+    solve_elapsed = time.monotonic() - start
+    assert len(S) == 121
+    assert diag.max_geodesic_length == 3 * depth + 1
+    assert diag.max_abs_indicator_value == 2**depth
+    assert report.max_geodesic_length == 3 * depth + 1
+    assert all(report.decomposition.evaluate(p) == f(p) for p in S)
+    assert diag_elapsed < 5
+    assert solve_elapsed < 5
+
+
+def test_shared_inverse_matches_single_geodesics():
+    # One inverse per base serves every core; each single geodesic computes
+    # its own core rows, and the direct solve pins the same coordinates.
+    rng = random.Random(97)
+    sets = [gs.full_closure(random_good_set(rng, random_space(rng), 8)) for _ in range(40)]
+    sets += [ex10(depth).point_set for depth in range(1, 7)]
+    for S in sets:
+        base = rng.choice(S.points)
+        diag = gs.bound_diagnostics(S, base)
+        assert list(diag.lengths) == list(S.points)
+        for y in S:
+            assert diag.lengths[y] == gs.geodesic(S, base, y).length
+        f = random_function(rng, S)
+        via = gs.solve_via_geodesics(S, f, base)
+        pins = gs.PinSet.zeros([(i, base[i]) for i in range(S.space.n - 1)])
+        direct = gs.solve_direct(S, f, pins)
+        assert direct.verdict == "unique"
+        assert via.decomposition.tables == direct.decomposition.tables
+
+
+def test_several_classes_name_the_first_unrelated_point():
+    rng = random.Random(101)
+    done = 0
+    while done < 30:
+        S = random_good_set(rng, random_space(rng, (2, 3, 4), max_axis=4), 9)
+        base = rng.choice(S.points)
+        unrelated = [y for y in S if not brute_force_geodesic(S.points, base, y)]
+        if not unrelated:
+            continue
+        with pytest.raises(gs.PreconditionError) as exc:
+            gs.bound_diagnostics(S, base)
+        assert str(exc.value) == "diagnostics are per component; this set has several"
+        with pytest.raises(gs.PreconditionError) as exc:
+            gs.solve_via_geodesics(S, random_function(rng, S), base)
+        assert str(exc.value) == (
+            f"{unrelated[0]!r} is unrelated to the base; "
+            "use the componentwise or boundary method"
+        )
+        done += 1
 
 
 def test_bound_diagnostics_rejects_multiple_components():
