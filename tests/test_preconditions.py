@@ -1,0 +1,155 @@
+"""Every public entry that needs a good set names itself when it gets none.
+
+Non-goodness of the random inputs comes from the sympy rank oracle, not
+from the package.  Each input breaks only the good-set precondition: the
+points passed in are members of the set, and the set is nonempty.  Inputs
+that break two preconditions at once only have to raise some
+`PreconditionError`, since either check may come first.
+"""
+
+import random
+
+import pytest
+
+import goodsets as gs
+from util import RECTANGLE, int_space, oracle_independent, pset
+
+
+def _solve_with_boundary(S, p, q):
+    return gs.solve_with_boundary(S, gs.FunctionTable.zero(S), gs.PinSet(()))
+
+
+# name, call on (S, p, q) with p and q points of S, expected message
+ENTRIES = [
+    ("related", lambda S, p, q: gs.related(S, p, q), "related requires a good set"),
+    ("geodesic", lambda S, p, q: gs.geodesic(S, p, q), "geodesic requires a good set"),
+    (
+        "related_components",
+        lambda S, p, q: gs.related_components(S),
+        "related_components requires a good set",
+    ),
+    (
+        "full_component",
+        lambda S, p, q: gs.full_component(S, p),
+        "full_component requires a good set",
+    ),
+    ("ei_classes", lambda S, p, q: gs.ei_classes(S), "related_components requires a good set"),
+    ("boundary", lambda S, p, q: gs.boundary(S), "boundary requires a good set"),
+    (
+        "bound_diagnostics",
+        lambda S, p, q: gs.bound_diagnostics(S),
+        "bound_diagnostics requires a good set",
+    ),
+    (
+        "bound_diagnostics-base",
+        lambda S, p, q: gs.bound_diagnostics(S, q),
+        "bound_diagnostics requires a good set",
+    ),
+    (
+        "solve_via_geodesics",
+        lambda S, p, q: gs.solve_via_geodesics(S, gs.FunctionTable.zero(S)),
+        "solve_via_geodesics requires a good set",
+    ),
+    (
+        "solve_via_geodesics-base",
+        lambda S, p, q: gs.solve_via_geodesics(S, gs.FunctionTable.zero(S), q),
+        "solve_via_geodesics requires a good set",
+    ),
+    (
+        "solve_componentwise",
+        lambda S, p, q: gs.solve_componentwise(S, gs.FunctionTable.zero(S)),
+        "related_components requires a good set",
+    ),
+    ("solve_with_boundary", _solve_with_boundary, "solve_with_boundary requires a good set"),
+]
+ENTRY_IDS = [name for name, _, _ in ENTRIES]
+
+
+RECTANGLE_CELLS = [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+# A loop of four points plus one point with enough fresh values that the
+# deficiency is exactly n - 1.
+RANK_PATH_SETS = [
+    pset(RECTANGLE + [("e", "f")]),
+    pset([(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0), (2, 2, 0)], (3, 3, 1)),
+]
+
+
+def _random_bad_sets(count=50, seed=20):
+    """A planted rectangle plus random points, confirmed dependent by sympy.
+
+    The sample alternates between deficiency below and above n - 1.
+    """
+    rng = random.Random(seed)
+    sets = []
+    while len(sets) < count:
+        space = int_space(tuple(rng.randint(2, 5) for _ in range(rng.choice((2, 3, 4)))))
+        a, b = rng.sample(range(space.n), 2)
+        corner = [rng.choice(ax.values) for ax in space.axes]
+        us, vs = rng.sample(space.axes[a].values, 2), rng.sample(space.axes[b].values, 2)
+        loop = [
+            tuple(u if i == a else v if i == b else c for i, c in enumerate(corner))
+            for u in us
+            for v in vs
+        ]
+        product = list(space.all_points())
+        extra = rng.sample(product, rng.randint(0, min(8, len(product))))
+        S = gs.PointSet.of(space, loop + extra)
+        excess = S.deficiency() - (space.n - 1)
+        if excess == 0 or (excess < 0) != (len(sets) % 2 == 0):
+            continue
+        assert not oracle_independent(space, S.points)
+        sets.append(S)
+    return sets
+
+
+RANDOM_BAD = _random_bad_sets()
+
+
+def _members(S, rng):
+    return rng.choice(S.points), rng.choice(S.points)
+
+
+@pytest.mark.parametrize("name, call, message", ENTRIES, ids=ENTRY_IDS)
+def test_rectangle_names_the_entry(name, call, message):
+    S = pset(RECTANGLE)
+    with pytest.raises(gs.PreconditionError) as err:
+        call(S, S.points[0], S.points[-1])
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("name, call, message", ENTRIES, ids=ENTRY_IDS)
+def test_bad_set_of_deficiency_n_minus_one_names_the_entry(name, call, message):
+    for S in RANK_PATH_SETS:
+        assert S.deficiency() == S.space.n - 1
+        assert not oracle_independent(S.space, S.points)
+        for p, q in [(S.points[0], S.points[-1]), (S.points[-1], S.points[1])]:
+            with pytest.raises(gs.PreconditionError) as err:
+                call(S, p, q)
+            assert str(err.value) == message
+
+
+def test_random_bad_sets_cover_both_sides_of_n_minus_one():
+    excess = [S.deficiency() - (S.space.n - 1) for S in RANDOM_BAD]
+    assert sum(e < 0 for e in excess) == sum(e > 0 for e in excess) == len(excess) // 2
+
+
+@pytest.mark.parametrize("name, call, message", ENTRIES, ids=ENTRY_IDS)
+def test_random_bad_sets_name_the_entry(name, call, message):
+    rng = random.Random(name)
+    for S in RANDOM_BAD:
+        with pytest.raises(gs.PreconditionError) as err:
+            call(S, *_members(S, rng))
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("name, call, message", ENTRIES, ids=ENTRY_IDS)
+def test_two_broken_preconditions_still_raise(name, call, message):
+    space = int_space((2, 2))
+    empty = gs.PointSet.of(space, [])
+    with pytest.raises(gs.PreconditionError):
+        call(empty, (0, 0), (1, 1))
+    # A bad set, and a point or base outside it where the entry takes one.
+    S = gs.PointSet.of(int_space((3, 3)), RECTANGLE_CELLS)
+    with pytest.raises(gs.PreconditionError):
+        call(S, (2, 2), (2, 2))
