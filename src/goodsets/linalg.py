@@ -64,8 +64,9 @@ def _primitive(v: list[int]) -> list[int]:
 class RowBasis:
     """Incremental integer row-echelon basis with exact arithmetic.
 
-    Rows are kept primitive (gcd 1) with their leading entry positive, one
-    per pivot column.  `add` either absorbs an independent vector or reports
+    Rows are sequences of ints, taken as they are.  Basis rows are kept
+    primitive (gcd 1) with their leading entry positive, one per pivot
+    column.  `add` either absorbs an independent vector or reports
     dependence, and backtracking callers can undo it with `remove_pivot`;
     `back_substitute` rewrites the rows in place without changing their span.
     """
@@ -80,7 +81,7 @@ class RowBasis:
 
     def _reduce(self, vec: Sequence[int]) -> tuple[list[int], int]:
         """(residual, lead): the residual's first nonzero column, ncols if it is zero."""
-        v = [int(x) for x in vec]
+        v = list(vec)
         if len(v) != self.ncols:
             raise PreconditionError("vector length does not match column count")
         j = 0

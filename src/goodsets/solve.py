@@ -3,9 +3,9 @@
 Four routes produce the same numbers and certify each other:
 
 * direct -- one pinned elimination over the whole incidence system.
-* geodesic -- per target point, solve the square 0/1 system of the geodesic
-  from a base point (pinned at the base's first n - 1 coordinates) and read
-  off the target's values; assembly asserts all overlaps agree.
+* geodesic -- pin a base point's first n - 1 coordinates; a target's values
+  are the rows of its geodesic's pinned inverse at the target's coordinates,
+  dotted with f on the geodesic; assembly asserts all overlaps agree.
 * componentwise -- the geodesic route per relatedness component, valid when
   components share no coordinate of any kind.
 * boundary -- prescribe values on a boundary: the pins are stacked under
@@ -31,7 +31,6 @@ from .linalg import (
     UNIQUE,
     IncidenceSystem,
     LinearSolve,
-    _canonical_solution,
     _echelon,
     _incidence_row,
     _pinned_inverse,
@@ -137,66 +136,56 @@ def geodesic_matrix(G: PointSet, base) -> GeodesicMatrix:
     return GeodesicMatrix(ordered, columns, matrix)
 
 
-def _class_inverse(S: PointSet, base: Point, unrelated) -> dict:
-    """S's inverse pinned at the base's first n - 1 coordinates, S one class.
+def _class_inverse(S: PointSet, base, what: str, unrelated) -> tuple[Point, dict]:
+    """The base and S's inverse pinned at the base's first n - 1 coordinates.
 
-    The base's class is found once, and the first point of S outside it, in
-    S's order, raises `unrelated(y)`.  Every geodesic from the base reads its
-    core off the returned inverse.
+    The prologue of the routes from one base, `what` naming the caller: S
+    is nonempty and good, and the base (S's first point by default) is in
+    S.  The first point of S outside the base's class raises `unrelated(y)`.
     """
-    F = _classes(S, base)[0]
+    S.require_nonempty(what)
+    base = S.points[0] if base is None else S.space.validate_point(tuple(base))
+    if base not in S:
+        raise PreconditionError("base point must belong to the set")
+    F = _classes(S, base, what)[0]
     for y in S:
         if y not in F:
             raise unrelated(y)
-    return _pinned_inverse(IncidenceSystem(S), [(i, base[i]) for i in range(S.space.n - 1)])
+    pins = [(i, base[i]) for i in range(S.space.n - 1)]
+    return base, _pinned_inverse(IncidenceSystem(S), pins)
 
 
 def solve_via_geodesics(S: PointSet, f: FunctionTable, base=None) -> SolveReport:
     """Case of a single relatedness component: assemble per-point geodesic solves.
 
-    Pins the base's first n - 1 coordinates at zero; for each point the
-    geodesic system is solved exactly and the point's own coordinate values
-    are read off.  The geodesics' cores come from one pinned inverse of S,
-    and each geodesic keeps its own square solve.  Coordinates reached by
-    several geodesics must agree, and the assembled split must reproduce f;
-    both are asserted.
+    Pins the base's first n - 1 coordinates at zero; each point's own
+    coordinate values are read off the n rows of its geodesic's pinned
+    inverse at those coordinates, dotted with f on the geodesic.  The
+    geodesics' cores come from one pinned inverse of S.  Coordinates reached
+    by several geodesics must agree, and the assembled split must reproduce
+    f; both are asserted.
     """
-    S.require_nonempty("solve_via_geodesics")
-    if not is_good(S):
-        raise PreconditionError("solve_via_geodesics requires a good set")
-    base = S.points[0] if base is None else S.space.validate_point(tuple(base))
-    if base not in S:
-        raise PreconditionError("base point must belong to the set")
-    inverse = _class_inverse(
+    base, inverse = _class_inverse(
         S,
         base,
+        "solve_via_geodesics",
         lambda y: PreconditionError(
             f"{y!r} is unrelated to the base; use the componentwise or boundary method"
         ),
     )
     n = S.space.n
-    pinned = {(i, base[i]) for i in range(n - 1)}
+    pins = [(i, base[i]) for i in range(n - 1)]
 
-    values: dict[Coordinate, Fraction] = {coord: Fraction(0) for coord in pinned}
+    values: dict[Coordinate, Fraction] = {}
     max_len = 0
     for y in S:
         G = _geodesic(S, base, y, inverse)
         max_len = max(max_len, G.length)
-        gm = geodesic_matrix(G.points, base)
-        ncols = len(gm.columns)
-        g, basis = _canonical_solution(gm.matrix, [f(p) for p in gm.points], ncols)
-        if g is None or basis.rank != ncols:
-            raise VerificationError("square system is singular")
-        by_col = dict(zip(gm.columns, g))
-        for coord in enumerate(y):
-            v = Fraction(0) if coord in pinned else by_col[coord]
-            if coord in values:
-                if values[coord] != v:
-                    raise VerificationError(
-                        f"geodesic solves disagree at coordinate {coord!r}"
-                    )
-            else:
-                values[coord] = v
+        rows = _pinned_inverse(IncidenceSystem(G.points), pins, targets=enumerate(y))
+        for coord, row in rows.items():
+            v = sum((w * f(p) for w, p in zip(row, G.points) if w), Fraction(0))
+            if values.setdefault(coord, v) != v:
+                raise VerificationError(f"geodesic solves disagree at coordinate {coord!r}")
 
     tables: list[dict] = [dict() for _ in range(n)]
     for (axis, label), v in values.items():
@@ -317,16 +306,10 @@ def bound_diagnostics(S: PointSet, base=None) -> BoundDiagnostics:
     the sweep is read off the inverse that every geodesic core is read off
     too; a singular system is an internal error.
     """
-    S.require_nonempty("bound_diagnostics")
-    if not is_good(S):
-        raise PreconditionError("bound_diagnostics requires a good set")
-    base = S.points[0] if base is None else S.space.validate_point(tuple(base))
-    if base not in S:
-        raise PreconditionError("base point must belong to the set")
-
-    inverse = _class_inverse(
+    base, inverse = _class_inverse(
         S,
         base,
+        "bound_diagnostics",
         lambda y: PreconditionError("diagnostics are per component; this set has several"),
     )
     lengths = {y: _geodesic(S, base, y, inverse).length for y in S}

@@ -31,7 +31,13 @@ set F1 & F2 has |C(F1) & C(F2)| >= |C(F1 & F2)| >= |F1 & F2| + n - 1, so
 def(F1 | F2) <= n - 1, which the good set F1 | F2 can only meet with
 equality.  Hence x's class, the union of the full subsets through x, is the
 final part holding x.  A full group is taken as final before any kernel is
-built, so full and maximal sets cost no elimination here.
+built, so full and maximal sets cost no kernel here.
+
+Goodness.  Each public entry names itself to the refinement, whose first
+elimination of S is the good-set check: one rank of S's rows when
+def(S) = n - 1, otherwise the first split's kernel, as dim K(S) =
+|C(S)| - rank exceeds def(S) exactly when the rows are dependent.  Every
+later group is a subset of S and good with it.
 
 Geodesics.  The same equality gives |C(F1) & C(F2)| = |F1 & F2| + n - 1,
 which squeezes |C(F1 & F2)| to that value: two full subsets sharing a point
@@ -65,8 +71,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .goodness import is_good
-from .linalg import IncidenceSystem, _echelon, _pinned_inverse, _stack_pins, column_kernel
+from .linalg import IncidenceSystem, _echelon, _pinned_inverse, _stack_pins, column_kernel, rank
 from .model import (
     Coordinate,
     PinSet,
@@ -115,28 +120,37 @@ def _core(F: PointSet, x: Point, y: Point, inverse=None) -> tuple[Point, ...]:
     return tuple(p for p in F if p in support)
 
 
-def _signature_groups(G: PointSet) -> list[list[Point]]:
-    """G's points grouped by their signature over a basis of K(G), in G's order."""
+def _signature_groups(G: PointSet, what: str | None = None) -> list[list[Point]]:
+    """G's points grouped by their signature over a basis of K(G), in G's order.
+
+    With `what`, a kernel larger than def(G) means G is not good.
+    """
     kernel = column_kernel(IncidenceSystem(G))
+    if what is not None and len(kernel) != G.deficiency():
+        raise PreconditionError(f"{what} requires a good set")
     groups: dict[tuple, list[Point]] = {}
     for p in G:
         groups.setdefault(tuple(g.get(c, 0) for g in kernel for c in enumerate(p)), []).append(p)
     return list(groups.values())
 
 
-def _classes(S: PointSet, x: Point | None = None) -> list[PointSet]:
-    """The relatedness classes of the good set S; with x, only the one holding x.
+def _classes(S: PointSet, x: Point | None = None, what: str | None = None) -> list[PointSet]:
+    """The relatedness classes of S; with x, only the one holding x.
 
     A full group is final; any other group splits by signature, and one that
-    does not split means the theorem failed.
+    does not split means the theorem failed.  With `what`, S's first
+    elimination is also its good-set check.
     """
     groups, classes = [S], []
     while groups:
         G = groups.pop()
         if G.deficiency() == S.space.n - 1:
+            if what is not None and rank(IncidenceSystem(G)) != len(G):
+                raise PreconditionError(f"{what} requires a good set")
             classes.append(G)
             continue
-        parts = _signature_groups(G)
+        parts = _signature_groups(G, what)
+        what = None
         if len(parts) == 1:
             raise VerificationError("a group that is not full has one kernel signature")
         groups.extend(PointSet(S.space, part) for part in parts if x is None or x in part)
@@ -157,10 +171,8 @@ class Geodesic:
 
 def related(S: PointSet, x, y) -> bool:
     """True iff some full subset of S contains both points."""
-    if not is_good(S):
-        raise PreconditionError("related requires a good set")
     x, y = _require_member(S, x), _require_member(S, y)
-    return y in _classes(S, x)[0]
+    return y in _classes(S, x, "related")[0]
 
 
 def geodesic(S: PointSet, x, y) -> Geodesic | None:
@@ -168,22 +180,20 @@ def geodesic(S: PointSet, x, y) -> Geodesic | None:
 
     A result that is not full or misses the core is a fatal internal error.
     """
-    if not is_good(S):
-        raise PreconditionError("geodesic requires a good set")
-    return _geodesic(S, _require_member(S, x), _require_member(S, y))
+    return _geodesic(S, _require_member(S, x), _require_member(S, y), what="geodesic")
 
 
-def _geodesic(S: PointSet, x: Point, y: Point, inverse=None) -> Geodesic | None:
-    """The core of x and y in x's class, completed by deleting points, for a good S.
+def _geodesic(S: PointSet, x: Point, y: Point, inverse=None, what=None) -> Geodesic | None:
+    """The core of x and y in x's class, completed by deleting points.
 
     A given `inverse` is that of x's class pinned at x, shared by the cores
-    of every y.
+    of every y.  S is good unless `what` names the caller that checks it.
     """
     n = S.space.n
-    F = _classes(S, x)[0]
+    F = _classes(S, x, what)[0]
     if y not in F:
         return None
-    core = _core(F, x, y) if inverse is None else _core(F, x, y, inverse)
+    core = _core(F, x, y, inverse)
     G = PointSet(S.space, core)
     if G.deficiency() != n - 1:
         G = F
@@ -216,9 +226,13 @@ def related_components(S: PointSet) -> ComponentPartition:
 
     Distinct classes may share at most n - 2 kinds of coordinates.
     """
-    if not is_good(S):
-        raise PreconditionError("related_components requires a good set")
-    components = sorted(_classes(S), key=lambda c: S.space.point_key(c.points[0]))
+    return _partition(S, "related_components")
+
+
+def _partition(S: PointSet, what: str) -> ComponentPartition:
+    """`related_components`, with `what` named when S is empty or not good."""
+    S.require_nonempty(what)
+    components = sorted(_classes(S, what=what), key=lambda c: S.space.point_key(c.points[0]))
     index = {q: ci for ci, comp in enumerate(components) for q in comp}
     # Distinct components may share at most n - 2 kinds of coordinates.
     kinds = [[{p[i] for p in comp} for i in range(S.space.n)] for comp in components]
@@ -234,9 +248,7 @@ def related_components(S: PointSet) -> ComponentPartition:
 
 def full_component(S: PointSet, x) -> PointSet:
     """The largest full subset of S containing x (its relatedness class)."""
-    if not is_good(S):
-        raise PreconditionError("full_component requires a good set")
-    return _classes(S, _require_member(S, x))[0]
+    return _classes(S, _require_member(S, x), "full_component")[0]
 
 
 @dataclass(frozen=True)
@@ -323,9 +335,7 @@ def boundary(S: PointSet, verify: bool = True) -> BoundaryConstruction:
     stacked system square of full rank, so any prescribed boundary values
     and any right-hand side admit exactly one solution.
     """
-    if not is_good(S):
-        raise PreconditionError("boundary requires a good set")
-    partition = related_components(S)
+    partition = _partition(S, "boundary")
     ei = ei_classes(S, partition)
     space = S.space
 

@@ -278,7 +278,7 @@ def test_non_object_table_is_parse_error(capsys, tmp_path, field, value):
 def test_unsplit_group_exits_internal(capsys, inst_dir, monkeypatch):
     # A group that is not full must split by kernel signature; keeping ex07
     # (deficiency 5) whole breaks that.
-    monkeypatch.setattr(structure, "_signature_groups", lambda G: [list(G.points)])
+    monkeypatch.setattr(structure, "_signature_groups", lambda G, what=None: [list(G.points)])
     code, report, err = run_cli(capsys, "components", str(inst_dir / "ex07.json"))
     assert code == 4 and report is None
     assert err.startswith("internal error: a group that is not full has one kernel signature")
@@ -290,7 +290,7 @@ def test_shared_kinds_check_exits_internal(capsys, inst_dir, monkeypatch, parts)
     # t4 is full.  Split into two "classes", its least point and the other
     # three share a value on every axis, and points 1, 2 and points 0, 3 on
     # two of the three; both break the n - 2 shared-kinds bound.
-    def split(S, x=None):
+    def split(S, x=None, what=None):
         return [S.subset(S.points[k] for k in part) for part in parts]
 
     monkeypatch.setattr(structure, "_classes", split)
@@ -303,7 +303,7 @@ def test_shared_kinds_check_exits_internal(capsys, inst_dir, monkeypatch, parts)
 
 
 def test_internal_error_exit_code(capsys, inst_dir, monkeypatch):
-    def core_outside_class(F, x, y):
+    def core_outside_class(F, x, y, inverse=None):
         return (x, y, ("1", "1", "1"))
 
     monkeypatch.setattr(structure, "_core", core_outside_class)
