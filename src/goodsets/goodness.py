@@ -2,10 +2,12 @@
 
 A point set S is *good* when every function on it is a sum of univariate
 functions, equivalently when its incidence rows are linearly independent,
-equivalently when it contains no loop.  A good set is *full* when it is
-maximal good inside the product of its own projections; for good sets this
-is the same as deficiency(S) = n - 1, and both characterisations are
-implemented so they can be played against each other in tests.
+equivalently when it contains no loop; the one dependence scan behind
+`linalg.extract_circuit` decides it, and its circuit is the loop.  A good
+set is *full* when it is maximal good inside the product of its own
+projections; for good sets this is the same as deficiency(S) = n - 1, and
+both characterisations are implemented so they can be played against each
+other in tests.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ from .linalg import (
     CircuitVector,
     IncidenceSystem,
     RowBasis,
+    _circuit,
     _echelon,
     _incidence_row,
     column_kernel,
-    extract_circuit,
 )
 from .model import (
     PinSet,
@@ -56,32 +58,32 @@ class GoodnessVerdict:
 
 
 def is_good(S: PointSet) -> GoodnessVerdict:
-    """Decide goodness by rank; on failure return a verified loop certificate."""
+    """Decide goodness by the dependence scan; on failure its circuit is the loop.
+
+    The loop is the scan's own circuit, not re-verified here; callers that
+    print it (the CLI) re-check it with `linalg.verify_circuit`.
+    """
     S.require_nonempty("goodness")
-    columns = S.coordinates()
-    col_index = {c: j for j, c in enumerate(columns)}
-    basis = RowBasis(len(columns))
-    for p in S:
-        if basis.add(_incidence_row(p, col_index)) is None:
-            return GoodnessVerdict(False, extract_circuit(S.space, S.points))
-    return GoodnessVerdict(True, None)
+    loop = _circuit(S)
+    return GoodnessVerdict(loop is None, loop)
 
 
 def is_full(S: PointSet, definitional: bool = False) -> bool:
     """Is S maximal good within the product of its own projections?
 
-    Fast path: good and deficiency = n - 1.  The definitional check instead
-    tests that every point of the projection product lies in the row span,
-    by rank alone; the two must agree everywhere and tests enforce that.
+    Fast path: deficiency = n - 1, then good.  The definitional check
+    eliminates S's rows once: S must be good (rank |S|) and every point of
+    the projection product must lie in the row span; the two must agree
+    everywhere and tests enforce that.
     """
     S.require_nonempty("fullness")
     if not definitional:
-        return bool(is_good(S)) and S.deficiency() == S.space.n - 1
-    if not is_good(S):
-        return False
+        return S.deficiency() == S.space.n - 1 and bool(is_good(S))
     columns = S.coordinates()
     col_index = {c: j for j, c in enumerate(columns)}
     basis = _echelon((_incidence_row(p, col_index) for p in S), len(columns))
+    if basis.rank < len(S):
+        return False
     return all(basis.contains(_incidence_row(p, col_index)) for p in S.product_points())
 
 

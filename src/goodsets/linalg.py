@@ -11,11 +11,11 @@ final division by a pivot entry.  Pins (prescribed coordinate values) enter
 as extra unit rows, not by column elimination, which keeps the unique /
 underdetermined / inconsistent reporting uniform.
 
-Dependency certificates (loops) come out of :func:`extract_circuit`: one
-reverse pass over the canonical support finds the first point that turns
-the rows dependent; from that point on the support holds exactly one
-circuit, whose coefficient vector is the unique normalized integer kernel
-element.
+One dependence scan decides goodness and yields loops (`extract_circuit`):
+one reverse pass over the canonical support finds the first point that
+turns the rows dependent, if any; from that point on the support holds
+exactly one circuit, whose coefficient vector is the unique normalized
+integer kernel element.
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ class RowBasis:
     Rows are sequences of ints, taken as they are.  Basis rows are kept
     primitive (gcd 1) with their leading entry positive, one per pivot
     column.  `add` either absorbs an independent vector or reports
-    dependence, and backtracking callers can undo it with `remove_pivot`;
-    `back_substitute` rewrites the rows in place without changing their span.
+    dependence; `back_substitute` rewrites the rows in place without
+    changing their span.
     """
 
     def __init__(self, ncols: int):
@@ -100,10 +100,6 @@ class RowBasis:
             j += 1
         return v, j
 
-    def reduce(self, vec: Sequence[int]) -> list[int]:
-        """Eliminate `vec` against the basis; the residual is primitive or zero."""
-        return self._reduce(vec)[0]
-
     def contains(self, vec: Sequence[int]) -> bool:
         return self._reduce(vec)[1] == self.ncols
 
@@ -114,9 +110,6 @@ class RowBasis:
             return None
         self.pivot_rows[lead] = r
         return lead
-
-    def remove_pivot(self, pivot: int):
-        del self.pivot_rows[pivot]
 
     def back_substitute(self):
         """Clear every pivot column above its pivot, in place.
@@ -401,29 +394,27 @@ class CircuitVector:
         return len(self.points)
 
 
-def extract_circuit(space: Space, points: Iterable[Point]) -> CircuitVector:
-    """Find a circuit among dependent points and compute its coefficients.
+def _circuit(S: PointSet) -> CircuitVector | None:
+    """The dependence scan: the circuit among S's points, None if they are independent.
 
-    One pass scans the canonical support in reverse; the first point e_k
-    whose row is dependent on the rows after it makes T = support[k:] hold
-    exactly one circuit.  That circuit is the support of the one-dimensional
-    kernel of T's transposed incidence matrix, and it is what the deletion
-    loop (drop, in canonical order, any point whose removal keeps the rest
-    dependent) would leave.  The kernel vector scales to a unique normalized
-    integer vector.
+    One pass scans S in reverse canonical order, with rows over S's own
+    coordinates; the first point e_k whose row is dependent on the rows
+    after it makes T = S.points[k:] hold exactly one circuit.  That circuit
+    is the support of the one-dimensional kernel of T's transposed incidence
+    matrix, and it is what the deletion loop (drop, in canonical order, any
+    point whose removal keeps the rest dependent) would leave.  The kernel
+    vector scales to a unique normalized integer vector.
     """
-    support = sorted({space.validate_point(p) for p in points}, key=space.point_key)
-    columns = space.coordinates()
-    col_index = {c: j for j, c in enumerate(columns)}
-    rows = [_incidence_row(p, col_index) for p in support]
-    scan = RowBasis(len(columns))
+    col_index = {c: j for j, c in enumerate(S.coordinates())}
+    rows = [_incidence_row(p, col_index) for p in S]
+    scan = RowBasis(len(col_index))
     k = next((k for k in reversed(range(len(rows))) if scan.add(rows[k]) is None), None)
     if k is None:
-        raise PreconditionError("points are linearly independent; no circuit exists")
+        return None
 
     # Kernel of the transpose: coefficients per point of T.
-    tail, tail_rows = support[k:], rows[k:]
-    basis = _echelon(([row[j] for row in tail_rows] for j in range(len(columns))), len(tail))
+    tail, tail_rows = S.points[k:], rows[k:]
+    basis = _echelon(([row[j] for row in tail_rows] for j in range(len(col_index))), len(tail))
     basis.back_substitute()
     kernel = _null_vectors(basis, len(tail))
     if len(kernel) != 1:
@@ -438,6 +429,14 @@ def extract_circuit(space: Space, points: Iterable[Point]) -> CircuitVector:
         ints = [-x for x in ints]
     circuit = [(p, c) for p, c in zip(tail, ints) if c]
     return CircuitVector(tuple(p for p, _ in circuit), tuple(c for _, c in circuit))
+
+
+def extract_circuit(space: Space, points: Iterable[Point]) -> CircuitVector:
+    """The circuit the dependence scan (`_circuit`) finds among dependent points."""
+    circuit = _circuit(PointSet.of(space, points))
+    if circuit is None:
+        raise PreconditionError("points are linearly independent; no circuit exists")
+    return circuit
 
 
 def verify_circuit(space: Space, circuit: CircuitVector):

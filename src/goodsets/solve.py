@@ -263,18 +263,17 @@ def solve_with_boundary(
     `structure.boundary` always qualifies; so does the coordinate set of a
     full complement from `full_split`.  The stacked system is checked to be
     square and then solved once; any verdict but unique means the pins are
-    not a boundary.
+    not a boundary.  A unique square solve also makes S's rows independent,
+    so `is_good` runs only on failure, to name the broken precondition.
     """
     S.require_nonempty("solve_with_boundary")
-    if not is_good(S):
-        raise PreconditionError("solve_with_boundary requires a good set")
     system = IncidenceSystem(S)
-    not_boundary = "pins do not coincide with a boundary of the set"
-    if len(system.rows) + len(boundary_values) != len(system.columns):
-        raise PreconditionError(not_boundary)
-    outcome = solve_pinned(system, f, boundary_values)
-    if not outcome.unique:
-        raise PreconditionError(not_boundary)
+    square = len(system.rows) + len(boundary_values) == len(system.columns)
+    outcome = solve_pinned(system, f, boundary_values) if square else None
+    if outcome is None or not outcome.unique:
+        if not is_good(S):
+            raise PreconditionError("solve_with_boundary requires a good set")
+        raise PreconditionError("pins do not coincide with a boundary of the set")
     decomposition = outcome.decomposition
 
     for coord, value in boundary_values:

@@ -212,10 +212,6 @@ class ComponentPartition:
     """Partition of a good set into its (full) relatedness components."""
 
     components: tuple[PointSet, ...]
-    index: dict
-
-    def component_of(self, p) -> PointSet:
-        return self.components[self.index[tuple(p)]]
 
     def __len__(self) -> int:
         return len(self.components)
@@ -233,7 +229,6 @@ def _partition(S: PointSet, what: str) -> ComponentPartition:
     """`related_components`, with `what` named when S is empty or not good."""
     S.require_nonempty(what)
     components = sorted(_classes(S, what=what), key=lambda c: S.space.point_key(c.points[0]))
-    index = {q: ci for ci, comp in enumerate(components) for q in comp}
     # Distinct components may share at most n - 2 kinds of coordinates.
     kinds = [[{p[i] for p in comp} for i in range(S.space.n)] for comp in components]
     for a in range(len(kinds)):
@@ -243,7 +238,7 @@ def _partition(S: PointSet, what: str) -> ComponentPartition:
                 raise VerificationError(
                     "distinct components share too many coordinate kinds"
                 )
-    return ComponentPartition(tuple(components), index)
+    return ComponentPartition(tuple(components))
 
 
 def full_component(S: PointSet, x) -> PointSet:
@@ -327,13 +322,12 @@ class BoundaryConstruction:
         return PinSet(tuple((c, values[c]) for c in self.boundary))
 
 
-def boundary(S: PointSet, verify: bool = True) -> BoundaryConstruction:
+def boundary(S: PointSet) -> BoundaryConstruction:
     """Build a boundary of the good set S from the class/relation system.
 
-    With `verify` (the default, meant for everything but hot production
-    loops) the construction is certified: pinning the boundary must make the
-    stacked system square of full rank, so any prescribed boundary values
-    and any right-hand side admit exactly one solution.
+    The construction is certified by `verify_boundary`: pinning the boundary
+    must make the stacked system square of full rank, so any prescribed
+    boundary values and any right-hand side admit exactly one solution.
     """
     partition = _partition(S, "boundary")
     ei = ei_classes(S, partition)
@@ -369,8 +363,7 @@ def boundary(S: PointSet, verify: bool = True) -> BoundaryConstruction:
         boundary=bound,
     )
 
-    if verify:
-        verify_boundary(S, construction)
+    verify_boundary(S, construction)
     return construction
 
 

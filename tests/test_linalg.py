@@ -323,6 +323,7 @@ def test_extract_circuit_matches_deletion_loop():
             continue
         circuit = gs.extract_circuit(space, S.points)
         assert list(circuit.points) == _deletion_loop_support(space, S.points)
+        assert gs.is_good(S).loop == circuit
         null = oracle_zero_marginal_dependency(space, circuit.points)
         ratio = circuit.coefficients[0] / null[0]
         assert [ratio * c for c in null] == list(circuit.coefficients)

@@ -8,6 +8,7 @@ that break two preconditions at once only have to raise some
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -141,6 +142,29 @@ def test_random_bad_sets_name_the_entry(name, call, message):
         with pytest.raises(gs.PreconditionError) as err:
             call(S, *_members(S, rng))
         assert str(err.value) == message
+
+
+def test_square_singular_boundary_system_names_a_bad_set():
+    # def(S) distinct pins of S's own coordinates make the stacked system
+    # square; dependent point rows make it singular, so the solve cannot be
+    # unique.  Zero data gives an underdetermined system, random data an
+    # inconsistent one on these inputs.
+    rng = random.Random(21)
+    verdicts = set()
+    sets = [S for S in RANK_PATH_SETS + RANDOM_BAD if S.deficiency() > 0]
+    assert len(sets) >= 30
+    for S in sets:
+        coords = rng.sample(S.coordinates(), S.deficiency())
+        assert len(S) + len(coords) == len(S.coordinates())
+        zero = (gs.FunctionTable.zero(S), gs.PinSet.zeros(coords))
+        random_f = gs.FunctionTable(S, {p: Fraction(rng.randint(-5, 5)) for p in S})
+        random_pins = gs.PinSet(tuple((c, Fraction(rng.randint(-5, 5))) for c in coords))
+        for f, pins in (zero, (random_f, random_pins)):
+            verdicts.add(gs.solve_pinned(gs.IncidenceSystem(S), f, pins).verdict)
+            with pytest.raises(gs.PreconditionError) as err:
+                gs.solve_with_boundary(S, f, pins)
+            assert str(err.value) == "solve_with_boundary requires a good set"
+    assert verdicts == {"underdetermined", "inconsistent"}
 
 
 @pytest.mark.parametrize("name, call, message", ENTRIES, ids=ENTRY_IDS)
