@@ -105,9 +105,10 @@ def _cmd_find_loop(instance: Instance, args) -> dict:
 
 
 def _cmd_is_full(instance: Instance, args) -> dict:
-    good = bool(goodness.is_good(instance.point_set))
-    full = goodness.is_full(instance.point_set) if good else False
-    return {"good": good, "full": full}
+    S = instance.point_set
+    good = bool(goodness.is_good(S))
+    # A good set is full exactly when def(S) = n - 1 (`is_full`'s fast path).
+    return {"good": good, "full": good and S.deficiency() == S.space.n - 1}
 
 
 def _cmd_fullify(instance: Instance, args) -> dict:
@@ -272,7 +273,7 @@ def _cmd_stats(instance: Instance, args) -> dict:
         payload["full"] = False
         payload["components"] = None
         return payload
-    payload["full"] = goodness.is_full(S)
+    payload["full"] = S.deficiency() == S.space.n - 1
     partition = structure.related_components(S)
     payload["components"] = len(partition)
     if len(partition) == 1:

@@ -84,7 +84,7 @@ def is_full(S: PointSet, definitional: bool = False) -> bool:
     basis = _echelon((_incidence_row(p, col_index) for p in S), len(columns))
     if basis.rank < len(S):
         return False
-    return all(basis.contains(_incidence_row(p, col_index)) for p in S.product_points())
+    return all(basis.contains_sparse(_incidence_row(p, col_index)) for p in S.product_points())
 
 
 def _require_good(S: PointSet, what: str):
@@ -114,7 +114,7 @@ def _addable(S: PointSet, columns, candidates, what: str):
     col_index = {c: j for j, c in enumerate(columns)}
     basis = RowBasis(len(columns))
     for p in S:
-        if basis.add(_incidence_row(p, col_index)) is None:
+        if basis.add_sparse(_incidence_row(p, col_index)) is None:
             raise PreconditionError(f"{what} requires a good set")
     used = [set(S.projection(i)) for i in range(n)]
     excess = sum(map(len, used)) - len(S) - (n - 1)
@@ -126,7 +126,7 @@ def _addable(S: PointSet, columns, candidates, what: str):
                 continue
             if excess == 0 and all(v in used[i] for i, v in enumerate(candidate)):
                 continue
-            if basis.add(_incidence_row(candidate, col_index)) is not None:
+            if basis.add_sparse(_incidence_row(candidate, col_index)) is not None:
                 for i, v in enumerate(candidate):
                     if v not in used[i]:
                         used[i].add(v)

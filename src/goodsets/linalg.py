@@ -5,7 +5,11 @@ The decomposition equation u_1(x_1) + ... + u_n(x_n) = f(x) is linear with
 the union of the projections.  Rank decisions drive every correctness claim
 in this package, so there is exactly one elimination, the integer
 :class:`RowBasis`; rank, kernel, solve, span membership and circuit
-coefficients are views on it.  A rational right-hand side is scaled to
+coefficients are views on it.  A point's row has n nonzeros among |C(S)|
+columns, so rows are sparse: dicts {column: int} of their nonzero entries,
+and a reduction touches only the entries that are there.  The right-hand
+side, the identity block of a witness and the unit columns of an inverse
+are extra keys of the same dicts.  A rational right-hand side is scaled to
 integers by the lcm of its denominators, and `Fraction` appears only at the
 final division by a pivot entry.  Pins (prescribed coordinate values) enter
 as extra unit rows, not by column elimination, which keeps the unique /
@@ -21,6 +25,7 @@ integer kernel element.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
@@ -56,106 +61,150 @@ UNDERDETERMINED = "underdetermined"
 INCONSISTENT = "inconsistent"
 
 
-def _primitive(v: list[int]) -> list[int]:
-    g = gcd(*v)
-    return [x // g for x in v] if g > 1 else v
+def _primitive(v: dict[int, int]) -> dict[int, int]:
+    g = gcd(*v.values())
+    return {j: x // g for j, x in v.items()} if g > 1 else v
+
+
+def _combine(v: dict[int, int], a: int, row: dict[int, int], b: int) -> dict[int, int]:
+    """The primitive part of a*v - b*row, zeros dropped.
+
+    v is consumed: it is updated in place when a is 1, so the caller must
+    own it.  row is only read.
+    """
+    if a != 1:
+        v = {j: x * a for j, x in v.items()}
+    get = v.get
+    for j, y in row.items():
+        z = get(j, 0) - y * b
+        if z:
+            v[j] = z
+        else:
+            del v[j]
+    return _primitive(v)
+
+
+def _dense(row: Mapping[int, int], ncols: int) -> tuple[int, ...]:
+    return tuple(row.get(j, 0) for j in range(ncols))
+
+
+def _transpose(rows: Sequence[Mapping[int, int]], ncols: int) -> list[dict[int, int]]:
+    """Column j of the rows as a sparse row keyed by row index, for j < ncols."""
+    columns: list[dict[int, int]] = [{} for _ in range(ncols)]
+    for k, row in enumerate(rows):
+        for j, x in row.items():
+            columns[j][k] = x
+    return columns
 
 
 class RowBasis:
-    """Incremental integer row-echelon basis with exact arithmetic.
+    """Incremental integer row-echelon basis with exact arithmetic, on sparse rows.
 
-    Rows are sequences of ints, taken as they are.  Basis rows are kept
-    primitive (gcd 1) with their leading entry positive, one per pivot
-    column.  `add` either absorbs an independent vector or reports
-    dependence; `back_substitute` rewrites the rows in place without
-    changing their span.
+    A row is a dict {column: int} of its nonzero entries.  The pivot of a
+    row is its least column; a reduced row is kept primitive (gcd 1) and a
+    new basis row gets a positive leading entry, one row per pivot column.
+    `add` and `contains` take dense int sequences, `add_sparse` and
+    `contains_sparse` take the dicts themselves.  A row handed in is copied
+    before it is reduced and never modified; the basis owns its rows, and
+    `back_substitute` rewrites them in place without changing their span.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.pivot_rows: dict[int, list[int]] = {}
+        self.pivot_rows: dict[int, dict[int, int]] = {}
 
     @property
     def rank(self) -> int:
         return len(self.pivot_rows)
 
-    def _reduce(self, vec: Sequence[int]) -> tuple[list[int], int]:
-        """(residual, lead): the residual's first nonzero column, ncols if it is zero."""
+    def _reduce(self, vec: Mapping[int, int]) -> tuple[dict[int, int], int]:
+        """(residual, lead): the residual's least column, ncols if it is zero."""
+        v = dict(vec)
+        pivot_rows = self.pivot_rows
+        while v:
+            j = min(v)
+            row = pivot_rows.get(j)
+            if row is None:
+                if v[j] < 0:
+                    v = {k: -x for k, x in v.items()}
+                return v, j
+            # v and the pivot row are both zero before column j.
+            v = _combine(v, row[j], row, v[j])
+        return v, self.ncols
+
+    def _dense_to_sparse(self, vec: Sequence[int]) -> dict[int, int]:
         v = list(vec)
         if len(v) != self.ncols:
             raise PreconditionError("vector length does not match column count")
-        j = 0
-        while j < self.ncols:
-            if v[j] == 0:
-                j += 1
-                continue
-            row = self.pivot_rows.get(j)
-            if row is None:
-                if v[j] < 0:
-                    v = [-x for x in v]
-                break
-            a, b = row[j], v[j]
-            # v and the pivot row are both zero before column j.
-            v[j:] = _primitive([b_k * a - row_k * b for b_k, row_k in zip(v[j:], row[j:])])
-            j += 1
-        return v, j
+        return {j: x for j, x in enumerate(v) if x}
+
+    def contains_sparse(self, row: Mapping[int, int]) -> bool:
+        return self._reduce(row)[1] == self.ncols
 
     def contains(self, vec: Sequence[int]) -> bool:
-        return self._reduce(vec)[1] == self.ncols
+        return self.contains_sparse(self._dense_to_sparse(vec))
 
-    def add(self, vec: Sequence[int]) -> int | None:
+    def add_sparse(self, row: Mapping[int, int]) -> int | None:
         """Insert if independent; returns the new pivot column, else None."""
-        r, lead = self._reduce(vec)
+        r, lead = self._reduce(row)
         if lead == self.ncols:
             return None
         self.pivot_rows[lead] = r
         return lead
 
+    def add(self, vec: Sequence[int]) -> int | None:
+        """`add_sparse` of a dense vector."""
+        return self.add_sparse(self._dense_to_sparse(vec))
+
     def back_substitute(self):
-        """Clear every pivot column above its pivot, in place.
+        """Clear every pivot column above its pivot.
 
         The rows keep their span, primitivity and positive leading entries;
         afterwards pivot column p is nonzero only in row p, so each solution
         or kernel entry is a single division by that row's pivot entry.
         """
-        pivots = sorted(self.pivot_rows)
-        for k in range(len(pivots) - 1, 0, -1):
-            prow = self.pivot_rows[pivots[k]]
-            a = prow[pivots[k]]
-            for q in pivots[:k]:
-                row = self.pivot_rows[q]
-                b = row[pivots[k]]
-                if b:
-                    self.pivot_rows[q] = _primitive(
-                        [x * a - y * b for x, y in zip(row, prow)]
-                    )
+        rows = self.pivot_rows
+        pivots = sorted(rows)
+        # Row p, once cleared, is nonzero at no other pivot column, so
+        # clearing p from a row q never adds a pivot column to q: the rows
+        # that hold column p can be listed before any row changes.
+        holders: dict[int, list[int]] = {p: [] for p in pivots}
+        for q in pivots:
+            for j in rows[q]:
+                if j != q and j in holders:
+                    holders[j].append(q)
+        for p in reversed(pivots):
+            prow = rows[p]
+            a = prow[p]
+            for q in holders[p]:
+                rows[q] = _combine(rows[q], a, prow, rows[q][p])
 
 
-def _echelon(rows: Iterable[Sequence[int]], ncols: int) -> RowBasis:
+def _echelon(rows: Iterable[Mapping[int, int]], ncols: int) -> RowBasis:
     basis = RowBasis(ncols)
     for row in rows:
-        basis.add(row)
+        basis.add_sparse(row)
     return basis
 
 
-def _null_vectors(basis: RowBasis, ncols: int) -> list[list[Fraction]]:
-    """Kernel of a back-substituted basis: one vector per free column, 1 there."""
-    vectors = []
-    for fc in range(ncols):
-        if fc in basis.pivot_rows:
-            continue
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for p, row in basis.pivot_rows.items():
-            v[p] = Fraction(-row[fc], row[p])
-        vectors.append(v)
-    return vectors
+def _null_vectors(basis: RowBasis, ncols: int) -> list[dict[int, Fraction]]:
+    """Kernel of a back-substituted basis: one vector per free column, 1 there.
+
+    Each vector is a dict of its nonzero entries in column order.
+    """
+    vectors = {fc: {fc: Fraction(1)} for fc in range(ncols) if fc not in basis.pivot_rows}
+    for p, row in basis.pivot_rows.items():
+        for fc, x in row.items():
+            v = vectors.get(fc)
+            if v is not None:
+                v[p] = Fraction(-x, row[p])
+    return [dict(sorted(v.items())) for v in vectors.values()]
 
 
-def _augment(rows, rhs: Sequence[Fraction]) -> tuple[list[list[int]], int]:
-    """Rows extended by the rhs column, scaled by the lcm of its denominators."""
+def _augment(rows, rhs: Sequence[Fraction], ncols: int) -> tuple[list[dict[int, int]], int]:
+    """Rows extended by the rhs at column ncols, scaled by the lcm of its denominators."""
     scale = lcm(*(b.denominator for b in rhs))
-    return [list(r) + [int(b * scale)] for r, b in zip(rows, rhs)], scale
+    return [{**r, ncols: int(b * scale)} if b else r for r, b in zip(rows, rhs)], scale
 
 
 def _canonical_solution(rows, rhs: Sequence[Fraction], ncols: int):
@@ -164,20 +213,20 @@ def _canonical_solution(rows, rhs: Sequence[Fraction], ncols: int):
     The basis is the back-substituted echelon form of the augmented rows when
     the system is consistent, so its first ncols columns carry the kernel.
     """
-    augmented, scale = _augment(rows, rhs)
+    augmented, scale = _augment(rows, rhs, ncols)
     basis = _echelon(augmented, ncols + 1)
     if ncols in basis.pivot_rows:
         return None, basis
     basis.back_substitute()
     x = [Fraction(0)] * ncols
     for p, row in basis.pivot_rows.items():
-        x[p] = Fraction(row[ncols], row[p] * scale)
+        x[p] = Fraction(row.get(ncols, 0), row[p] * scale)
     return x, basis
 
 
-def _incidence_row(point: Point, col_index: Mapping) -> list[int]:
-    """0/1 row of a point over the indexed columns; other coordinates are dropped."""
-    row = [0] * len(col_index)
+def _incidence_row(point: Point, col_index: Mapping) -> dict[int, int]:
+    """Sparse 0/1 row of a point over the indexed columns; other coordinates are dropped."""
+    row = {}
     for coord in enumerate(point):
         j = col_index.get(coord)
         if j is not None:
@@ -194,22 +243,30 @@ class PinRow:
 
 @dataclass(frozen=True)
 class IncidenceSystem:
-    """Rows: incidence vectors of the points of S.  Columns: coordinates of S."""
+    """Rows: incidence vectors of the points of S.  Columns: coordinates of S.
+
+    `sparse_rows` are what the elimination reads; `rows`, the dense 0/1
+    tuples, are derived from them on first use.
+    """
 
     point_set: PointSet
     columns: tuple[Coordinate, ...]
     col_index: dict
-    rows: tuple[tuple[int, ...], ...]
+    sparse_rows: tuple[dict[int, int], ...]
 
     def __init__(self, point_set: PointSet):
         point_set.require_nonempty("incidence system")
         columns = point_set.coordinates()
         col_index = {c: j for j, c in enumerate(columns)}
-        rows = tuple(tuple(_incidence_row(p, col_index)) for p in point_set)
+        sparse_rows = tuple(_incidence_row(p, col_index) for p in point_set)
         object.__setattr__(self, "point_set", point_set)
         object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "col_index", col_index)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "sparse_rows", sparse_rows)
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(_dense(r, len(self.columns)) for r in self.sparse_rows)
 
     @property
     def space(self) -> Space:
@@ -220,18 +277,16 @@ class IncidenceSystem:
         return self.point_set.points
 
 
-def _stack_pins(system: IncidenceSystem, coords) -> list[list[int]]:
+def _stack_pins(system: IncidenceSystem, coords) -> list[dict[int, int]]:
     """The incidence rows followed by one unit row per pinned coordinate."""
-    rows = [list(r) for r in system.rows]
+    rows = list(system.sparse_rows)
     for coord in coords:
         j = system.col_index.get(coord)
         if j is None:
             raise PreconditionError(
                 f"pinned coordinate {coord!r} is not a column of the system"
             )
-        unit = [0] * len(system.columns)
-        unit[j] = 1
-        rows.append(unit)
+        rows.append({j: 1})
     return rows
 
 
@@ -259,29 +314,32 @@ def _pinned_inverse(
     for t in targets:
         if t not in system.col_index:
             raise PreconditionError(f"target coordinate {t!r} is not a column of the system")
-    units = [[int(c == t) for t in targets] for c in system.columns]
-    basis = _echelon(
-        ([row[j] for row in rows] + units[j] for j in reversed(range(size))),
-        size + len(targets),
-    )
+    transpose = _transpose(rows, size)
+    for i, t in enumerate(targets):
+        transpose[system.col_index[t]][size + i] = 1
+    basis = _echelon(reversed(transpose), size + len(targets))
     if any(k not in basis.pivot_rows for k in range(size)):
         raise VerificationError("pinned system is singular")
     basis.back_substitute()
     pivots = [basis.pivot_rows[k] for k in range(size)]
+    zero = Fraction(0)
     return {
-        t: [Fraction(row[size + i], row[k]) for k, row in enumerate(pivots)]
+        t: [
+            Fraction(x, row[k]) if (x := row.get(size + i)) else zero
+            for k, row in enumerate(pivots)
+        ]
         for i, t in enumerate(targets)
     }
 
 
 def rank(system: IncidenceSystem) -> int:
     """Exact rank of the incidence rows over the rationals."""
-    return _echelon(system.rows, len(system.columns)).rank
+    return _echelon(system.sparse_rows, len(system.columns)).rank
 
 
 def _kernel_dicts(system: IncidenceSystem, basis: RowBasis) -> list[dict]:
     return [
-        {system.columns[j]: v for j, v in enumerate(vec) if v != 0}
+        {system.columns[j]: v for j, v in vec.items()}
         for vec in _null_vectors(basis, len(system.columns))
     ]
 
@@ -319,18 +377,20 @@ class LinearSolve:
         return self.verdict == UNIQUE
 
 
-def _witness(rows, rhs: Sequence[Fraction], labels) -> tuple:
+def _witness(rows, rhs: Sequence[Fraction], ncols: int, labels) -> tuple:
     """A row combination that kills every column but not the rhs.
 
     Eliminates [rows | D rhs | I]: on an inconsistent system the rhs column
     is a pivot, and its basis row is zero on the columns and carries the
     combination in the identity block.
     """
-    augmented, _ = _augment(rows, rhs)
-    m, ncols = len(augmented), len(augmented[0]) - 1
-    extended = [r + [int(i == k) for i in range(m)] for k, r in enumerate(augmented)]
-    combination = _echelon(extended, ncols + 1 + m).pivot_rows[ncols][ncols + 1 :]
-    return tuple((label, Fraction(c)) for label, c in zip(labels, combination) if c)
+    augmented, _ = _augment(rows, rhs, ncols)
+    m = len(augmented)
+    extended = [{**r, ncols + 1 + k: 1} for k, r in enumerate(augmented)]
+    combination = _echelon(extended, ncols + 1 + m).pivot_rows[ncols]
+    return tuple(
+        (labels[k - ncols - 1], Fraction(c)) for k, c in sorted(combination.items()) if k > ncols
+    )
 
 
 def solve_pinned(
@@ -352,7 +412,7 @@ def solve_pinned(
     solution, basis = _canonical_solution(rows, b, ncols)
     if solution is None:
         labels = list(system.points) + [PinRow(c) for c in pins.coordinates()]
-        return LinearSolve(INCONSISTENT, None, (), _witness(rows, b, labels))
+        return LinearSolve(INCONSISTENT, None, (), _witness(rows, b, ncols, labels))
 
     tables: list[dict] = [dict() for _ in range(system.space.n)]
     for j, (axis, label) in enumerate(system.columns):
@@ -367,15 +427,17 @@ def solve_pinned(
 
 def in_span(system: IncidenceSystem, vector: Mapping[Coordinate, object]) -> bool:
     """True iff the vector is a rational combination of the incidence rows."""
-    dense = [Fraction(0)] * len(system.columns)
+    entries = {}
     for coord, v in vector.items():
         j = system.col_index.get(coord)
         if j is None:
             raise PreconditionError(f"coordinate {coord!r} is not a column of the system")
-        dense[j] = Fraction(v)
-    scale = lcm(*(v.denominator for v in dense))
-    basis = _echelon(system.rows, len(system.columns))
-    return basis.contains([int(v * scale) for v in dense])
+        x = Fraction(v)
+        if x:
+            entries[j] = x
+    scale = lcm(*(v.denominator for v in entries.values()))
+    basis = _echelon(system.sparse_rows, len(system.columns))
+    return basis.contains_sparse({j: int(v * scale) for j, v in entries.items()})
 
 
 @dataclass(frozen=True)
@@ -408,27 +470,27 @@ def _circuit(S: PointSet) -> CircuitVector | None:
     col_index = {c: j for j, c in enumerate(S.coordinates())}
     rows = [_incidence_row(p, col_index) for p in S]
     scan = RowBasis(len(col_index))
-    k = next((k for k in reversed(range(len(rows))) if scan.add(rows[k]) is None), None)
+    k = next((k for k in reversed(range(len(rows))) if scan.add_sparse(rows[k]) is None), None)
     if k is None:
         return None
 
     # Kernel of the transpose: coefficients per point of T.
-    tail, tail_rows = S.points[k:], rows[k:]
-    basis = _echelon(([row[j] for row in tail_rows] for j in range(len(col_index))), len(tail))
+    tail = S.points[k:]
+    basis = _echelon(_transpose(rows[k:], len(col_index)), len(tail))
     basis.back_substitute()
     kernel = _null_vectors(basis, len(tail))
     if len(kernel) != 1:
         raise VerificationError(
             f"circuit kernel dimension {len(kernel)}; the one-pass scan is broken"
         )
-    scale = lcm(*(v.denominator for v in kernel[0]))
-    ints = _primitive([int(v * scale) for v in kernel[0]])
-    if ints[0] == 0:
+    scale = lcm(*(v.denominator for v in kernel[0].values()))
+    ints = _primitive({i: int(v * scale) for i, v in kernel[0].items()})
+    lead = ints.get(0, 0)
+    if lead == 0:
         raise VerificationError("circuit coefficient vanished at the first dependent point")
-    if ints[0] < 0:
-        ints = [-x for x in ints]
-    circuit = [(p, c) for p, c in zip(tail, ints) if c]
-    return CircuitVector(tuple(p for p, _ in circuit), tuple(c for _, c in circuit))
+    if lead < 0:
+        ints = {i: -c for i, c in ints.items()}
+    return CircuitVector(tuple(tail[i] for i in ints), tuple(ints.values()))
 
 
 def extract_circuit(space: Space, points: Iterable[Point]) -> CircuitVector:

@@ -31,6 +31,7 @@ from .linalg import (
     UNIQUE,
     IncidenceSystem,
     LinearSolve,
+    _dense,
     _echelon,
     _incidence_row,
     _pinned_inverse,
@@ -130,10 +131,10 @@ def geodesic_matrix(G: PointSet, base) -> GeodesicMatrix:
         )
     ordered = (base,) + tuple(p for p in G if p != base)
     col_index = {c: j for j, c in enumerate(columns)}
-    matrix = tuple(tuple(_incidence_row(p, col_index)) for p in ordered)
-    if _echelon(matrix, len(columns)).rank != len(columns):
+    rows = [_incidence_row(p, col_index) for p in ordered]
+    if _echelon(rows, len(columns)).rank != len(columns):
         raise VerificationError("geodesic matrix is singular")
-    return GeodesicMatrix(ordered, columns, matrix)
+    return GeodesicMatrix(ordered, columns, tuple(_dense(r, len(columns)) for r in rows))
 
 
 def _class_inverse(S: PointSet, base, what: str, unrelated) -> tuple[Point, dict]:
@@ -142,17 +143,26 @@ def _class_inverse(S: PointSet, base, what: str, unrelated) -> tuple[Point, dict
     The prologue of the routes from one base, `what` naming the caller: S
     is nonempty and good, and the base (S's first point by default) is in
     S.  The first point of S outside the base's class raises `unrelated(y)`.
+    A set with def(S) = n - 1 is one class exactly when it is good, and
+    then its pinned system is square and singular exactly when S is not
+    good; so that elimination is its good-set check.  Any other S is not
+    one class, and the refinement names the failure.
     """
     S.require_nonempty(what)
+    n = S.space.n
     base = S.points[0] if base is None else S.space.validate_point(tuple(base))
     if base not in S:
         raise PreconditionError("base point must belong to the set")
-    F = _classes(S, base, what)[0]
-    for y in S:
-        if y not in F:
-            raise unrelated(y)
-    pins = [(i, base[i]) for i in range(S.space.n - 1)]
-    return base, _pinned_inverse(IncidenceSystem(S), pins)
+    if S.deficiency() != n - 1:
+        F = _classes(S, base, what)[0]
+        raise unrelated(next(y for y in S if y not in F))
+    pins = [(i, base[i]) for i in range(n - 1)]
+    system = IncidenceSystem(S)
+    try:
+        inverse = _pinned_inverse(system, pins)
+    except VerificationError:
+        raise PreconditionError(f"{what} requires a good set") from None
+    return base, inverse
 
 
 def solve_via_geodesics(S: PointSet, f: FunctionTable, base=None) -> SolveReport:
@@ -268,7 +278,7 @@ def solve_with_boundary(
     """
     S.require_nonempty("solve_with_boundary")
     system = IncidenceSystem(S)
-    square = len(system.rows) + len(boundary_values) == len(system.columns)
+    square = len(system.points) + len(boundary_values) == len(system.columns)
     outcome = solve_pinned(system, f, boundary_values) if square else None
     if outcome is None or not outcome.unique:
         if not is_good(S):

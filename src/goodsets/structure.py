@@ -71,7 +71,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import IncidenceSystem, _echelon, _pinned_inverse, _stack_pins, column_kernel, rank
+from .linalg import (
+    IncidenceSystem,
+    _dense,
+    _echelon,
+    _pinned_inverse,
+    _stack_pins,
+    column_kernel,
+    rank,
+)
 from .model import (
     Coordinate,
     PinSet,
@@ -340,15 +348,14 @@ def boundary(S: PointSet) -> BoundaryConstruction:
             gen_index[(i, cls)] = len(generators)
             generators.append((i, cls))
 
-    relations = []
     cross_section = tuple(comp.points[0] for comp in partition.components)
-    for rep in cross_section:
-        row = [0] * len(generators)
-        for i in range(space.n):
-            row[gen_index[(i, ei.class_of(i, rep[i]))]] = 1
-        relations.append(tuple(row))
+    rows = [
+        {gen_index[(i, ei.class_of(i, rep[i]))]: 1 for i in range(space.n)}
+        for rep in cross_section
+    ]
+    relations = tuple(_dense(row, len(generators)) for row in rows)
 
-    pivots = sorted(_echelon(relations, len(generators)).pivot_rows)
+    pivots = sorted(_echelon(rows, len(generators)).pivot_rows)
     basis = tuple(j for j in range(len(generators)) if j not in pivots)
     bound = tuple((generators[j][0], generators[j][1][0]) for j in basis)
 
@@ -357,7 +364,7 @@ def boundary(S: PointSet) -> BoundaryConstruction:
         cross_section=cross_section,
         ei=ei,
         generators=tuple(generators),
-        relations=tuple(relations),
+        relations=relations,
         pivot_generators=tuple(pivots),
         basis_generators=basis,
         boundary=bound,

@@ -8,9 +8,11 @@ from goodsets.instances import _example10, parse_instance
 from goodsets.linalg import _pinned_inverse
 from util import (
     DIAGONAL,
+    DenseRowBasis,
     E5_PLUS,
     RECTANGLE,
     T4,
+    _rows,
     cube_set,
     int_space,
     oracle_independent,
@@ -383,6 +385,49 @@ def test_row_basis_rank_matches_oracle():
         from sympy import Matrix
 
         assert basis.rank == Matrix(rows).rank()
+
+
+def _random_int_matrix(rng):
+    """Rows with negative entries and zeros, some of them combinations of earlier rows."""
+    ncols = rng.randint(1, 8)
+    rows = []
+    for _ in range(rng.randint(1, 10)):
+        if rows and rng.random() < 0.3:
+            picks = rng.sample(rows, rng.randint(1, len(rows)))
+            coeffs = [rng.randint(-3, 3) for _ in picks]
+            rows.append([sum(c * r[j] for c, r in zip(coeffs, picks)) for j in range(ncols)])
+        else:
+            rows.append([rng.choice((0, 0, rng.randint(-6, 6))) for _ in range(ncols)])
+    return ncols, rows
+
+
+def _assert_same_pivot_rows(sparse, dense):
+    assert sorted(sparse.pivot_rows) == sorted(dense.pivot_rows)
+    for p, row in dense.pivot_rows.items():
+        # Entry by entry, and the sparse row stores no zero.
+        assert sparse.pivot_rows[p] == {j: x for j, x in enumerate(row) if x}
+
+
+def test_sparse_row_basis_matches_dense_reference():
+    rng = random.Random(37)
+    matrices = [_random_int_matrix(rng) for _ in range(300)]
+    for _ in range(60):
+        space = int_space(tuple(rng.randint(1, 5) for _ in range(rng.choice((2, 3, 4)))))
+        S = random_good_set(rng, space, 12)
+        product = list(space.all_points())
+        others = rng.sample(product, min(4, len(product)))
+        matrices.append(
+            (len(space.coordinates()), _rows(space, list(S.points) + others))
+        )
+    for ncols, rows in matrices:
+        sparse, dense = gs.RowBasis(ncols), DenseRowBasis(ncols)
+        for row in rows:
+            assert sparse.contains(row) == dense.contains(row)
+            assert sparse.add(row) == dense.add(row)
+        _assert_same_pivot_rows(sparse, dense)
+        sparse.back_substitute()
+        dense.back_substitute()
+        _assert_same_pivot_rows(sparse, dense)
 
 
 def _full_sets_and_chains():

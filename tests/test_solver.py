@@ -389,6 +389,57 @@ def test_doubling_chain_frontier_depth_forty():
     assert solve_elapsed < 5
 
 
+def test_doubling_chain_frontier_depth_two_hundred():
+    # 601 points: one sparse elimination each for rank, goodness and the solve.
+    inst = parse_instance(_example10(200))
+    S = inst.point_set
+    start = time.monotonic()
+    rank = gs.rank(gs.IncidenceSystem(S))
+    good = gs.is_good(S).good
+    report = gs.solve_direct(S, inst.f, inst.pins)
+    elapsed = time.monotonic() - start
+    assert len(S) == 601 and rank == len(S) and good
+    assert report.verdict == "unique"
+    assert all(report.decomposition.evaluate(p) == inst.f(p) for p in S)
+    assert elapsed < 5
+
+
+def _greedy_maximal_cube(rng, k):
+    """Uniform points of k^3, each kept when its row is independent of those kept."""
+    space = int_space((k, k, k))
+    index = {c: j for j, c in enumerate(space.coordinates())}
+    basis = gs.RowBasis(len(index))
+    kept = set()
+    while len(kept) < 3 * k - 2:
+        p = tuple(rng.randrange(k) for _ in range(3))
+        row = [0] * len(index)
+        for c in enumerate(p):
+            row[index[c]] = 1
+        if p not in kept and basis.add(row) is not None:
+            kept.add(p)
+    return gs.PointSet.of(space, kept)
+
+
+def test_greedy_maximal_frontier():
+    # 598 points of 200^3, one relatedness class: a maximal good set is full.
+    rng = random.Random(83)
+    S = _greedy_maximal_cube(rng, 200)
+    f = random_function(rng, S)
+    pins = gs.PinSet.zeros([(i, S.points[0][i]) for i in range(2)])
+    start = time.monotonic()
+    report = gs.solve_direct(S, f, pins)
+    solve_elapsed = time.monotonic() - start
+    start = time.monotonic()
+    partition = gs.related_components(S)
+    components_elapsed = time.monotonic() - start
+    assert len(S) == 598 and S.deficiency() == 2
+    assert report.verdict == "unique"
+    assert all(report.decomposition.evaluate(p) == f(p) for p in S)
+    assert len(partition) == 1
+    assert solve_elapsed < 5
+    assert components_elapsed < 5
+
+
 def test_shared_inverse_matches_single_geodesics():
     # One inverse per base serves every core; each single geodesic computes
     # its own core rows, and the direct solve pins the same coordinates.

@@ -4,11 +4,13 @@ The oracles here stay independent of the code paths they check: incidence
 rows are rebuilt from the encoding's definition, rank/null-space questions go
 through sympy, the n = 2 statements use a union-find over the bipartite
 multigraph rather than any linear algebra, and relatedness classes and
-geodesics come from enumerating every subset.
+geodesics come from enumerating every subset.  `DenseRowBasis` is the
+dense elimination that the sparse `RowBasis` must match row for row.
 """
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
 import goodsets as gs
 
@@ -117,6 +119,75 @@ def _rows(space, points):
             row[index[(i, label)]] = 1
         rows.append(row)
     return rows
+
+
+def _dense_primitive(v: list[int]) -> list[int]:
+    g = gcd(*v)
+    return [x // g for x in v] if g > 1 else v
+
+
+class DenseRowBasis:
+    """Reference for `gs.RowBasis`: the elimination on dense list rows.
+
+    This is the dense implementation that the sparse `RowBasis` replaced,
+    kept as it was.  Same pivot rule (the least nonzero column), primitive
+    reduced rows and positive leads, so the sparse basis must give the same
+    pivot rows entry by entry, before and after back-substitution.
+    """
+
+    def __init__(self, ncols: int):
+        self.ncols = ncols
+        self.pivot_rows: dict[int, list[int]] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivot_rows)
+
+    def _reduce(self, vec):
+        """(residual, lead): the residual's first nonzero column, ncols if it is zero."""
+        v = list(vec)
+        if len(v) != self.ncols:
+            raise gs.PreconditionError("vector length does not match column count")
+        j = 0
+        while j < self.ncols:
+            if v[j] == 0:
+                j += 1
+                continue
+            row = self.pivot_rows.get(j)
+            if row is None:
+                if v[j] < 0:
+                    v = [-x for x in v]
+                break
+            a, b = row[j], v[j]
+            # v and the pivot row are both zero before column j.
+            v[j:] = _dense_primitive([b_k * a - row_k * b for b_k, row_k in zip(v[j:], row[j:])])
+            j += 1
+        return v, j
+
+    def contains(self, vec) -> bool:
+        return self._reduce(vec)[1] == self.ncols
+
+    def add(self, vec):
+        """Insert if independent; returns the new pivot column, else None."""
+        r, lead = self._reduce(vec)
+        if lead == self.ncols:
+            return None
+        self.pivot_rows[lead] = r
+        return lead
+
+    def back_substitute(self):
+        """Clear every pivot column above its pivot, in place."""
+        pivots = sorted(self.pivot_rows)
+        for k in range(len(pivots) - 1, 0, -1):
+            prow = self.pivot_rows[pivots[k]]
+            a = prow[pivots[k]]
+            for q in pivots[:k]:
+                row = self.pivot_rows[q]
+                b = row[pivots[k]]
+                if b:
+                    self.pivot_rows[q] = _dense_primitive(
+                        [x * a - y * b for x, y in zip(row, prow)]
+                    )
 
 
 def oracle_independent(space, points) -> bool:
