@@ -273,10 +273,10 @@ def _cmd_stats(instance: Instance, args) -> dict:
         payload["full"] = False
         payload["components"] = None
         return payload
+    # A good set is one relatedness class exactly when it is full.
     payload["full"] = S.deficiency() == S.space.n - 1
-    partition = structure.related_components(S)
-    payload["components"] = len(partition)
-    if len(partition) == 1:
+    payload["components"] = 1 if payload["full"] else len(structure.related_components(S))
+    if payload["full"]:
         diag = solve.bound_diagnostics(S)
         payload["max_geodesic_length"] = diag.max_geodesic_length
         payload["mean_geodesic_length"] = format_rational(diag.mean_geodesic_length)

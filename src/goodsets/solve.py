@@ -17,8 +17,8 @@ Four routes produce the same numbers and certify each other:
 `bound_diagnostics` reports the finite-scale boundedness data: geodesic
 lengths from a base and the largest solution value over singleton indicator
 right-hand sides, read off one exact inverse of the system pinned at the
-base's first n - 1 coordinates; every geodesic core from the base is read
-off that inverse too.
+base's first n - 1 coordinates; every geodesic from the base is walked
+over that inverse too.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .model import (
     PreconditionError,
     VerificationError,
 )
-from .structure import _classes, _geodesic, related_components
+from .structure import _classes, _walk, related_components
 
 __all__ = [
     "BoundDiagnostics",
@@ -154,7 +154,7 @@ def _class_inverse(S: PointSet, base, what: str, unrelated) -> tuple[Point, dict
     if base not in S:
         raise PreconditionError("base point must belong to the set")
     if S.deficiency() != n - 1:
-        F = _classes(S, base, what)[0]
+        F = _classes(S, what, base)[0]
         raise unrelated(next(y for y in S if y not in F))
     pins = [(i, base[i]) for i in range(n - 1)]
     system = IncidenceSystem(S)
@@ -171,7 +171,7 @@ def solve_via_geodesics(S: PointSet, f: FunctionTable, base=None) -> SolveReport
     Pins the base's first n - 1 coordinates at zero; each point's own
     coordinate values are read off the n rows of its geodesic's pinned
     inverse at those coordinates, dotted with f on the geodesic.  The
-    geodesics' cores come from one pinned inverse of S.  Coordinates reached
+    geodesics are walked over one pinned inverse of S.  Coordinates reached
     by several geodesics must agree, and the assembled split must reproduce
     f; both are asserted.
     """
@@ -189,7 +189,7 @@ def solve_via_geodesics(S: PointSet, f: FunctionTable, base=None) -> SolveReport
     values: dict[Coordinate, Fraction] = {}
     max_len = 0
     for y in S:
-        G = _geodesic(S, base, y, inverse)
+        G = _walk(S, base, y, inverse)
         max_len = max(max_len, G.length)
         rows = _pinned_inverse(IncidenceSystem(G.points), pins, targets=enumerate(y))
         for coord, row in rows.items():
@@ -312,7 +312,7 @@ def bound_diagnostics(S: PointSet, base=None) -> BoundDiagnostics:
     The indicator sweep is the largest absolute value of any u solving
     u = 1_{p}, p in S, with the base's first n - 1 coordinates pinned at
     zero.  Those solutions are the point columns of one pinned inverse, so
-    the sweep is read off the inverse that every geodesic core is read off
+    the sweep is read off the inverse that every geodesic is walked over
     too; a singular system is an internal error.
     """
     base, inverse = _class_inverse(
@@ -321,7 +321,7 @@ def bound_diagnostics(S: PointSet, base=None) -> BoundDiagnostics:
         "bound_diagnostics",
         lambda y: PreconditionError("diagnostics are per component; this set has several"),
     )
-    lengths = {y: _geodesic(S, base, y, inverse).length for y in S}
+    lengths = {y: _walk(S, base, y, inverse).length for y in S}
     worst = max(abs(v) for row in inverse.values() for v in row[: len(S)])
     total = sum(lengths.values())
     return BoundDiagnostics(

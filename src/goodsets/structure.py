@@ -42,20 +42,32 @@ later group is a subset of S and good with it.
 Geodesics.  The same equality gives |C(F1) & C(F2)| = |F1 & F2| + n - 1,
 which squeezes |C(F1 & F2)| to that value: two full subsets sharing a point
 meet in a full set.  This meet property makes the minimal full subset
-through x and y unique, and it lies inside every full set through both.  Let
-F be x's class.  Pinning x's first n - 1 coordinates makes F's system square
-and invertible, and for a full G in F through x the pinned solve on G agrees
-with the one on F on C(G), so u_c for c in C(G) depends only on f on G.
-Hence the points with a nonzero entry in the rows of the inverse at y's
-coordinates lie in every full G through x and y, and with x and y they form
-the *core*.  Reading it takes only the n rows at y's coordinates, so one
-geodesic eliminates for those rows alone, and a sweep over every y from one
-base reads all its cores off one full inverse.  When the core is full it is
-the geodesic.  Otherwise the completion goes over the points p of F outside
-the core and replaces F by x's class in F - {p} whenever that class still
-holds y.  The result R is full and holds x and y; a point p of R outside the
-geodesic would have been dropped when it was visited, since the geodesic
-lies in F - {p} and so in x's class there.  So R is the geodesic.
+through x and y, the geodesic g, unique, and it lies inside every full set
+through both.  Let F be x's class and A its system pinned at x's first
+n - 1 coordinates, square and invertible.  Call a set closed when every row
+of A^-1 at one of its coordinates is zero on the points outside it.  The
+intersection of two closed sets is closed, as C(U1 & U2) lies in C(U1) and
+in C(U2), so a least closed set through x and y exists.
+
+Theorem.  The least closed set U through x and y is g.
+  (a) U is inside g.  For a full G in F through x, the pinned solve on G
+      agrees with the one on F on C(G), so u_c for c in C(G) depends only
+      on f on G.  Hence g is closed, and U, the least closed set through x
+      and y, lies inside it.
+  (b) U is full.  Closedness means that f = 0 on U forces u = 0 on C(U).
+      So A^-1 maps {f on g : f = 0 on U}, of dimension |g| - |U|, into
+      {u pinned on C(g) : u = 0 on C(U)}, of dimension |C(g)| - |C(U)|,
+      and A maps back; hence |C(U)| = |U| + n - 1.  A full U inside the
+      minimal g through x and y is g.
+So a geodesic is one breadth-first walk from y's coordinates: a coordinate
+c leads to the points with a nonzero entry in row c of A^-1, and a point to
+its coordinates.  Every set it reaches lies inside the closed set g, and a
+walk with nothing left to visit has reached U; so it meets a full set, and
+the first one is g.  The first layer, the rows at y's coordinates, is the
+*core*: the points every full subset through x and y holds.  One geodesic
+eliminates for those n rows alone and for the full inverse only when the
+core is not full, and a sweep over every y from one base walks all its
+geodesics over one full inverse.
 
 The classes drive the boundary construction: per axis, chains of components
 sharing a value merge projection values into equivalence classes; each class
@@ -111,23 +123,6 @@ def _require_member(S: PointSet, p) -> Point:
     return p
 
 
-def _core(F: PointSet, x: Point, y: Point, inverse=None) -> tuple[Point, ...]:
-    """x, y and the points that every full subset of F through x and y holds.
-
-    F is full and holds x and y; with x's first n - 1 coordinates pinned,
-    these are the points with a nonzero entry in a row of the inverse at one
-    of y's coordinates.  Only those n rows are read: without a given
-    `inverse` (F's pinned inverse, as `_pinned_inverse` returns it) they are
-    the only rows computed.
-    """
-    if inverse is None:
-        pins = [(i, x[i]) for i in range(F.space.n - 1)]
-        inverse = _pinned_inverse(IncidenceSystem(F), pins, targets=enumerate(y))
-    support = {x, y}
-    support.update(p for c in enumerate(y) for p, v in zip(F.points, inverse[c]) if v)
-    return tuple(p for p in F if p in support)
-
-
 def _signature_groups(G: PointSet, what: str | None = None) -> list[list[Point]]:
     """G's points grouped by their signature over a basis of K(G), in G's order.
 
@@ -142,23 +137,22 @@ def _signature_groups(G: PointSet, what: str | None = None) -> list[list[Point]]
     return list(groups.values())
 
 
-def _classes(S: PointSet, x: Point | None = None, what: str | None = None) -> list[PointSet]:
+def _classes(S: PointSet, what: str, x: Point | None = None) -> list[PointSet]:
     """The relatedness classes of S; with x, only the one holding x.
 
     A full group is final; any other group splits by signature, and one that
-    does not split means the theorem failed.  With `what`, S's first
-    elimination is also its good-set check.
+    does not split means the theorem failed.  S's first elimination is also
+    its good-set check, failing with `what` named.
     """
     groups, classes = [S], []
     while groups:
         G = groups.pop()
         if G.deficiency() == S.space.n - 1:
-            if what is not None and rank(IncidenceSystem(G)) != len(G):
+            if G is S and rank(IncidenceSystem(G)) != len(G):
                 raise PreconditionError(f"{what} requires a good set")
             classes.append(G)
             continue
-        parts = _signature_groups(G, what)
-        what = None
+        parts = _signature_groups(G, what if G is S else None)
         if len(parts) == 1:
             raise VerificationError("a group that is not full has one kernel signature")
         groups.extend(PointSet(S.space, part) for part in parts if x is None or x in part)
@@ -180,39 +174,45 @@ class Geodesic:
 def related(S: PointSet, x, y) -> bool:
     """True iff some full subset of S contains both points."""
     x, y = _require_member(S, x), _require_member(S, y)
-    return y in _classes(S, x, "related")[0]
+    return y in _classes(S, "related", x)[0]
 
 
 def geodesic(S: PointSet, x, y) -> Geodesic | None:
     """The unique minimal full subset containing x and y, or None if unrelated.
 
-    A result that is not full or misses the core is a fatal internal error.
+    A walk that ends without a full set is a fatal internal error.
     """
-    return _geodesic(S, _require_member(S, x), _require_member(S, y), what="geodesic")
+    x, y = _require_member(S, x), _require_member(S, y)
+    F = _classes(S, "geodesic", x)[0]
+    return _walk(F, x, y) if y in F else None
 
 
-def _geodesic(S: PointSet, x: Point, y: Point, inverse=None, what=None) -> Geodesic | None:
-    """The core of x and y in x's class, completed by deleting points.
+def _walk(F: PointSet, x: Point, y: Point, inverse=None) -> Geodesic:
+    """The geodesic of x and y, walked over F's inverse pinned at x.
 
-    A given `inverse` is that of x's class pinned at x, shared by the cores
-    of every y.  S is good unless `what` names the caller that checks it.
+    F is full and holds x and y.  Layer by layer from y's coordinates, the
+    walk adds the points with a nonzero entry in the rows at the new
+    coordinates, and stops at the first full set.  A given `inverse` (F's,
+    as `_pinned_inverse` returns it) is read as it is; otherwise the first
+    layer eliminates for its n rows alone, and a second layer for F's full
+    inverse, once.
     """
-    n = S.space.n
-    F = _classes(S, x, what)[0]
-    if y not in F:
-        return None
-    core = _core(F, x, y, inverse)
-    G = PointSet(S.space, core)
-    if G.deficiency() != n - 1:
-        G = F
-        for p in F:
-            if p in G and p not in core:
-                H = _classes(G.difference([p]), x)[0]
-                if y in H:
-                    G = H
-    if G.deficiency() != n - 1 or any(p not in G for p in core):
-        raise VerificationError("the geodesic is not full or misses its core")
-    return Geodesic((x, y), G)
+    pins = [(i, x[i]) for i in range(F.space.n - 1)]
+    rows = inverse
+    if rows is None:
+        rows = _pinned_inverse(IncidenceSystem(F), pins, targets=enumerate(y))
+    reached, layer = {x, y}, list(enumerate(y))
+    seen = set(layer)
+    while layer:
+        if any(c not in rows for c in layer):
+            rows = _pinned_inverse(IncidenceSystem(F), pins)
+        reached.update(p for c in layer for p, v in zip(F.points, rows[c]) if v)
+        G = PointSet(F.space, tuple(reached))
+        if G.deficiency() == F.space.n - 1:
+            return Geodesic((x, y), G)
+        layer = [c for c in G.coordinates() if c not in seen]
+        seen.update(layer)
+    raise VerificationError("the geodesic is not full or misses its core")
 
 
 @dataclass(frozen=True)
@@ -236,7 +236,7 @@ def related_components(S: PointSet) -> ComponentPartition:
 def _partition(S: PointSet, what: str) -> ComponentPartition:
     """`related_components`, with `what` named when S is empty or not good."""
     S.require_nonempty(what)
-    components = sorted(_classes(S, what=what), key=lambda c: S.space.point_key(c.points[0]))
+    components = sorted(_classes(S, what), key=lambda c: S.space.point_key(c.points[0]))
     # Distinct components may share at most n - 2 kinds of coordinates.
     kinds = [[{p[i] for p in comp} for i in range(S.space.n)] for comp in components]
     for a in range(len(kinds)):
@@ -251,7 +251,7 @@ def _partition(S: PointSet, what: str) -> ComponentPartition:
 
 def full_component(S: PointSet, x) -> PointSet:
     """The largest full subset of S containing x (its relatedness class)."""
-    return _classes(S, _require_member(S, x), "full_component")[0]
+    return _classes(S, "full_component", _require_member(S, x))[0]
 
 
 @dataclass(frozen=True)

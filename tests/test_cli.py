@@ -290,7 +290,7 @@ def test_shared_kinds_check_exits_internal(capsys, inst_dir, monkeypatch, parts)
     # t4 is full.  Split into two "classes", its least point and the other
     # three share a value on every axis, and points 1, 2 and points 0, 3 on
     # two of the three; both break the n - 2 shared-kinds bound.
-    def split(S, x=None, what=None):
+    def split(S, what, x=None):
         return [S.subset(S.points[k] for k in part) for part in parts]
 
     monkeypatch.setattr(structure, "_classes", split)
@@ -303,10 +303,13 @@ def test_shared_kinds_check_exits_internal(capsys, inst_dir, monkeypatch, parts)
 
 
 def test_internal_error_exit_code(capsys, inst_dir, monkeypatch):
-    def core_outside_class(F, x, y, inverse=None):
-        return (x, y, ("1", "1", "1"))
+    # With every row of the pinned inverse zero, the walk from point 3 stops
+    # at {0, 3}, which is not full.
+    def zero_rows(system, coords, targets=None):
+        targets = system.columns if targets is None else tuple(targets)
+        return {t: [0] * len(system.columns) for t in targets}
 
-    monkeypatch.setattr(structure, "_core", core_outside_class)
+    monkeypatch.setattr(structure, "_pinned_inverse", zero_rows)
     code, report, err = run_cli(
         capsys, "geodesic", str(inst_dir / "t4.json"), "--from", "0", "--to", "3"
     )

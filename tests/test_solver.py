@@ -370,7 +370,7 @@ def test_doubling_chain_frontier_depth_twelve():
 
 
 def test_doubling_chain_frontier_depth_forty():
-    # 121 points: every geodesic core is read off one pinned inverse.
+    # 121 points: every geodesic is walked over one pinned inverse.
     depth = 40
     S = parse_instance(_example10(depth)).point_set
     f = random_function(random.Random(79), S)
@@ -404,14 +404,14 @@ def test_doubling_chain_frontier_depth_two_hundred():
     assert elapsed < 5
 
 
-def _greedy_maximal_cube(rng, k):
-    """Uniform points of k^3, each kept when its row is independent of those kept."""
-    space = int_space((k, k, k))
+def _greedy_maximal_cube(rng, k, n=3):
+    """Uniform points of k^n, each kept when its row is independent of those kept."""
+    space = int_space((k,) * n)
     index = {c: j for j, c in enumerate(space.coordinates())}
     basis = gs.RowBasis(len(index))
     kept = set()
-    while len(kept) < 3 * k - 2:
-        p = tuple(rng.randrange(k) for _ in range(3))
+    while len(kept) < n * (k - 1) + 1:
+        p = tuple(rng.randrange(k) for _ in range(n))
         row = [0] * len(index)
         for c in enumerate(p):
             row[index[c]] = 1
@@ -440,18 +440,53 @@ def test_greedy_maximal_frontier():
     assert components_elapsed < 5
 
 
+def test_greedy_maximal_geodesic_frontier():
+    # 118 points of 40^3: the core is full for few targets, so nearly every
+    # geodesic of the sweep walks past its first layer.
+    rng = random.Random(2)
+    S = _greedy_maximal_cube(rng, 40)
+    base = S.points[0]
+    f = random_function(rng, S)
+    start = time.monotonic()
+    diag = gs.bound_diagnostics(S, base)
+    diag_elapsed = time.monotonic() - start
+    start = time.monotonic()
+    via = gs.solve_via_geodesics(S, f, base)
+    via_elapsed = time.monotonic() - start
+    assert len(S) == 118 and S.deficiency() == 2
+    assert list(diag.lengths) == list(S.points)
+    for y in rng.sample(S.points, 12):
+        assert diag.lengths[y] == gs.geodesic(S, base, y).length
+    assert via.max_geodesic_length == diag.max_geodesic_length
+    assert all(via.decomposition.evaluate(p) == f(p) for p in S)
+    assert diag_elapsed < 5
+    assert via_elapsed < 5
+
+
 def test_shared_inverse_matches_single_geodesics():
-    # One inverse per base serves every core; each single geodesic computes
-    # its own core rows, and the direct solve pins the same coordinates.
+    # One inverse per base serves every walk; each single geodesic computes
+    # its own core rows, and the full inverse only past the core.  The
+    # greedy maximal sets make most walks go past their first layer.  The
+    # direct solve pins the same coordinates.
     rng = random.Random(97)
     sets = [gs.full_closure(random_good_set(rng, random_space(rng), 8)) for _ in range(40)]
     sets += [ex10(depth).point_set for depth in range(1, 7)]
-    for S in sets:
+    greedy = [_greedy_maximal_cube(random.Random(seed), 8) for seed in range(3)]
+    greedy += [_greedy_maximal_cube(random.Random(seed), 5, 4) for seed in range(3)]
+    for S in sets + greedy:
         base = rng.choice(S.points)
         diag = gs.bound_diagnostics(S, base)
         assert list(diag.lengths) == list(S.points)
         for y in S:
-            assert diag.lengths[y] == gs.geodesic(S, base, y).length
+            g = gs.geodesic(S, base, y).points
+            assert diag.lengths[y] == len(g)
+            if S in greedy:
+                # Too large for brute force: g is full by coordinate
+                # counting, and minimal since dropping any other point
+                # leaves base and y unrelated.
+                assert base in g and y in g and g.deficiency() == S.space.n - 1
+                for p in set(g.points) - {base, y}:
+                    assert not gs.related(g.difference([p]), base, y)
         f = random_function(rng, S)
         via = gs.solve_via_geodesics(S, f, base)
         pins = gs.PinSet.zeros([(i, base[i]) for i in range(S.space.n - 1)])

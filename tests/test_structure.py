@@ -5,8 +5,8 @@ import time
 import pytest
 
 import goodsets as gs
-from goodsets import structure
 from goodsets.instances import _example10, parse_instance
+from goodsets.linalg import _pinned_inverse
 from util import (
     DIAGONAL,
     RECTANGLE,
@@ -164,7 +164,8 @@ def test_geodesics_match_brute_force_subsets():
 def test_geodesics_lie_inside_every_full_subset():
     # Two full subsets of a good set that share a point meet in a full set,
     # so a geodesic lies inside every full subset through its endpoints, and
-    # so does the core its completion starts from.
+    # so does the core, the first layer of its walk: x, y and the points in
+    # the support of the pinned inverse's rows at y's coordinates.
     rng = random.Random(67)
     pairs = completed = 0
     for _ in range(80):
@@ -179,7 +180,11 @@ def test_geodesics_lie_inside_every_full_subset():
             for F in full_subsets:
                 if x in F and y in F:
                     assert g <= F
-            core = frozenset(structure._core(gs.full_component(S, x), x, y))
+            cls = gs.full_component(S, x)
+            pins = [(i, x[i]) for i in range(S.space.n - 1)]
+            rows = _pinned_inverse(gs.IncidenceSystem(cls), pins, enumerate(y))
+            weighted = (p for row in rows.values() for p, v in zip(cls.points, row) if v)
+            core = frozenset({x, y}.union(weighted))
             assert core <= g
             pairs += 1
             completed += core != g
