@@ -8,13 +8,18 @@ can be added and subtracted without leaving the polytope, while a good
 support admits no nonzero signed measure with vanishing marginals at all
 (its incidence rows are independent).  The equivalence is cross-checked
 against brute-force extremality in the acceptance tests rather than assumed.
+
+Marginals and every "sums to one" check add integer numerators over one
+common denominator, the lcm of the weights' denominators, and build a
+`Fraction` only for each value they return.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .goodness import Loop, is_good
 from .model import PointSet, PreconditionError, VerificationError, as_fraction
@@ -41,9 +46,10 @@ class FiniteMeasure:
         w = {tuple(p): as_fraction(v) for p, v in self.weights.items()}
         if set(w) != set(self.support.points):
             raise PreconditionError("weights must be given exactly on the support")
-        if any(v <= 0 for v in w.values()):
+        numerators, D = _over_common_denominator(w.values())
+        if any(a <= 0 for a in numerators):
             raise PreconditionError("weights must be positive on the support")
-        if sum(w.values()) != 1:
+        if sum(numerators) != D:
             raise PreconditionError("weights must sum to one exactly")
         object.__setattr__(self, "weights", w)
 
@@ -67,16 +73,28 @@ class MarginalVector:
         return self.per_axis[axis].get(label, Fraction(0))
 
 
+def _over_common_denominator(values: Iterable) -> tuple[list[int], int]:
+    """The rationals as integer numerators over D, the lcm of their denominators.
+
+    Numerator k is values[k] * D, with the sign of values[k]; the values sum
+    to one exactly when the numerators sum to D.
+    """
+    ratios = [v.as_integer_ratio() for v in values]
+    D = math.lcm(*(d for _, d in ratios))
+    return [a * (D // d) for a, d in ratios], D
+
+
 def marginals(m: FiniteMeasure) -> MarginalVector:
     """One-dimensional marginals of the measure."""
-    space = m.support.space
-    per_axis: list[dict] = [dict() for _ in range(space.n)]
-    for p, w in m.weights.items():
-        for i, label in enumerate(p):
-            per_axis[i][label] = per_axis[i].get(label, Fraction(0)) + w
-    for table in per_axis:
-        if sum(table.values()) != 1:
+    numerators, D = _over_common_denominator(m.weights.values())
+    per_axis: list[dict] = []
+    for i in range(m.support.space.n):
+        table: dict = {}
+        for p, a in zip(m.weights, numerators):
+            table[p[i]] = table.get(p[i], 0) + a
+        if sum(table.values()) != D:
             raise VerificationError("a marginal does not sum to one")
+        per_axis.append({label: Fraction(a, D) for label, a in table.items()})
     return MarginalVector(tuple(per_axis))
 
 
@@ -100,7 +118,7 @@ class SimplicialVerdict:
         w = dict(m.weights)
         for p, c in zip(self.loop.points, self.loop.coefficients):
             w[p] = w.get(p, Fraction(0)) + sign * self.epsilon * c
-        return {p: v for p, v in w.items() if v != 0}
+        return {p: v for p, v in w.items() if v.numerator}
 
 
 def is_simplicial(m: FiniteMeasure) -> SimplicialVerdict:
@@ -114,10 +132,10 @@ def is_simplicial(m: FiniteMeasure) -> SimplicialVerdict:
     )
     certificate = SimplicialVerdict(False, loop, epsilon)
     for sign in (+1, -1):
-        perturbed = certificate.perturbed(m, sign)
-        if any(v < 0 for v in perturbed.values()):
+        numerators, D = _over_common_denominator(certificate.perturbed(m, sign).values())
+        if any(a < 0 for a in numerators):
             raise VerificationError("perturbed measure went negative")
-        if sum(perturbed.values()) != 1:
+        if sum(numerators) != D:
             raise VerificationError("perturbed measure lost total mass")
     return certificate
 

@@ -47,7 +47,7 @@ from .model import (
     PreconditionError,
     VerificationError,
 )
-from .structure import _classes, _walk, related_components
+from .structure import _classes, _Support, _walk, related_components
 
 __all__ = [
     "BoundDiagnostics",
@@ -188,8 +188,9 @@ def solve_via_geodesics(S: PointSet, f: FunctionTable, base=None) -> SolveReport
 
     values: dict[Coordinate, Fraction] = {}
     max_len = 0
+    support = _Support(S, inverse)
     for y in S:
-        G = _walk(S, base, y, inverse)
+        G = _walk(S, base, y, support)
         max_len = max(max_len, G.length)
         rows = _pinned_inverse(IncidenceSystem(G.points), pins, targets=enumerate(y))
         for coord, row in rows.items():
@@ -321,7 +322,8 @@ def bound_diagnostics(S: PointSet, base=None) -> BoundDiagnostics:
         "bound_diagnostics",
         lambda y: PreconditionError("diagnostics are per component; this set has several"),
     )
-    lengths = {y: _walk(S, base, y, inverse).length for y in S}
+    support = _Support(S, inverse)
+    lengths = {y: _walk(S, base, y, support).length for y in S}
     worst = max(abs(v) for row in inverse.values() for v in row[: len(S)])
     total = sum(lengths.values())
     return BoundDiagnostics(

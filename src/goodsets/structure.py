@@ -187,26 +187,41 @@ def geodesic(S: PointSet, x, y) -> Geodesic | None:
     return _walk(F, x, y) if y in F else None
 
 
-def _walk(F: PointSet, x: Point, y: Point, inverse=None) -> Geodesic:
+class _Support(dict):
+    """Coordinate c -> the points of F with a nonzero entry in the inverse's row at c.
+
+    Each row is scanned on its first use and kept, so the walks of one sweep
+    share the scan of every row they visit.
+    """
+
+    def __init__(self, F: PointSet, inverse: dict):
+        super().__init__()
+        self.points, self.inverse = F.points, inverse
+
+    def __missing__(self, c: Coordinate) -> list[Point]:
+        points = self[c] = [p for p, v in zip(self.points, self.inverse[c]) if v]
+        return points
+
+
+def _walk(F: PointSet, x: Point, y: Point, support: _Support | None = None) -> Geodesic:
     """The geodesic of x and y, walked over F's inverse pinned at x.
 
     F is full and holds x and y.  Layer by layer from y's coordinates, the
     walk adds the points with a nonzero entry in the rows at the new
-    coordinates, and stops at the first full set.  A given `inverse` (F's,
-    as `_pinned_inverse` returns it) is read as it is; otherwise the first
-    layer eliminates for its n rows alone, and a second layer for F's full
-    inverse, once.
+    coordinates, and stops at the first full set.  A given `support`, over
+    F's full inverse as `_pinned_inverse` returns it, is read and filled as
+    it is; otherwise the first layer eliminates for its n rows alone, and a
+    second layer for F's full inverse, once.
     """
     pins = [(i, x[i]) for i in range(F.space.n - 1)]
-    rows = inverse
-    if rows is None:
-        rows = _pinned_inverse(IncidenceSystem(F), pins, targets=enumerate(y))
+    if support is None:
+        support = _Support(F, _pinned_inverse(IncidenceSystem(F), pins, targets=enumerate(y)))
     reached, layer = {x, y}, list(enumerate(y))
     seen = set(layer)
     while layer:
-        if any(c not in rows for c in layer):
-            rows = _pinned_inverse(IncidenceSystem(F), pins)
-        reached.update(p for c in layer for p, v in zip(F.points, rows[c]) if v)
+        if any(c not in support.inverse for c in layer):
+            support = _Support(F, _pinned_inverse(IncidenceSystem(F), pins))
+        reached.update(*(support[c] for c in layer))
         G = PointSet(F.space, tuple(reached))
         if G.deficiency() == F.space.n - 1:
             return Geodesic((x, y), G)

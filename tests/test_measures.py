@@ -4,10 +4,12 @@ from fractions import Fraction
 import pytest
 
 import goodsets as gs
+from goodsets import measures
 from util import (
     RECTANGLE,
     T4,
     cube_set,
+    fraction_marginals,
     oracle_zero_marginal_dependency,
     pset,
     random_measure,
@@ -41,10 +43,17 @@ def test_marginals_uniform_rectangle():
 
 def test_measure_validation():
     S = pset(RECTANGLE)
-    with pytest.raises(gs.PreconditionError):
+    with pytest.raises(gs.PreconditionError) as exc:
         gs.FiniteMeasure(S, {p: Fraction(1, 3) for p in S})
-    with pytest.raises(gs.PreconditionError):
+    assert str(exc.value) == "weights must sum to one exactly"
+    with pytest.raises(gs.PreconditionError) as exc:
         gs.FiniteMeasure(S, {p: Fraction(0) for p in S})
+    assert str(exc.value) == "weights must be positive on the support"
+    # These weights sum to one, so only the positivity check can fire.
+    weights = dict(zip(S.points, (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2))))
+    with pytest.raises(gs.PreconditionError) as exc:
+        gs.FiniteMeasure(S, weights)
+    assert str(exc.value) == "weights must be positive on the support"
 
 
 def test_point_mass_simplicial():
@@ -107,3 +116,91 @@ def test_simplicial_matches_bruteforce_small():
         verdict = gs.is_simplicial(m)
         dependency = oracle_zero_marginal_dependency(S.space, S.points)
         assert verdict.simplicial == (dependency is None)
+
+
+# L is a product of several of these primes: a total off by 1/L is below
+# double precision, so only an exact total rejects it.
+LARGE_PRIMES = (1_000_000_007, 998_244_353, 2_147_483_647, 1_000_000_009)
+
+
+def _mixed_weights(rng, S: gs.PointSet) -> dict:
+    """Positive weights summing to one, over unrelated random denominators.
+
+    Every weight but one is at most 9 / (20 |S|), so the remainder, put on
+    one shuffled point, is above one half.
+    """
+    points = list(S.points)
+    rng.shuffle(points)
+    weights = {p: Fraction(rng.randint(1, 9), rng.randint(20 * len(S), 10**12)) for p in points[1:]}
+    weights[points[0]] = 1 - sum(weights.values())
+    return weights
+
+
+def test_integer_marginals_match_fraction_sums():
+    rng = random.Random(131)
+    for _ in range(60):
+        S = random_point_set(rng, random_space(rng, (2, 3, 4), max_axis=5), 40)
+        weights = _mixed_weights(rng, S)
+        m = gs.FiniteMeasure(S, weights)
+        got = gs.marginals(m).per_axis
+        want = fraction_marginals(m.weights, S.space.n)
+        assert [list(table.items()) for table in got] == [list(t.items()) for t in want]
+        assert all(type(v) is Fraction for table in got for v in table.values())
+
+
+def test_weights_off_by_one_over_a_prime_product():
+    rng = random.Random(137)
+    for k in (2, 3, 4):
+        L = 1
+        for q in LARGE_PRIMES[:k]:
+            L *= q
+        S = random_point_set(rng, random_space(rng, (2, 3), max_axis=4), 12)
+        if len(S) < 2:
+            continue
+        weights = _mixed_weights(rng, S)
+        p, q = S.points[0], S.points[-1]
+        for sign in (+1, -1):
+            off = dict(weights)
+            off[p] += sign * Fraction(1, L)
+            assert sum(off.values()) == 1 + sign * Fraction(1, L)
+            with pytest.raises(gs.PreconditionError) as exc:
+                gs.FiniteMeasure(S, off)
+            assert str(exc.value) == "weights must sum to one exactly"
+            off[q] -= sign * Fraction(1, L)
+            m = gs.FiniteMeasure(S, off)
+            assert gs.marginals(m).per_axis == tuple(fraction_marginals(off, S.space.n))
+
+
+def test_tampered_marginal_message():
+    m = gs.FiniteMeasure.uniform(pset(RECTANGLE))
+    m.weights[m.support.points[0]] = Fraction(1, 2)
+    with pytest.raises(gs.VerificationError) as exc:
+        gs.marginals(m)
+    assert str(exc.value) == "a marginal does not sum to one"
+
+
+def _with_loop(monkeypatch, points, coefficients):
+    loop = gs.Loop(tuple(points), tuple(coefficients))
+    monkeypatch.setattr(measures, "is_good", lambda S: gs.GoodnessVerdict(False, loop))
+
+
+def test_perturbation_went_negative_message(monkeypatch):
+    # A point outside the support has no weight to bound the step by, so
+    # the loop repeats a support point instead: the step of 1/4 moves a's
+    # weight by -1/2 and b's by +1/2, mass preserved, a negative.
+    m = gs.FiniteMeasure.uniform(pset(RECTANGLE))
+    a, b = m.support.points[:2]
+    _with_loop(monkeypatch, (a, a, b, b), (-1, -1, 1, 1))
+    with pytest.raises(gs.VerificationError) as exc:
+        gs.is_simplicial(m)
+    assert str(exc.value) == "perturbed measure went negative"
+
+
+def test_perturbation_lost_mass_message(monkeypatch):
+    # Coefficients 1 and 1 do not cancel: the step adds 1/2 to the total.
+    m = gs.FiniteMeasure.uniform(pset(RECTANGLE))
+    a, b = m.support.points[:2]
+    _with_loop(monkeypatch, (a, b), (1, 1))
+    with pytest.raises(gs.VerificationError) as exc:
+        gs.is_simplicial(m)
+    assert str(exc.value) == "perturbed measure lost total mass"

@@ -5,7 +5,9 @@ rows are rebuilt from the encoding's definition, rank/null-space questions go
 through sympy, the n = 2 statements use a union-find over the bipartite
 multigraph rather than any linear algebra, and relatedness classes and
 geodesics come from enumerating every subset.  `DenseRowBasis` is the
-dense elimination that the sparse `RowBasis` must match row for row.
+dense elimination that the sparse `RowBasis` must match row for row, and
+`fraction_marginals` the plain `Fraction` sums that the integer marginals
+must match entry by entry.
 """
 
 import itertools
@@ -101,6 +103,15 @@ def random_measure(rng, S: gs.PointSet) -> gs.FiniteMeasure:
 
 # ---------------------------------------------------------------------------
 # Independent oracles.
+
+
+def fraction_marginals(weights, n) -> list[dict]:
+    """Per axis, label -> the plain `Fraction` sum of its weights, labels in first-seen order."""
+    tables: list[dict] = [dict() for _ in range(n)]
+    for p, w in weights.items():
+        for i, label in enumerate(p):
+            tables[i][label] = tables[i].get(label, Fraction(0)) + w
+    return tables
 
 
 def oracle_rank(space, points) -> int:
