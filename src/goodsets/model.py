@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 __all__ = [
@@ -158,7 +159,11 @@ def incidence_vector(space: Space, point: Point) -> dict:
 
 @dataclass(frozen=True)
 class PointSet:
-    """A finite set of distinct points, stored in canonical order."""
+    """A finite set of distinct points, stored in canonical order.
+
+    The projections and coordinates are computed once, on first use; the
+    set is frozen, so they never go stale.
+    """
 
     space: Space
     points: tuple[Point, ...]
@@ -206,24 +211,34 @@ class PointSet:
         if not self.points:
             raise PreconditionError(f"{what} needs a nonempty point set")
 
+    @cached_property
+    def _projections(self) -> tuple[tuple, ...]:
+        """Per axis, the distinct values realised, in declaration order."""
+        columns = zip(*self.points) if self.points else [()] * self.space.n
+        return tuple(
+            tuple(sorted(set(column), key=index.__getitem__))
+            for column, index in zip(columns, self.space._value_index)
+        )
+
     def projection(self, axis: int) -> tuple:
         """Distinct axis values realised by the set, in declaration order."""
         if not 0 <= axis < self.space.n:
             raise PreconditionError(f"axis index {axis} out of range")
-        present = {p[axis] for p in self.points}
-        return tuple(v for v in self.space.axes[axis].values if v in present)
+        return self._projections[axis]
 
     def projections(self) -> tuple[tuple, ...]:
-        return tuple(self.projection(i) for i in range(self.space.n))
+        return self._projections
+
+    @cached_property
+    def _coordinates(self) -> tuple[Coordinate, ...]:
+        return tuple((i, v) for i, values in enumerate(self._projections) for v in values)
 
     def coordinates(self) -> tuple[Coordinate, ...]:
         """Union of the projections as coordinates, axis-major canonical order."""
-        return tuple(
-            (i, v) for i in range(self.space.n) for v in self.projection(i)
-        )
+        return self._coordinates
 
     def coordinate_count(self) -> int:
-        return sum(len(self.projection(i)) for i in range(self.space.n))
+        return len(self._coordinates)
 
     def deficiency(self) -> int:
         """sum_i |projection_i| - |S|; at least n-1 on good sets, = n-1 iff full."""

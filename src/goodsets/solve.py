@@ -47,7 +47,7 @@ from .model import (
     PreconditionError,
     VerificationError,
 )
-from .structure import _classes, _Support, _walk, related_components
+from .structure import _classes, _full_set_inverse, _Support, _walk, related_components
 
 __all__ = [
     "BoundDiagnostics",
@@ -156,13 +156,7 @@ def _class_inverse(S: PointSet, base, what: str, unrelated) -> tuple[Point, dict
     if S.deficiency() != n - 1:
         F = _classes(S, what, base)[0]
         raise unrelated(next(y for y in S if y not in F))
-    pins = [(i, base[i]) for i in range(n - 1)]
-    system = IncidenceSystem(S)
-    try:
-        inverse = _pinned_inverse(system, pins)
-    except VerificationError:
-        raise PreconditionError(f"{what} requires a good set") from None
-    return base, inverse
+    return base, _full_set_inverse(S, [(i, base[i]) for i in range(n - 1)], what)
 
 
 def solve_via_geodesics(S: PointSet, f: FunctionTable, base=None) -> SolveReport:
@@ -324,7 +318,9 @@ def bound_diagnostics(S: PointSet, base=None) -> BoundDiagnostics:
     )
     support = _Support(S, inverse)
     lengths = {y: _walk(S, base, y, support).length for y in S}
-    worst = max(abs(v) for row in inverse.values() for v in row[: len(S)])
+    entries = (v for row in inverse.values() for v in row[: len(S)])
+    # Zeros are skipped before their abs: they cannot lift the maximum above 0.
+    worst = max((abs(v) for v in entries if v), default=Fraction(0))
     total = sum(lengths.values())
     return BoundDiagnostics(
         base=base,

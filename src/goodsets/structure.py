@@ -33,11 +33,29 @@ equality.  Hence x's class, the union of the full subsets through x, is the
 final part holding x.  A full group is taken as final before any kernel is
 built, so full and maximal sets cost no kernel here.
 
+Signatures in integers.  Eliminate G's rows and back-substitute.  Each
+pivot row r_p is primitive with a positive lead r_p[p] and, besides p, is
+nonzero only at free columns.  The basis of K(G) has one vector per free
+column f: 1 at f, 0 at the other free columns, and -r_p[f] / r_p[p] at
+each pivot p.  So the basis's column at a pivot p, the values of the basis
+vectors there, is v = -w / r_p[p], w the row's entries off p; at a free f
+it is the unit vector e_f.  For a rational vector v exactly one a > 0 makes
+(a, -a v) integer and primitive, and at a pivot that pair is (r_p[p], w),
+the row itself: the primitive back-substituted row is the one
+representative of its column's ray.  So the key (r_p[p], w) and the column
+determine each other.  For e_f the pair is (1, {f: -1}), the key of a free
+column f.  Two points share a signature exactly when their n coordinate
+keys agree, and no `Fraction` is built to compare them.
+
 Goodness.  Each public entry names itself to the refinement, whose first
 elimination of S is the good-set check: one rank of S's rows when
-def(S) = n - 1, otherwise the first split's kernel, as dim K(S) =
+def(S) = n - 1, otherwise the first split's elimination, as dim K(S) =
 |C(S)| - rank exceeds def(S) exactly when the rows are dependent.  Every
-later group is a subset of S and good with it.
+later group is a subset of S and good with it.  A geodesic on a set with
+def(S) = n - 1 does not refine: such a set is one class exactly when it is
+good, and its system pinned at x's first n - 1 coordinates is square and
+singular exactly when S is not good, so the walk's first inversion is its
+check.
 
 Geodesics.  The same equality gives |C(F1) & C(F2)| = |F1 & F2| + n - 1,
 which squeezes |C(F1 & F2)| to that value: two full subsets sharing a point
@@ -89,7 +107,6 @@ from .linalg import (
     _echelon,
     _pinned_inverse,
     _stack_pins,
-    column_kernel,
     rank,
 )
 from .model import (
@@ -126,14 +143,26 @@ def _require_member(S: PointSet, p) -> Point:
 def _signature_groups(G: PointSet, what: str | None = None) -> list[list[Point]]:
     """G's points grouped by their signature over a basis of K(G), in G's order.
 
-    With `what`, a kernel larger than def(G) means G is not good.
+    The signature is read off G's back-substituted rows as one integer key
+    per coordinate (see the module docstring), with no kernel built.  With
+    `what`, a kernel larger than def(G) means G is not good.
     """
-    kernel = column_kernel(IncidenceSystem(G))
-    if what is not None and len(kernel) != G.deficiency():
+    system = IncidenceSystem(G)
+    ncols = len(system.columns)
+    basis = _echelon(system.sparse_rows, ncols)
+    if what is not None and ncols - basis.rank != G.deficiency():
         raise PreconditionError(f"{what} requires a good set")
+    basis.back_substitute()
+    rows = basis.pivot_rows
+    keys = [
+        (row[j], frozenset((k, x) for k, x in row.items() if k != j))
+        if (row := rows.get(j)) is not None
+        else (1, frozenset({(j, -1)}))
+        for j in range(ncols)
+    ]
     groups: dict[tuple, list[Point]] = {}
-    for p in G:
-        groups.setdefault(tuple(g.get(c, 0) for g in kernel for c in enumerate(p)), []).append(p)
+    for p, prow in zip(G, system.sparse_rows):
+        groups.setdefault(tuple(keys[j] for j in prow), []).append(p)
     return list(groups.values())
 
 
@@ -180,11 +209,31 @@ def related(S: PointSet, x, y) -> bool:
 def geodesic(S: PointSet, x, y) -> Geodesic | None:
     """The unique minimal full subset containing x and y, or None if unrelated.
 
-    A walk that ends without a full set is a fatal internal error.
+    On a set with def(S) = n - 1 the walk's first inversion is the good-set
+    check.  A walk that ends without a full set is a fatal internal error.
     """
     x, y = _require_member(S, x), _require_member(S, y)
-    F = _classes(S, "geodesic", x)[0]
-    return _walk(F, x, y) if y in F else None
+    pins = [(i, x[i]) for i in range(S.space.n - 1)]
+    if S.deficiency() == S.space.n - 1:
+        F, inverse = S, _full_set_inverse(S, pins, "geodesic", enumerate(y))
+    else:
+        F = _classes(S, "geodesic", x)[0]
+        if y not in F:
+            return None
+        inverse = _pinned_inverse(IncidenceSystem(F), pins, targets=enumerate(y))
+    return _walk(F, x, y, _Support(F, inverse))
+
+
+def _full_set_inverse(S: PointSet, pins, what: str, targets=None) -> dict:
+    """`_pinned_inverse` of S, def(S) = n - 1, with its check as S's good-set check.
+
+    The pins are n - 1 coordinates of one point of S, so the system is
+    square, and it is singular exactly when S is not good.
+    """
+    try:
+        return _pinned_inverse(IncidenceSystem(S), pins, targets)
+    except VerificationError:
+        raise PreconditionError(f"{what} requires a good set") from None
 
 
 class _Support(dict):
@@ -203,30 +252,31 @@ class _Support(dict):
         return points
 
 
-def _walk(F: PointSet, x: Point, y: Point, support: _Support | None = None) -> Geodesic:
+def _walk(F: PointSet, x: Point, y: Point, support: _Support) -> Geodesic:
     """The geodesic of x and y, walked over F's inverse pinned at x.
 
     F is full and holds x and y.  Layer by layer from y's coordinates, the
     walk adds the points with a nonzero entry in the rows at the new
-    coordinates, and stops at the first full set.  A given `support`, over
-    F's full inverse as `_pinned_inverse` returns it, is read and filled as
-    it is; otherwise the first layer eliminates for its n rows alone, and a
-    second layer for F's full inverse, once.
+    coordinates, counting the coordinates it has reached, and stops at the
+    first full set.  The `support` is read and filled as it is; when it
+    lacks a row the walk needs, as one over the rows at y's coordinates
+    alone does past its first layer, it is replaced by one over F's full
+    inverse, once.
     """
-    pins = [(i, x[i]) for i in range(F.space.n - 1)]
-    if support is None:
-        support = _Support(F, _pinned_inverse(IncidenceSystem(F), pins, targets=enumerate(y)))
-    reached, layer = {x, y}, list(enumerate(y))
+    n = F.space.n
+    reached = {x, y}
+    layer = list(enumerate(y))
     seen = set(layer)
     while layer:
         if any(c not in support.inverse for c in layer):
+            pins = [(i, x[i]) for i in range(n - 1)]
             support = _Support(F, _pinned_inverse(IncidenceSystem(F), pins))
         reached.update(*(support[c] for c in layer))
-        G = PointSet(F.space, tuple(reached))
-        if G.deficiency() == F.space.n - 1:
-            return Geodesic((x, y), G)
-        layer = [c for c in G.coordinates() if c not in seen]
-        seen.update(layer)
+        coords = {c for p in reached for c in enumerate(p)}
+        if len(coords) - len(reached) == n - 1:
+            return Geodesic((x, y), PointSet(F.space, tuple(reached)))
+        layer = coords - seen
+        seen |= layer
     raise VerificationError("the geodesic is not full or misses its core")
 
 

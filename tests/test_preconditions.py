@@ -13,7 +13,9 @@ from fractions import Fraction
 import pytest
 
 import goodsets as gs
-from util import RECTANGLE, int_space, oracle_independent, pset
+from goodsets import structure
+from goodsets.instances import _example10, parse_instance
+from util import RECTANGLE, T4, cube_set, int_space, oracle_independent, pset
 
 
 def _solve_with_boundary(S, p, q):
@@ -128,6 +130,34 @@ def test_bad_set_of_deficiency_n_minus_one_names_the_entry(name, call, message):
             with pytest.raises(gs.PreconditionError) as err:
                 call(S, p, q)
             assert str(err.value) == message
+
+
+def test_full_set_geodesic_checks_goodness_without_a_rank(monkeypatch):
+    # On a set with def(S) = n - 1 the pinned inversion behind the walk is
+    # the good-set check, so no rank of S runs: the known geodesics still
+    # come back, and a dependent set still gets the exact message.
+    def no_rank(system):
+        raise AssertionError("a full set's geodesic ranked its rows")
+
+    chain = parse_instance(_example10(6))
+    monkeypatch.setattr(structure, "rank", no_rank)
+    t4 = cube_set(T4)
+    for y in t4:
+        g = gs.geodesic(t4, (1, 0, 1), y)
+        assert set(g.points) == ({y} if y == (1, 0, 1) else set(t4.points))
+    base = chain.file_points[0]
+    for index, y in enumerate(chain.file_points):
+        # Base to a step-m point of the doubling chain: 3m + 1 points on the
+        # diagonal, 3m - 1 off it.
+        step = (index + 2) // 3
+        length = 1 if step == 0 else 3 * step + (1 if index % 3 == 0 else -1)
+        g = gs.geodesic(chain.point_set, base, y)
+        assert g.length == length and {base, y} <= set(g.points)
+        assert gs.is_full(g.points)
+    for S in RANK_PATH_SETS:
+        with pytest.raises(gs.PreconditionError) as err:
+            gs.geodesic(S, S.points[0], S.points[-1])
+        assert str(err.value) == "geodesic requires a good set"
 
 
 def test_random_bad_sets_cover_both_sides_of_n_minus_one():

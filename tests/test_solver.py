@@ -6,6 +6,7 @@ import pytest
 
 import goodsets as gs
 from goodsets.instances import _example10, example_instance, parse_instance
+from goodsets.linalg import _pinned_inverse
 from util import (
     DIAGONAL,
     T4,
@@ -350,6 +351,20 @@ def test_bound_diagnostics_matches_indicator_sweep():
         base = rng.choice(S.points)
         diag = gs.bound_diagnostics(S, base)
         assert diag.max_abs_indicator_value == _indicator_sweep(S, base)
+
+
+def test_indicator_maximum_matches_every_inverse_entry():
+    # The sweep's maximum skips the inverse's zero entries; it must equal
+    # the largest |v| over all of them, zeros included.
+    sets = [_greedy_maximal_cube(random.Random(seed), k) for seed in range(3) for k in (8, 20)]
+    sets += [_greedy_maximal_cube(random.Random(seed), 5, 4) for seed in range(3)]
+    rng = random.Random(103)
+    for S in sets:
+        base = rng.choice(S.points)
+        pins = [(i, base[i]) for i in range(S.space.n - 1)]
+        inverse = _pinned_inverse(gs.IncidenceSystem(S), pins)
+        expected = max(abs(v) for row in inverse.values() for v in row[: len(S)])
+        assert gs.bound_diagnostics(S, base).max_abs_indicator_value == expected
 
 
 def test_doubling_chain_frontier_depth_twelve():

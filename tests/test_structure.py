@@ -5,8 +5,9 @@ import time
 import pytest
 
 import goodsets as gs
+from goodsets import structure
 from goodsets.instances import _example10, parse_instance
-from goodsets.linalg import _pinned_inverse
+from goodsets.linalg import _echelon, _pinned_inverse
 from util import (
     DIAGONAL,
     RECTANGLE,
@@ -17,6 +18,7 @@ from util import (
     brute_force_geodesic,
     bipartite_is_forest,
     cube_set,
+    fraction_signature_groups,
     int_space,
     pset,
     random_good_set,
@@ -380,3 +382,39 @@ def test_thinned_maximal_sets_components_frontier():
         multi += len(partition) > 1
     assert multi >= 10
     assert elapsed < 10
+
+
+def _signature_inputs():
+    """Random good sets, chains minus their middle point and thinned maximal sets."""
+    rng = random.Random(89)
+    sets = [
+        random_good_set(rng, int_space(tuple(rng.randint(2, 5) for _ in range(n))), 12)
+        for n in (2, 3, 4)
+        for _ in range(60)
+    ]
+    sets += [_chain_minus_middle(depth) for depth in range(2, 9)]
+    space = int_space((6, 6, 6, 6))
+    for _ in range(20):
+        maximal = gs.extend_to_maximal(random_good_set(rng, space, 21))
+        sets.append(maximal.difference(rng.sample(maximal.points, rng.randint(3, 12))))
+    return sets
+
+
+def test_integer_signature_keys_match_fraction_kernel():
+    # The integer keys must group the points as the Fraction kernel's
+    # signatures do, group for group and in the same order, including where
+    # a back-substituted row's pivot entry is above 1 and the key stands for
+    # the column -row / row[p].  A key without its pivot entry would split
+    # a pivot column from the free column it equals; one with the entry set
+    # to 1 would not be caught, since K(G) holds the per-axis constants and
+    # so no two coordinate columns are distinct positive multiples.
+    inputs = _signature_inputs()
+    assert len(inputs) >= 200
+    largest_pivot = 0
+    for G in inputs:
+        assert structure._signature_groups(G) == fraction_signature_groups(G)
+        system = gs.IncidenceSystem(G)
+        basis = _echelon(system.sparse_rows, len(system.columns))
+        basis.back_substitute()
+        largest_pivot = max(largest_pivot, *(row[p] for p, row in basis.pivot_rows.items()))
+    assert largest_pivot > 1

@@ -5,9 +5,10 @@ rows are rebuilt from the encoding's definition, rank/null-space questions go
 through sympy, the n = 2 statements use a union-find over the bipartite
 multigraph rather than any linear algebra, and relatedness classes and
 geodesics come from enumerating every subset.  `DenseRowBasis` is the
-dense elimination that the sparse `RowBasis` must match row for row, and
+dense elimination that the sparse `RowBasis` must match row for row,
 `fraction_marginals` the plain `Fraction` sums that the integer marginals
-must match entry by entry.
+must match entry by entry, and `fraction_signature_groups` the `Fraction`
+kernel signatures that the integer signature keys must group alike.
 """
 
 import itertools
@@ -112,6 +113,19 @@ def fraction_marginals(weights, n) -> list[dict]:
         for i, label in enumerate(p):
             tables[i][label] = tables[i].get(label, Fraction(0)) + w
     return tables
+
+
+def fraction_signature_groups(G: gs.PointSet) -> list[list]:
+    """G's points grouped by their `Fraction` signature over `gs.column_kernel`, in G's order.
+
+    The signature of p is (g(i, p_i)) for g over the kernel basis and i over
+    the axes, with every entry an exact `Fraction`.
+    """
+    kernel = gs.column_kernel(gs.IncidenceSystem(G))
+    groups: dict[tuple, list] = {}
+    for p in G:
+        groups.setdefault(tuple(g.get(c, 0) for g in kernel for c in enumerate(p)), []).append(p)
+    return list(groups.values())
 
 
 def oracle_rank(space, points) -> int:
