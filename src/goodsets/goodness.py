@@ -87,11 +87,6 @@ def is_full(S: PointSet, definitional: bool = False) -> bool:
     return all(basis.contains_sparse(_incidence_row(p, col_index)) for p in S.product_points())
 
 
-def _require_good(S: PointSet, what: str):
-    if not is_good(S):
-        raise PreconditionError(f"{what} requires a good set")
-
-
 def _addable(S: PointSet, columns, candidates, what: str):
     """Greedy growth: the candidates outside S that each enlarge the row span.
 
@@ -224,9 +219,10 @@ def associated_full_set(S: PointSet, boundary_coords) -> PointSet:
     comb R = union_i {b_1} x ... x B_i x ... x {b_n} (b_i the least element
     of B_i) is full, and F = S union R is full with S's projections.  Both
     facts are verified here; failure signals a bug upstream, not bad input.
+    F contains S, so the fullness check of F is the good-set check, and
+    `is_good(S)` runs only when it fails, to name the broken precondition.
     """
     S.require_nonempty("associated_full_set")
-    _require_good(S, "associated_full_set")
     n = S.space.n
     by_axis: dict[int, list] = {i: [] for i in range(n)}
     for coord in boundary_coords:
@@ -251,6 +247,8 @@ def associated_full_set(S: PointSet, boundary_coords) -> PointSet:
         raise VerificationError("comb through the boundary is not full")
     F = S.union(comb)
     if not is_full(F):
+        if not is_good(S):
+            raise PreconditionError("associated_full_set requires a good set")
         raise VerificationError("S plus comb is not full")
     if F.projections() != S.projections():
         raise VerificationError("comb changed the projections")

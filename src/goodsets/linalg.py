@@ -8,18 +8,20 @@ in this package, so there is exactly one elimination, the integer
 coefficients are views on it.  A point's row has n nonzeros among |C(S)|
 columns, so rows are sparse: dicts {column: int} of their nonzero entries,
 and a reduction touches only the entries that are there.  The right-hand
-side, the identity block of a witness and the unit columns of an inverse
-are extra keys of the same dicts.  A rational right-hand side is scaled to
-integers by the lcm of its denominators, and `Fraction` appears only at the
-final division by a pivot entry.  Pins (prescribed coordinate values) enter
-as extra unit rows, not by column elimination, which keeps the unique /
-underdetermined / inconsistent reporting uniform.
+side, the unit tags of a witness or a circuit and the unit columns of an
+inverse are extra keys of the same dicts.  A rational right-hand side is
+scaled to integers by the lcm of its denominators, and `Fraction` appears
+only at the final division by a pivot entry.  Pins (prescribed coordinate
+values) enter as extra unit rows, not by column elimination, which keeps
+the unique / underdetermined / inconsistent reporting uniform.
 
 One dependence scan decides goodness and yields loops (`extract_circuit`):
-one reverse pass over the canonical support finds the first point that
-turns the rows dependent, if any; from that point on the support holds
-exactly one circuit, whose coefficient vector is the unique normalized
-integer kernel element.
+one reverse pass over the canonical support finds the first point e_k that
+turns the rows dependent, if any; from e_k on, the support holds exactly
+one circuit.  Only then are those tail rows eliminated once more, each
+tagged by a unit column of its own, the way a witness is read: the one
+basis row whose coordinate part is zero carries the circuit's primitive
+integer coefficients in its tags, e_k's first and positive.
 """
 
 from __future__ import annotations
@@ -187,20 +189,6 @@ def _echelon(rows: Iterable[Mapping[int, int]], ncols: int) -> RowBasis:
     return basis
 
 
-def _null_vectors(basis: RowBasis, ncols: int) -> list[dict[int, Fraction]]:
-    """Kernel of a back-substituted basis: one vector per free column, 1 there.
-
-    Each vector is a dict of its nonzero entries in column order.
-    """
-    vectors = {fc: {fc: Fraction(1)} for fc in range(ncols) if fc not in basis.pivot_rows}
-    for p, row in basis.pivot_rows.items():
-        for fc, x in row.items():
-            v = vectors.get(fc)
-            if v is not None:
-                v[p] = Fraction(-x, row[p])
-    return [dict(sorted(v.items())) for v in vectors.values()]
-
-
 def _augment(rows, rhs: Sequence[Fraction], ncols: int) -> tuple[list[dict[int, int]], int]:
     """Rows extended by the rhs at column ncols, scaled by the lcm of its denominators."""
     scale = lcm(*(b.denominator for b in rhs))
@@ -338,10 +326,19 @@ def rank(system: IncidenceSystem) -> int:
 
 
 def _kernel_dicts(system: IncidenceSystem, basis: RowBasis) -> list[dict]:
-    return [
-        {system.columns[j]: v for j, v in vec.items()}
-        for vec in _null_vectors(basis, len(system.columns))
-    ]
+    """Kernel of a back-substituted basis: one vector per free column, 1 there.
+
+    Each vector is a dict {coordinate: Fraction} of its nonzero entries in
+    column order.
+    """
+    columns = system.columns
+    vectors = {f: {f: Fraction(1)} for f in range(len(columns)) if f not in basis.pivot_rows}
+    for p, row in basis.pivot_rows.items():
+        for f, x in row.items():
+            v = vectors.get(f)
+            if v is not None:
+                v[p] = Fraction(-x, row[p])
+    return [{columns[j]: x for j, x in sorted(v.items())} for v in vectors.values()]
 
 
 def column_kernel(system: IncidenceSystem, pins: PinSet | None = None) -> list[dict]:
@@ -377,17 +374,27 @@ class LinearSolve:
         return self.verdict == UNIQUE
 
 
+def _tagged_echelon(rows: Sequence[Mapping[int, int]], width: int) -> RowBasis:
+    """The echelon basis of [rows | I]: row k carries a unit tag at column width + k.
+
+    The tags keep every row independent, and a basis row's tag entries give
+    the integer combination of the rows that it is.  A basis row whose lead
+    is at or past column width is zero before it, so its tags are a primitive
+    integer relation among the rows' first width entries, led by a positive
+    entry at the least row index it involves.
+    """
+    return _echelon(({**r, width + k: 1} for k, r in enumerate(rows)), width + len(rows))
+
+
 def _witness(rows, rhs: Sequence[Fraction], ncols: int, labels) -> tuple:
     """A row combination that kills every column but not the rhs.
 
-    Eliminates [rows | D rhs | I]: on an inconsistent system the rhs column
-    is a pivot, and its basis row is zero on the columns and carries the
-    combination in the identity block.
+    Eliminates the augmented rows [rows | D rhs] tagged: on an inconsistent
+    system the rhs column is a pivot, and its basis row is zero on the
+    columns and carries the combination in its tags.
     """
     augmented, _ = _augment(rows, rhs, ncols)
-    m = len(augmented)
-    extended = [{**r, ncols + 1 + k: 1} for k, r in enumerate(augmented)]
-    combination = _echelon(extended, ncols + 1 + m).pivot_rows[ncols]
+    combination = _tagged_echelon(augmented, ncols + 1).pivot_rows[ncols]
     return tuple(
         (labels[k - ncols - 1], Fraction(c)) for k, c in sorted(combination.items()) if k > ncols
     )
@@ -461,36 +468,28 @@ def _circuit(S: PointSet) -> CircuitVector | None:
 
     One pass scans S in reverse canonical order, with rows over S's own
     coordinates; the first point e_k whose row is dependent on the rows
-    after it makes T = S.points[k:] hold exactly one circuit.  That circuit
-    is the support of the one-dimensional kernel of T's transposed incidence
-    matrix, and it is what the deletion loop (drop, in canonical order, any
-    point whose removal keeps the rest dependent) would leave.  The kernel
-    vector scales to a unique normalized integer vector.
+    after it makes T = S.points[k:] hold exactly one circuit, and e_k is in
+    it.  That circuit is what the deletion loop (drop, in canonical order,
+    any point whose removal keeps the rest dependent) would leave.  T's rows
+    are then eliminated once more, tagged (`_tagged_echelon`): exactly one
+    basis row has a zero coordinate part, its lead is e_k's tag, and its tag
+    entries are the circuit's primitive integer coefficients, e_k's positive.
+    The tags enter only here, after the scan, so a good set pays the scan
+    alone.
     """
     col_index = {c: j for j, c in enumerate(S.coordinates())}
     rows = [_incidence_row(p, col_index) for p in S]
-    scan = RowBasis(len(col_index))
+    ncols = len(col_index)
+    scan = RowBasis(ncols)
     k = next((k for k in reversed(range(len(rows))) if scan.add_sparse(rows[k]) is None), None)
     if k is None:
         return None
 
-    # Kernel of the transpose: coefficients per point of T.
-    tail = S.points[k:]
-    basis = _echelon(_transpose(rows[k:], len(col_index)), len(tail))
-    basis.back_substitute()
-    kernel = _null_vectors(basis, len(tail))
-    if len(kernel) != 1:
-        raise VerificationError(
-            f"circuit kernel dimension {len(kernel)}; the one-pass scan is broken"
-        )
-    scale = lcm(*(v.denominator for v in kernel[0].values()))
-    ints = _primitive({i: int(v * scale) for i, v in kernel[0].items()})
-    lead = ints.get(0, 0)
-    if lead == 0:
-        raise VerificationError("circuit coefficient vanished at the first dependent point")
-    if lead < 0:
-        ints = {i: -c for i, c in ints.items()}
-    return CircuitVector(tuple(tail[i] for i in ints), tuple(ints.values()))
+    basis = _tagged_echelon(rows[k:], ncols)
+    if [p for p in basis.pivot_rows if p >= ncols] != [ncols]:
+        raise VerificationError("tail relations are not one, led by the first dependent point")
+    tags, coefficients = zip(*sorted(basis.pivot_rows[ncols].items()))
+    return CircuitVector(tuple(S.points[k + j - ncols] for j in tags), coefficients)
 
 
 def extract_circuit(space: Space, points: Iterable[Point]) -> CircuitVector:
@@ -502,16 +501,20 @@ def extract_circuit(space: Space, points: Iterable[Point]) -> CircuitVector:
 
 
 def verify_circuit(space: Space, circuit: CircuitVector):
-    """Re-check a circuit: exact cancellation, minimality, normalization.
+    """Re-check a circuit: distinct points, exact cancellation, minimality, normalization.
 
-    Once the coefficients cancel and are all nonzero, the support is minimal
-    exactly when its rows have rank |support| - 1: the relation then spans
-    the whole space of relations, and it vanishes on no point.
+    Once the points are distinct and the coefficients cancel and are all
+    nonzero, the support is minimal exactly when its rows have rank
+    |support| - 1: the relation then spans the whole space of relations, and
+    it vanishes on no point.  A repeated point would pass the rank test (one
+    point listed twice, with coefficients 1 and -1, has rank 1 = 2 - 1).
     """
     pts = circuit.points
     coeffs = circuit.coefficients
     if len(pts) != len(coeffs) or not pts:
         raise VerificationError("circuit points and coefficients do not align")
+    if len(set(pts)) != len(pts):
+        raise VerificationError("circuit repeats a point")
     sums: dict = {}
     for p, c in zip(pts, coeffs):
         if c == 0:

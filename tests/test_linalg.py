@@ -20,6 +20,7 @@ from util import (
     oracle_zero_marginal_dependency,
     pset,
     random_good_set,
+    transposed_kernel_circuit,
 )
 
 
@@ -294,6 +295,15 @@ def test_verify_circuit_rejects_non_normalized_vector(coefficients):
         gs.verify_circuit(space, vector)
 
 
+def test_verify_circuit_rejects_repeated_point():
+    # One point listed twice cancels, is normalized, and its two equal rows
+    # have rank 1 = 2 - 1; only the repeat gives it away.
+    space = gs.Space.of(("x", ("a",)), ("y", ("c",)))
+    vector = gs.CircuitVector((("a", "c"), ("a", "c")), (1, -1))
+    with pytest.raises(gs.VerificationError, match="repeats a point"):
+        gs.verify_circuit(space, vector)
+
+
 def _deletion_loop_support(space, points):
     """Oracle: shrink to a circuit by the deletion loop, dependence by sympy rank.
 
@@ -330,6 +340,48 @@ def test_extract_circuit_matches_deletion_loop():
         ratio = circuit.coefficients[0] / null[0]
         assert [ratio * c for c in null] == list(circuit.coefficients)
         done += 1
+
+
+def _closed_chain(d):
+    chain = parse_instance(_example10(d)).point_set
+    return chain.union([(f"x{d}", "y0", f"z{d}")])
+
+
+def _tagged_circuit_inputs():
+    """Dependent sets: random ones for n = 2, 3, 4, closed chains, maximal plus one."""
+    rng = random.Random(41)
+    sets = []
+    for n in (2, 3, 4):
+        found = 0
+        while found < 40:
+            space = int_space(tuple(rng.randint(2, 4) for _ in range(n)))
+            product = list(space.all_points())
+            S = gs.PointSet.of(space, rng.sample(product, rng.randint(2, min(14, len(product)))))
+            if not oracle_independent(space, S.points):
+                sets.append(S)
+                found += 1
+    sets += [_closed_chain(d) for d in range(6, 15)]
+    for sizes in ((4, 4, 4), (6, 6, 6), (8, 8, 8), (3, 3, 3, 3)):
+        space = int_space(sizes)
+        for _ in range(3):
+            M = gs.extend_to_maximal(random_good_set(rng, space, 3))
+            extra = rng.choice([p for p in space.all_points() if p not in M])
+            sets.append(M.union([extra]))
+    return sets
+
+
+def test_tagged_circuit_matches_transposed_kernel():
+    magnitudes = set()
+    for S in _tagged_circuit_inputs():
+        want = transposed_kernel_circuit(S)
+        assert want is not None
+        assert gs.is_good(S).loop == want
+        assert gs.extract_circuit(S.space, S.points) == want
+        magnitudes.update(map(abs, want.coefficients))
+    assert max(magnitudes) > 1
+    # The closed chain of depth d has coefficients up to 2^(d - 1).
+    for d, top in ((6, 32), (10, 512), (14, 8192)):
+        assert max(map(abs, transposed_kernel_circuit(_closed_chain(d)).coefficients)) == top
 
 
 def test_unique_solutions_match_sympy():

@@ -22,6 +22,11 @@ def _solve_with_boundary(S, p, q):
     return gs.solve_with_boundary(S, gs.FunctionTable.zero(S), gs.PinSet(()))
 
 
+def _associated_full_set(S, p, q):
+    # S's first point's coordinates as the boundary; none on an empty S.
+    return gs.associated_full_set(S, [c for x in S.points[:1] for c in enumerate(x)])
+
+
 # name, call on (S, p, q) with p and q points of S, expected message
 ENTRIES = [
     ("related", lambda S, p, q: gs.related(S, p, q), "related requires a good set"),
@@ -64,6 +69,18 @@ ENTRIES = [
         "related_components requires a good set",
     ),
     ("solve_with_boundary", _solve_with_boundary, "solve_with_boundary requires a good set"),
+    (
+        "extend_to_maximal",
+        lambda S, p, q: gs.extend_to_maximal(S),
+        "extend_to_maximal requires a good set",
+    ),
+    ("full_closure", lambda S, p, q: gs.full_closure(S), "full_closure requires a good set"),
+    ("full_split", lambda S, p, q: gs.full_split(S), "full_split requires a good set"),
+    (
+        "associated_full_set",
+        _associated_full_set,
+        "associated_full_set requires a good set",
+    ),
 ]
 ENTRY_IDS = [name for name, _, _ in ENTRIES]
 

@@ -7,13 +7,15 @@ multigraph rather than any linear algebra, and relatedness classes and
 geodesics come from enumerating every subset.  `DenseRowBasis` is the
 dense elimination that the sparse `RowBasis` must match row for row,
 `fraction_marginals` the plain `Fraction` sums that the integer marginals
-must match entry by entry, and `fraction_signature_groups` the `Fraction`
-kernel signatures that the integer signature keys must group alike.
+must match entry by entry, `fraction_signature_groups` the `Fraction`
+kernel signatures that the integer signature keys must group alike, and
+`transposed_kernel_circuit` the transposed `Fraction` kernel that the
+tagged elimination's circuit must match coefficient for coefficient.
 """
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import goodsets as gs
 
@@ -126,6 +128,43 @@ def fraction_signature_groups(G: gs.PointSet) -> list[list]:
     for p in G:
         groups.setdefault(tuple(g.get(c, 0) for g in kernel for c in enumerate(p)), []).append(p)
     return list(groups.values())
+
+
+def transposed_kernel_circuit(S: gs.PointSet):
+    """The dependence scan's circuit read off the kernel of the tail's transpose, or None.
+
+    This is how the scan read its circuit before the tagged elimination,
+    kept as it was.  The reverse scan over S's own coordinates finds the
+    first point e_k whose row depends on the rows after it; the columns of
+    T = S.points[k:] are eliminated as rows over T's indices and
+    back-substituted, the one free index gives the one `Fraction` kernel
+    vector, and that vector is scaled to integers by the lcm of its
+    denominators, made primitive and signed so that e_k's entry is positive.
+    """
+    index = {c: j for j, c in enumerate(S.coordinates())}
+    rows = [{index[c]: 1 for c in enumerate(p)} for p in S]
+    scan = gs.RowBasis(len(index))
+    k = next((k for k in reversed(range(len(rows))) if scan.add_sparse(rows[k]) is None), None)
+    if k is None:
+        return None
+    tail = S.points[k:]
+    transposed = gs.RowBasis(len(tail))
+    for j in range(len(index)):
+        transposed.add_sparse({i: 1 for i, row in enumerate(rows[k:]) if j in row})
+    transposed.back_substitute()
+    (free,) = [i for i in range(len(tail)) if i not in transposed.pivot_rows]
+    kernel = {free: Fraction(1)}
+    for p, row in transposed.pivot_rows.items():
+        if free in row:
+            kernel[p] = Fraction(-row[free], row[p])
+    kernel = dict(sorted(kernel.items()))
+    scale = lcm(*(v.denominator for v in kernel.values()))
+    ints = {i: int(v * scale) for i, v in kernel.items()}
+    g = gcd(*ints.values())
+    sign = 1 if ints[0] > 0 else -1
+    return gs.CircuitVector(
+        tuple(tail[i] for i in ints), tuple(sign * c // g for c in ints.values())
+    )
 
 
 def oracle_rank(space, points) -> int:
