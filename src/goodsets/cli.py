@@ -34,21 +34,6 @@ from .model import PinSet, PreconditionError, VerificationError
 
 __all__ = ["main", "run"]
 
-COMMANDS = (
-    "check-good",
-    "find-loop",
-    "is-full",
-    "fullify",
-    "split",
-    "maximalize",
-    "components",
-    "geodesic",
-    "boundary",
-    "solve",
-    "simplicial",
-    "stats",
-)
-
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
 EXIT_PARSE = 3
@@ -300,6 +285,8 @@ _HANDLERS = {
     "simplicial": _cmd_simplicial,
     "stats": _cmd_stats,
 }
+
+COMMANDS = tuple(_HANDLERS)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -22,6 +22,7 @@ from .linalg import (
     _circuit,
     _echelon,
     _incidence_row,
+    _stack_pins,
     column_kernel,
 )
 from .model import (
@@ -218,9 +219,11 @@ def associated_full_set(S: PointSet, boundary_coords) -> PointSet:
     Given a boundary B with B_i = B on axis i nonempty for every axis, the
     comb R = union_i {b_1} x ... x B_i x ... x {b_n} (b_i the least element
     of B_i) is full, and F = S union R is full with S's projections.  Both
-    facts are verified here; failure signals a bug upstream, not bad input.
-    F contains S, so the fullness check of F is the good-set check, and
-    `is_good(S)` runs only when it fails, to name the broken precondition.
+    facts are verified here.  F contains S, so the fullness check of F is
+    the good-set check.  When either check fails, `is_good(S)` and then the
+    boundary test of `solve_with_boundary` (the coordinates stacked under
+    S's rows give a square system of full rank) run to name the broken
+    precondition; a failure with both met signals a bug upstream.
     """
     S.require_nonempty("associated_full_set")
     n = S.space.n
@@ -246,10 +249,14 @@ def associated_full_set(S: PointSet, boundary_coords) -> PointSet:
     if not is_full(comb_set):
         raise VerificationError("comb through the boundary is not full")
     F = S.union(comb)
-    if not is_full(F):
+    if not is_full(F) or F.projections() != S.projections():
         if not is_good(S):
             raise PreconditionError("associated_full_set requires a good set")
-        raise VerificationError("S plus comb is not full")
-    if F.projections() != S.projections():
-        raise VerificationError("comb changed the projections")
+        system = IncidenceSystem(S)
+        coords = [(i, v) for i in range(n) for v in by_axis[i]]
+        size = len(system.columns)
+        square = len(S) + len(coords) == size and all(c in system.col_index for c in coords)
+        if not square or _echelon(_stack_pins(system, coords), size).rank != size:
+            raise PreconditionError("boundary_coords do not form a boundary of the set")
+        raise VerificationError("S plus comb is not full with S's projections")
     return F

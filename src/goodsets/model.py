@@ -343,17 +343,6 @@ class Decomposition:
         point = self.space.validate_point(point)
         return sum((self.value(i, label) for i, label in enumerate(point)), Fraction(0))
 
-    def restricted_to(self, S: PointSet) -> "Decomposition":
-        """Drop values outside the projections of S."""
-        projs = S.projections()
-        return Decomposition(
-            self.space,
-            tuple(
-                {v: t[v] for v in projs[i] if v in t}
-                for i, t in enumerate(self.tables)
-            ),
-        )
-
     def __add__(self, other: "Decomposition") -> "Decomposition":
         if other.space is not self.space and other.space != self.space:
             raise PreconditionError("decompositions live on different spaces")

@@ -19,6 +19,12 @@ lengths from a base and the largest solution value over singleton indicator
 right-hand sides, read off one exact inverse of the system pinned at the
 base's first n - 1 coordinates; every geodesic from the base is walked
 over that inverse too.
+
+The geodesic route and `bound_diagnostics` take the base's class, its
+pinned inverse and the good-set check from `structure._pinned_class`, and
+keep only their own messages for a point outside that class.  `_unique`
+assembles the geodesic and componentwise routes' coordinate values and
+checks that they reproduce f, and `_report` builds every route's report.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from .model import (
     PreconditionError,
     VerificationError,
 )
-from .structure import _classes, _full_set_inverse, _Support, _walk, related_components
+from .structure import _pinned_class, _walk, related_components
 
 __all__ = [
     "BoundDiagnostics",
@@ -79,22 +85,20 @@ class SolveReport:
         return self.verdict == UNIQUE
 
 
-def _max_abs(decomposition: Decomposition | None) -> Fraction | None:
-    if decomposition is None:
-        return None
-    values = [abs(v) for t in decomposition.tables for v in t.values()]
-    return max(values, default=Fraction(0))
-
-
 def _report(method: str, outcome: LinearSolve, max_len: int | None = None) -> SolveReport:
+    """The report of every route: its outcome and largest |value|, tagged with the method."""
+    d = outcome.decomposition
+    worst = None
+    if d is not None:
+        worst = max((abs(v) for t in d.tables for v in t.values()), default=Fraction(0))
     return SolveReport(
         method=method,
         verdict=outcome.verdict,
-        decomposition=outcome.decomposition,
+        decomposition=d,
         kernel=outcome.kernel,
         witness=outcome.witness,
         max_geodesic_length=max_len,
-        max_abs_value=_max_abs(outcome.decomposition),
+        max_abs_value=worst,
     )
 
 
@@ -137,26 +141,38 @@ def geodesic_matrix(G: PointSet, base) -> GeodesicMatrix:
     return GeodesicMatrix(ordered, columns, tuple(_dense(r, len(columns)) for r in rows))
 
 
-def _class_inverse(S: PointSet, base, what: str, unrelated) -> tuple[Point, dict]:
-    """The base and S's inverse pinned at the base's first n - 1 coordinates.
+def _base_support(S: PointSet, base, what: str, unrelated):
+    """The base (S's first point by default) and the support of S's inverse pinned at it.
 
-    The prologue of the routes from one base, `what` naming the caller: S
-    is nonempty and good, and the base (S's first point by default) is in
-    S.  The first point of S outside the base's class raises `unrelated(y)`.
-    A set with def(S) = n - 1 is one class exactly when it is good, and
-    then its pinned system is square and singular exactly when S is not
-    good; so that elimination is its good-set check.  Any other S is not
-    one class, and the refinement names the failure.
+    `what` names the caller to `structure._pinned_class`, which checks that
+    S is good; the first point of S outside the base's class raises
+    `unrelated(y)`.
     """
     S.require_nonempty(what)
-    n = S.space.n
     base = S.points[0] if base is None else S.space.validate_point(tuple(base))
     if base not in S:
         raise PreconditionError("base point must belong to the set")
-    if S.deficiency() != n - 1:
-        F = _classes(S, what, base)[0]
+    F, support = _pinned_class(S, base, what)
+    if support is None:
         raise unrelated(next(y for y in S if y not in F))
-    return base, _full_set_inverse(S, [(i, base[i]) for i in range(n - 1)], what)
+    return base, support
+
+
+def _unique(S: PointSet, f: FunctionTable, values) -> LinearSolve:
+    """The unique solve with the given (coordinate, value) pairs, checked to reproduce f.
+
+    A coordinate given twice is an internal error.
+    """
+    tables: list[dict] = [dict() for _ in range(S.space.n)]
+    for (axis, label), v in values:
+        if label in tables[axis]:
+            raise VerificationError("two solves wrote one coordinate")
+        tables[axis][label] = v
+    decomposition = Decomposition(S.space, tuple(tables))
+    for p in S:
+        if decomposition.evaluate(p) != f(p):
+            raise VerificationError("assembled decomposition does not reproduce f")
+    return LinearSolve(UNIQUE, decomposition, (), None)
 
 
 def solve_via_geodesics(S: PointSet, f: FunctionTable, base=None) -> SolveReport:
@@ -169,7 +185,7 @@ def solve_via_geodesics(S: PointSet, f: FunctionTable, base=None) -> SolveReport
     by several geodesics must agree, and the assembled split must reproduce
     f; both are asserted.
     """
-    base, inverse = _class_inverse(
+    base, support = _base_support(
         S,
         base,
         "solve_via_geodesics",
@@ -177,12 +193,9 @@ def solve_via_geodesics(S: PointSet, f: FunctionTable, base=None) -> SolveReport
             f"{y!r} is unrelated to the base; use the componentwise or boundary method"
         ),
     )
-    n = S.space.n
-    pins = [(i, base[i]) for i in range(n - 1)]
-
+    pins = [(i, base[i]) for i in range(S.space.n - 1)]
     values: dict[Coordinate, Fraction] = {}
     max_len = 0
-    support = _Support(S, inverse)
     for y in S:
         G = _walk(S, base, y, support)
         max_len = max(max_len, G.length)
@@ -191,30 +204,13 @@ def solve_via_geodesics(S: PointSet, f: FunctionTable, base=None) -> SolveReport
             v = sum((w * f(p) for w, p in zip(row, G.points) if w), Fraction(0))
             if values.setdefault(coord, v) != v:
                 raise VerificationError(f"geodesic solves disagree at coordinate {coord!r}")
-
-    tables: list[dict] = [dict() for _ in range(n)]
-    for (axis, label), v in values.items():
-        tables[axis][label] = v
-    decomposition = Decomposition(S.space, tuple(tables))
-    for p in S:
-        if decomposition.evaluate(p) != f(p):
-            raise VerificationError("assembled decomposition does not reproduce f")
-    return SolveReport(
-        method="geodesic",
-        verdict=UNIQUE,
-        decomposition=decomposition,
-        kernel=(),
-        witness=None,
-        max_geodesic_length=max_len,
-        max_abs_value=_max_abs(decomposition),
-    )
+    return _report("geodesic", _unique(S, f, values.items()), max_len)
 
 
 def solve_componentwise(S: PointSet, f: FunctionTable, bases=None) -> SolveReport:
     """Geodesic route per component; requires components to share no coordinate."""
     S.require_nonempty("solve_componentwise")
-    partition = related_components(S)
-    comps = partition.components
+    comps = related_components(S).components
     for a in range(len(comps)):
         for b in range(a + 1, len(comps)):
             for i in range(S.space.n):
@@ -234,27 +230,18 @@ def solve_componentwise(S: PointSet, f: FunctionTable, bases=None) -> SolveRepor
             if b not in comp:
                 raise PreconditionError(f"base {b!r} is not in its component")
 
-    tables: list[dict] = [dict() for _ in range(S.space.n)]
-    max_len = 0
-    for comp, b in zip(comps, bases):
-        sub_f = FunctionTable(comp, {p: f(p) for p in comp})
-        report = solve_via_geodesics(comp, sub_f, b)
-        max_len = max(max_len, report.max_geodesic_length or 0)
-        for axis, table in enumerate(report.decomposition.tables):
-            for label, v in table.items():
-                if label in tables[axis]:
-                    raise VerificationError("disjoint components wrote one coordinate")
-                tables[axis][label] = v
-    decomposition = Decomposition(S.space, tuple(tables))
-    return SolveReport(
-        method="componentwise",
-        verdict=UNIQUE,
-        decomposition=decomposition,
-        kernel=(),
-        witness=None,
-        max_geodesic_length=max_len,
-        max_abs_value=_max_abs(decomposition),
+    reports = [
+        solve_via_geodesics(comp, FunctionTable(comp, {p: f(p) for p in comp}), b)
+        for comp, b in zip(comps, bases)
+    ]
+    values = (
+        ((axis, label), v)
+        for report in reports
+        for axis, table in enumerate(report.decomposition.tables)
+        for label, v in table.items()
     )
+    max_len = max(report.max_geodesic_length for report in reports)
+    return _report("componentwise", _unique(S, f, values), max_len)
 
 
 def solve_with_boundary(
@@ -308,17 +295,16 @@ def bound_diagnostics(S: PointSet, base=None) -> BoundDiagnostics:
     u = 1_{p}, p in S, with the base's first n - 1 coordinates pinned at
     zero.  Those solutions are the point columns of one pinned inverse, so
     the sweep is read off the inverse that every geodesic is walked over
-    too; a singular system is an internal error.
+    too, and that inversion is the good-set check.
     """
-    base, inverse = _class_inverse(
+    base, support = _base_support(
         S,
         base,
         "bound_diagnostics",
         lambda y: PreconditionError("diagnostics are per component; this set has several"),
     )
-    support = _Support(S, inverse)
     lengths = {y: _walk(S, base, y, support).length for y in S}
-    entries = (v for row in inverse.values() for v in row[: len(S)])
+    entries = (v for row in support.inverse.values() for v in row[: len(S)])
     # Zeros are skipped before their abs: they cannot lift the maximum above 0.
     worst = max((abs(v) for v in entries if v), default=Fraction(0))
     total = sum(lengths.values())

@@ -51,11 +51,14 @@ Goodness.  Each public entry names itself to the refinement, whose first
 elimination of S is the good-set check: one rank of S's rows when
 def(S) = n - 1, otherwise the first split's elimination, as dim K(S) =
 |C(S)| - rank exceeds def(S) exactly when the rows are dependent.  Every
-later group is a subset of S and good with it.  A geodesic on a set with
-def(S) = n - 1 does not refine: such a set is one class exactly when it is
-good, and its system pinned at x's first n - 1 coordinates is square and
-singular exactly when S is not good, so the walk's first inversion is its
-check.
+later group is a subset of S and good with it.  The walks from one point
+x, in `geodesic` here and in `solve`'s `bound_diagnostics` and
+`solve_via_geodesics`, share one prologue, `_pinned_class`: x's class and
+its system pinned at x's first n - 1 coordinates.  A set with
+def(S) = n - 1 does not refine: it is one class exactly when it is good,
+and its pinned system is square and singular exactly when S is not good,
+so that inversion is its check.  A singular inversion of a proper class,
+one the refinement has checked, is an internal error.
 
 Geodesics.  The same equality gives |C(F1) & C(F2)| = |F1 & F2| + n - 1,
 which squeezes |C(F1 & F2)| to that value: two full subsets sharing a point
@@ -209,43 +212,50 @@ def related(S: PointSet, x, y) -> bool:
 def geodesic(S: PointSet, x, y) -> Geodesic | None:
     """The unique minimal full subset containing x and y, or None if unrelated.
 
-    On a set with def(S) = n - 1 the walk's first inversion is the good-set
-    check.  A walk that ends without a full set is a fatal internal error.
+    A walk that ends without a full set is a fatal internal error.
     """
     x, y = _require_member(S, x), _require_member(S, y)
-    pins = [(i, x[i]) for i in range(S.space.n - 1)]
-    if S.deficiency() == S.space.n - 1:
-        F, inverse = S, _full_set_inverse(S, pins, "geodesic", enumerate(y))
-    else:
-        F = _classes(S, "geodesic", x)[0]
-        if y not in F:
-            return None
-        inverse = _pinned_inverse(IncidenceSystem(F), pins, targets=enumerate(y))
-    return _walk(F, x, y, _Support(F, inverse))
+    F, support = _pinned_class(S, x, "geodesic", y)
+    return None if support is None else _walk(F, x, y, support)
 
 
-def _full_set_inverse(S: PointSet, pins, what: str, targets=None) -> dict:
-    """`_pinned_inverse` of S, def(S) = n - 1, with its check as S's good-set check.
+def _pinned_class(S: PointSet, x: Point, what: str, y: Point | None = None):
+    """x's class F and the `_Support` of F's inverse pinned at x, or None for it.
 
-    The pins are n - 1 coordinates of one point of S, so the system is
-    square, and it is singular exactly when S is not good.
+    The prologue of every walk from x, `what` naming the caller.  With y,
+    the inverse has the rows at y's coordinates alone and is built only
+    when F holds y; without, it has every row and is built only when F is
+    S.  A set with def(S) = n - 1 is one class exactly when it is good,
+    and then its pinned system is square and singular exactly when S is
+    not good, so that inversion is its good-set check.  Any other S is
+    checked by the refinement, and a singular inversion of a proper class
+    is an internal error.
     """
+    F = S if S.deficiency() == S.space.n - 1 else _classes(S, what, x)[0]
+    if F is not S and (y is None or y not in F):
+        return F, None
     try:
-        return _pinned_inverse(IncidenceSystem(S), pins, targets)
+        return F, _Support(F, x, None if y is None else enumerate(y))
     except VerificationError:
+        if F is not S:
+            raise
         raise PreconditionError(f"{what} requires a good set") from None
 
 
 class _Support(dict):
     """Coordinate c -> the points of F with a nonzero entry in the inverse's row at c.
 
-    Each row is scanned on its first use and kept, so the walks of one sweep
-    share the scan of every row they visit.
+    The inverse is of F's system pinned at x's first n - 1 coordinates,
+    with the rows at the `targets` alone when they are given.  Each row is
+    scanned on its first use and kept, so the walks of one sweep share the
+    scan of every row they visit.
     """
 
-    def __init__(self, F: PointSet, inverse: dict):
+    def __init__(self, F: PointSet, x: Point, targets=None):
         super().__init__()
-        self.points, self.inverse = F.points, inverse
+        pins = [(i, x[i]) for i in range(F.space.n - 1)]
+        self.points = F.points
+        self.inverse = _pinned_inverse(IncidenceSystem(F), pins, targets)
 
     def __missing__(self, c: Coordinate) -> list[Point]:
         points = self[c] = [p for p, v in zip(self.points, self.inverse[c]) if v]
@@ -269,8 +279,7 @@ def _walk(F: PointSet, x: Point, y: Point, support: _Support) -> Geodesic:
     seen = set(layer)
     while layer:
         if any(c not in support.inverse for c in layer):
-            pins = [(i, x[i]) for i in range(n - 1)]
-            support = _Support(F, _pinned_inverse(IncidenceSystem(F), pins))
+            support = _Support(F, x)
         reached.update(*(support[c] for c in layer))
         coords = {c for p in reached for c in enumerate(p)}
         if len(coords) - len(reached) == n - 1:

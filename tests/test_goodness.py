@@ -274,6 +274,31 @@ def test_associated_full_set_comb():
     assert rebuilt.projections() == S.projections()
 
 
+def test_associated_full_set_names_coordinates_that_are_not_a_boundary(monkeypatch):
+    message = "^boundary_coords do not form a boundary of the set$"
+    S = cube_set(DIAGONAL)
+    cases = [
+        # One value per axis: the comb is (0, 0, 0) alone, so F = S is not
+        # full, and three pins under two rows are not square.
+        (S, list(enumerate((0, 0, 0)))),
+        # Square but singular: the pins at (0, 0, 0)'s coordinates sum to its row.
+        (S, [(0, 0), (1, 0), (2, 0), (0, 1)]),
+        # A full F with a value outside S's projections.
+        (pset([(0, 0, 0)], (3, 3, 3)), [(0, 0), (1, 0), (2, 0), (0, 2)]),
+    ]
+    for T, coords in cases:
+        with pytest.raises(gs.PreconditionError, match=message):
+            gs.associated_full_set(T, coords)
+    # On a true boundary a comb that fails its check is still an internal error.
+    complement_coords = gs.full_split(S).difference(S.points).coordinates()
+    is_full = goodness.is_full
+    monkeypatch.setattr(
+        goodness, "is_full", lambda G: is_full(G) and not all(p in G for p in S)
+    )
+    with pytest.raises(gs.VerificationError, match="^S plus comb is not full"):
+        gs.associated_full_set(S, complement_coords)
+
+
 def test_cross_is_full():
     # The axis-parallel cross through one point: a comb with maximal teeth.
     space = int_space((3, 3, 3))

@@ -177,6 +177,31 @@ def test_full_set_geodesic_checks_goodness_without_a_rank(monkeypatch):
         assert str(err.value) == "geodesic requires a good set"
 
 
+def test_singular_class_inversion_is_a_precondition_only_on_the_whole_set(monkeypatch):
+    # A singular pinned inversion means "S is not good" only when x's class
+    # is S itself, def(S) = n - 1; on a proper class the refinement has
+    # already checked S, so the same failure is an internal error.
+    def singular(system, coords, targets=None):
+        raise gs.VerificationError("pinned system is singular")
+
+    monkeypatch.setattr(structure, "_pinned_inverse", singular)
+    t4 = cube_set(T4)
+    apart = pset(T4 + [(2, 2, 2)], (3, 3, 3))
+    assert gs.is_good(apart) and apart.deficiency() > apart.space.n - 1
+    with pytest.raises(gs.VerificationError, match="^pinned system is singular$"):
+        gs.geodesic(apart, (1, 0, 1), (0, 0, 0))
+    # Unrelated points need no inversion.
+    assert gs.geodesic(apart, (1, 0, 1), (2, 2, 2)) is None
+    for message, call in [
+        ("geodesic", lambda: gs.geodesic(t4, (1, 0, 1), (0, 0, 0))),
+        ("bound_diagnostics", lambda: gs.bound_diagnostics(t4)),
+        ("solve_via_geodesics", lambda: gs.solve_via_geodesics(t4, gs.FunctionTable.zero(t4))),
+    ]:
+        with pytest.raises(gs.PreconditionError) as err:
+            call()
+        assert str(err.value) == f"{message} requires a good set"
+
+
 def test_random_bad_sets_cover_both_sides_of_n_minus_one():
     excess = [S.deficiency() - (S.space.n - 1) for S in RANDOM_BAD]
     assert sum(e < 0 for e in excess) == sum(e > 0 for e in excess) == len(excess) // 2
