@@ -22,11 +22,10 @@ from .linalg import (
     _circuit,
     _echelon,
     _incidence_row,
+    _is_boundary,
     _stack_pins,
-    column_kernel,
 )
 from .model import (
-    PinSet,
     PointSet,
     PreconditionError,
     VerificationError,
@@ -80,12 +79,13 @@ def is_full(S: PointSet, definitional: bool = False) -> bool:
     S.require_nonempty("fullness")
     if not definitional:
         return S.deficiency() == S.space.n - 1 and bool(is_good(S))
-    columns = S.coordinates()
-    col_index = {c: j for j, c in enumerate(columns)}
-    basis = _echelon((_incidence_row(p, col_index) for p in S), len(columns))
+    system = IncidenceSystem(S)
+    basis = _echelon(system.sparse_rows, len(system.columns))
     if basis.rank < len(S):
         return False
-    return all(basis.contains_sparse(_incidence_row(p, col_index)) for p in S.product_points())
+    return all(
+        basis.contains_sparse(_incidence_row(p, system.col_index)) for p in S.product_points()
+    )
 
 
 def _addable(S: PointSet, columns, candidates, what: str):
@@ -165,10 +165,14 @@ def full_split(S: PointSet) -> PointSet:
     """Return a full F containing the good, non-full S with F - S full too.
 
     F keeps S's projections and |F - S| = deficiency(S) - (n - 1).  Each
-    round fixes the first point of F - S, takes a nontrivial homogeneous
-    solution pinned to zero at that point's first n - 1 coordinates, and
-    swaps one coordinate of the fixed point to a value where the solution is
-    nonzero; the new point lowers the deficiency by exactly one.
+    round fixes the first point x0 of F - S, takes a nontrivial homogeneous
+    solution pinned to zero at x0's first n - 1 coordinates, and swaps one
+    coordinate of x0 to a value where the solution is nonzero; the new point
+    lowers the deficiency by exactly one.  The solution is the first vector
+    of `linalg.column_kernel`, read off the back-substituted integer basis
+    of F's rows over those pins: 1 at the least free column f, nonzero at a
+    pivot p exactly when row p holds f.  Such a p is less than f, so the
+    swap is the least such pivot, or f when no pivot row holds it.
     """
     grown = _addable(S, S.coordinates(), S.product_points(), "full_split")
     n = S.space.n
@@ -182,19 +186,15 @@ def full_split(S: PointSet) -> PointSet:
     while F.deficiency() > n - 1:
         extra = F.difference(S.points)
         x0 = extra.points[0]
-        pins = PinSet.zeros([(i, x0[i]) for i in range(n - 1)])
-        kernel = column_kernel(IncidenceSystem(F), pins)
-        if not kernel:
+        system = IncidenceSystem(F)
+        ncols = len(system.columns)
+        basis = _echelon(_stack_pins(system, [(i, x0[i]) for i in range(n - 1)]), ncols)
+        basis.back_substitute()
+        rows = basis.pivot_rows
+        f = next((j for j in range(ncols) if j not in rows), None)
+        if f is None:
             raise VerificationError("set not full but pinned kernel is trivial")
-        g = kernel[0]
-        swap = None
-        for coord in F.coordinates():
-            if g.get(coord, 0) != 0:
-                swap = coord
-                break
-        if swap is None:
-            raise VerificationError("nontrivial kernel vector with empty support")
-        j, value = swap
+        j, value = system.columns[min((p for p, row in rows.items() if f in row), default=f)]
         new_point = tuple(value if i == j else x0[i] for i in range(n))
         if new_point in F:
             raise VerificationError("split construction produced an existing point")
@@ -221,15 +221,18 @@ def associated_full_set(S: PointSet, boundary_coords) -> PointSet:
     of B_i) is full, and F = S union R is full with S's projections.  Both
     facts are verified here.  F contains S, so the fullness check of F is
     the good-set check.  When either check fails, `is_good(S)` and then the
-    boundary test of `solve_with_boundary` (the coordinates stacked under
-    S's rows give a square system of full rank) run to name the broken
-    precondition; a failure with both met signals a bug upstream.
+    one boundary test, `linalg._is_boundary` (the coordinates stacked under
+    S's rows give a square system of full rank), run to name the broken
+    precondition; a failure with both met signals a bug upstream.  An axis
+    must be an int in range(n); the value check is `Space.value_index`.
     """
     S.require_nonempty("associated_full_set")
     n = S.space.n
     by_axis: dict[int, list] = {i: [] for i in range(n)}
     for coord in boundary_coords:
-        axis, label = int(coord[0]), coord[1]
+        axis, label = coord[0], coord[1]
+        if not isinstance(axis, int) or axis not in range(n):
+            raise PreconditionError(f"boundary coordinate {coord!r} names no axis of the space")
         S.space.value_index(axis, label)
         if label not in by_axis[axis]:
             by_axis[axis].append(label)
@@ -252,11 +255,8 @@ def associated_full_set(S: PointSet, boundary_coords) -> PointSet:
     if not is_full(F) or F.projections() != S.projections():
         if not is_good(S):
             raise PreconditionError("associated_full_set requires a good set")
-        system = IncidenceSystem(S)
         coords = [(i, v) for i in range(n) for v in by_axis[i]]
-        size = len(system.columns)
-        square = len(S) + len(coords) == size and all(c in system.col_index for c in coords)
-        if not square or _echelon(_stack_pins(system, coords), size).rank != size:
+        if not _is_boundary(IncidenceSystem(S), coords):
             raise PreconditionError("boundary_coords do not form a boundary of the set")
         raise VerificationError("S plus comb is not full with S's projections")
     return F

@@ -278,6 +278,20 @@ def _stack_pins(system: IncidenceSystem, coords) -> list[dict[int, int]]:
     return rows
 
 
+def _is_boundary(system: IncidenceSystem, coords: Sequence[Coordinate]) -> bool:
+    """Do the coordinates form a boundary: does pinning them make every split unique?
+
+    They do exactly when, stacked as pin rows under the incidence rows, they
+    give a square system of full rank: |S| + |coords| = |C(S)|, every
+    coordinate is a column, and the `_stack_pins` rows have rank |C(S)|.
+    The rows are eliminated only once the count and the columns pass.
+    """
+    size = len(system.columns)
+    if len(system.points) + len(coords) != size or any(c not in system.col_index for c in coords):
+        return False
+    return _echelon(_stack_pins(system, coords), size).rank == size
+
+
 def _pinned_inverse(
     system: IncidenceSystem, coords, targets=None
 ) -> dict[Coordinate, list[Fraction]]:
@@ -477,9 +491,9 @@ def _circuit(S: PointSet) -> CircuitVector | None:
     The tags enter only here, after the scan, so a good set pays the scan
     alone.
     """
-    col_index = {c: j for j, c in enumerate(S.coordinates())}
-    rows = [_incidence_row(p, col_index) for p in S]
-    ncols = len(col_index)
+    system = IncidenceSystem(S)
+    rows = system.sparse_rows
+    ncols = len(system.columns)
     scan = RowBasis(ncols)
     k = next((k for k in reversed(range(len(rows))) if scan.add_sparse(rows[k]) is None), None)
     if k is None:
@@ -494,7 +508,8 @@ def _circuit(S: PointSet) -> CircuitVector | None:
 
 def extract_circuit(space: Space, points: Iterable[Point]) -> CircuitVector:
     """The circuit the dependence scan (`_circuit`) finds among dependent points."""
-    circuit = _circuit(PointSet.of(space, points))
+    S = PointSet.of(space, points)
+    circuit = _circuit(S) if len(S) else None
     if circuit is None:
         raise PreconditionError("points are linearly independent; no circuit exists")
     return circuit

@@ -253,10 +253,13 @@ def solve_with_boundary(
     incidence rows must give a square invertible system, which is exactly
     "every f and every prescription admit one solution".  The boundary from
     `structure.boundary` always qualifies; so does the coordinate set of a
-    full complement from `full_split`.  The stacked system is checked to be
-    square and then solved once; any verdict but unique means the pins are
-    not a boundary.  A unique square solve also makes S's rows independent,
-    so `is_good` runs only on failure, to name the broken precondition.
+    full complement from `full_split`.  That is the test of
+    `linalg._is_boundary`, the one boundary test, but here the solve itself
+    decides it, so the rows are eliminated once: the stacked system is
+    checked to be square and then solved once, and any verdict but unique
+    means the pins are not a boundary.  A unique square solve also makes
+    S's rows independent, so `is_good` runs only on failure, to name the
+    broken precondition.
     """
     S.require_nonempty("solve_with_boundary")
     system = IncidenceSystem(S)

@@ -97,7 +97,8 @@ incident class variables sum to zero"; a basis chosen among the variables
 (the free columns of an exact elimination) yields the boundary once the
 least value of each basis class is picked.  Prescribing arbitrary values on
 the boundary then makes the decomposition of every right-hand side unique,
-which is certified by exact rank.
+which is certified by exact rank: `linalg._is_boundary`, the one boundary
+test, which `goodness.associated_full_set` shares.
 """
 
 from __future__ import annotations
@@ -108,8 +109,8 @@ from .linalg import (
     IncidenceSystem,
     _dense,
     _echelon,
+    _is_boundary,
     _pinned_inverse,
-    _stack_pins,
     rank,
 )
 from .model import (
@@ -346,34 +347,26 @@ class EiClasses:
 
 
 def ei_classes(S: PointSet, partition: ComponentPartition | None = None) -> EiClasses:
-    """Union-find per axis over the components' projections."""
+    """Per axis, merge the value sets that the components' projections touch.
+
+    Each class is one set object, shared by all its values.  Reading S's
+    projection in declaration order lists every class's values in that order,
+    and the classes in the order of their least values.
+    """
     if partition is None:
         partition = related_components(S)
-    space = S.space
-    per_axis: list[tuple[tuple, ...]] = []
-    for i in range(space.n):
-        parent: dict = {v: v for v in S.projection(i)}
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
+    per_axis = []
+    for i in range(S.space.n):
+        merged: dict = {}
         for comp in partition.components:
             values = comp.projection(i)
-            for v in values[1:]:
-                ra, rb = find(values[0]), find(v)
-                if ra != rb:
-                    parent[rb] = ra
+            cls = set(values).union(*(merged.get(v, ()) for v in values))
+            for v in cls:
+                merged[v] = cls
         groups: dict = {}
         for v in S.projection(i):
-            groups.setdefault(find(v), []).append(v)
-        ordered = sorted(
-            (tuple(sorted(g, key=lambda v: space.value_index(i, v))) for g in groups.values()),
-            key=lambda cls: space.value_index(i, cls[0]),
-        )
-        per_axis.append(tuple(ordered))
+            groups.setdefault(id(merged[v]), []).append(v)
+        per_axis.append(tuple(map(tuple, groups.values())))
     return EiClasses(tuple(per_axis))
 
 
@@ -413,20 +406,12 @@ def boundary(S: PointSet) -> BoundaryConstruction:
     """
     partition = _partition(S, "boundary")
     ei = ei_classes(S, partition)
-    space = S.space
 
-    generators: list[tuple[int, tuple]] = []
-    gen_index: dict = {}
-    for i in range(space.n):
-        for cls in ei.classes_by_axis[i]:
-            gen_index[(i, cls)] = len(generators)
-            generators.append((i, cls))
+    generators = tuple((i, cls) for i in range(S.space.n) for cls in ei.classes_by_axis[i])
+    generator_of = {(i, v): j for j, (i, cls) in enumerate(generators) for v in cls}
 
     cross_section = tuple(comp.points[0] for comp in partition.components)
-    rows = [
-        {gen_index[(i, ei.class_of(i, rep[i]))]: 1 for i in range(space.n)}
-        for rep in cross_section
-    ]
+    rows = [{generator_of[c]: 1 for c in enumerate(rep)} for rep in cross_section]
     relations = tuple(_dense(row, len(generators)) for row in rows)
 
     pivots = sorted(_echelon(rows, len(generators)).pivot_rows)
@@ -437,7 +422,7 @@ def boundary(S: PointSet) -> BoundaryConstruction:
         partition=partition,
         cross_section=cross_section,
         ei=ei,
-        generators=tuple(generators),
+        generators=generators,
         relations=relations,
         pivot_generators=tuple(pivots),
         basis_generators=basis,
@@ -449,7 +434,12 @@ def boundary(S: PointSet) -> BoundaryConstruction:
 
 
 def verify_boundary(S: PointSet, construction: BoundaryConstruction):
-    """Certify the boundary contract by exact rank; raise on any violation."""
+    """Certify the boundary contract by exact rank; raise on any violation.
+
+    A boundary meets each class at most once and has def(S) coordinates, so
+    stacked under S's rows it is square; `linalg._is_boundary` then decides
+    its rank.
+    """
     bound = construction.boundary
     seen_classes = set()
     for axis, label in bound:
@@ -461,10 +451,5 @@ def verify_boundary(S: PointSet, construction: BoundaryConstruction):
         raise VerificationError(
             f"boundary size {len(bound)} differs from deficiency {S.deficiency()}"
         )
-    system = IncidenceSystem(S)
-    rows = _stack_pins(system, bound)
-    ncols = len(system.columns)
-    if len(rows) != ncols:
-        raise VerificationError("stacked boundary system is not square")
-    if _echelon(rows, ncols).rank != ncols:
+    if not _is_boundary(IncidenceSystem(S), bound):
         raise VerificationError("boundary pins do not force a unique solution")

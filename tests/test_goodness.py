@@ -1,4 +1,5 @@
 import random
+import re
 import time
 
 import pytest
@@ -272,6 +273,16 @@ def test_associated_full_set_comb():
     rebuilt = gs.associated_full_set(S, complement_coords)
     assert gs.is_full(rebuilt, definitional=True)
     assert rebuilt.projections() == S.projections()
+
+
+def test_associated_full_set_names_an_axis_outside_the_space():
+    # A negative index, a float and a string: none is an axis of {0,1}^3.
+    S = cube_set(T4)
+    for axis in (-1, 0.5, "a"):
+        coord = (axis, 0)
+        message = f"^boundary coordinate {re.escape(repr(coord))} names no axis of the space$"
+        with pytest.raises(gs.PreconditionError, match=message):
+            gs.associated_full_set(S, [coord, (0, 0), (1, 0), (2, 0)])
 
 
 def test_associated_full_set_names_coordinates_that_are_not_a_boundary(monkeypatch):

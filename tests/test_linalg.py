@@ -5,7 +5,7 @@ import pytest
 
 import goodsets as gs
 from goodsets.instances import _example10, parse_instance
-from goodsets.linalg import _pinned_inverse
+from goodsets.linalg import _is_boundary, _pinned_inverse
 from util import (
     DIAGONAL,
     DenseRowBasis,
@@ -16,10 +16,12 @@ from util import (
     cube_set,
     int_space,
     oracle_independent,
+    oracle_is_boundary,
     oracle_rank,
     oracle_zero_marginal_dependency,
     pset,
     random_good_set,
+    random_space,
     transposed_kernel_circuit,
 )
 
@@ -525,3 +527,29 @@ def test_pinned_inverse_rejects_singular_and_foreign_targets():
         _pinned_inverse(system, [(0, 0), (0, 1)])
     with pytest.raises(gs.PreconditionError):
         _pinned_inverse(system, [(0, 0), (1, 0)], [(0, 7)])
+
+
+def test_is_boundary_agrees_with_sympy_rank_of_the_stacked_pins():
+    # Per random good set: its computed boundary, random coordinate sets of
+    # def(S) - 1, def(S) (twice) and def(S) + 1 of its columns, and def(S)
+    # coordinates with one value off the projections.
+    rng = random.Random(17)
+    cases = boundaries = 0
+    while cases < 1000:
+        S = random_good_set(rng, random_space(rng, (2, 3, 4), max_axis=4), 9)
+        system = gs.IncidenceSystem(S)
+        columns = list(system.columns)
+        d = S.deficiency()
+        candidates = [gs.boundary(S).boundary]
+        candidates += [rng.sample(columns, k) for k in (d - 1, d, d, d + 1) if k <= len(columns)]
+        off = [c for c in S.space.coordinates() if c not in system.col_index]
+        if off:
+            coords = rng.sample(columns, d)
+            coords[rng.randrange(d)] = rng.choice(off)
+            candidates.append(coords)
+        for coords in candidates:
+            verdict = _is_boundary(system, coords)
+            assert verdict == oracle_is_boundary(S, coords), (S.points, coords)
+            cases += 1
+            boundaries += verdict
+    assert 200 < boundaries < cases - 200

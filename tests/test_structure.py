@@ -23,6 +23,7 @@ from util import (
     pset,
     random_good_set,
     random_space,
+    union_find_ei_classes,
 )
 
 
@@ -213,6 +214,21 @@ def test_ei_classes_shared_axis():
     assert ei.classes_by_axis[0] == (("a",),)
     assert len(ei.classes_by_axis[1]) == 2
     assert len(ei.classes_by_axis[2]) == 2
+
+
+def test_ei_classes_match_the_union_find_reference():
+    rng = random.Random(23)
+    sets = [random_good_set(rng, random_space(rng, (2, 3, 4), max_axis=4), 10) for _ in range(200)]
+    for d in range(1, 9):
+        chain = parse_instance(_example10(d)).point_set
+        sets.append(chain.difference([chain.points[len(chain) // 2]]))
+    merged = 0
+    for S in sets:
+        ei = gs.ei_classes(S)
+        assert ei == union_find_ei_classes(S)
+        merged += any(len(classes) < len(S.projection(i)) for i, classes in enumerate(ei.classes_by_axis))
+    # Most sets have a class of several values, so the merging is exercised.
+    assert merged > len(sets) // 2
 
 
 def test_boundary_t4():

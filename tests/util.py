@@ -10,7 +10,10 @@ dense elimination that the sparse `RowBasis` must match row for row,
 must match entry by entry, `fraction_signature_groups` the `Fraction`
 kernel signatures that the integer signature keys must group alike, and
 `transposed_kernel_circuit` the transposed `Fraction` kernel that the
-tagged elimination's circuit must match coefficient for coefficient.
+tagged elimination's circuit must match coefficient for coefficient,
+`union_find_ei_classes` the union-find that the set-merging chain classes
+must match class for class, and `oracle_is_boundary` the sympy rank of the
+stacked pin rows that the one boundary test must agree with.
 """
 
 import itertools
@@ -165,6 +168,54 @@ def transposed_kernel_circuit(S: gs.PointSet):
     return gs.CircuitVector(
         tuple(tail[i] for i in ints), tuple(sign * c // g for c in ints.values())
     )
+
+
+def union_find_ei_classes(S: gs.PointSet, partition=None) -> gs.EiClasses:
+    """Reference for `gs.ei_classes`: union-find per axis over the components' projections.
+
+    The implementation that the set merging replaced, kept as it was.
+    """
+    if partition is None:
+        partition = gs.related_components(S)
+    space = S.space
+    per_axis: list[tuple[tuple, ...]] = []
+    for i in range(space.n):
+        parent: dict = {v: v for v in S.projection(i)}
+
+        def find(v):
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            return v
+
+        for comp in partition.components:
+            values = comp.projection(i)
+            for v in values[1:]:
+                ra, rb = find(values[0]), find(v)
+                if ra != rb:
+                    parent[rb] = ra
+        groups: dict = {}
+        for v in S.projection(i):
+            groups.setdefault(find(v), []).append(v)
+        ordered = sorted(
+            (tuple(sorted(g, key=lambda v: space.value_index(i, v))) for g in groups.values()),
+            key=lambda cls: space.value_index(i, cls[0]),
+        )
+        per_axis.append(tuple(ordered))
+    return gs.EiClasses(tuple(per_axis))
+
+
+def oracle_is_boundary(S: gs.PointSet, coords) -> bool:
+    """Do the coordinates, as unit rows under S's dense rows over C(S), give a square
+    system of full sympy rank?  A coordinate outside C(S) has no unit row there."""
+    from sympy import Matrix
+
+    columns = sorted({(i, label) for p in S.points for i, label in enumerate(p)}, key=repr)
+    if any(c not in columns for c in coords):
+        return False
+    rows = [[int(c in set(enumerate(p))) for c in columns] for p in S.points]
+    rows += [[int(c == pin) for c in columns] for pin in coords]
+    return len(rows) == len(columns) and Matrix(rows).rank() == len(columns)
 
 
 def oracle_rank(space, points) -> int:
