@@ -27,7 +27,6 @@ integer coefficients in its tags, e_k's first and positive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
@@ -105,10 +104,10 @@ class RowBasis:
     A row is a dict {column: int} of its nonzero entries.  The pivot of a
     row is its least column; a reduced row is kept primitive (gcd 1) and a
     new basis row gets a positive leading entry, one row per pivot column.
-    `add` and `contains` take dense int sequences, `add_sparse` and
-    `contains_sparse` take the dicts themselves.  A row handed in is copied
-    before it is reduced and never modified; the basis owns its rows, and
-    `back_substitute` rewrites them in place without changing their span.
+    `add_sparse` and `contains_sparse` take such dicts.  A row handed in is
+    copied before it is reduced and never modified; the basis owns its
+    rows, and `back_substitute` rewrites them in place without changing
+    their span.
     """
 
     def __init__(self, ncols: int):
@@ -134,17 +133,8 @@ class RowBasis:
             v = _combine(v, row[j], row, v[j])
         return v, self.ncols
 
-    def _dense_to_sparse(self, vec: Sequence[int]) -> dict[int, int]:
-        v = list(vec)
-        if len(v) != self.ncols:
-            raise PreconditionError("vector length does not match column count")
-        return {j: x for j, x in enumerate(v) if x}
-
     def contains_sparse(self, row: Mapping[int, int]) -> bool:
         return self._reduce(row)[1] == self.ncols
-
-    def contains(self, vec: Sequence[int]) -> bool:
-        return self.contains_sparse(self._dense_to_sparse(vec))
 
     def add_sparse(self, row: Mapping[int, int]) -> int | None:
         """Insert if independent; returns the new pivot column, else None."""
@@ -153,10 +143,6 @@ class RowBasis:
             return None
         self.pivot_rows[lead] = r
         return lead
-
-    def add(self, vec: Sequence[int]) -> int | None:
-        """`add_sparse` of a dense vector."""
-        return self.add_sparse(self._dense_to_sparse(vec))
 
     def back_substitute(self):
         """Clear every pivot column above its pivot.
@@ -233,8 +219,8 @@ class PinRow:
 class IncidenceSystem:
     """Rows: incidence vectors of the points of S.  Columns: coordinates of S.
 
-    `sparse_rows` are what the elimination reads; `rows`, the dense 0/1
-    tuples, are derived from them on first use.
+    `sparse_rows`, one dict {column: 1} per point, are what the elimination
+    reads.
     """
 
     point_set: PointSet
@@ -251,10 +237,6 @@ class IncidenceSystem:
         object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "col_index", col_index)
         object.__setattr__(self, "sparse_rows", sparse_rows)
-
-    @cached_property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(_dense(r, len(self.columns)) for r in self.sparse_rows)
 
     @property
     def space(self) -> Space:
@@ -294,12 +276,14 @@ def _is_boundary(system: IncidenceSystem, coords: Sequence[Coordinate]) -> bool:
 
 def _pinned_inverse(
     system: IncidenceSystem, coords, targets=None
-) -> dict[Coordinate, list[Fraction]]:
+) -> dict[Coordinate, dict[int, Fraction]]:
     """Rows of A^-1 at the target columns, A the incidence rows over the pins.
 
-    The targets default to every column.  Entry k of the row at column c is
-    the weight of right-hand side entry k (the points, then the pins) in
-    u_c.  That row w solves A^T w = e_c, so one elimination of [A^T | E], E
+    The targets default to every column.  Each row is a sparse dict
+    {k: Fraction} of its nonzero entries in increasing k: entry k of the row
+    at column c is the weight of right-hand side entry k (the points, then
+    the pins) in u_c, so the keys below |S| are the points the row weights.
+    That row w solves A^T w = e_c, so one elimination of [A^T | E], E
     the unit columns of the targets, followed by back-substitution leaves
     D W in the E block, D diagonal and W's columns the requested rows.  A
     core asks for n rows, and the row operations then act on n + |A|
@@ -323,15 +307,15 @@ def _pinned_inverse(
     if any(k not in basis.pivot_rows for k in range(size)):
         raise VerificationError("pinned system is singular")
     basis.back_substitute()
-    pivots = [basis.pivot_rows[k] for k in range(size)]
-    zero = Fraction(0)
-    return {
-        t: [
-            Fraction(x, row[k]) if (x := row.get(size + i)) else zero
-            for k, row in enumerate(pivots)
-        ]
-        for i, t in enumerate(targets)
-    }
+    inverse: dict[Coordinate, dict[int, Fraction]] = {t: {} for t in targets}
+    for k in range(size):
+        # Past back-substitution, row k is nonzero at its pivot k and at
+        # target columns alone.
+        row = basis.pivot_rows[k]
+        for j, x in row.items():
+            if j >= size:
+                inverse[targets[j - size]][k] = Fraction(x, row[k])
+    return inverse
 
 
 def rank(system: IncidenceSystem) -> int:

@@ -375,6 +375,8 @@ class PinSet:
         clean = []
         seen = set()
         for coord, v in self.pins:
+            if not isinstance(coord[0], int):
+                raise PreconditionError(f"pin axis {coord[0]!r} is not an int")
             coord = (int(coord[0]), coord[1])
             if coord in seen:
                 raise PreconditionError(f"coordinate {coord!r} pinned twice")

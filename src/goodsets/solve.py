@@ -21,10 +21,13 @@ base's first n - 1 coordinates; every geodesic from the base is walked
 over that inverse too.
 
 The geodesic route and `bound_diagnostics` take the base's class, its
-pinned inverse and the good-set check from `structure._pinned_class`, and
-keep only their own messages for a point outside that class.  `_unique`
-assembles the geodesic and componentwise routes' coordinate values and
-checks that they reproduce f, and `_report` builds every route's report.
+sparse pinned inverse and the good-set check from `structure._pinned_class`,
+and keep only their own messages for a point outside that class.  The
+geodesic and componentwise routes share one loop, `_geodesic_values`: it
+walks each point's geodesic and dots the sparse rows of the geodesic's own
+`structure._inverse` with f over its points.  `_unique` assembles those
+coordinate values and checks that they reproduce f, and `_report` builds
+every route's report.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from .linalg import (
     _dense,
     _echelon,
     _incidence_row,
-    _pinned_inverse,
     solve_pinned,
 )
 from .model import (
@@ -53,7 +55,7 @@ from .model import (
     PreconditionError,
     VerificationError,
 )
-from .structure import _pinned_class, _walk, related_components
+from .structure import _inverse, _pinned_class, _walk, related_components
 
 __all__ = [
     "BoundDiagnostics",
@@ -141,8 +143,8 @@ def geodesic_matrix(G: PointSet, base) -> GeodesicMatrix:
     return GeodesicMatrix(ordered, columns, tuple(_dense(r, len(columns)) for r in rows))
 
 
-def _base_support(S: PointSet, base, what: str, unrelated):
-    """The base (S's first point by default) and the support of S's inverse pinned at it.
+def _base_inverse(S: PointSet, base, what: str, unrelated):
+    """The base (S's first point by default) and S's sparse inverse pinned at it.
 
     `what` names the caller to `structure._pinned_class`, which checks that
     S is good; the first point of S outside the base's class raises
@@ -152,21 +154,36 @@ def _base_support(S: PointSet, base, what: str, unrelated):
     base = S.points[0] if base is None else S.space.validate_point(tuple(base))
     if base not in S:
         raise PreconditionError("base point must belong to the set")
-    F, support = _pinned_class(S, base, what)
-    if support is None:
+    F, inverse = _pinned_class(S, base, what)
+    if inverse is None:
         raise unrelated(next(y for y in S if y not in F))
-    return base, support
+    return base, inverse
 
 
-def _unique(S: PointSet, f: FunctionTable, values) -> LinearSolve:
-    """The unique solve with the given (coordinate, value) pairs, checked to reproduce f.
+def _geodesic_values(F: PointSet, f: FunctionTable, base: Point, inverse, values: dict) -> int:
+    """Write every point's coordinate values into `values`; return the longest geodesic.
 
-    A coordinate given twice is an internal error.
+    F is full and holds the base, and `inverse` is F's inverse pinned at it.
+    Each point y's geodesic G is walked over that inverse; y's values are
+    the sparse rows of G's own inverse pinned at the base, at y's
+    coordinates, dotted with f over G's points.  A coordinate that two
+    geodesics reach must get one value.
     """
+    max_len = 0
+    for y in F:
+        G = PointSet(F.space, tuple(_walk(F, base, y, inverse)))
+        max_len = max(max_len, len(G))
+        for coord, row in _inverse(G, base, enumerate(y)).items():
+            v = sum((w * f(G.points[k]) for k, w in row.items() if k < len(G)), Fraction(0))
+            if values.setdefault(coord, v) != v:
+                raise VerificationError(f"geodesic solves disagree at coordinate {coord!r}")
+    return max_len
+
+
+def _unique(S: PointSet, f: FunctionTable, values: dict) -> LinearSolve:
+    """The unique solve with the given {coordinate: value}, checked to reproduce f."""
     tables: list[dict] = [dict() for _ in range(S.space.n)]
-    for (axis, label), v in values:
-        if label in tables[axis]:
-            raise VerificationError("two solves wrote one coordinate")
+    for (axis, label), v in values.items():
         tables[axis][label] = v
     decomposition = Decomposition(S.space, tuple(tables))
     for p in S:
@@ -180,12 +197,12 @@ def solve_via_geodesics(S: PointSet, f: FunctionTable, base=None) -> SolveReport
 
     Pins the base's first n - 1 coordinates at zero; each point's own
     coordinate values are read off the n rows of its geodesic's pinned
-    inverse at those coordinates, dotted with f on the geodesic.  The
-    geodesics are walked over one pinned inverse of S.  Coordinates reached
-    by several geodesics must agree, and the assembled split must reproduce
-    f; both are asserted.
+    inverse at those coordinates, dotted with f on the geodesic
+    (`_geodesic_values`).  The geodesics are walked over one pinned inverse
+    of S.  Coordinates reached by several geodesics must agree, and the
+    assembled split must reproduce f; both are asserted.
     """
-    base, support = _base_support(
+    base, inverse = _base_inverse(
         S,
         base,
         "solve_via_geodesics",
@@ -193,22 +210,18 @@ def solve_via_geodesics(S: PointSet, f: FunctionTable, base=None) -> SolveReport
             f"{y!r} is unrelated to the base; use the componentwise or boundary method"
         ),
     )
-    pins = [(i, base[i]) for i in range(S.space.n - 1)]
     values: dict[Coordinate, Fraction] = {}
-    max_len = 0
-    for y in S:
-        G = _walk(S, base, y, support)
-        max_len = max(max_len, G.length)
-        rows = _pinned_inverse(IncidenceSystem(G.points), pins, targets=enumerate(y))
-        for coord, row in rows.items():
-            v = sum((w * f(p) for w, p in zip(row, G.points) if w), Fraction(0))
-            if values.setdefault(coord, v) != v:
-                raise VerificationError(f"geodesic solves disagree at coordinate {coord!r}")
-    return _report("geodesic", _unique(S, f, values.items()), max_len)
+    max_len = _geodesic_values(S, f, base, inverse, values)
+    return _report("geodesic", _unique(S, f, values), max_len)
 
 
 def solve_componentwise(S: PointSet, f: FunctionTable, bases=None) -> SolveReport:
-    """Geodesic route per component; requires components to share no coordinate."""
+    """Geodesic route per component; requires components to share no coordinate.
+
+    Each component is full, so its own inverse pinned at its base is
+    invertible, and `_geodesic_values` writes its coordinates into one
+    shared table, which is assembled and checked once.
+    """
     S.require_nonempty("solve_componentwise")
     comps = related_components(S).components
     for a in range(len(comps)):
@@ -230,17 +243,10 @@ def solve_componentwise(S: PointSet, f: FunctionTable, bases=None) -> SolveRepor
             if b not in comp:
                 raise PreconditionError(f"base {b!r} is not in its component")
 
-    reports = [
-        solve_via_geodesics(comp, FunctionTable(comp, {p: f(p) for p in comp}), b)
-        for comp, b in zip(comps, bases)
-    ]
-    values = (
-        ((axis, label), v)
-        for report in reports
-        for axis, table in enumerate(report.decomposition.tables)
-        for label, v in table.items()
+    values: dict[Coordinate, Fraction] = {}
+    max_len = max(
+        _geodesic_values(comp, f, b, _inverse(comp, b), values) for comp, b in zip(comps, bases)
     )
-    max_len = max(report.max_geodesic_length for report in reports)
     return _report("componentwise", _unique(S, f, values), max_len)
 
 
@@ -300,16 +306,15 @@ def bound_diagnostics(S: PointSet, base=None) -> BoundDiagnostics:
     the sweep is read off the inverse that every geodesic is walked over
     too, and that inversion is the good-set check.
     """
-    base, support = _base_support(
+    base, inverse = _base_inverse(
         S,
         base,
         "bound_diagnostics",
         lambda y: PreconditionError("diagnostics are per component; this set has several"),
     )
-    lengths = {y: _walk(S, base, y, support).length for y in S}
-    entries = (v for row in support.inverse.values() for v in row[: len(S)])
-    # Zeros are skipped before their abs: they cannot lift the maximum above 0.
-    worst = max((abs(v) for v in entries if v), default=Fraction(0))
+    lengths = {y: len(_walk(S, base, y, inverse)) for y in S}
+    entries = (v for row in inverse.values() for k, v in row.items() if k < len(S))
+    worst = max(map(abs, entries), default=Fraction(0))
     total = sum(lengths.values())
     return BoundDiagnostics(
         base=base,

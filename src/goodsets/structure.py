@@ -54,7 +54,8 @@ def(S) = n - 1, otherwise the first split's elimination, as dim K(S) =
 later group is a subset of S and good with it.  The walks from one point
 x, in `geodesic` here and in `solve`'s `bound_diagnostics` and
 `solve_via_geodesics`, share one prologue, `_pinned_class`: x's class and
-its system pinned at x's first n - 1 coordinates.  A set with
+`_inverse`, the sparse inverse of its system pinned at x's first n - 1
+coordinates, whose rows list the points they weight.  A set with
 def(S) = n - 1 does not refine: it is one class exactly when it is good,
 and its pinned system is square and singular exactly when S is not good,
 so that inversion is its check.  A singular inversion of a proper class,
@@ -216,12 +217,14 @@ def geodesic(S: PointSet, x, y) -> Geodesic | None:
     A walk that ends without a full set is a fatal internal error.
     """
     x, y = _require_member(S, x), _require_member(S, y)
-    F, support = _pinned_class(S, x, "geodesic", y)
-    return None if support is None else _walk(F, x, y, support)
+    F, inverse = _pinned_class(S, x, "geodesic", y)
+    if inverse is None:
+        return None
+    return Geodesic((x, y), PointSet(F.space, tuple(_walk(F, x, y, inverse))))
 
 
 def _pinned_class(S: PointSet, x: Point, what: str, y: Point | None = None):
-    """x's class F and the `_Support` of F's inverse pinned at x, or None for it.
+    """x's class F and F's `_inverse` pinned at x, or None for it.
 
     The prologue of every walk from x, `what` naming the caller.  With y,
     the inverse has the rows at y's coordinates alone and is built only
@@ -236,55 +239,49 @@ def _pinned_class(S: PointSet, x: Point, what: str, y: Point | None = None):
     if F is not S and (y is None or y not in F):
         return F, None
     try:
-        return F, _Support(F, x, None if y is None else enumerate(y))
+        return F, _inverse(F, x, None if y is None else enumerate(y))
     except VerificationError:
         if F is not S:
             raise
         raise PreconditionError(f"{what} requires a good set") from None
 
 
-class _Support(dict):
-    """Coordinate c -> the points of F with a nonzero entry in the inverse's row at c.
+def _inverse(F: PointSet, x: Point, targets=None) -> dict:
+    """The sparse rows of F's system pinned at x's first n - 1 coordinates, inverted.
 
-    The inverse is of F's system pinned at x's first n - 1 coordinates,
-    with the rows at the `targets` alone when they are given.  Each row is
-    scanned on its first use and kept, so the walks of one sweep share the
-    scan of every row they visit.
+    `linalg._pinned_inverse` with the base pins of every walk from x: the
+    rows at the `targets` alone when they are given, else every row.  A
+    row's keys below |F| index the points of F that it weights.
     """
-
-    def __init__(self, F: PointSet, x: Point, targets=None):
-        super().__init__()
-        pins = [(i, x[i]) for i in range(F.space.n - 1)]
-        self.points = F.points
-        self.inverse = _pinned_inverse(IncidenceSystem(F), pins, targets)
-
-    def __missing__(self, c: Coordinate) -> list[Point]:
-        points = self[c] = [p for p, v in zip(self.points, self.inverse[c]) if v]
-        return points
+    pins = [(i, x[i]) for i in range(F.space.n - 1)]
+    return _pinned_inverse(IncidenceSystem(F), pins, targets)
 
 
-def _walk(F: PointSet, x: Point, y: Point, support: _Support) -> Geodesic:
-    """The geodesic of x and y, walked over F's inverse pinned at x.
+def _walk(F: PointSet, x: Point, y: Point, inverse: dict) -> set[Point]:
+    """The points of the geodesic of x and y, walked over F's inverse pinned at x.
 
     F is full and holds x and y.  Layer by layer from y's coordinates, the
     walk adds the points with a nonzero entry in the rows at the new
     coordinates, counting the coordinates it has reached, and stops at the
-    first full set.  The `support` is read and filled as it is; when it
-    lacks a row the walk needs, as one over the rows at y's coordinates
-    alone does past its first layer, it is replaced by one over F's full
+    first full set.  It keeps the indices of its points in F, so a row's
+    keys enter whole and the pins' keys, |F| on, are dropped after.  When
+    the `inverse` lacks a row the walk needs, as one over the rows at y's
+    coordinates alone does past its first layer, it is replaced by F's full
     inverse, once.
     """
-    n = F.space.n
-    reached = {x, y}
+    n, points = F.space.n, F.points
+    pins = range(len(points), len(points) + n - 1)
+    reached = {points.index(x), points.index(y)}
     layer = list(enumerate(y))
     seen = set(layer)
     while layer:
-        if any(c not in support.inverse for c in layer):
-            support = _Support(F, x)
-        reached.update(*(support[c] for c in layer))
-        coords = {c for p in reached for c in enumerate(p)}
+        if any(c not in inverse for c in layer):
+            inverse = _inverse(F, x)
+        reached.update(*(inverse[c] for c in layer))
+        reached.difference_update(pins)
+        coords = {c for k in reached for c in enumerate(points[k])}
         if len(coords) - len(reached) == n - 1:
-            return Geodesic((x, y), PointSet(F.space, tuple(reached)))
+            return {points[k] for k in reached}
         layer = coords - seen
         seen |= layer
     raise VerificationError("the geodesic is not full or misses its core")
@@ -340,6 +337,9 @@ class EiClasses:
     classes_by_axis: tuple[tuple[tuple, ...], ...]
 
     def class_of(self, axis: int, label) -> tuple:
+        n = len(self.classes_by_axis)
+        if not isinstance(axis, int) or axis not in range(n):
+            raise PreconditionError(f"axis {axis!r} is outside range({n})")
         for cls in self.classes_by_axis[axis]:
             if label in cls:
                 return cls

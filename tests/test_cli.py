@@ -307,7 +307,7 @@ def test_internal_error_exit_code(capsys, inst_dir, monkeypatch):
     # at {0, 3}, which is not full.
     def zero_rows(system, coords, targets=None):
         targets = system.columns if targets is None else tuple(targets)
-        return {t: [0] * len(system.columns) for t in targets}
+        return {t: {} for t in targets}
 
     monkeypatch.setattr(structure, "_pinned_inverse", zero_rows)
     code, report, err = run_cli(

@@ -116,20 +116,19 @@ def test_extend_to_maximal_cube():
 
 
 def _greedy_maximal(S):
-    """The plain greedy: every candidate of the space goes through `RowBasis.add`."""
+    """The plain greedy: every candidate of the space goes through `RowBasis.add_sparse`."""
     columns = S.space.coordinates()
     index = {c: j for j, c in enumerate(columns)}
 
     def row(p):
-        r = [0] * len(columns)
-        for c in enumerate(p):
-            r[index[c]] = 1
-        return r
+        return {index[c]: 1 for c in enumerate(p)}
 
     basis = gs.RowBasis(len(columns))
     for p in S:
-        basis.add(row(p))
-    grown = [c for c in S.space.all_points() if c not in S and basis.add(row(c)) is not None]
+        basis.add_sparse(row(p))
+    grown = [
+        c for c in S.space.all_points() if c not in S and basis.add_sparse(row(c)) is not None
+    ]
     return gs.PointSet.of(S.space, S.points + tuple(grown)).points
 
 

@@ -181,7 +181,6 @@ def test_unique_iff_full_column_rank():
     S = cube_set(T4)
     system = gs.IncidenceSystem(S)
     pins = gs.PinSet.zeros([(0, 1), (1, 1)])
-    rows = [list(r) for r in system.rows]
     assert gs.rank(system) + len(pins) == len(system.columns)
     out = gs.solve_pinned(system, gs.FunctionTable.zero(S), pins)
     assert out.verdict == "unique"
@@ -413,10 +412,8 @@ def test_unique_solutions_match_sympy():
         assert out.verdict == "unique"
         xs = symbols(f"v0:{len(construction_cols)}")
         eqs = []
-        for p, row in zip(system.points, system.rows):
-            eqs.append(
-                sum(x for x, c in zip(xs, row) if c) - Rational(str(f(p)))
-            )
+        for p, row in zip(system.points, system.sparse_rows):
+            eqs.append(sum(xs[j] for j in row) - Rational(str(f(p))))
         for coord, v in values.items():
             eqs.append(xs[system.col_index[coord]] - Rational(str(v)))
         (solution,) = linsolve(eqs, xs)
@@ -435,7 +432,7 @@ def test_row_basis_rank_matches_oracle():
         ]
         basis = gs.RowBasis(ncols)
         for row in rows:
-            basis.add(row)
+            basis.add_sparse({j: x for j, x in enumerate(row) if x})
         from sympy import Matrix
 
         assert basis.rank == Matrix(rows).rank()
@@ -476,8 +473,9 @@ def test_sparse_row_basis_matches_dense_reference():
     for ncols, rows in matrices:
         sparse, dense = gs.RowBasis(ncols), DenseRowBasis(ncols)
         for row in rows:
-            assert sparse.contains(row) == dense.contains(row)
-            assert sparse.add(row) == dense.add(row)
+            sparse_row = {j: x for j, x in enumerate(row) if x}
+            assert sparse.contains_sparse(sparse_row) == dense.contains(row)
+            assert sparse.add_sparse(sparse_row) == dense.add(row)
         _assert_same_pivot_rows(sparse, dense)
         sparse.back_substitute()
         dense.back_substitute()
@@ -510,8 +508,11 @@ def test_pinned_inverse_is_an_inverse():
         assert list(inverse) == list(columns)
         for c in columns:
             row = inverse[c]
+            assert all(row.values())
             for k, d in enumerate(columns):
-                entry = sum((row[e] * stacked[e][k] for e in range(len(stacked))), Fraction(0))
+                entry = sum(
+                    (row.get(e, 0) * stacked[e][k] for e in range(len(stacked))), Fraction(0)
+                )
                 assert entry == (c == d)
         targets = rng.sample(columns, rng.randint(1, len(columns)))
         assert _pinned_inverse(system, pins, targets) == {c: inverse[c] for c in targets}

@@ -109,6 +109,14 @@ def test_pinset_rejects_duplicates():
         gs.PinSet((((0, 0), Fraction(1)), ((0, 0), Fraction(2))))
 
 
+def test_pinset_rejects_an_axis_that_is_not_an_int():
+    # int() would turn axis 0.5 into a pin on axis 0, and "a" into a plain
+    # ValueError.
+    for axis in (0.5, "a"):
+        with pytest.raises(gs.PreconditionError, match="is not an int"):
+            gs.PinSet((((axis, 0), Fraction(1)),))
+
+
 def test_fractions_never_floats():
     with pytest.raises(gs.PreconditionError):
         gs.as_fraction(0.5)

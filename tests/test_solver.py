@@ -127,6 +127,32 @@ def test_componentwise_rejects_shared_coordinate():
         gs.solve_componentwise(S, f)
 
 
+def test_componentwise_matches_direct_on_random_disjoint_components():
+    # Unions of 2-3 random full sets on disjoint value ranges: each full set
+    # is one component, and no two share a coordinate of any kind.
+    rng = random.Random(109)
+    for _ in range(40):
+        n = rng.choice((2, 3, 4))
+        offsets, points, parts = [0] * n, [], rng.randint(2, 3)
+        for _ in range(parts):
+            sizes = [rng.randint(1, 3) for _ in range(n)]
+            F = gs.full_closure(random_good_set(rng, int_space(sizes), 6))
+            points += [tuple(o + v for o, v in zip(offsets, p)) for p in F]
+            offsets = [o + s for o, s in zip(offsets, sizes)]
+        S = gs.PointSet.of(int_space(offsets), points)
+        f = random_function(rng, S)
+        comps = gs.related_components(S).components
+        assert len(comps) == parts
+        for bases in (None, [rng.choice(comp.points) for comp in comps]):
+            report = gs.solve_componentwise(S, f, bases)
+            pins = gs.PinSet.zeros(
+                (i, b[i]) for b in bases or [c.points[0] for c in comps] for i in range(n - 1)
+            )
+            direct = gs.solve_direct(S, f, pins)
+            assert report.verdict == direct.verdict == "unique"
+            assert report.decomposition.tables == direct.decomposition.tables
+
+
 def test_componentwise_single_component_equals_geodesic_method():
     S = cube_set(T4)
     rng = random.Random(71)
@@ -363,7 +389,7 @@ def test_indicator_maximum_matches_every_inverse_entry():
         base = rng.choice(S.points)
         pins = [(i, base[i]) for i in range(S.space.n - 1)]
         inverse = _pinned_inverse(gs.IncidenceSystem(S), pins)
-        expected = max(abs(v) for row in inverse.values() for v in row[: len(S)])
+        expected = max(abs(row.get(k, 0)) for row in inverse.values() for k in range(len(S)))
         assert gs.bound_diagnostics(S, base).max_abs_indicator_value == expected
 
 
@@ -427,10 +453,8 @@ def _greedy_maximal_cube(rng, k, n=3):
     kept = set()
     while len(kept) < n * (k - 1) + 1:
         p = tuple(rng.randrange(k) for _ in range(n))
-        row = [0] * len(index)
-        for c in enumerate(p):
-            row[index[c]] = 1
-        if p not in kept and basis.add(row) is not None:
+        row = {index[c]: 1 for c in enumerate(p)}
+        if p not in kept and basis.add_sparse(row) is not None:
             kept.add(p)
     return gs.PointSet.of(space, kept)
 

@@ -1,0 +1,38 @@
+"""Source checks that need no linter: the stdlib `ast` reads the package."""
+
+import ast
+from pathlib import Path
+
+import goodsets
+
+PACKAGE = Path(goodsets.__file__).parent
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names a module imports and never reads; `__future__` imports are directives."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert modules
+    unused = {
+        p.name: names
+        for p in modules
+        if (names := _unused_imports(ast.parse(p.read_text(), str(p))))
+    }
+    assert unused == {}
+
+
+def test_the_check_sees_an_unused_import():
+    tree = ast.parse("from functools import cached_property\nimport math\nmath.gcd(2, 4)\n")
+    assert _unused_imports(tree) == ["cached_property (line 1)"]

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import time
@@ -186,7 +187,7 @@ def test_geodesics_lie_inside_every_full_subset():
             cls = gs.full_component(S, x)
             pins = [(i, x[i]) for i in range(S.space.n - 1)]
             rows = _pinned_inverse(gs.IncidenceSystem(cls), pins, enumerate(y))
-            weighted = (p for row in rows.values() for p, v in zip(cls.points, row) if v)
+            weighted = (cls.points[k] for row in rows.values() for k in row if k < len(cls))
             core = frozenset({x, y}.union(weighted))
             assert core <= g
             pairs += 1
@@ -214,6 +215,21 @@ def test_ei_classes_shared_axis():
     assert ei.classes_by_axis[0] == (("a",),)
     assert len(ei.classes_by_axis[1]) == 2
     assert len(ei.classes_by_axis[2]) == 2
+
+
+def test_class_of_rejects_an_axis_outside_the_space():
+    # Axis -1 would read axis 2's classes and axis 3 would leak an IndexError.
+    S = cube_set(DIAGONAL)
+    ei = gs.ei_classes(S)
+    for axis in (-1, 3):
+        with pytest.raises(gs.PreconditionError, match=r"outside range\(3\)"):
+            ei.class_of(axis, 0)
+    # A boundary holding an axis -1 coordinate fails at the class check,
+    # before the rank test.
+    construction = gs.boundary(S)
+    bound = ((-1, 0),) + construction.boundary[1:]
+    with pytest.raises(gs.PreconditionError, match=r"outside range\(3\)"):
+        structure.verify_boundary(S, dataclasses.replace(construction, boundary=bound))
 
 
 def test_ei_classes_match_the_union_find_reference():
