@@ -15,22 +15,15 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
-import json
 import sys
 import time
 from pathlib import Path
 
 from . import goodness, instances, measures, solve, structure
-from .instances import (
-    Instance,
-    InstanceError,
-    dumps_canonical,
-    format_rational,
-    parse_rational,
-)
+from .instances import Instance, InstanceError, dumps_canonical, format_rational
 from .linalg import PinRow, verify_circuit
 from .measures import FiniteMeasure
-from .model import PinSet, PreconditionError, VerificationError
+from .model import PreconditionError, VerificationError
 
 __all__ = ["main", "run"]
 
@@ -164,23 +157,6 @@ def _cmd_boundary(instance: Instance, args) -> dict:
     }
 
 
-def _parse_inline_pins(instance: Instance, text: str) -> PinSet:
-    try:
-        entries = json.loads(text)
-        if not isinstance(entries, list):
-            raise TypeError("not a JSON list of pins")
-        pins = tuple(
-            (
-                (instance.space.axis_index(str(p["axis"])), str(p["value"])),
-                parse_rational(p["rational"]),
-            )
-            for p in entries
-        )
-        return PinSet(pins)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise PreconditionError(f"malformed --pins value: {exc}") from exc
-
-
 def _cmd_solve(instance: Instance, args) -> dict:
     S = instance.point_set
     f = instance.f
@@ -188,7 +164,10 @@ def _cmd_solve(instance: Instance, args) -> dict:
         raise PreconditionError("solve needs an f table in the instance file")
     pins = instance.pins
     if args.pins is not None:
-        pins = _parse_inline_pins(instance, args.pins)
+        try:
+            pins = instances._pins(instance.space, instances._decode(args.pins))
+        except ValueError as exc:
+            raise PreconditionError(f"malformed --pins value: {exc}") from exc
 
     if args.method == "direct":
         report = solve.solve_direct(S, f, pins)

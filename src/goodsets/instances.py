@@ -15,6 +15,10 @@ or a bare integer string; floats are rejected)::
 indices in command-line flags and reports use the same convention.  Missing
 ``f`` entries default to zero.  ``measure`` entries must be positive and sum
 to one; indices left out (or given as "0") are outside the support.
+
+`_pins` is the one pin parser and `_decode` the one JSON decoder (no key may
+repeat in an object): the CLI's ``solve --pins`` list goes through both, so it
+is read exactly like a file's ``pins``.
 """
 
 from __future__ import annotations
@@ -130,23 +134,7 @@ def parse_instance(data: dict) -> Instance:
         table.update(_indexed_entries(data, "f", file_points))
         f = FunctionTable(point_set, table)
 
-    pins = None
-    if "pins" in data:
-        if not isinstance(data["pins"], list):
-            raise InstanceError("'pins' must be a list of pin objects")
-        entries = []
-        for pin in data["pins"]:
-            try:
-                axis = space.axis_index(_label(pin["axis"]))
-                label = _label(pin["value"])
-                value = parse_rational(pin["rational"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise InstanceError(f"malformed pin {pin!r}: {exc}") from exc
-            entries.append(((axis, label), value))
-        try:
-            pins = PinSet(tuple(entries))
-        except ValueError as exc:
-            raise InstanceError(str(exc)) from exc
+    pins = _pins(space, data["pins"]) if "pins" in data else None
 
     measure = None
     if "measure" in data:
@@ -163,6 +151,25 @@ def parse_instance(data: dict) -> Instance:
             raise InstanceError(str(exc)) from exc
 
     return Instance(space, point_set, file_points, f, pins, measure)
+
+
+def _pins(space: Space, entries) -> PinSet:
+    """The one pin parser: a file's `pins` and the CLI's `--pins` are read here."""
+    if not isinstance(entries, list):
+        raise InstanceError("'pins' must be a list of pin objects")
+    pins = []
+    for pin in entries:
+        try:
+            axis = space.axis_index(_label(pin["axis"]))
+            label = _label(pin["value"])
+            value = parse_rational(pin["rational"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InstanceError(f"malformed pin {pin!r}: {exc}") from exc
+        pins.append(((axis, label), value))
+    try:
+        return PinSet(tuple(pins))
+    except ValueError as exc:
+        raise InstanceError(str(exc)) from exc
 
 
 def _indexed_entries(data: dict, name: str, file_points) -> list:
@@ -203,13 +210,21 @@ def _unique_keys(pairs) -> dict:
     return data
 
 
+def _decode(text: str):
+    """The one JSON decoder of instance files and `--pins`: no key repeats in an object."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except RecursionError:
+        raise InstanceError("JSON nested too deeply") from None
+
+
 def load_instance(path) -> Instance:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise InstanceError(f"cannot read {path}: {exc}") from exc
     try:
-        data = json.loads(text, object_pairs_hook=_unique_keys)
+        data = _decode(text)
     except ValueError as exc:  # malformed JSON, or an integer with too many digits
         raise InstanceError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(data, dict):

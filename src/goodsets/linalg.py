@@ -281,8 +281,9 @@ def _pinned_inverse(
 
     The targets default to every column.  Each row is a sparse dict
     {k: Fraction} of its nonzero entries in increasing k: entry k of the row
-    at column c is the weight of right-hand side entry k (the points, then
-    the pins) in u_c, so the keys below |S| are the points the row weights.
+    at column c is the weight of right-hand side entry k, the point k, in
+    u_c.  The pins' entries are left out, as every caller pins at zero, so
+    the keys are the points the row weights.
     That row w solves A^T w = e_c, so one elimination of [A^T | E], E
     the unit columns of the targets, followed by back-substitution leaves
     D W in the E block, D diagonal and W's columns the requested rows.  A
@@ -308,7 +309,7 @@ def _pinned_inverse(
         raise VerificationError("pinned system is singular")
     basis.back_substitute()
     inverse: dict[Coordinate, dict[int, Fraction]] = {t: {} for t in targets}
-    for k in range(size):
+    for k in range(len(system.points)):
         # Past back-substitution, row k is nonzero at its pivot k and at
         # target columns alone.
         row = basis.pivot_rows[k]

@@ -375,9 +375,13 @@ class PinSet:
         clean = []
         seen = set()
         for coord, v in self.pins:
-            if not isinstance(coord[0], int):
-                raise PreconditionError(f"pin axis {coord[0]!r} is not an int")
-            coord = (int(coord[0]), coord[1])
+            try:
+                axis, label = coord
+            except (TypeError, ValueError):
+                raise PreconditionError(f"pin {coord!r} is not an (axis, label) pair") from None
+            if not isinstance(axis, int):
+                raise PreconditionError(f"pin axis {axis!r} is not an int")
+            coord = (int(axis), label)
             if coord in seen:
                 raise PreconditionError(f"coordinate {coord!r} pinned twice")
             seen.add(coord)

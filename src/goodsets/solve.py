@@ -174,7 +174,7 @@ def _geodesic_values(F: PointSet, f: FunctionTable, base: Point, inverse, values
         G = PointSet(F.space, tuple(_walk(F, base, y, inverse)))
         max_len = max(max_len, len(G))
         for coord, row in _inverse(G, base, enumerate(y)).items():
-            v = sum((w * f(G.points[k]) for k, w in row.items() if k < len(G)), Fraction(0))
+            v = sum((w * f(G.points[k]) for k, w in row.items()), Fraction(0))
             if values.setdefault(coord, v) != v:
                 raise VerificationError(f"geodesic solves disagree at coordinate {coord!r}")
     return max_len
@@ -313,7 +313,7 @@ def bound_diagnostics(S: PointSet, base=None) -> BoundDiagnostics:
         lambda y: PreconditionError("diagnostics are per component; this set has several"),
     )
     lengths = {y: len(_walk(S, base, y, inverse)) for y in S}
-    entries = (v for row in inverse.values() for k, v in row.items() if k < len(S))
+    entries = (v for row in inverse.values() for v in row.values())
     worst = max(map(abs, entries), default=Fraction(0))
     total = sum(lengths.values())
     return BoundDiagnostics(

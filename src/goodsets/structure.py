@@ -251,7 +251,7 @@ def _inverse(F: PointSet, x: Point, targets=None) -> dict:
 
     `linalg._pinned_inverse` with the base pins of every walk from x: the
     rows at the `targets` alone when they are given, else every row.  A
-    row's keys below |F| index the points of F that it weights.
+    row's keys index the points of F that it weights.
     """
     pins = [(i, x[i]) for i in range(F.space.n - 1)]
     return _pinned_inverse(IncidenceSystem(F), pins, targets)
@@ -264,13 +264,11 @@ def _walk(F: PointSet, x: Point, y: Point, inverse: dict) -> set[Point]:
     walk adds the points with a nonzero entry in the rows at the new
     coordinates, counting the coordinates it has reached, and stops at the
     first full set.  It keeps the indices of its points in F, so a row's
-    keys enter whole and the pins' keys, |F| on, are dropped after.  When
-    the `inverse` lacks a row the walk needs, as one over the rows at y's
-    coordinates alone does past its first layer, it is replaced by F's full
-    inverse, once.
+    keys enter whole.  When the `inverse` lacks a row the walk needs, as one
+    over the rows at y's coordinates alone does past its first layer, it is
+    replaced by F's full inverse, once.
     """
     n, points = F.space.n, F.points
-    pins = range(len(points), len(points) + n - 1)
     reached = {points.index(x), points.index(y)}
     layer = list(enumerate(y))
     seen = set(layer)
@@ -278,7 +276,6 @@ def _walk(F: PointSet, x: Point, y: Point, inverse: dict) -> set[Point]:
         if any(c not in inverse for c in layer):
             inverse = _inverse(F, x)
         reached.update(*(inverse[c] for c in layer))
-        reached.difference_update(pins)
         coords = {c for k in reached for c in enumerate(points[k])}
         if len(coords) - len(reached) == n - 1:
             return {points[k] for k in reached}

@@ -121,6 +121,48 @@ def test_solve_inline_pins_must_be_a_list(capsys, inst_dir, pins):
     assert code == 2 and report is None and "--pins" in err
 
 
+@pytest.mark.parametrize(
+    "pins",
+    [
+        pytest.param(
+            '[{"axis": "x", "value": "x0", "rational": "0", "rational": "5"},'
+            ' {"axis": "y", "value": "y0", "rational": "0"}]',
+            id="duplicate-key",
+        ),
+        pytest.param(
+            '[{"axis": "x", "value": ["x0"], "rational": "0"},'
+            ' {"axis": "y", "value": "y0", "rational": "0"}]',
+            id="list-label",
+        ),
+    ],
+)
+def test_solve_inline_pins_are_read_like_file_pins(capsys, inst_dir, tmp_path, pins):
+    # The same list as the file's `pins` is an instance error.
+    code, report, err = run_cli(
+        capsys, "solve", str(inst_dir / "ex10_depth1.json"), "--pins", pins
+    )
+    assert code == 2 and report is None and "malformed --pins value" in err
+    data = example_instance("ex10_depth1")
+    del data["pins"]
+    path = tmp_path / "pinned.json"
+    path.write_text(json.dumps(data)[:-1] + f', "pins": {pins}}}')
+    code, report, err = run_cli(capsys, "solve", str(path))
+    assert code == 3 and report is None and "instance error" in err
+
+
+def test_deeply_nested_json_is_a_parse_or_pins_error(capsys, inst_dir, tmp_path):
+    # The decoder's recursion limit is an input error, not a traceback.
+    nested = "[" * 100_000 + "]" * 100_000
+    path = tmp_path / "nested.json"
+    path.write_text(nested)
+    code, report, err = run_cli(capsys, "check-good", str(path))
+    assert code == 3 and report is None and "nested too deeply" in err
+    code, report, err = run_cli(
+        capsys, "solve", str(inst_dir / "ex10_depth1.json"), "--pins", nested
+    )
+    assert code == 2 and report is None and "malformed --pins value" in err
+
+
 def test_solve_requires_f(capsys, inst_dir):
     code, report, err = run_cli(capsys, "solve", str(inst_dir / "t4.json"))
     assert code == 2 and "f table" in err

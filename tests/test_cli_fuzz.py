@@ -4,7 +4,8 @@ Each case takes one of the 14 shipped instances, applies one structure-aware
 mutation (a value of another JSON type, a truncated list, a duplicate key, a
 non-canonical point index, a huge rational) or corrupts the encoded bytes,
 and runs one command twice.  On any input the CLI must exit 0, 2 or 3 with
-no traceback, and print the same report both times.
+no traceback, and print the same report both times.  A drawn pin list must
+be read alike as a file's `pins` and as `solve --pins`.
 """
 
 import contextlib
@@ -153,3 +154,54 @@ def test_cli_contract_on_mutated_examples(raw, command):
         assert "Traceback" not in err
         assert (code == 0) == bool(out)
         assert _run(argv)[:2] == (code, out)
+
+
+PIN_FIELDS = (
+    ("axis", st.sampled_from(("x", "y", "z"))),
+    ("value", st.sampled_from(("x0", "x1", "y0", "y1", "z0", "x7"))),
+    ("rational", st.sampled_from(("0", "1", "-5/3", "01"))),
+)
+
+
+@st.composite
+def pin_lists(draw):
+    """A list of pins; a pin may miss a field, repeat one, hold another JSON value or be one."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(VALUES)
+    pins = []
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("pin",) * 6 + ("missing", "duplicate", "value", "other")))
+        pin = DuplicateKeys((key, draw(values)) for key, values in PIN_FIELDS)
+        at = draw(st.integers(0, 2))
+        if kind == "missing":
+            del pin[at]
+        elif kind == "duplicate":
+            pin.append((pin[at][0], draw(PIN_FIELDS[at][1])))
+        elif kind == "value":
+            pin[at] = (pin[at][0], draw(VALUES))
+        elif kind == "other":
+            pin = draw(VALUES)
+        pins.append(pin)
+    return pins
+
+
+@settings(max_examples=150, deadline=None)
+@given(pins=pin_lists(), method=st.sampled_from(("direct", "boundary")))
+def test_inline_pins_are_read_like_file_pins(pins, method):
+    data = example_instance("ex10_depth1")
+    with tempfile.TemporaryDirectory() as tmp:
+        pinned, untouched = Path(tmp) / "pinned.json", Path(tmp) / "untouched.json"
+        pinned.write_text(_encode({**data, "pins": pins}))
+        untouched.write_text(_encode(data))
+        file_code, file_out, file_err = _run(("solve", str(pinned), "--method", method))
+        # With "=", argparse takes a value such as -Infinity as the value, not as a flag.
+        code, out, err = _run(
+            ("solve", str(untouched), "--method", method, f"--pins={_encode(pins)}")
+        )
+    for c, e in ((file_code, file_err), (code, err)):
+        assert c in (0, 2, 3) and "Traceback" not in e, e
+    assert (file_code == 3) == (code == 2 and "malformed --pins value" in err), (file_err, err)
+    if file_code != 3:
+        assert file_code == code
+        if code == 0:
+            assert json.loads(file_out)["result"] == json.loads(out)["result"]

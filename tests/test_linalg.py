@@ -493,27 +493,28 @@ def _full_sets_and_chains():
 
 
 def test_pinned_inverse_is_an_inverse():
-    # Rows of A^-1 against the stacked pinned system A, multiplied out in
-    # plain Fraction arithmetic: every product is the identity.
+    # The rows W of A^-1 at the point columns, A the stacked pinned system,
+    # multiplied out in plain Fraction arithmetic: every point row of A
+    # times W is the identity, and W is empty at each pinned coordinate (the
+    # pin rows of A times W are zero).  As A is invertible, that fixes every
+    # returned entry.
     rng, sets = _full_sets_and_chains()
     for S in sets:
         base = rng.choice(S.points)
         pins = [(i, base[i]) for i in range(S.space.n - 1)]
         system = gs.IncidenceSystem(S)
         columns = system.columns
-        stacked = [[int(c in set(enumerate(p))) for c in columns] for p in S]
-        stacked += [[int(c == pin) for c in columns] for pin in pins]
-        assert len(stacked) == len(columns)
+        assert len(S) + len(pins) == len(columns)
         inverse = _pinned_inverse(system, pins)
         assert list(inverse) == list(columns)
         for c in columns:
-            row = inverse[c]
-            assert all(row.values())
-            for k, d in enumerate(columns):
-                entry = sum(
-                    (row.get(e, 0) * stacked[e][k] for e in range(len(stacked))), Fraction(0)
-                )
-                assert entry == (c == d)
+            assert all(inverse[c].values())
+        for p in S:
+            for q in range(len(S)):
+                entry = sum((inverse[c].get(q, 0) for c in enumerate(p)), Fraction(0))
+                assert entry == (p == S.points[q])
+        for c in pins:
+            assert inverse[c] == {}
         targets = rng.sample(columns, rng.randint(1, len(columns)))
         assert _pinned_inverse(system, pins, targets) == {c: inverse[c] for c in targets}
         y = rng.choice(S.points)

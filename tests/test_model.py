@@ -117,6 +117,14 @@ def test_pinset_rejects_an_axis_that_is_not_an_int():
             gs.PinSet((((axis, 0), Fraction(1)),))
 
 
+def test_pinset_rejects_a_coordinate_that_is_not_an_axis_label_pair():
+    # Read as coord[0], coord[1], (0,) leaked an IndexError, 0 a TypeError,
+    # and (0, 0, 0) pinned (0, 0).
+    for coord in ((0,), 0, (0, 0, 0)):
+        with pytest.raises(gs.PreconditionError, match="not an \\(axis, label\\) pair"):
+            gs.PinSet(((coord, Fraction(1)),))
+
+
 def test_fractions_never_floats():
     with pytest.raises(gs.PreconditionError):
         gs.as_fraction(0.5)

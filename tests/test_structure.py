@@ -187,7 +187,7 @@ def test_geodesics_lie_inside_every_full_subset():
             cls = gs.full_component(S, x)
             pins = [(i, x[i]) for i in range(S.space.n - 1)]
             rows = _pinned_inverse(gs.IncidenceSystem(cls), pins, enumerate(y))
-            weighted = (cls.points[k] for row in rows.values() for k in row if k < len(cls))
+            weighted = (cls.points[k] for row in rows.values() for k in row)
             core = frozenset({x, y}.union(weighted))
             assert core <= g
             pairs += 1
