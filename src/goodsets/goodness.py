@@ -223,14 +223,20 @@ def associated_full_set(S: PointSet, boundary_coords) -> PointSet:
     the good-set check.  When either check fails, `is_good(S)` and then the
     one boundary test, `linalg._is_boundary` (the coordinates stacked under
     S's rows give a square system of full rank), run to name the broken
-    precondition; a failure with both met signals a bug upstream.  An axis
-    must be an int in range(n); the value check is `Space.value_index`.
+    precondition; a failure with both met signals a bug upstream.  A
+    coordinate must be an (axis, label) pair, as a `PinSet` pin is, and its
+    axis an int in range(n); the value check is `Space.value_index`.
     """
     S.require_nonempty("associated_full_set")
     n = S.space.n
     by_axis: dict[int, list] = {i: [] for i in range(n)}
     for coord in boundary_coords:
-        axis, label = coord[0], coord[1]
+        try:
+            axis, label = coord
+        except (TypeError, ValueError):
+            raise PreconditionError(
+                f"boundary coordinate {coord!r} is not an (axis, label) pair"
+            ) from None
         if not isinstance(axis, int) or axis not in range(n):
             raise PreconditionError(f"boundary coordinate {coord!r} names no axis of the space")
         S.space.value_index(axis, label)

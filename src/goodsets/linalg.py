@@ -399,6 +399,18 @@ def _witness(rows, rhs: Sequence[Fraction], ncols: int, labels) -> tuple:
     )
 
 
+def _decomposition(space: Space, pairs: Iterable[tuple[Coordinate, Fraction]]) -> Decomposition:
+    """The split that gives each coordinate of the (coordinate, value) pairs its value.
+
+    Every route builds its split here: `solve_pinned` from its columns and
+    solution, `solve._unique` from the geodesic values.
+    """
+    tables: list[dict] = [dict() for _ in range(space.n)]
+    for (axis, label), v in pairs:
+        tables[axis][label] = v
+    return Decomposition(space, tuple(tables))
+
+
 def solve_pinned(
     system: IncidenceSystem, rhs: FunctionTable, pins: PinSet | None = None
 ) -> LinearSolve:
@@ -420,11 +432,7 @@ def solve_pinned(
         labels = list(system.points) + [PinRow(c) for c in pins.coordinates()]
         return LinearSolve(INCONSISTENT, None, (), _witness(rows, b, ncols, labels))
 
-    tables: list[dict] = [dict() for _ in range(system.space.n)]
-    for j, (axis, label) in enumerate(system.columns):
-        tables[axis][label] = solution[j]
-    decomposition = Decomposition(system.space, tuple(tables))
-
+    decomposition = _decomposition(system.space, zip(system.columns, solution))
     if basis.rank == ncols:
         return LinearSolve(UNIQUE, decomposition, (), None)
     kernel = tuple(_kernel_dicts(system, basis))

@@ -112,10 +112,20 @@ class Space:
     def n(self) -> int:
         return len(self.axes)
 
+    def _axis(self, axis) -> int:
+        """The axis index itself; anything but an int in range(n) is rejected."""
+        if not isinstance(axis, int) or axis not in range(self.n):
+            raise PreconditionError(f"axis {axis!r} is outside range({self.n})")
+        return axis
+
     def value_index(self, axis: int, label) -> int:
+        return self._label_index(self._axis(axis), label)
+
+    def _label_index(self, axis: int, label) -> int:
+        """`value_index` without the axis check, for callers that walk a point's axes."""
         try:
             return self._value_index[axis][label]
-        except (IndexError, KeyError):
+        except (IndexError, KeyError, TypeError):
             raise PreconditionError(
                 f"label {label!r} not on axis {axis}"
             ) from None
@@ -127,16 +137,19 @@ class Space:
         raise PreconditionError(f"no axis named {name!r}")
 
     def validate_point(self, point) -> Point:
-        point = tuple(point)
+        try:
+            point = tuple(point)
+        except TypeError:
+            raise PreconditionError(f"point {point!r} is not a sequence of labels") from None
         if len(point) != self.n:
             raise PreconditionError(f"point {point!r} has arity {len(point)}, want {self.n}")
         for i, label in enumerate(point):
-            self.value_index(i, label)
+            self._label_index(i, label)
         return point
 
     def point_key(self, point: Point) -> tuple[int, ...]:
         """Canonical sort key: per-axis value indices, axis-major."""
-        return tuple(self.value_index(i, label) for i, label in enumerate(point))
+        return tuple(self._label_index(i, label) for i, label in enumerate(point))
 
     def coordinates(self) -> tuple[Coordinate, ...]:
         """All coordinates of the space in canonical (axis-major) order."""
@@ -332,8 +345,8 @@ class Decomposition:
 
     def value(self, axis: int, label) -> Fraction:
         try:
-            return self.tables[axis][label]
-        except KeyError:
+            return self.tables[self.space._axis(axis)][label]
+        except (KeyError, TypeError):
             raise PreconditionError(
                 f"decomposition has no value at axis {axis}, label {label!r}"
             ) from None
@@ -367,7 +380,10 @@ class Decomposition:
 
 @dataclass(frozen=True)
 class PinSet:
-    """Prescribed values at distinct coordinates, e.g. u_1(x) = 0."""
+    """Prescribed values at distinct coordinates, e.g. u_1(x) = 0.
+
+    Each coordinate is an (axis, label) pair: an int axis and a hashable label.
+    """
 
     pins: tuple[tuple[Coordinate, Fraction], ...]
 
@@ -377,6 +393,7 @@ class PinSet:
         for coord, v in self.pins:
             try:
                 axis, label = coord
+                hash(label)
             except (TypeError, ValueError):
                 raise PreconditionError(f"pin {coord!r} is not an (axis, label) pair") from None
             if not isinstance(axis, int):

@@ -25,9 +25,13 @@ sparse pinned inverse and the good-set check from `structure._pinned_class`,
 and keep only their own messages for a point outside that class.  The
 geodesic and componentwise routes share one loop, `_geodesic_values`: it
 walks each point's geodesic and dots the sparse rows of the geodesic's own
-`structure._inverse` with f over its points.  `_unique` assembles those
-coordinate values and checks that they reproduce f, and `_report` builds
-every route's report.
+`structure._inverse` with f over its points.
+
+Every split is built by one builder, `linalg._decomposition`, and checked
+by one check, `_check`: the split must honour its pins and reproduce f on
+S.  The geodesic, componentwise and boundary routes run it before they
+report; `solve_direct`'s split is checked by tests only.  `_report` builds
+every route's report, a `LinearSolve` with the method tag and diagnostics.
 """
 
 from __future__ import annotations
@@ -40,9 +44,10 @@ from .linalg import (
     UNIQUE,
     IncidenceSystem,
     LinearSolve,
+    _decomposition,
     _dense,
-    _echelon,
     _incidence_row,
+    _is_boundary,
     solve_pinned,
 )
 from .model import (
@@ -71,20 +76,12 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class SolveReport:
-    """A solve outcome with its method tag and diagnostics."""
+class SolveReport(LinearSolve):
+    """A route's `LinearSolve` with its method tag and diagnostics."""
 
     method: str
-    verdict: str
-    decomposition: Decomposition | None
-    kernel: tuple[dict, ...]
-    witness: tuple | None
     max_geodesic_length: int | None
     max_abs_value: Fraction | None
-
-    @property
-    def unique(self) -> bool:
-        return self.verdict == UNIQUE
 
 
 def _report(method: str, outcome: LinearSolve, max_len: int | None = None) -> SolveReport:
@@ -94,13 +91,7 @@ def _report(method: str, outcome: LinearSolve, max_len: int | None = None) -> So
     if d is not None:
         worst = max((abs(v) for t in d.tables for v in t.values()), default=Fraction(0))
     return SolveReport(
-        method=method,
-        verdict=outcome.verdict,
-        decomposition=d,
-        kernel=outcome.kernel,
-        witness=outcome.witness,
-        max_geodesic_length=max_len,
-        max_abs_value=worst,
+        **vars(outcome), method=method, max_geodesic_length=max_len, max_abs_value=worst
     )
 
 
@@ -124,23 +115,23 @@ class GeodesicMatrix:
 
 
 def geodesic_matrix(G: PointSet, base) -> GeodesicMatrix:
-    """Build and certify the geodesic system for a full subset G through base."""
-    base = G.space.validate_point(tuple(base))
+    """Build and certify the geodesic system for a full subset G through base.
+
+    The base's first n - 1 coordinates form a boundary of G exactly when the
+    system with their columns deleted is square and invertible, so the one
+    boundary test, `linalg._is_boundary`, is the certificate.
+    """
+    base = G.space.validate_point(base)
     if base not in G:
         raise PreconditionError("base point must belong to the geodesic")
-    n = G.space.n
-    removed = {(i, base[i]) for i in range(n - 1)}
+    removed = [(i, base[i]) for i in range(G.space.n - 1)]
+    if not _is_boundary(IncidenceSystem(G), removed):
+        raise VerificationError("geodesic system is not square and invertible")
     columns = tuple(c for c in G.coordinates() if c not in removed)
-    if len(columns) != len(G):
-        raise VerificationError(
-            f"geodesic system is {len(G)} x {len(columns)}; expected square"
-        )
     ordered = (base,) + tuple(p for p in G if p != base)
     col_index = {c: j for j, c in enumerate(columns)}
-    rows = [_incidence_row(p, col_index) for p in ordered]
-    if _echelon(rows, len(columns)).rank != len(columns):
-        raise VerificationError("geodesic matrix is singular")
-    return GeodesicMatrix(ordered, columns, tuple(_dense(r, len(columns)) for r in rows))
+    matrix = tuple(_dense(_incidence_row(p, col_index), len(columns)) for p in ordered)
+    return GeodesicMatrix(ordered, columns, matrix)
 
 
 def _base_inverse(S: PointSet, base, what: str, unrelated):
@@ -151,7 +142,7 @@ def _base_inverse(S: PointSet, base, what: str, unrelated):
     `unrelated(y)`.
     """
     S.require_nonempty(what)
-    base = S.points[0] if base is None else S.space.validate_point(tuple(base))
+    base = S.points[0] if base is None else S.space.validate_point(base)
     if base not in S:
         raise PreconditionError("base point must belong to the set")
     F, inverse = _pinned_class(S, base, what)
@@ -180,15 +171,20 @@ def _geodesic_values(F: PointSet, f: FunctionTable, base: Point, inverse, values
     return max_len
 
 
-def _unique(S: PointSet, f: FunctionTable, values: dict) -> LinearSolve:
-    """The unique solve with the given {coordinate: value}, checked to reproduce f."""
-    tables: list[dict] = [dict() for _ in range(S.space.n)]
-    for (axis, label), v in values.items():
-        tables[axis][label] = v
-    decomposition = Decomposition(S.space, tuple(tables))
+def _check(S: PointSet, f: FunctionTable, decomposition: Decomposition, pins):
+    """The one split check: every (coordinate, value) pin is honoured and f is reproduced on S."""
+    for coord, value in pins:
+        if decomposition.value(*coord) != value:
+            raise VerificationError("solution does not honor a prescribed boundary value")
     for p in S:
         if decomposition.evaluate(p) != f(p):
-            raise VerificationError("assembled decomposition does not reproduce f")
+            raise VerificationError("split does not reproduce f")
+
+
+def _unique(S: PointSet, f: FunctionTable, values: dict) -> LinearSolve:
+    """The unique solve with the given {coordinate: value}, checked to reproduce f."""
+    decomposition = _decomposition(S.space, values.items())
+    _check(S, f, decomposition, ())
     return LinearSolve(UNIQUE, decomposition, (), None)
 
 
@@ -224,19 +220,17 @@ def solve_componentwise(S: PointSet, f: FunctionTable, bases=None) -> SolveRepor
     """
     S.require_nonempty("solve_componentwise")
     comps = related_components(S).components
-    for a in range(len(comps)):
-        for b in range(a + 1, len(comps)):
-            for i in range(S.space.n):
-                common = set(comps[a].projection(i)) & set(comps[b].projection(i))
-                if common:
-                    raise PreconditionError(
-                        f"components share coordinate {(i, sorted(common, key=str)[0])!r}; "
-                        "use the boundary method"
-                    )
+    owner: dict[Coordinate, int] = {}
+    for k, comp in enumerate(comps):
+        for coord in comp.coordinates():
+            if owner.setdefault(coord, k) != k:
+                raise PreconditionError(
+                    f"components share coordinate {coord!r}; use the boundary method"
+                )
     if bases is None:
         bases = [comp.points[0] for comp in comps]
     else:
-        bases = [S.space.validate_point(tuple(b)) for b in bases]
+        bases = [S.space.validate_point(b) for b in bases]
         if len(bases) != len(comps):
             raise PreconditionError("one base point per component required")
         for comp, b in zip(comps, bases):
@@ -275,14 +269,7 @@ def solve_with_boundary(
         if not is_good(S):
             raise PreconditionError("solve_with_boundary requires a good set")
         raise PreconditionError("pins do not coincide with a boundary of the set")
-    decomposition = outcome.decomposition
-
-    for coord, value in boundary_values:
-        if decomposition.value(*coord) != value:
-            raise VerificationError("solution does not honor a prescribed boundary value")
-    for p in S:
-        if decomposition.evaluate(p) != f(p):
-            raise VerificationError("boundary solve does not reproduce f")
+    _check(S, f, outcome.decomposition, boundary_values)
     return _report("boundary", outcome)
 
 

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from goodsets import structure
+from goodsets import linalg, solve, structure
 from goodsets.cli import main
 from goodsets.instances import dumps_canonical, emit_examples, example_instance
 
@@ -357,6 +357,24 @@ def test_internal_error_exit_code(capsys, inst_dir, monkeypatch):
     )
     assert code == 4 and report is None
     assert err.startswith("internal error: the geodesic is not full or misses its core")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("method", ["geodesic", "componentwise", "boundary"])
+def test_a_split_that_fails_its_check_exits_internal(capsys, inst_dir, monkeypatch, method):
+    # A split builder wrong by one at u_z(z1): the split check catches it.
+    build = linalg._decomposition
+
+    def wrong(space, pairs):
+        return build(space, [(c, v + (c == (2, "z1"))) for c, v in pairs])
+
+    monkeypatch.setattr(solve, "_decomposition", wrong)
+    monkeypatch.setattr(linalg, "_decomposition", wrong)
+    code, report, err = run_cli(
+        capsys, "solve", str(inst_dir / "ex10_depth2.json"), "--method", method
+    )
+    assert code == 4 and report is None
+    assert err.startswith("internal error: split does not reproduce f")
     assert "Traceback" not in err
 
 

@@ -284,6 +284,15 @@ def test_associated_full_set_names_an_axis_outside_the_space():
             gs.associated_full_set(S, [coord, (0, 0), (1, 0), (2, 0)])
 
 
+def test_associated_full_set_rejects_a_coordinate_that_is_not_an_axis_label_pair():
+    # Read as coord[0], coord[1], (0,) leaked an IndexError, 0 a TypeError,
+    # and (0, 0, 0) was read as (0, 0).
+    S = cube_set(T4)
+    for coord in ((0,), 0, (0, 0, 0)):
+        with pytest.raises(gs.PreconditionError, match="not an \\(axis, label\\) pair"):
+            gs.associated_full_set(S, [coord, (0, 0), (1, 0), (2, 0)])
+
+
 def test_associated_full_set_names_coordinates_that_are_not_a_boundary(monkeypatch):
     message = "^boundary_coords do not form a boundary of the set$"
     S = cube_set(DIAGONAL)

@@ -125,6 +125,36 @@ def test_pinset_rejects_a_coordinate_that_is_not_an_axis_label_pair():
             gs.PinSet(((coord, Fraction(1)),))
 
 
+def test_pinset_rejects_an_unhashable_label():
+    # The pinned-twice check put (0, ['a']) into a set and leaked a TypeError.
+    with pytest.raises(gs.PreconditionError, match="not an \\(axis, label\\) pair"):
+        gs.PinSet((((0, ["a"]), 1),))
+
+
+def test_space_rejects_malformed_axes_labels_and_points():
+    # Each case leaked a TypeError or read another axis: -1 indexed axis n - 1.
+    space = gs.Space.of(("x", ("a", "b")), ("y", ("c", "d")))
+    S = gs.PointSet.of(space, [("a", "c"), ("a", "d"), ("b", "c")])
+    d = gs.Decomposition(space, ({"a": 1, "b": 2}, {"c": 3, "d": 4}))
+    cases = [
+        lambda: space.value_index(-1, "c"),
+        lambda: space.value_index(2, "c"),
+        lambda: space.value_index("1", "c"),
+        lambda: d.value(-1, "c"),
+        lambda: d.value("0", "a"),
+        lambda: space.value_index(1, ["c"]),
+        lambda: d.value(1, ["c"]),
+        lambda: gs.PointSet.of(space, [("a", ["c"])]),
+        lambda: gs.geodesic(S, ("a", "c"), ("a", ["c"])),
+        lambda: space.validate_point(5),
+        lambda: gs.solve_via_geodesics(S, gs.FunctionTable.zero(S), base=5),
+    ]
+    for case in cases:
+        with pytest.raises(gs.PreconditionError):
+            case()
+    assert space.value_index(1, "c") == 0 and d.value(1, "d") == 4
+
+
 def test_fractions_never_floats():
     with pytest.raises(gs.PreconditionError):
         gs.as_fraction(0.5)

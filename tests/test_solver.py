@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import goodsets as gs
+from goodsets import linalg, solve
 from goodsets.instances import _example10, example_instance, parse_instance
 from goodsets.linalg import _pinned_inverse
 from util import (
@@ -558,3 +559,93 @@ def test_several_classes_name_the_first_unrelated_point():
 def test_bound_diagnostics_rejects_multiple_components():
     with pytest.raises(gs.PreconditionError):
         gs.bound_diagnostics(cube_set(DIAGONAL))
+
+
+def _adds_one_at(target):
+    """A split builder that is wrong by one at the target coordinate."""
+    build = linalg._decomposition
+    return lambda space, pairs: build(space, [(c, v + (c == target)) for c, v in pairs])
+
+
+@pytest.mark.parametrize(
+    "route, target, message",
+    [
+        ("geodesic", (2, "z1"), "split does not reproduce f"),
+        ("componentwise", (2, "z1"), "split does not reproduce f"),
+        ("boundary", (2, "z1"), "split does not reproduce f"),
+        ("boundary", (0, "x0"), "solution does not honor a prescribed boundary value"),
+    ],
+)
+def test_split_check_catches_a_wrong_value(monkeypatch, route, target, message):
+    # Every route but direct builds its split through `_decomposition` and
+    # checks it in `solve._check`; one wrong value must not be reported.
+    inst = parse_instance(_example10(2))
+    S, f = inst.point_set, inst.f
+    wrong = _adds_one_at(target)
+    monkeypatch.setattr(solve, "_decomposition", wrong)
+    monkeypatch.setattr(linalg, "_decomposition", wrong)
+    solvers = {
+        "geodesic": lambda: gs.solve_via_geodesics(S, f),
+        "componentwise": lambda: gs.solve_componentwise(S, f),
+        "boundary": lambda: gs.solve_with_boundary(S, f, inst.pins),
+    }
+    with pytest.raises(gs.VerificationError, match=f"^{message}$"):
+        solvers[route]()
+
+
+@pytest.mark.parametrize("route", ["geodesic", "componentwise"])
+def test_geodesic_solves_that_disagree_are_caught(monkeypatch, route):
+    # Every second inverse is scaled by 2, so the base's value at (2, "z0"),
+    # f = 1 at the base, is read again at twice or half its value.
+    inst = parse_instance(_example10(2))
+    S, f = inst.point_set, inst.f
+    real, calls = solve._inverse, []
+
+    def scaled(G, base, targets=None):
+        calls.append(G)
+        rows = real(G, base, targets)
+        return {c: {k: w * (1 + len(calls) % 2) for k, w in row.items()} for c, row in rows.items()}
+
+    monkeypatch.setattr(solve, "_inverse", scaled)
+    solver = gs.solve_via_geodesics if route == "geodesic" else gs.solve_componentwise
+    with pytest.raises(gs.VerificationError, match="^geodesic solves disagree at coordinate "):
+        solver(S, f)
+
+
+def test_geodesic_matrix_rejects_sets_whose_base_pins_are_no_boundary():
+    # The diagonal is good but not full (deficiency 4); a rectangle plus a
+    # point with two fresh coordinates has deficiency n - 1 = 2 but a loop.
+    bad = gs.PointSet.of(
+        int_space((2, 3, 2)), [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0), (0, 2, 1)]
+    )
+    assert bad.deficiency() == 2 and not gs.is_good(bad)
+    for S in (cube_set(DIAGONAL), bad):
+        with pytest.raises(gs.VerificationError, match="^geodesic system is not square"):
+            gs.geodesic_matrix(S, S.points[0])
+
+
+def test_componentwise_names_a_coordinate_two_components_hold():
+    # Unions of 2-3 random full sets in n = 3 or 4 whose value ranges meet
+    # in one value of one axis: each full set stays a component.
+    rng = random.Random(113)
+    for _ in range(40):
+        n = rng.choice((3, 4))
+        points, parts = [], rng.randint(2, 3)
+        for _ in range(parts):
+            F = gs.full_closure(random_good_set(rng, int_space([3] * n), 6))
+            # F moves past every earlier label, except that its least label
+            # on one axis lands on the largest earlier label there.
+            top = [max((p[i] for p in points), default=-1) for i in range(n)]
+            offsets = [t + 1 for t in top]
+            shared = rng.randrange(n)
+            offsets[shared] = max(top[shared], 0) - min(F.projection(shared))
+            points += [tuple(o + v for o, v in zip(offsets, p)) for p in F]
+        S = gs.PointSet.of(int_space([1 + max(p[i] for p in points) for i in range(n)]), points)
+        comps = gs.related_components(S).components
+        assert len(comps) == parts
+        held = [c for c in S.coordinates() if sum(c in comp.coordinates() for comp in comps) > 1]
+        with pytest.raises(gs.PreconditionError) as exc:
+            gs.solve_componentwise(S, random_function(rng, S))
+        assert str(exc.value) in {
+            f"components share coordinate {c!r}; use the boundary method" for c in held
+        }
