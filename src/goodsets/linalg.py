@@ -411,6 +411,12 @@ def _decomposition(space: Space, pairs: Iterable[tuple[Coordinate, Fraction]]) -
     return Decomposition(space, tuple(tables))
 
 
+def _require_total(rhs: FunctionTable, points: Iterable[Point]):
+    """The right-hand side must be given at exactly the points solved over."""
+    if set(rhs.domain.points) != set(points):
+        raise PreconditionError("right-hand side must be total on the system's points")
+
+
 def solve_pinned(
     system: IncidenceSystem, rhs: FunctionTable, pins: PinSet | None = None
 ) -> LinearSolve:
@@ -420,8 +426,7 @@ def solve_pinned(
     underdetermined outcomes the returned decomposition reproduces `rhs`
     bit-exactly on every point.
     """
-    if set(rhs.domain.points) != set(system.points):
-        raise PreconditionError("right-hand side must be total on the system's points")
+    _require_total(rhs, system.points)
     pins = PinSet(()) if pins is None else pins
     rows = _stack_pins(system, pins.coordinates())
     b = [rhs(p) for p in system.points] + [value for _, value in pins]

@@ -58,11 +58,17 @@ class VerificationError(RuntimeError):
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce int / str / Fraction into an exact Fraction (floats rejected)."""
+    """Coerce int / str / Fraction into an exact Fraction (floats rejected).
+
+    A string that is no rational, or has a zero denominator, is rejected too.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, str)):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise PreconditionError(f"not an exact rational: {value!r}")
 
 

@@ -3,9 +3,10 @@
 Four routes produce the same numbers and certify each other:
 
 * direct -- one pinned elimination over the whole incidence system.
-* geodesic -- pin a base point's first n - 1 coordinates; a target's values
-  are the rows of its geodesic's pinned inverse at the target's coordinates,
-  dotted with f on the geodesic; assembly asserts all overlaps agree.
+* geodesic -- pin a base point's first n - 1 coordinates; each coordinate's
+  value is its row of the class's pinned inverse dotted with f, which by
+  Theorem (a) in `structure` is its row in the pinned inverse of any
+  geodesic from the base that reaches it.
 * componentwise -- the geodesic route per relatedness component, valid when
   components share no coordinate of any kind.
 * boundary -- prescribe values on a boundary: the pins are stacked under
@@ -24,8 +25,10 @@ The geodesic route and `bound_diagnostics` take the base's class, its
 sparse pinned inverse and the good-set check from `structure._pinned_class`,
 and keep only their own messages for a point outside that class.  The
 geodesic and componentwise routes share one loop, `_geodesic_values`: it
-walks each point's geodesic and dots the sparse rows of the geodesic's own
-`structure._inverse` with f over its points.
+dots each sparse row of the one pinned inverse the route holds (the class's,
+or each component's `structure._inverse`) once with f, and walks each
+point's geodesic over that inverse only for its length.  Both routes, like
+`solve_pinned`, first require f to be given on exactly S's points.
 
 Every split is built by one builder, `linalg._decomposition`, and checked
 by one check, `_check`: the split must honour its pins and reproduce f on
@@ -48,6 +51,7 @@ from .linalg import (
     _dense,
     _incidence_row,
     _is_boundary,
+    _require_total,
     solve_pinned,
 )
 from .model import (
@@ -152,23 +156,18 @@ def _base_inverse(S: PointSet, base, what: str, unrelated):
 
 
 def _geodesic_values(F: PointSet, f: FunctionTable, base: Point, inverse, values: dict) -> int:
-    """Write every point's coordinate values into `values`; return the longest geodesic.
+    """Write every coordinate's value into `values`; return the longest geodesic.
 
     F is full and holds the base, and `inverse` is F's inverse pinned at it.
-    Each point y's geodesic G is walked over that inverse; y's values are
-    the sparse rows of G's own inverse pinned at the base, at y's
-    coordinates, dotted with f over G's points.  A coordinate that two
-    geodesics reach must get one value.
+    Each coordinate's value is its row of that inverse dotted once with f
+    over F's points; by Theorem (a) in `structure`, the row equals the
+    coordinate's row in the inverse of any geodesic that reaches it.  Each
+    point's geodesic is walked over the inverse only for its length.
     """
-    max_len = 0
-    for y in F:
-        G = PointSet(F.space, tuple(_walk(F, base, y, inverse)))
-        max_len = max(max_len, len(G))
-        for coord, row in _inverse(G, base, enumerate(y)).items():
-            v = sum((w * f(G.points[k]) for k, w in row.items()), Fraction(0))
-            if values.setdefault(coord, v) != v:
-                raise VerificationError(f"geodesic solves disagree at coordinate {coord!r}")
-    return max_len
+    fs = [f(p) for p in F.points]
+    for coord, row in inverse.items():
+        values[coord] = sum((w * fs[k] for k, w in row.items()), Fraction(0))
+    return max(len(_walk(F, base, y, inverse)) for y in F)
 
 
 def _check(S: PointSet, f: FunctionTable, decomposition: Decomposition, pins):
@@ -189,15 +188,16 @@ def _unique(S: PointSet, f: FunctionTable, values: dict) -> LinearSolve:
 
 
 def solve_via_geodesics(S: PointSet, f: FunctionTable, base=None) -> SolveReport:
-    """Case of a single relatedness component: assemble per-point geodesic solves.
+    """Case of a single relatedness component: read the split off one pinned inverse.
 
-    Pins the base's first n - 1 coordinates at zero; each point's own
-    coordinate values are read off the n rows of its geodesic's pinned
-    inverse at those coordinates, dotted with f on the geodesic
-    (`_geodesic_values`).  The geodesics are walked over one pinned inverse
-    of S.  Coordinates reached by several geodesics must agree, and the
-    assembled split must reproduce f; both are asserted.
+    Pins the base's first n - 1 coordinates at zero.  Each coordinate's
+    value is its row of S's inverse pinned there, dotted with f
+    (`_geodesic_values`); by Theorem (a) in `structure`, that row is the
+    coordinate's row in the pinned inverse of every geodesic from the base
+    that reaches it.  The geodesics are walked over the same inverse for
+    their lengths, and `_check` asserts that the split reproduces f.
     """
+    _require_total(f, S.points)
     base, inverse = _base_inverse(
         S,
         base,
@@ -218,6 +218,7 @@ def solve_componentwise(S: PointSet, f: FunctionTable, bases=None) -> SolveRepor
     invertible, and `_geodesic_values` writes its coordinates into one
     shared table, which is assembled and checked once.
     """
+    _require_total(f, S.points)
     S.require_nonempty("solve_componentwise")
     comps = related_components(S).components
     owner: dict[Coordinate, int] = {}

@@ -249,3 +249,22 @@ def test_two_broken_preconditions_still_raise(name, call, message):
     S = gs.PointSet.of(int_space((3, 3)), RECTANGLE_CELLS)
     with pytest.raises(gs.PreconditionError):
         call(S, (2, 2), (2, 2))
+
+
+@pytest.mark.parametrize("text", ["1/0", "abc"])
+def test_text_that_is_no_rational_names_itself(text):
+    # A zero denominator or a non-numeral is refused as a precondition,
+    # not a bare ZeroDivisionError or ValueError, by every exact constructor.
+    S = cube_set(T4)
+    p = S.points[0]
+    calls = [
+        lambda: gs.as_fraction(text),
+        lambda: gs.FunctionTable(S, {q: text if q == p else 0 for q in S}),
+        lambda: gs.PinSet((((0, 0), text),)),
+        lambda: gs.FiniteMeasure(S, {q: text for q in S}),
+        lambda: gs.Decomposition(S.space, ({0: text}, {}, {})),
+    ]
+    for call in calls:
+        with pytest.raises(gs.PreconditionError) as err:
+            call()
+        assert str(err.value) == f"not an exact rational: {text!r}"

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import goodsets as gs
-from goodsets import linalg, solve
+from goodsets import linalg, solve, structure
 from goodsets.instances import _example10, example_instance, parse_instance
 from goodsets.linalg import _pinned_inverse
 from util import (
@@ -503,6 +503,24 @@ def test_greedy_maximal_geodesic_frontier():
     assert via_elapsed < 5
 
 
+def test_greedy_maximal_geodesic_routes_frontier():
+    # 238 points of 80^3: both routes dot each row of one pinned inverse
+    # once, and walk each geodesic over it for its length alone.
+    rng = random.Random(2)
+    S = _greedy_maximal_cube(rng, 80)
+    f = random_function(rng, S)
+    base = S.points[0]
+    pins = gs.PinSet.zeros([(i, base[i]) for i in range(S.space.n - 1)])
+    direct = gs.solve_direct(S, f, pins)
+    assert len(S) == 238 and direct.verdict == "unique"
+    for solver in (gs.solve_via_geodesics, gs.solve_componentwise):
+        start = time.monotonic()
+        report = solver(S, f)
+        elapsed = time.monotonic() - start
+        assert report.decomposition.tables == direct.decomposition.tables
+        assert elapsed < 2
+
+
 def test_shared_inverse_matches_single_geodesics():
     # One inverse per base serves every walk; each single geodesic computes
     # its own core rows, and the full inverse only past the core.  The
@@ -594,22 +612,73 @@ def test_split_check_catches_a_wrong_value(monkeypatch, route, target, message):
 
 
 @pytest.mark.parametrize("route", ["geodesic", "componentwise"])
-def test_geodesic_solves_that_disagree_are_caught(monkeypatch, route):
-    # Every second inverse is scaled by 2, so the base's value at (2, "z0"),
-    # f = 1 at the base, is read again at twice or half its value.
+def test_wrong_held_inverse_is_caught(monkeypatch, route):
+    # Both routes read every value off one held pinned inverse, taken from
+    # `structure._inverse` through `_pinned_class` on the geodesic route and
+    # from `solve._inverse` per component.  One entry scaled by 2 moves one
+    # coordinate's value off by that entry, as f = 1 everywhere, and the
+    # split check must refuse the split.
     inst = parse_instance(_example10(2))
-    S, f = inst.point_set, inst.f
-    real, calls = solve._inverse, []
+    S = inst.point_set
+    f = gs.FunctionTable(S, {p: 1 for p in S})
+    module = structure if route == "geodesic" else solve
+    real = module._inverse
 
-    def scaled(G, base, targets=None):
-        calls.append(G)
-        rows = real(G, base, targets)
-        return {c: {k: w * (1 + len(calls) % 2) for k, w in row.items()} for c, row in rows.items()}
+    def scaled(F, x, targets=None):
+        rows = real(F, x, targets)
+        row = next(row for row in rows.values() if row)
+        k = next(iter(row))
+        row[k] *= 2
+        return rows
 
-    monkeypatch.setattr(solve, "_inverse", scaled)
+    monkeypatch.setattr(module, "_inverse", scaled)
     solver = gs.solve_via_geodesics if route == "geodesic" else gs.solve_componentwise
-    with pytest.raises(gs.VerificationError, match="^geodesic solves disagree at coordinate "):
+    with pytest.raises(gs.VerificationError, match="^split does not reproduce f$"):
         solver(S, f)
+
+
+def test_one_pinned_inverse_per_class_per_solve(monkeypatch):
+    # The geodesic route inverts its class once; the componentwise route
+    # inverts each component once.  No geodesic is inverted on its own.
+    real, calls = structure._pinned_inverse, []
+
+    def counted(system, coords, targets=None):
+        calls.append(system)
+        return real(system, coords, targets)
+
+    monkeypatch.setattr(structure, "_pinned_inverse", counted)
+    rng = random.Random(131)
+    full = [gs.full_closure(random_good_set(rng, random_space(rng), 8)) for _ in range(20)]
+    full += [ex10(depth).point_set for depth in (1, 3)]
+    for S in full:
+        calls.clear()
+        gs.solve_via_geodesics(S, random_function(rng, S), rng.choice(S.points))
+        assert len(calls) == 1
+    for parts in (1, 2, 3):
+        points, offsets = [], [0, 0, 0]
+        for _ in range(parts):
+            points += [tuple(o + v for o, v in zip(offsets, p)) for p in T4]
+            offsets = [o + 2 for o in offsets]
+        S = gs.PointSet.of(int_space(offsets), points)
+        calls.clear()
+        gs.solve_componentwise(S, random_function(rng, S))
+        assert len(gs.related_components(S)) == parts
+        assert len(calls) == parts
+
+
+@pytest.mark.parametrize("solver", [gs.solve_via_geodesics, gs.solve_componentwise])
+def test_geodesic_routes_require_f_on_exactly_the_set(solver):
+    # f on a subset would miss a point of the dot products, and f on a
+    # superset would be taken for a split of points outside the set.
+    S = gs.PointSet.from_points([("a", "b"), ("a", "c"), ("b", "c")])
+    assert gs.is_full(S)
+    subset = gs.PointSet.of(S.space, S.points[:2])
+    superset = S.union([("b", "b")])
+    for domain in (subset, superset):
+        f = gs.FunctionTable(domain, {p: 1 for p in domain})
+        with pytest.raises(gs.PreconditionError) as err:
+            solver(S, f)
+        assert str(err.value) == "right-hand side must be total on the system's points"
 
 
 def test_geodesic_matrix_rejects_sets_whose_base_pins_are_no_boundary():

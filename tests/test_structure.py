@@ -20,6 +20,7 @@ from util import (
     bipartite_is_forest,
     cube_set,
     fraction_signature_groups,
+    geodesic_inverse_rows,
     int_space,
     pset,
     random_good_set,
@@ -193,6 +194,36 @@ def test_geodesics_lie_inside_every_full_subset():
             pairs += 1
             completed += core != g
     assert pairs >= 500 and completed > 0
+
+
+def _rows_off_their_geodesics(S, base, held, inverse):
+    """The points y whose held rows at y's coordinates differ from y's geodesic's own."""
+    return [
+        y
+        for y in S
+        if {c: held[c] for c in enumerate(y)} != geodesic_inverse_rows(S, base, y, inverse)
+    ]
+
+
+def test_held_inverse_rows_are_every_geodesics_rows():
+    # Theorem (a): for a full G in the class F through the base, the pinned
+    # solve on G agrees with the one on F on C(G), so the rows of F's
+    # pinned inverse at y's coordinates are those of y's geodesic's own
+    # inverse, and zero off it.  A held row with one entry dropped must be
+    # caught at every y that holds its coordinate.
+    rng = random.Random(137)
+    sets = [gs.full_closure(random_good_set(rng, random_space(rng), 8)) for _ in range(60)]
+    sets += [parse_instance(_example10(depth)).point_set for depth in range(1, 9)]
+    for S in sets:
+        base = rng.choice(S.points)
+        inverse = structure._inverse(S, base)
+        assert _rows_off_their_geodesics(S, base, inverse, inverse) == []
+        coord = rng.choice([c for c, row in inverse.items() if row])
+        dropped = dict(inverse[coord])
+        del dropped[rng.choice(list(dropped))]
+        mutant = {**inverse, coord: dropped}
+        holders = [y for y in S if coord in enumerate(y)]
+        assert _rows_off_their_geodesics(S, base, mutant, inverse) == holders
 
 
 def test_ei_classes_single_component():

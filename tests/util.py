@@ -12,8 +12,10 @@ kernel signatures that the integer signature keys must group alike, and
 `transposed_kernel_circuit` the transposed `Fraction` kernel that the
 tagged elimination's circuit must match coefficient for coefficient,
 `union_find_ei_classes` the union-find that the set-merging chain classes
-must match class for class, and `oracle_is_boundary` the sympy rank of the
-stacked pin rows that the one boundary test must agree with.
+must match class for class, `oracle_is_boundary` the sympy rank of the
+stacked pin rows that the one boundary test must agree with, and
+`geodesic_inverse_rows` the per-geodesic inversion whose rows the class's
+held pinned inverse must match row for row.
 """
 
 import itertools
@@ -21,6 +23,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import goodsets as gs
+from goodsets import structure
 
 
 def int_space(sizes) -> gs.Space:
@@ -216,6 +219,21 @@ def oracle_is_boundary(S: gs.PointSet, coords) -> bool:
     rows = [[int(c in set(enumerate(p))) for c in columns] for p in S.points]
     rows += [[int(c == pin) for c in columns] for pin in coords]
     return len(rows) == len(columns) and Matrix(rows).rank() == len(columns)
+
+
+def geodesic_inverse_rows(F: gs.PointSet, x, y, inverse) -> dict:
+    """The rows at y's coordinates of the inverse of x and y's geodesic, keyed by F's indices.
+
+    How the geodesic route read its values before it read them off the
+    class's inverse, kept as it was: the geodesic G is walked over F's
+    `inverse` pinned at x, G's own system pinned at x is inverted at y's
+    coordinates, and each row's keys, indices into G's points, are mapped
+    to the same points' indices in F.
+    """
+    G = gs.PointSet(F.space, tuple(structure._walk(F, x, y, inverse)))
+    index = {p: k for k, p in enumerate(F.points)}
+    rows = structure._inverse(G, x, enumerate(y))
+    return {c: {index[G.points[k]]: w for k, w in row.items()} for c, row in rows.items()}
 
 
 def oracle_rank(space, points) -> int:
