@@ -1,7 +1,8 @@
 """Instance files: a small JSON format plus the canonical shipped examples.
 
 An instance is UTF-8 JSON with string labels and string rationals (``"p/q"``
-or a bare integer string; floats are rejected)::
+or a bare integer string; floats are rejected), read by `parse_rational`,
+which is `model.as_fraction`, the library's one rational grammar::
 
     {
       "axes":   [{"name": "x", "values": ["x0", "x1"]}, ...],
@@ -24,7 +25,6 @@ is read exactly like a file's ``pins``.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -35,7 +35,9 @@ from .model import (
     PinSet,
     Point,
     PointSet,
+    PreconditionError,
     Space,
+    as_fraction,
 )
 
 __all__ = [
@@ -51,22 +53,16 @@ __all__ = [
     "parse_rational",
 ]
 
-_RATIONAL = re.compile(r"^-?\d+(/[1-9]\d*)?$")
-
-
 class InstanceError(ValueError):
     """The instance file is malformed or internally inconsistent."""
 
 
 def parse_rational(text) -> Fraction:
-    if isinstance(text, int) and not isinstance(text, bool):
-        return Fraction(text)
-    if not isinstance(text, str) or not _RATIONAL.match(text):
-        raise InstanceError(f"not an exact rational string: {text!r}")
+    """`model.as_fraction`, the one rational grammar, failing with `InstanceError`."""
     try:
-        return Fraction(text)
-    except ValueError as exc:  # more digits than the interpreter converts
-        raise InstanceError(f"rational of {len(text)} characters: {exc}") from None
+        return as_fraction(text)
+    except PreconditionError as exc:
+        raise InstanceError(str(exc)) from None
 
 
 def format_rational(value: Fraction) -> str:
@@ -88,7 +84,7 @@ class Instance:
     measure: FiniteMeasure | None
 
     def index_of(self, point) -> int:
-        return self.file_points.index(tuple(point))
+        return self.file_points.index(self.point_set.require_member(point))
 
 
 def _list(value, what: str) -> list:

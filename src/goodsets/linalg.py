@@ -41,6 +41,7 @@ from .model import (
     PreconditionError,
     Space,
     VerificationError,
+    as_fraction,
 )
 
 __all__ = [
@@ -175,10 +176,22 @@ def _echelon(rows: Iterable[Mapping[int, int]], ncols: int) -> RowBasis:
     return basis
 
 
+def _over_common_denominator(values: Iterable[Fraction]) -> tuple[list[int], int]:
+    """The rationals as integer numerators over D, the lcm of their denominators.
+
+    Numerator k is values[k] * D, with the sign of values[k]; the values sum
+    to one exactly when the numerators sum to D.  The one common-denominator
+    helper, behind the augmented rhs, `in_span` and `measures`.
+    """
+    ratios = [v.as_integer_ratio() for v in values]
+    D = lcm(*(d for _, d in ratios))
+    return [a * (D // d) for a, d in ratios], D
+
+
 def _augment(rows, rhs: Sequence[Fraction], ncols: int) -> tuple[list[dict[int, int]], int]:
     """Rows extended by the rhs at column ncols, scaled by the lcm of its denominators."""
-    scale = lcm(*(b.denominator for b in rhs))
-    return [{**r, ncols: int(b * scale)} if b else r for r, b in zip(rows, rhs)], scale
+    numerators, scale = _over_common_denominator(rhs)
+    return [{**r, ncols: a} if a else r for r, a in zip(rows, numerators)], scale
 
 
 def _canonical_solution(rows, rhs: Sequence[Fraction], ncols: int):
@@ -451,12 +464,12 @@ def in_span(system: IncidenceSystem, vector: Mapping[Coordinate, object]) -> boo
         j = system.col_index.get(coord)
         if j is None:
             raise PreconditionError(f"coordinate {coord!r} is not a column of the system")
-        x = Fraction(v)
+        x = as_fraction(v)
         if x:
             entries[j] = x
-    scale = lcm(*(v.denominator for v in entries.values()))
+    numerators, _ = _over_common_denominator(entries.values())
     basis = _echelon(system.sparse_rows, len(system.columns))
-    return basis.contains_sparse({j: int(v * scale) for j, v in entries.items()})
+    return basis.contains_sparse(dict(zip(entries, numerators)))
 
 
 @dataclass(frozen=True)
@@ -522,7 +535,7 @@ def verify_circuit(space: Space, circuit: CircuitVector):
     it vanishes on no point.  A repeated point would pass the rank test (one
     point listed twice, with coefficients 1 and -1, has rank 1 = 2 - 1).
     """
-    pts = circuit.points
+    pts = tuple(map(space.validate_point, circuit.points))
     coeffs = circuit.coefficients
     if len(pts) != len(coeffs) or not pts:
         raise VerificationError("circuit points and coefficients do not align")
@@ -541,8 +554,5 @@ def verify_circuit(space: Space, circuit: CircuitVector):
         g = gcd(g, abs(c))
     if g != 1 or coeffs[0] <= 0:
         raise VerificationError("circuit coefficients are not normalized")
-    columns = space.coordinates()
-    col_index = {c: j for j, c in enumerate(columns)}
-    basis = _echelon((_incidence_row(p, col_index) for p in pts), len(columns))
-    if basis.rank != len(pts) - 1:
+    if rank(IncidenceSystem(PointSet(space, pts))) != len(pts) - 1:
         raise VerificationError("circuit support is not minimal")

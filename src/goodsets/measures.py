@@ -16,12 +16,12 @@ common denominator, the lcm of the weights' denominators, and build a
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .goodness import Loop, is_good
+from .linalg import _over_common_denominator
 from .model import PointSet, PreconditionError, VerificationError, as_fraction
 
 __all__ = [
@@ -43,8 +43,8 @@ class FiniteMeasure:
 
     def __post_init__(self):
         self.support.require_nonempty("finite measure")
-        w = {tuple(p): as_fraction(v) for p, v in self.weights.items()}
-        if set(w) != set(self.support.points):
+        w = {p: as_fraction(v) for p, v in self.weights.items()}
+        if w.keys() != set(self.support.points):
             raise PreconditionError("weights must be given exactly on the support")
         numerators, D = _over_common_denominator(w.values())
         if any(a <= 0 for a in numerators):
@@ -60,7 +60,11 @@ class FiniteMeasure:
         return cls(support, {p: w for p in support})
 
     def __call__(self, point) -> Fraction:
-        return self.weights.get(tuple(point), Fraction(0))
+        """The weight at a point, 0 off the support; a point is read only if the lookup misses."""
+        try:
+            return self.weights[point]
+        except (KeyError, TypeError):
+            return self.weights.get(self.support.space.validate_point(point), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -70,18 +74,14 @@ class MarginalVector:
     per_axis: tuple[dict, ...]
 
     def mass(self, axis: int, label) -> Fraction:
-        return self.per_axis[axis].get(label, Fraction(0))
-
-
-def _over_common_denominator(values: Iterable) -> tuple[list[int], int]:
-    """The rationals as integer numerators over D, the lcm of their denominators.
-
-    Numerator k is values[k] * D, with the sign of values[k]; the values sum
-    to one exactly when the numerators sum to D.
-    """
-    ratios = [v.as_integer_ratio() for v in values]
-    D = math.lcm(*(d for _, d in ratios))
-    return [a * (D // d) for a, d in ratios], D
+        """The weight of the label on the axis, an int in range(n); 0 off the support."""
+        n = len(self.per_axis)
+        if not isinstance(axis, int) or axis not in range(n):
+            raise PreconditionError(f"axis {axis!r} is outside range({n})")
+        try:
+            return self.per_axis[axis].get(label, Fraction(0))
+        except TypeError:
+            raise PreconditionError(f"label {label!r} is not hashable") from None
 
 
 def marginals(m: FiniteMeasure) -> MarginalVector:

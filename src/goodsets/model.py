@@ -17,11 +17,23 @@ holds the data they all share:
 All scalars are :class:`fractions.Fraction`; nothing is ever rounded.  Every
 type is immutable after construction and every operation is pure, so shared
 instances are safe under concurrent use.
+
+Input.  Every point that enters the package is read by one reader,
+`Space._read`: it makes the point a tuple, checks its arity and looks up
+each label on its axis, and returns the point with its canonical key.
+`validate_point` and `point_key` are its two views, and `PointSet` sorts by
+the keys it read.  `PointSet.require_member` is the one "read, then require
+membership" check behind every entry that takes a point of a set.  Plain
+lookups (`in`, `FunctionTable.__call__`, `FiniteMeasure.__call__`) read a
+point only when the lookup as given fails, so hits cost a dict lookup.
+Every rational is read by `as_fraction`, the one rational grammar, which
+instance files share.  A malformed value raises `PreconditionError`.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -48,6 +60,8 @@ __all__ = [
 Point = tuple
 Coordinate = tuple
 
+_RATIONAL = re.compile(r"-?\d+(/[1-9]\d*)?")
+
 
 class PreconditionError(ValueError):
     """An operation was called outside its stated preconditions."""
@@ -58,18 +72,22 @@ class VerificationError(RuntimeError):
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce int / str / Fraction into an exact Fraction (floats rejected).
+    """Coerce int / str / Fraction into an exact Fraction; nothing else is a rational.
 
-    A string that is no rational, or has a zero denominator, is rejected too.
+    The one rational grammar: a Fraction, an int that is not a bool, or a
+    string `_RATIONAL` matches whole ("-7", "3/4"; no sign on the
+    denominator, no spaces, no decimal point, no exponent).
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise PreconditionError(f"not an exact rational: {value!r}")
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if not isinstance(value, str) or not _RATIONAL.fullmatch(value):
+        raise PreconditionError(f"not an exact rational: {value!r}")
+    try:
+        return Fraction(value)
+    except ValueError as exc:  # more digits than the interpreter converts
+        raise PreconditionError(f"rational of {len(value)} characters: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -83,8 +101,11 @@ class Axis:
         object.__setattr__(self, "values", tuple(self.values))
         if not self.values:
             raise PreconditionError(f"axis {self.name!r} has no values")
-        if len(set(self.values)) != len(self.values):
-            raise PreconditionError(f"axis {self.name!r} has duplicate values")
+        try:
+            if len(set(self.values)) != len(self.values):
+                raise PreconditionError(f"axis {self.name!r} has duplicate values")
+        except TypeError:
+            raise PreconditionError(f"axis {self.name!r} has an unhashable value") from None
 
 
 @dataclass(frozen=True)
@@ -125,16 +146,10 @@ class Space:
         return axis
 
     def value_index(self, axis: int, label) -> int:
-        return self._label_index(self._axis(axis), label)
-
-    def _label_index(self, axis: int, label) -> int:
-        """`value_index` without the axis check, for callers that walk a point's axes."""
         try:
-            return self._value_index[axis][label]
-        except (IndexError, KeyError, TypeError):
-            raise PreconditionError(
-                f"label {label!r} not on axis {axis}"
-            ) from None
+            return self._value_index[self._axis(axis)][label]
+        except (KeyError, TypeError):
+            raise PreconditionError(f"label {label!r} not on axis {axis}") from None
 
     def axis_index(self, name: str) -> int:
         for i, ax in enumerate(self.axes):
@@ -142,20 +157,30 @@ class Space:
                 return i
         raise PreconditionError(f"no axis named {name!r}")
 
-    def validate_point(self, point) -> Point:
+    def _read(self, point) -> tuple[Point, tuple[int, ...]]:
+        """The one point reader: (the point as a tuple, its canonical key), in one pass.
+
+        A non-sequence, a wrong arity, or a label that is not on its axis
+        (an unhashable one included) raises `PreconditionError`.
+        """
         try:
             point = tuple(point)
         except TypeError:
             raise PreconditionError(f"point {point!r} is not a sequence of labels") from None
         if len(point) != self.n:
             raise PreconditionError(f"point {point!r} has arity {len(point)}, want {self.n}")
-        for i, label in enumerate(point):
-            self._label_index(i, label)
-        return point
+        try:
+            return point, tuple(map(dict.__getitem__, self._value_index, point))
+        except (KeyError, TypeError):  # the lookup again, label by label, to name the bad one
+            return point, tuple(map(self.value_index, range(self.n), point))
 
-    def point_key(self, point: Point) -> tuple[int, ...]:
-        """Canonical sort key: per-axis value indices, axis-major."""
-        return tuple(self._label_index(i, label) for i, label in enumerate(point))
+    def validate_point(self, point) -> Point:
+        """The point as a tuple of labels, read by `_read`."""
+        return self._read(point)[0]
+
+    def point_key(self, point) -> tuple[int, ...]:
+        """Canonical sort key: per-axis value indices, axis-major; read by `_read`."""
+        return self._read(point)[1]
 
     def coordinates(self) -> tuple[Coordinate, ...]:
         """All coordinates of the space in canonical (axis-major) order."""
@@ -189,33 +214,32 @@ class PointSet:
     _members: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seen = set()
-        validated = []
-        for p in self.points:
-            p = self.space.validate_point(p)
-            if p not in seen:
-                seen.add(p)
-                validated.append(p)
-        validated.sort(key=self.space.point_key)
-        object.__setattr__(self, "points", tuple(validated))
-        object.__setattr__(self, "_members", frozenset(seen))
+        keys = dict(map(self.space._read, self.points))
+        object.__setattr__(self, "points", tuple(sorted(keys, key=keys.__getitem__)))
+        object.__setattr__(self, "_members", frozenset(keys))
 
     @classmethod
     def of(cls, space: Space, points: Iterable) -> "PointSet":
-        return cls(space, tuple(tuple(p) for p in points))
+        return cls(space, tuple(points))
 
     @classmethod
     def from_points(cls, points: Iterable, axis_names: Iterable[str] | None = None) -> "PointSet":
-        """Build a space from the points themselves (axis values sorted)."""
-        pts = [tuple(p) for p in points]
+        """Build a space from the points themselves (axis values sorted).
+
+        The shortest point sets the arity, and the points are then read
+        against the space built, so a point of another arity is rejected.
+        """
+        pts = tuple(points)
         if not pts:
             raise PreconditionError("cannot infer a space from no points")
-        n = len(pts[0])
-        names = tuple(axis_names) if axis_names else tuple(f"x{i+1}" for i in range(n))
-        axes = tuple(
-            Axis(names[i], tuple(sorted({p[i] for p in pts}))) for i in range(n)
-        )
-        return cls(Space(axes), tuple(pts))
+        try:
+            columns = [sorted(set(column)) for column in zip(*pts)]
+        except TypeError:
+            raise PreconditionError(
+                "points must be sequences of hashable labels that sort on each axis"
+            ) from None
+        names = tuple(axis_names) if axis_names else tuple(f"x{i+1}" for i in range(len(columns)))
+        return cls(Space(tuple(map(Axis, names, columns))), pts)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -224,11 +248,22 @@ class PointSet:
         return iter(self.points)
 
     def __contains__(self, point) -> bool:
-        return tuple(point) in self._members
+        """Plain membership; a point that cannot be hashed as given, such as a list, is read."""
+        try:
+            return point in self._members
+        except TypeError:
+            return self.space.validate_point(point) in self._members
 
     def require_nonempty(self, what: str = "operation"):
         if not self.points:
             raise PreconditionError(f"{what} needs a nonempty point set")
+
+    def require_member(self, point) -> Point:
+        """The one "read, then require membership" check: the point as read, if S holds it."""
+        point = self.space.validate_point(point)
+        if point not in self._members:
+            raise PreconditionError(f"{point!r} is not a point of the set")
+        return point
 
     @cached_property
     def _projections(self) -> tuple[tuple, ...]:
@@ -241,9 +276,7 @@ class PointSet:
 
     def projection(self, axis: int) -> tuple:
         """Distinct axis values realised by the set, in declaration order."""
-        if not 0 <= axis < self.space.n:
-            raise PreconditionError(f"axis index {axis} out of range")
-        return self._projections[axis]
+        return self._projections[self.space._axis(axis)]
 
     def projections(self) -> tuple[tuple, ...]:
         return self._projections
@@ -265,18 +298,13 @@ class PointSet:
         return self.coordinate_count() - len(self.points)
 
     def subset(self, points: Iterable) -> "PointSet":
-        pts = [tuple(p) for p in points]
-        own = set(self.points)
-        for p in pts:
-            if p not in own:
-                raise PreconditionError(f"{p!r} is not a point of this set")
-        return PointSet(self.space, tuple(pts))
+        return PointSet(self.space, tuple(map(self.require_member, points)))
 
     def union(self, points: Iterable) -> "PointSet":
-        return PointSet(self.space, self.points + tuple(tuple(p) for p in points))
+        return PointSet(self.space, self.points + tuple(points))
 
     def difference(self, points: Iterable) -> "PointSet":
-        drop = {tuple(p) for p in points}
+        drop = set(map(self.space.validate_point, points))
         return PointSet(self.space, tuple(p for p in self.points if p not in drop))
 
     def product_points(self) -> Iterator[Point]:
@@ -292,14 +320,12 @@ class FunctionTable:
     values: Mapping[Point, Fraction]
 
     def __post_init__(self):
-        vals = {tuple(p): as_fraction(v) for p, v in self.values.items()}
-        dom = set(self.domain.points)
-        if set(vals) != dom:
-            missing = dom - set(vals)
-            extra = set(vals) - dom
+        vals = {p: as_fraction(v) for p, v in self.values.items()}
+        dom = self.domain._members
+        if vals.keys() != dom:
             raise PreconditionError(
                 f"function table must be total on its domain "
-                f"(missing {len(missing)}, extraneous {len(extra)})"
+                f"(missing {len(dom - vals.keys())}, extraneous {len(vals.keys() - dom)})"
             )
         object.__setattr__(self, "values", vals)
 
@@ -309,9 +335,7 @@ class FunctionTable:
 
     @classmethod
     def indicator(cls, domain: PointSet, point) -> "FunctionTable":
-        point = tuple(point)
-        if point not in domain:
-            raise PreconditionError(f"{point!r} is not in the domain")
+        point = domain.require_member(point)
         return cls(domain, {p: Fraction(1 if p == point else 0) for p in domain})
 
     @classmethod
@@ -319,7 +343,11 @@ class FunctionTable:
         return cls(domain, {p: d.evaluate(p) for p in domain})
 
     def __call__(self, point) -> Fraction:
-        return self.values[tuple(point)]
+        """f at a point of its domain; a point is read only when the plain lookup misses."""
+        try:
+            return self.values[point]
+        except (KeyError, TypeError):
+            return self.values[self.domain.require_member(point)]
 
 
 @dataclass(frozen=True)
@@ -396,12 +424,14 @@ class PinSet:
     def __post_init__(self):
         clean = []
         seen = set()
-        for coord, v in self.pins:
+        for pin in self.pins:
             try:
-                axis, label = coord
+                (axis, label), v = pin
                 hash(label)
             except (TypeError, ValueError):
-                raise PreconditionError(f"pin {coord!r} is not an (axis, label) pair") from None
+                raise PreconditionError(
+                    f"pin {pin!r} is not an (axis, label) pair and a value"
+                ) from None
             if not isinstance(axis, int):
                 raise PreconditionError(f"pin axis {axis!r} is not an int")
             coord = (int(axis), label)

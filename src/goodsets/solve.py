@@ -125,9 +125,7 @@ def geodesic_matrix(G: PointSet, base) -> GeodesicMatrix:
     system with their columns deleted is square and invertible, so the one
     boundary test, `linalg._is_boundary`, is the certificate.
     """
-    base = G.space.validate_point(base)
-    if base not in G:
-        raise PreconditionError("base point must belong to the geodesic")
+    base = G.require_member(base)
     removed = [(i, base[i]) for i in range(G.space.n - 1)]
     if not _is_boundary(IncidenceSystem(G), removed):
         raise VerificationError("geodesic system is not square and invertible")
@@ -146,9 +144,7 @@ def _base_inverse(S: PointSet, base, what: str, unrelated):
     `unrelated(y)`.
     """
     S.require_nonempty(what)
-    base = S.points[0] if base is None else S.space.validate_point(base)
-    if base not in S:
-        raise PreconditionError("base point must belong to the set")
+    base = S.points[0] if base is None else S.require_member(base)
     F, inverse = _pinned_class(S, base, what)
     if inverse is None:
         raise unrelated(next(y for y in S if y not in F))
@@ -231,12 +227,10 @@ def solve_componentwise(S: PointSet, f: FunctionTable, bases=None) -> SolveRepor
     if bases is None:
         bases = [comp.points[0] for comp in comps]
     else:
-        bases = [S.space.validate_point(b) for b in bases]
+        bases = list(bases)
         if len(bases) != len(comps):
             raise PreconditionError("one base point per component required")
-        for comp, b in zip(comps, bases):
-            if b not in comp:
-                raise PreconditionError(f"base {b!r} is not in its component")
+        bases = [comp.require_member(b) for comp, b in zip(comps, bases)]
 
     values: dict[Coordinate, Fraction] = {}
     max_len = max(

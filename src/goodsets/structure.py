@@ -110,6 +110,7 @@ from .linalg import (
     IncidenceSystem,
     _dense,
     _echelon,
+    _incidence_row,
     _is_boundary,
     _pinned_inverse,
     rank,
@@ -136,13 +137,6 @@ __all__ = [
     "related_components",
     "verify_boundary",
 ]
-
-
-def _require_member(S: PointSet, p) -> Point:
-    p = S.space.validate_point(p)
-    if p not in S:
-        raise PreconditionError(f"{p!r} is not a point of the set")
-    return p
 
 
 def _signature_groups(G: PointSet, what: str | None = None) -> list[list[Point]]:
@@ -207,7 +201,7 @@ class Geodesic:
 
 def related(S: PointSet, x, y) -> bool:
     """True iff some full subset of S contains both points."""
-    x, y = _require_member(S, x), _require_member(S, y)
+    x, y = S.require_member(x), S.require_member(y)
     return y in _classes(S, "related", x)[0]
 
 
@@ -216,7 +210,7 @@ def geodesic(S: PointSet, x, y) -> Geodesic | None:
 
     A walk that ends without a full set is a fatal internal error.
     """
-    x, y = _require_member(S, x), _require_member(S, y)
+    x, y = S.require_member(x), S.require_member(y)
     F, inverse = _pinned_class(S, x, "geodesic", y)
     if inverse is None:
         return None
@@ -320,7 +314,7 @@ def _partition(S: PointSet, what: str) -> ComponentPartition:
 
 def full_component(S: PointSet, x) -> PointSet:
     """The largest full subset of S containing x (its relatedness class)."""
-    return _classes(S, "full_component", _require_member(S, x))[0]
+    return _classes(S, "full_component", S.require_member(x))[0]
 
 
 @dataclass(frozen=True)
@@ -391,7 +385,10 @@ class BoundaryConstruction:
         """Pin the boundary coordinates (at zero unless values are given)."""
         if values is None:
             return PinSet.zeros(self.boundary)
-        return PinSet(tuple((c, values[c]) for c in self.boundary))
+        try:
+            return PinSet(tuple((c, values[c]) for c in self.boundary))
+        except KeyError as exc:
+            raise PreconditionError(f"no value given at boundary coordinate {exc}") from None
 
 
 def boundary(S: PointSet) -> BoundaryConstruction:
@@ -408,7 +405,7 @@ def boundary(S: PointSet) -> BoundaryConstruction:
     generator_of = {(i, v): j for j, (i, cls) in enumerate(generators) for v in cls}
 
     cross_section = tuple(comp.points[0] for comp in partition.components)
-    rows = [{generator_of[c]: 1 for c in enumerate(rep)} for rep in cross_section]
+    rows = [_incidence_row(rep, generator_of) for rep in cross_section]
     relations = tuple(_dense(row, len(generators)) for row in rows)
 
     pivots = sorted(_echelon(rows, len(generators)).pivot_rows)

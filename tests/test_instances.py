@@ -30,6 +30,19 @@ def test_rational_parsing():
         parse_rational("9" * 5000)  # past the interpreter's default digit cap
 
 
+def test_files_and_the_library_read_one_rational_grammar():
+    # A file rational is read by `as_fraction`: the two accept and refuse alike.
+    values = ("3/4", "-7", "007", 5, "0.5", "1e3", "1e1000", " 3 ", "3\n", "1/-2", True, 0.5)
+    for value in values:
+        try:
+            expected = gs.as_fraction(value)
+        except gs.PreconditionError:
+            with pytest.raises(InstanceError):
+                parse_rational(value)
+        else:
+            assert parse_rational(value) == expected
+
+
 def test_load_rejects_integer_literal_past_digit_cap(tmp_path):
     text = dumps_canonical(example_instance("t4"))
     path = tmp_path / "huge.json"

@@ -155,9 +155,50 @@ def test_space_rejects_malformed_axes_labels_and_points():
     assert space.value_index(1, "c") == 0 and d.value(1, "d") == 4
 
 
+def test_every_point_entry_reads_through_the_space():
+    # Each case leaked a TypeError, KeyError or IndexError, or took a point of
+    # the wrong arity; each now meets the one point reader or membership check.
+    space = gs.Space.of(("x", ("a", "b")), ("y", ("c", "d")))
+    S = gs.PointSet.of(space, [("a", "c"), ("a", "d"), ("b", "c")])
+    system = gs.IncidenceSystem(S)
+    marginals = gs.marginals(gs.FiniteMeasure.uniform(S))
+    cases = [
+        lambda: gs.PointSet.of(space, [5]),
+        lambda: S.subset([5]),
+        lambda: S.union([5]),
+        lambda: S.difference([5]),
+        lambda: space.point_key(("a",)),
+        lambda: S.projection("x"),
+        lambda: gs.PointSet.from_points([("a", "b"), ("c",)]),
+        lambda: gs.PointSet.from_points([("a", "b"), 5]),
+        lambda: gs.FunctionTable.indicator(S, 5),
+        lambda: gs.FunctionTable.zero(S)(("b", "d")),
+        lambda: gs.FunctionTable.zero(S)(5),
+        lambda: gs.FiniteMeasure.uniform(S)(5),
+        lambda: gs.extract_circuit(space, [5]),
+        lambda: gs.verify_circuit(space, gs.CircuitVector((("a", "c"), 5), (1, -1))),
+        lambda: gs.in_span(system, {(0, "a"): "abc"}),
+        lambda: gs.in_span(system, {(0, "a"): [1]}),
+        lambda: gs.Axis("z", (0, [1])),
+        lambda: marginals.mass(2, "a"),
+        lambda: marginals.mass(-1, "c"),
+        lambda: marginals.mass(0, ["a"]),
+    ]
+    for case in cases:
+        with pytest.raises(gs.PreconditionError):
+            case()
+    # A hit is a plain lookup; a list is read first; anything else is just not a member.
+    assert ("a", "c") in S and ["a", "c"] in S and 5 not in S and ("a",) not in S
+    assert gs.FunctionTable.zero(S)(["a", "c"]) == 0
+    assert gs.FiniteMeasure.uniform(S)(["b", "d"]) == 0
+    assert space.point_key(["b", "d"]) == (1, 1) and marginals.mass(1, "d") == Fraction(1, 3)
+
+
 def test_fractions_never_floats():
     with pytest.raises(gs.PreconditionError):
         gs.as_fraction(0.5)
+    with pytest.raises(gs.PreconditionError):
+        gs.as_fraction(True)
 
 
 points_strategy = st.lists(

@@ -251,10 +251,12 @@ def test_two_broken_preconditions_still_raise(name, call, message):
         call(S, (2, 2), (2, 2))
 
 
-@pytest.mark.parametrize("text", ["1/0", "abc"])
+@pytest.mark.parametrize("text", ["1/0", "abc", "1e1000", "0.5", " 3 "])
 def test_text_that_is_no_rational_names_itself(text):
-    # A zero denominator or a non-numeral is refused as a precondition,
-    # not a bare ZeroDivisionError or ValueError, by every exact constructor.
+    # A zero denominator, a non-numeral or text outside the one rational
+    # grammar (an exponent, a decimal point, spaces) is refused as a
+    # precondition, not a bare ZeroDivisionError or ValueError or a value,
+    # by every exact constructor.
     S = cube_set(T4)
     p = S.points[0]
     calls = [

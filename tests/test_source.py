@@ -36,3 +36,19 @@ def test_no_module_imports_a_name_it_never_uses():
 def test_the_check_sees_an_unused_import():
     tree = ast.parse("from functools import cached_property\nimport math\nmath.gcd(2, 4)\n")
     assert _unused_imports(tree) == ["cached_property (line 1)"]
+
+
+def test_every_exported_callable_is_fuzzed_or_exempt():
+    # A new public entry must join the library contract's fuzz test, or say why not.
+    import test_api_fuzz
+
+    exported = {
+        name
+        for name, value in vars(goodsets).items()
+        if not name.startswith("_") and callable(value)
+    }
+    fuzzed = {name for name, _, _ in test_api_fuzz.ENTRIES}
+    exempt = set(test_api_fuzz.EXEMPT)
+    assert fuzzed & exempt == set()
+    assert exported - fuzzed - exempt == set()
+    assert (fuzzed | exempt) - exported == set()
