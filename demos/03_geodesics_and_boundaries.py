@@ -39,7 +39,7 @@ print("components:", [list(c) for c in partition.components])
 # the variables yields the boundary (least value per basis class).
 construction = gs.boundary(diagonal)
 print("\nclass variables:", construction.generators)
-print("relations (one per component):", construction.relations)
+print("relations (incident variables of each component):", construction.relations)
 print("dependent (pivot) variables:", construction.pivot_generators)
 print("boundary coordinates:", construction.boundary)
 

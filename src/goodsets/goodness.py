@@ -29,6 +29,7 @@ from .model import (
     PointSet,
     PreconditionError,
     VerificationError,
+    _coordinate,
 )
 
 __all__ = [
@@ -224,21 +225,14 @@ def associated_full_set(S: PointSet, boundary_coords) -> PointSet:
     one boundary test, `linalg._is_boundary` (the coordinates stacked under
     S's rows give a square system of full rank), run to name the broken
     precondition; a failure with both met signals a bug upstream.  A
-    coordinate must be an (axis, label) pair, as a `PinSet` pin is, and its
-    axis an int in range(n); the value check is `Space.value_index`.
+    coordinate is read by `model._coordinate`, as a `PinSet` pin is, and
+    checked against the space by `Space.value_index`.
     """
     S.require_nonempty("associated_full_set")
     n = S.space.n
     by_axis: dict[int, list] = {i: [] for i in range(n)}
     for coord in boundary_coords:
-        try:
-            axis, label = coord
-        except (TypeError, ValueError):
-            raise PreconditionError(
-                f"boundary coordinate {coord!r} is not an (axis, label) pair"
-            ) from None
-        if not isinstance(axis, int) or axis not in range(n):
-            raise PreconditionError(f"boundary coordinate {coord!r} names no axis of the space")
+        axis, label = _coordinate(coord)
         S.space.value_index(axis, label)
         if label not in by_axis[axis]:
             by_axis[axis].append(label)

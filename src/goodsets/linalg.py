@@ -13,7 +13,10 @@ inverse are extra keys of the same dicts.  A rational right-hand side is
 scaled to integers by the lcm of its denominators, and `Fraction` appears
 only at the final division by a pivot entry.  Pins (prescribed coordinate
 values) enter as extra unit rows, not by column elimination, which keeps
-the unique / underdetermined / inconsistent reporting uniform.
+the unique / underdetermined / inconsistent reporting uniform.  Every pin,
+target and vector key finds its column through `_column`, the one column
+lookup, which refuses a coordinate that is not a column of the system; a
+key handed in by a caller is first read by `model._coordinate`.
 
 One dependence scan decides goodness and yields loops (`extract_circuit`):
 one reverse pass over the canonical support finds the first point e_k that
@@ -41,6 +44,7 @@ from .model import (
     PreconditionError,
     Space,
     VerificationError,
+    _coordinate,
     as_fraction,
 )
 
@@ -260,16 +264,18 @@ class IncidenceSystem:
         return self.point_set.points
 
 
+def _column(system: IncidenceSystem, coord) -> int:
+    """The one column lookup: the coordinate's column in the system."""
+    try:
+        return system.col_index[coord]
+    except KeyError:
+        raise PreconditionError(f"coordinate {coord!r} is not a column of the system") from None
+
+
 def _stack_pins(system: IncidenceSystem, coords) -> list[dict[int, int]]:
     """The incidence rows followed by one unit row per pinned coordinate."""
     rows = list(system.sparse_rows)
-    for coord in coords:
-        j = system.col_index.get(coord)
-        if j is None:
-            raise PreconditionError(
-                f"pinned coordinate {coord!r} is not a column of the system"
-            )
-        rows.append({j: 1})
+    rows.extend({_column(system, c): 1} for c in coords)
     return rows
 
 
@@ -311,12 +317,9 @@ def _pinned_inverse(
     if len(rows) != size:
         raise VerificationError(f"pinned system is {len(rows)} x {size}; expected square")
     targets = system.columns if targets is None else tuple(targets)
-    for t in targets:
-        if t not in system.col_index:
-            raise PreconditionError(f"target coordinate {t!r} is not a column of the system")
     transpose = _transpose(rows, size)
     for i, t in enumerate(targets):
-        transpose[system.col_index[t]][size + i] = 1
+        transpose[_column(system, t)][size + i] = 1
     basis = _echelon(reversed(transpose), size + len(targets))
     if any(k not in basis.pivot_rows for k in range(size)):
         raise VerificationError("pinned system is singular")
@@ -461,9 +464,7 @@ def in_span(system: IncidenceSystem, vector: Mapping[Coordinate, object]) -> boo
     """True iff the vector is a rational combination of the incidence rows."""
     entries = {}
     for coord, v in vector.items():
-        j = system.col_index.get(coord)
-        if j is None:
-            raise PreconditionError(f"coordinate {coord!r} is not a column of the system")
+        j = _column(system, _coordinate(coord))
         x = as_fraction(v)
         if x:
             entries[j] = x

@@ -22,7 +22,7 @@ from typing import Mapping
 
 from .goodness import Loop, is_good
 from .linalg import _over_common_denominator
-from .model import PointSet, PreconditionError, VerificationError, as_fraction
+from .model import PointSet, PreconditionError, VerificationError, _axis, as_fraction
 
 __all__ = [
     "FiniteMeasure",
@@ -74,12 +74,9 @@ class MarginalVector:
     per_axis: tuple[dict, ...]
 
     def mass(self, axis: int, label) -> Fraction:
-        """The weight of the label on the axis, an int in range(n); 0 off the support."""
-        n = len(self.per_axis)
-        if not isinstance(axis, int) or axis not in range(n):
-            raise PreconditionError(f"axis {axis!r} is outside range({n})")
+        """The weight of the label on the axis, read by `model._axis`; 0 off the support."""
         try:
-            return self.per_axis[axis].get(label, Fraction(0))
+            return self.per_axis[_axis(axis, len(self.per_axis))].get(label, Fraction(0))
         except TypeError:
             raise PreconditionError(f"label {label!r} is not hashable") from None
 
@@ -112,12 +109,22 @@ class SimplicialVerdict:
     epsilon: Fraction | None
 
     def perturbed(self, m: FiniteMeasure, sign: int) -> dict:
-        """The weights of mu + sign*eps*nu (sign is +1 or -1)."""
+        """The weights of mu + sign*eps*nu, sign the int +1 or -1.
+
+        m must be a measure the certificate perturbs: each loop point weighs
+        at least eps * |its coefficient| in m, so neither sign takes a
+        weight below zero; a loop point off m's support weighs 0 and fails.
+        """
         if self.simplicial:
             raise PreconditionError("no perturbation exists; the measure is extreme")
+        if type(sign) is not int or sign not in (1, -1):
+            raise PreconditionError(f"sign {sign!r} is not the int +1 or -1")
         w = dict(m.weights)
         for p, c in zip(self.loop.points, self.loop.coefficients):
-            w[p] = w.get(p, Fraction(0)) + sign * self.epsilon * c
+            move = self.epsilon * (sign * c)
+            if m(p) < abs(move):
+                raise PreconditionError(f"the measure weighs {p!r} below the certificate's step")
+            w[p] = w.get(p, Fraction(0)) + move
         return {p: v for p, v in w.items() if v.numerator}
 
 

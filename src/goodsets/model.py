@@ -26,8 +26,13 @@ the keys it read.  `PointSet.require_member` is the one "read, then require
 membership" check behind every entry that takes a point of a set.  Plain
 lookups (`in`, `FunctionTable.__call__`, `FiniteMeasure.__call__`) read a
 point only when the lookup as given fails, so hits cost a dict lookup.
-Every rational is read by `as_fraction`, the one rational grammar, which
-instance files share.  A malformed value raises `PreconditionError`.
+Every axis is read by `_axis`, the one axis rule: an int in range(n) that
+is not a bool.  Every coordinate that enters, a pin, a boundary coordinate
+or a key of a vector, is read by `_coordinate`, the one coordinate reader:
+an (axis, label) pair, its axis an int that is not a bool and its label
+hashable.  Every rational is read by `as_fraction`, the one rational
+grammar, which instance files share; its digits are ASCII.  A malformed
+value raises `PreconditionError`.
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ __all__ = [
 Point = tuple
 Coordinate = tuple
 
-_RATIONAL = re.compile(r"-?\d+(/[1-9]\d*)?")
+_RATIONAL = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
 
 class PreconditionError(ValueError):
@@ -88,6 +93,32 @@ def as_fraction(value) -> Fraction:
         return Fraction(value)
     except ValueError as exc:  # more digits than the interpreter converts
         raise PreconditionError(f"rational of {len(value)} characters: {exc}") from None
+
+
+def _axis(axis, n: int) -> int:
+    """The one axis rule: the axis itself, if it is an int in range(n) and not a bool."""
+    if isinstance(axis, bool) or not isinstance(axis, int) or axis not in range(n):
+        raise PreconditionError(f"axis {axis!r} is outside range({n})")
+    return axis
+
+
+def _coordinate(coord) -> Coordinate:
+    """The one coordinate reader: an (axis, label) pair, its axis an int that is not a bool.
+
+    The label must be hashable.  Whether the pair is a coordinate of a
+    space is checked where it meets one (`Space.value_index`,
+    `linalg._column`).
+    """
+    try:
+        axis, label = coord
+        hash(label)
+    except (TypeError, ValueError):
+        raise PreconditionError(f"coordinate {coord!r} is not an (axis, label) pair") from None
+    if isinstance(axis, bool) or not isinstance(axis, int):
+        raise PreconditionError(
+            f"coordinate {coord!r} is not an (axis, label) pair: axis {axis!r} is not an int"
+        )
+    return axis, label
 
 
 @dataclass(frozen=True)
@@ -139,15 +170,9 @@ class Space:
     def n(self) -> int:
         return len(self.axes)
 
-    def _axis(self, axis) -> int:
-        """The axis index itself; anything but an int in range(n) is rejected."""
-        if not isinstance(axis, int) or axis not in range(self.n):
-            raise PreconditionError(f"axis {axis!r} is outside range({self.n})")
-        return axis
-
     def value_index(self, axis: int, label) -> int:
         try:
-            return self._value_index[self._axis(axis)][label]
+            return self._value_index[_axis(axis, self.n)][label]
         except (KeyError, TypeError):
             raise PreconditionError(f"label {label!r} not on axis {axis}") from None
 
@@ -276,7 +301,7 @@ class PointSet:
 
     def projection(self, axis: int) -> tuple:
         """Distinct axis values realised by the set, in declaration order."""
-        return self._projections[self.space._axis(axis)]
+        return self._projections[_axis(axis, self.space.n)]
 
     def projections(self) -> tuple[tuple, ...]:
         return self._projections
@@ -379,7 +404,7 @@ class Decomposition:
 
     def value(self, axis: int, label) -> Fraction:
         try:
-            return self.tables[self.space._axis(axis)][label]
+            return self.tables[_axis(axis, self.space.n)][label]
         except (KeyError, TypeError):
             raise PreconditionError(
                 f"decomposition has no value at axis {axis}, label {label!r}"
@@ -416,30 +441,26 @@ class Decomposition:
 class PinSet:
     """Prescribed values at distinct coordinates, e.g. u_1(x) = 0.
 
-    Each coordinate is an (axis, label) pair: an int axis and a hashable label.
+    Each coordinate is read by `_coordinate`: an (axis, label) pair, its
+    axis an int that is not a bool and its label hashable.
     """
 
     pins: tuple[tuple[Coordinate, Fraction], ...]
 
     def __post_init__(self):
-        clean = []
-        seen = set()
+        clean = {}
         for pin in self.pins:
             try:
-                (axis, label), v = pin
-                hash(label)
+                coord, v = pin
             except (TypeError, ValueError):
                 raise PreconditionError(
                     f"pin {pin!r} is not an (axis, label) pair and a value"
                 ) from None
-            if not isinstance(axis, int):
-                raise PreconditionError(f"pin axis {axis!r} is not an int")
-            coord = (int(axis), label)
-            if coord in seen:
+            coord = _coordinate(coord)
+            if coord in clean:
                 raise PreconditionError(f"coordinate {coord!r} pinned twice")
-            seen.add(coord)
-            clean.append((coord, as_fraction(v)))
-        object.__setattr__(self, "pins", tuple(clean))
+            clean[coord] = as_fraction(v)
+        object.__setattr__(self, "pins", tuple(clean.items()))
 
     @classmethod
     def of(cls, mapping: Mapping) -> "PinSet":

@@ -108,7 +108,6 @@ from dataclasses import dataclass
 
 from .linalg import (
     IncidenceSystem,
-    _dense,
     _echelon,
     _incidence_row,
     _is_boundary,
@@ -122,6 +121,8 @@ from .model import (
     PointSet,
     PreconditionError,
     VerificationError,
+    _axis,
+    _coordinate,
 )
 
 __all__ = [
@@ -328,10 +329,7 @@ class EiClasses:
     classes_by_axis: tuple[tuple[tuple, ...], ...]
 
     def class_of(self, axis: int, label) -> tuple:
-        n = len(self.classes_by_axis)
-        if not isinstance(axis, int) or axis not in range(n):
-            raise PreconditionError(f"axis {axis!r} is outside range({n})")
-        for cls in self.classes_by_axis[axis]:
+        for cls in self.classes_by_axis[_axis(axis, len(self.classes_by_axis))]:
             if label in cls:
                 return cls
         raise PreconditionError(f"label {label!r} not classified on axis {axis}")
@@ -342,10 +340,14 @@ def ei_classes(S: PointSet, partition: ComponentPartition | None = None) -> EiCl
 
     Each class is one set object, shared by all its values.  Reading S's
     projection in declaration order lists every class's values in that order,
-    and the classes in the order of their least values.
+    and the classes in the order of their least values.  A given partition
+    must hold exactly S's points, checked in one pass.
     """
     if partition is None:
         partition = related_components(S)
+    held = [p for comp in partition.components for p in comp]
+    if len(held) != len(S) or set(held) != set(S):
+        raise PreconditionError("the partition does not hold exactly the set's points")
     per_axis = []
     for i in range(S.space.n):
         merged: dict = {}
@@ -366,10 +368,10 @@ class BoundaryConstruction:
     """The generator/relation system behind a boundary, plus the boundary itself.
 
     generators: all (axis, class) pairs in canonical order -- the formal
-    variables.  relations: one 0/1 row per component (its n incident class
-    variables sum to zero).  Pivot generators of the exact elimination are
-    dependent; the free ones form the basis, and the boundary takes the
-    least value of each basis class.
+    variables.  relations: one per component, the sorted indices of its n
+    incident class variables, which sum to zero.  Pivot generators of the
+    exact elimination are dependent; the free ones form the basis, and the
+    boundary takes the least value of each basis class.
     """
 
     partition: ComponentPartition
@@ -406,7 +408,7 @@ def boundary(S: PointSet) -> BoundaryConstruction:
 
     cross_section = tuple(comp.points[0] for comp in partition.components)
     rows = [_incidence_row(rep, generator_of) for rep in cross_section]
-    relations = tuple(_dense(row, len(generators)) for row in rows)
+    relations = tuple(tuple(sorted(row)) for row in rows)
 
     pivots = sorted(_echelon(rows, len(generators)).pivot_rows)
     basis = tuple(j for j in range(len(generators)) if j not in pivots)
@@ -434,7 +436,7 @@ def verify_boundary(S: PointSet, construction: BoundaryConstruction):
     stacked under S's rows it is square; `linalg._is_boundary` then decides
     its rank.
     """
-    bound = construction.boundary
+    bound = tuple(map(_coordinate, construction.boundary))
     seen_classes = set()
     for axis, label in bound:
         cls = construction.ei.class_of(axis, label)

@@ -13,10 +13,14 @@ entry returns a result or raises `PreconditionError`, never anything else.
 entry; `tests/test_source.py` holds the two lists to the package's exports.
 """
 
+import dataclasses
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import goodsets as gs
+from goodsets import structure
 from util import DIAGONAL, RECTANGLE, T4, cube_set, pset
 
 SETS = (
@@ -266,3 +270,40 @@ def test_library_contract_on_malformed_values(data):
         call(S, value)
     except gs.PreconditionError:
         pass
+
+
+def _boundary_with(S, coord):
+    """S's boundary construction with its first coordinate replaced by `coord`."""
+    construction = gs.boundary(S)
+    bound = (coord,) + construction.boundary[1:]
+    return structure.verify_boundary(S, dataclasses.replace(construction, boundary=bound))
+
+
+# Every public entry that takes an axis or a coordinate, called on T4 in
+# {0,1}^3, where a bool read as the axis 0 or 1 would be answered.
+BOOL_AXIS_ENTRIES = [
+    ("Space.value_index", lambda S, b: S.space.value_index(b, 0)),
+    ("PointSet.projection", lambda S, b: S.projection(b)),
+    ("Decomposition.value", lambda S, b: _decomposition(S).value(b, 0)),
+    ("EiClasses.class_of", lambda S, b: gs.ei_classes(S).class_of(b, 0)),
+    ("MarginalVector.mass", lambda S, b: gs.marginals(_measure(S)).mass(b, 0)),
+    ("PinSet", lambda S, b: _pin_at((b, 0))),
+    ("PinSet.of", lambda S, b: gs.PinSet.of({(b, 0): 0})),
+    ("PinSet.zeros", lambda S, b: gs.PinSet.zeros([(b, 0)])),
+    ("column_kernel", lambda S, b: gs.column_kernel(_system(S), _pin_at((b, 0)))),
+    ("solve_direct", lambda S, b: gs.solve_direct(S, _zero(S), _pin_at((b, 0)))),
+    (
+        "associated_full_set",
+        lambda S, b: gs.associated_full_set(S, [(b, 0), (0, 0), (1, 0), (2, 0)]),
+    ),
+    ("in_span", lambda S, b: gs.in_span(_system(S), {(b, 0): 1, (2, 0): 1})),
+    ("verify_boundary", lambda S, b: _boundary_with(S, (b, 0))),
+]
+
+
+@pytest.mark.parametrize("name, call", BOOL_AXIS_ENTRIES, ids=[e[0] for e in BOOL_AXIS_ENTRIES])
+@pytest.mark.parametrize("flag", (True, False))
+def test_axis_and_coordinate_entries_refuse_a_bool(name, call, flag):
+    # A bool is an int to Python, and each entry read it as the axis 0 or 1.
+    with pytest.raises(gs.PreconditionError):
+        call(cube_set(T4), flag)

@@ -443,6 +443,17 @@ def test_duplicate_key_is_parse_error(capsys, tmp_path):
     assert err.startswith("instance error:") and "duplicate key '1'" in err
 
 
+def test_a_rational_of_digits_that_are_not_ascii_exits_3(capsys, tmp_path):
+    # An Arabic-Indic three was read as 3.
+    data = example_instance("ex10_depth2")
+    data["f"]["0"] = "\u0663"
+    path = tmp_path / "digits.json"
+    path.write_text(dumps_canonical(data))
+    code, report, err = run_cli(capsys, "solve", str(path))
+    assert code == 3 and report is None
+    assert err.startswith("instance error:") and "Traceback" not in err
+
+
 def test_rationals_longer_than_the_int_digit_limit(capsys, tmp_path):
     # 5000 digits in, 5001 out: past the interpreter's default 4300-digit cap.
     huge = "9" * 5000

@@ -276,12 +276,16 @@ def test_associated_full_set_comb():
 
 def test_associated_full_set_names_an_axis_outside_the_space():
     # A negative index, a float and a string: none is an axis of {0,1}^3.
+    # The int -1 meets the axis rule; the others are no int, so no coordinate.
     S = cube_set(T4)
-    for axis in (-1, 0.5, "a"):
-        coord = (axis, 0)
-        message = f"^boundary coordinate {re.escape(repr(coord))} names no axis of the space$"
-        with pytest.raises(gs.PreconditionError, match=message):
-            gs.associated_full_set(S, [coord, (0, 0), (1, 0), (2, 0)])
+    messages = {
+        -1: "axis -1 is outside range(3)",
+        0.5: "coordinate (0.5, 0) is not an (axis, label) pair: axis 0.5 is not an int",
+        "a": "coordinate ('a', 0) is not an (axis, label) pair: axis 'a' is not an int",
+    }
+    for axis, message in messages.items():
+        with pytest.raises(gs.PreconditionError, match=f"^{re.escape(message)}$"):
+            gs.associated_full_set(S, [(axis, 0), (0, 0), (1, 0), (2, 0)])
 
 
 def test_associated_full_set_rejects_a_coordinate_that_is_not_an_axis_label_pair():

@@ -6,6 +6,7 @@ import pytest
 import goodsets as gs
 from goodsets import measures
 from util import (
+    E5_PLUS,
     RECTANGLE,
     T4,
     cube_set,
@@ -78,6 +79,21 @@ def test_uniform_rectangle_not_simplicial():
         for axis in range(m.support.space.n):
             for v in m.support.projection(axis):
                 assert shifted.mass(axis, v) == base.mass(axis, v)
+
+
+def test_perturbed_refuses_a_bad_sign_and_a_measure_the_step_does_not_fit():
+    verdict = gs.is_simplicial(gs.FiniteMeasure.uniform(cube_set(E5_PLUS)))
+    # T4's uniform measure misses three of the loop's points, and the step
+    # of 1/10 took one of them to -1/10.
+    t4 = gs.FiniteMeasure.uniform(cube_set(T4))
+    for sign in (+1, -1):
+        with pytest.raises(gs.PreconditionError, match="below the certificate's step"):
+            verdict.perturbed(t4, sign)
+    m = gs.FiniteMeasure.uniform(pset(RECTANGLE))
+    rectangle = gs.is_simplicial(m)
+    for sign in (0, 2, -2, True, 1.0, Fraction(1)):
+        with pytest.raises(gs.PreconditionError, match="is not the int"):
+            rectangle.perturbed(m, sign)
 
 
 def test_uniform_t4_simplicial():

@@ -201,6 +201,14 @@ def test_fractions_never_floats():
         gs.as_fraction(True)
 
 
+def test_rational_digits_are_ascii():
+    # An Arabic-Indic three and a fullwidth three are Unicode decimal digits,
+    # and were each read as 3.
+    for text in ("\u0663", "\uff13/4", "-\u0663", "1/\u0663"):
+        with pytest.raises(gs.PreconditionError, match="not an exact rational"):
+            gs.as_fraction(text)
+
+
 points_strategy = st.lists(
     st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
     min_size=1,

@@ -248,6 +248,19 @@ def test_ei_classes_shared_axis():
     assert len(ei.classes_by_axis[2]) == 2
 
 
+def test_ei_classes_refuses_a_partition_of_another_set():
+    # The diagonal's partition holds two of T4's four points; the classes it
+    # gave were the diagonal's.  A partition that repeats a point and
+    # misses another fails too.
+    S = cube_set(T4)
+    with pytest.raises(gs.PreconditionError, match="partition"):
+        gs.ei_classes(S, gs.related_components(cube_set(DIAGONAL)))
+    repeated = gs.ComponentPartition((S.subset(S.points[:3]), S.subset(S.points[:1])))
+    with pytest.raises(gs.PreconditionError, match="partition"):
+        gs.ei_classes(S, repeated)
+    assert gs.ei_classes(S, gs.related_components(S)) == gs.ei_classes(S)
+
+
 def test_class_of_rejects_an_axis_outside_the_space():
     # Axis -1 would read axis 2's classes and axis 3 would leak an IndexError.
     S = cube_set(DIAGONAL)
@@ -281,7 +294,7 @@ def test_ei_classes_match_the_union_find_reference():
 def test_boundary_t4():
     construction = gs.boundary(cube_set(T4))
     assert construction.generators == ((0, (0, 1)), (1, (0, 1)), (2, (0, 1)))
-    assert construction.relations == ((1, 1, 1),)
+    assert construction.relations == ((0, 1, 2),)
     assert construction.pivot_generators == (0,)
     assert construction.basis_generators == (1, 2)
     assert construction.boundary == ((1, 0), (2, 0))
@@ -290,7 +303,7 @@ def test_boundary_t4():
 def test_boundary_diagonal():
     construction = gs.boundary(cube_set(DIAGONAL))
     assert len(construction.generators) == 6
-    assert len(construction.relations) == 2
+    assert construction.relations == ((0, 2, 4), (1, 3, 5))
     assert construction.pivot_generators == (0, 1)
     assert construction.boundary == ((1, 0), (1, 1), (2, 0), (2, 1))
 
