@@ -6,8 +6,10 @@ library operation, and prints a deterministic JSON report to stdout (or to
 whether the computation ran: 0 = computed, 2 = precondition violated
 (including a report or example file that cannot be written),
 3 = instance could not be parsed, 4 = internal error (a certificate or
-invariant check failed, which indicates a bug, not bad input).  Timing goes
-to stderr so that reports are byte-identical across runs on identical input.
+invariant check failed, which indicates a bug, not bad input).  `main` is the
+one error boundary: `_ERRORS` maps each of the three error classes to its
+stderr prefix and exit code.  Timing goes to stderr so that reports are
+byte-identical across runs on identical input.
 """
 
 from __future__ import annotations
@@ -32,16 +34,18 @@ EXIT_PRECONDITION = 2
 EXIT_PARSE = 3
 EXIT_INTERNAL = 4
 
+_ERRORS = (
+    (InstanceError, "instance error", EXIT_PARSE),
+    (PreconditionError, "precondition violated", EXIT_PRECONDITION),
+    (VerificationError, "internal error", EXIT_INTERNAL),
+)
+
 
 def _loop_payload(instance: Instance, loop) -> dict:
     verify_circuit(instance.space, loop)
-    order = sorted(
-        range(len(loop.points)), key=lambda i: instance.index_of(loop.points[i])
-    )
-    return {
-        "points": [instance.index_of(loop.points[i]) for i in order],
-        "coefficients": [loop.coefficients[i] for i in order],
-    }
+    # A verified circuit repeats no point, so the file indices alone set the order.
+    pairs = sorted(zip(map(instance.index_of, loop.points), loop.coefficients))
+    return {"points": [i for i, _ in pairs], "coefficients": [c for _, c in pairs]}
 
 
 def _points_payload(points) -> list:
@@ -65,21 +69,11 @@ def _decomposition_payload(instance: Instance, decomposition) -> dict:
     }
 
 
-def _pin_payload(instance: Instance, coord) -> dict:
-    return {"axis": instance.space.axes[coord[0]].name, "value": coord[1]}
-
-
-def _cmd_check_good(instance: Instance, args) -> dict:
+def _cmd_loop(instance: Instance, args) -> dict:
+    """check-good and find-loop; find-loop reports the loop alone."""
     verdict = goodness.is_good(instance.point_set)
-    return {
-        "good": verdict.good,
-        "loop": None if verdict.good else _loop_payload(instance, verdict.loop),
-    }
-
-
-def _cmd_find_loop(instance: Instance, args) -> dict:
-    verdict = goodness.is_good(instance.point_set)
-    return {"loop": None if verdict.good else _loop_payload(instance, verdict.loop)}
+    loop = None if verdict.good else _loop_payload(instance, verdict.loop)
+    return {"loop": loop} if args.command == "find-loop" else {"good": verdict.good, "loop": loop}
 
 
 def _cmd_is_full(instance: Instance, args) -> dict:
@@ -89,25 +83,22 @@ def _cmd_is_full(instance: Instance, args) -> dict:
     return {"good": good, "full": good and S.deficiency() == S.space.n - 1}
 
 
-def _cmd_fullify(instance: Instance, args) -> dict:
-    closed = goodness.full_closure(instance.point_set)
-    added = closed.difference(instance.point_set.points)
-    return {"points": _points_payload(closed), "added": _points_payload(added)}
+# command: (goodness function that grows S to F, key of F, key of F \ S).  The
+# function is looked up by name at call time, so a wrapped one is what runs.
+_GROW = {
+    "fullify": ("full_closure", "points", "added"),
+    "split": ("full_split", "full_set", "complement"),
+    "maximalize": ("extend_to_maximal", "points", "added"),
+}
 
 
-def _cmd_split(instance: Instance, args) -> dict:
-    F = goodness.full_split(instance.point_set)
-    complement = F.difference(instance.point_set.points)
+def _cmd_grow(instance: Instance, args) -> dict:
+    grow, whole, added = _GROW[args.command]
+    F = getattr(goodness, grow)(instance.point_set)
     return {
-        "full_set": _points_payload(F),
-        "complement": _points_payload(complement),
+        whole: _points_payload(F),
+        added: _points_payload(F.difference(instance.point_set.points)),
     }
-
-
-def _cmd_maximalize(instance: Instance, args) -> dict:
-    extended = goodness.extend_to_maximal(instance.point_set)
-    added = extended.difference(instance.point_set.points)
-    return {"points": _points_payload(extended), "added": _points_payload(added)}
 
 
 def _cmd_components(instance: Instance, args) -> dict:
@@ -138,7 +129,7 @@ def _cmd_geodesic(instance: Instance, args) -> dict:
 def _cmd_boundary(instance: Instance, args) -> dict:
     construction = structure.boundary(instance.point_set)
     return {
-        "boundary": [_pin_payload(instance, c) for c in construction.boundary],
+        "boundary": [instances._coordinate_form(instance.space, c) for c in construction.boundary],
         "components": [
             _indices_payload(instance, comp)
             for comp in construction.partition.components
@@ -157,31 +148,36 @@ def _cmd_boundary(instance: Instance, args) -> dict:
     }
 
 
+# The routes that take no pins, by name as in `_GROW`: each pins its bases' first
+# n - 1 coordinates at zero.
+_UNPINNED = {"geodesic": "solve_via_geodesics", "componentwise": "solve_componentwise"}
+
+
 def _cmd_solve(instance: Instance, args) -> dict:
-    S = instance.point_set
-    f = instance.f
+    S, f, pins = instance.point_set, instance.f, instance.pins
     if f is None:
         raise PreconditionError("solve needs an f table in the instance file")
-    pins = instance.pins
+    unpinned = _UNPINNED.get(args.method)
     if args.pins is not None:
+        if unpinned is not None:
+            raise PreconditionError(
+                f"--pins applies to --method direct and boundary, not {args.method}"
+            )
         try:
             pins = instances._pins(instance.space, instances._decode(args.pins))
         except ValueError as exc:
             raise PreconditionError(f"malformed --pins value: {exc}") from exc
 
-    if args.method == "direct":
+    if unpinned is not None:
+        report = getattr(solve, unpinned)(S, f)
+    elif args.method == "direct":
         report = solve.solve_direct(S, f, pins)
-    elif args.method == "geodesic":
-        report = solve.solve_via_geodesics(S, f)
-    elif args.method == "componentwise":
-        report = solve.solve_componentwise(S, f)
     else:
         if pins is None:
-            construction = structure.boundary(S)
-            pins = construction.boundary_pins()
+            pins = structure.boundary(S).boundary_pins()
         report = solve.solve_with_boundary(S, f, pins)
 
-    payload = {
+    return {
         "method": report.method,
         "verdict": report.verdict,
         "decomposition": None
@@ -192,7 +188,7 @@ def _cmd_solve(instance: Instance, args) -> dict:
         if report.witness is None
         else [
             {
-                "row": {"pin": _pin_payload(instance, label.coordinate)}
+                "row": {"pin": instances._coordinate_form(instance.space, label.coordinate)}
                 if isinstance(label, PinRow)
                 else instance.index_of(label),
                 "coefficient": format_rational(c),
@@ -206,7 +202,6 @@ def _cmd_solve(instance: Instance, args) -> dict:
             else format_rational(report.max_abs_value),
         },
     }
-    return payload
 
 
 def _cmd_simplicial(instance: Instance, args) -> dict:
@@ -230,16 +225,14 @@ def _cmd_stats(instance: Instance, args) -> dict:
         "projection_sizes": [len(S.projection(i)) for i in range(S.space.n)],
         "coordinate_count": S.coordinate_count(),
         "deficiency": S.deficiency(),
+        **_cmd_is_full(instance, args),
     }
-    verdict = goodness.is_good(S)
-    payload["good"] = verdict.good
-    if not verdict.good:
-        payload["full"] = False
-        payload["components"] = None
-        return payload
     # A good set is one relatedness class exactly when it is full.
-    payload["full"] = S.deficiency() == S.space.n - 1
-    payload["components"] = 1 if payload["full"] else len(structure.related_components(S))
+    payload["components"] = (
+        None
+        if not payload["good"]
+        else 1 if payload["full"] else len(structure.related_components(S))
+    )
     if payload["full"]:
         diag = solve.bound_diagnostics(S)
         payload["max_geodesic_length"] = diag.max_geodesic_length
@@ -251,12 +244,12 @@ def _cmd_stats(instance: Instance, args) -> dict:
 
 
 _HANDLERS = {
-    "check-good": _cmd_check_good,
-    "find-loop": _cmd_find_loop,
+    "check-good": _cmd_loop,
+    "find-loop": _cmd_loop,
     "is-full": _cmd_is_full,
-    "fullify": _cmd_fullify,
-    "split": _cmd_split,
-    "maximalize": _cmd_maximalize,
+    "fullify": _cmd_grow,
+    "split": _cmd_grow,
+    "maximalize": _cmd_grow,
     "components": _cmd_components,
     "geodesic": _cmd_geodesic,
     "boundary": _cmd_boundary,
@@ -296,31 +289,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _digest(path) -> dict:
-    raw = Path(path).read_bytes()
-    return {
-        "path": str(path),
-        "sha256": hashlib.sha256(raw).hexdigest(),
-    }
-
-
-def run(args) -> tuple[dict, int]:
-    """Dispatch a parsed command; returns (report, exit code)."""
+def run(args) -> dict:
+    """Dispatch a parsed command; returns its report."""
     if args.command == "emit-examples":
         try:
             written = instances.emit_examples(args.directory)
         except OSError as exc:
             raise PreconditionError(f"cannot write {args.directory}: {exc}") from exc
-        report = {
+        return {
             "command": "emit-examples",
             "result": {"files": [p.name for p in written], "directory": args.directory},
         }
-        return report, EXIT_OK
 
     instance = instances.load_instance(args.instance)
-    digest = _digest(args.instance)
-    digest["points"] = len(instance.file_points)
-    digest["axes"] = [len(ax.values) for ax in instance.space.axes]
+    digest = {
+        "path": str(args.instance),
+        "sha256": hashlib.sha256(Path(args.instance).read_bytes()).hexdigest(),
+        "points": len(instance.file_points),
+        "axes": [len(ax.values) for ax in instance.space.axes],
+    }
     echo = {"command": args.command}
     if args.command == "geodesic":
         echo["from"] = args.from_index
@@ -328,7 +315,7 @@ def run(args) -> tuple[dict, int]:
     if args.command == "solve":
         echo["method"] = args.method
     result = _HANDLERS[args.command](instance, args)
-    return {**echo, "instance": digest, "result": result}, EXIT_OK
+    return {**echo, "instance": digest, "result": result}
 
 
 @contextlib.contextmanager
@@ -350,31 +337,23 @@ def _unlimited_int_digits():
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     started = time.monotonic()
     try:
         with _unlimited_int_digits():
-            report, code = run(args)
-    except InstanceError as exc:
-        print(f"instance error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except PreconditionError as exc:
-        print(f"precondition violated: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except VerificationError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    text = dumps_canonical(report)
-    out = getattr(args, "out", None)
-    if out:
-        try:
-            Path(out).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            print(f"precondition violated: cannot write {out}: {exc}", file=sys.stderr)
-            return EXIT_PRECONDITION
-    else:
-        sys.stdout.write(text)
+            text = dumps_canonical(run(args))
+        out = getattr(args, "out", None)
+        if out:
+            try:
+                Path(out).write_text(text, encoding="utf-8")
+            except OSError as exc:
+                raise PreconditionError(f"cannot write {out}: {exc}") from exc
+        else:
+            sys.stdout.write(text)
+    except tuple(cls for cls, _, _ in _ERRORS) as exc:
+        prefix, code = next((p, c) for cls, p, c in _ERRORS if isinstance(exc, cls))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
     elapsed_ms = (time.monotonic() - started) * 1000.0
     print(f"elapsed_ms={elapsed_ms:.1f}", file=sys.stderr)
     return EXIT_OK

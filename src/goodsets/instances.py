@@ -19,7 +19,11 @@ to one; indices left out (or given as "0") are outside the support.
 
 `_pins` is the one pin parser and `_decode` the one JSON decoder (no key may
 repeat in an object): the CLI's ``solve --pins`` list goes through both, so it
-is read exactly like a file's ``pins``.
+is read exactly like a file's ``pins``.  `parse_instance` is the one place a
+library `PreconditionError` becomes an `InstanceError`, with the same message;
+the other mappings add context (a pin, an ``f`` or ``measure`` entry, or
+`parse_rational`'s public contract).  `_coordinate_form` writes a coordinate's
+JSON form, ``{"axis": name, "value": label}``, for files and CLI reports alike.
 """
 
 from __future__ import annotations
@@ -66,10 +70,11 @@ def parse_rational(text) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return str(Fraction(value))
+
+
+def _coordinate_form(space: Space, coord) -> dict:
+    return {"axis": space.axes[coord[0]].name, "value": coord[1]}
 
 
 @dataclass(frozen=True)
@@ -119,32 +124,26 @@ def parse_instance(data: dict) -> Instance:
         if len(set(file_points)) != len(file_points):
             raise InstanceError("duplicate points in instance")
         point_set = PointSet(space, file_points)
-    except InstanceError:
-        raise
-    except ValueError as exc:
+
+        f = None
+        if "f" in data:
+            table = {p: Fraction(0) for p in file_points}
+            table.update(_indexed_entries(data, "f", file_points))
+            f = FunctionTable(point_set, table)
+
+        pins = _pins(space, data["pins"]) if "pins" in data else None
+
+        measure = None
+        if "measure" in data:
+            weights = {}
+            for p, w in _indexed_entries(data, "measure", file_points):
+                if w < 0:
+                    raise InstanceError("measure weights must be nonnegative")
+                if w > 0:
+                    weights[p] = w
+            measure = FiniteMeasure(PointSet(space, tuple(weights)), weights)
+    except PreconditionError as exc:
         raise InstanceError(str(exc)) from exc
-
-    f = None
-    if "f" in data:
-        table = {p: Fraction(0) for p in file_points}
-        table.update(_indexed_entries(data, "f", file_points))
-        f = FunctionTable(point_set, table)
-
-    pins = _pins(space, data["pins"]) if "pins" in data else None
-
-    measure = None
-    if "measure" in data:
-        weights = {}
-        for p, w in _indexed_entries(data, "measure", file_points):
-            if w < 0:
-                raise InstanceError("measure weights must be nonnegative")
-            if w > 0:
-                weights[p] = w
-        try:
-            support = PointSet(space, tuple(weights))
-            measure = FiniteMeasure(support, weights)
-        except ValueError as exc:
-            raise InstanceError(str(exc)) from exc
 
     return Instance(space, point_set, file_points, f, pins, measure)
 
@@ -162,10 +161,7 @@ def _pins(space: Space, entries) -> PinSet:
         except (KeyError, TypeError, ValueError) as exc:
             raise InstanceError(f"malformed pin {pin!r}: {exc}") from exc
         pins.append(((axis, label), value))
-    try:
-        return PinSet(tuple(pins))
-    except ValueError as exc:
-        raise InstanceError(str(exc)) from exc
+    return PinSet(tuple(pins))
 
 
 def _indexed_entries(data: dict, name: str, file_points) -> list:
@@ -244,11 +240,7 @@ def instance_to_dict(instance: Instance) -> dict:
         }
     if instance.pins is not None:
         data["pins"] = [
-            {
-                "axis": instance.space.axes[coord[0]].name,
-                "value": coord[1],
-                "rational": format_rational(value),
-            }
+            {**_coordinate_form(instance.space, coord), "rational": format_rational(value)}
             for coord, value in instance.pins
         ]
     if instance.measure is not None:

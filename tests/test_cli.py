@@ -113,6 +113,24 @@ def test_solve_inline_pins_override(capsys, inst_dir):
     assert report["result"]["decomposition"]["x"]["x0"] == "1"
 
 
+@pytest.mark.parametrize("method", ["geodesic", "componentwise"])
+def test_solve_refuses_pins_for_a_route_that_takes_none(capsys, inst_dir, method):
+    # These routes pin each base's first n - 1 coordinates at zero; a pin would be dropped.
+    pins = json.dumps(
+        [
+            {"axis": "x", "value": "x0", "rational": "5"},
+            {"axis": "y", "value": "y0", "rational": "0"},
+        ]
+    )
+    code, report, err = run_cli(
+        capsys, "solve", str(inst_dir / "ex10_depth1.json"), "--method", method, "--pins", pins
+    )
+    assert code == 2 and report is None
+    assert err == (
+        f"precondition violated: --pins applies to --method direct and boundary, not {method}\n"
+    )
+
+
 @pytest.mark.parametrize("pins", ["{}", "5", "null"])
 def test_solve_inline_pins_must_be_a_list(capsys, inst_dir, pins):
     code, report, err = run_cli(

@@ -3,6 +3,9 @@
 The expected exit codes and report digests are the benchmark's recorded
 ones (`perfbench/cli_expected.json`); a digest is the sha256 of the report
 with `instance.path` removed, serialized with sorted keys and no spaces.
+Those digests do not see key order or indentation, so `cli_stdout_sha256.json`
+also records the sha256 of each variant's raw stdout, printed from the
+examples directory with a relative path, which keeps `instance.path` fixed.
 Any change to the bytes of a report on the shipped examples fails here.
 """
 
@@ -18,6 +21,7 @@ from goodsets.instances import emit_examples
 EXPECTED = json.loads(
     (Path(__file__).resolve().parent.parent / "perfbench" / "cli_expected.json").read_text()
 )
+RAW_STDOUT = json.loads(Path(__file__).with_name("cli_stdout_sha256.json").read_text())
 
 
 @pytest.fixture(scope="module")
@@ -35,12 +39,14 @@ def _digest(report: dict) -> str:
 
 
 @pytest.mark.parametrize("key", sorted(EXPECTED))
-def test_golden_report(key, corpus, capsys):
+def test_golden_report(key, corpus, capsys, monkeypatch):
     name, command, *flags = key.split(" ")
-    code = main([command, str(corpus / f"{name}.json"), *flags])
+    monkeypatch.chdir(corpus)
+    code = main([command, f"{name}.json", *flags])
     out = capsys.readouterr().out
     want = EXPECTED[key]
     assert code == want["exit"]
+    assert hashlib.sha256(out.encode()).hexdigest() == RAW_STDOUT[key]
     if code == 0:
         assert _digest(json.loads(out)) == want["sha256"]
     else:

@@ -2,8 +2,11 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from test_cli_fuzz import mutated_instances
 
 from goodsets.instances import (
+    Instance,
     InstanceError,
     dumps_canonical,
     emit_examples,
@@ -156,6 +159,21 @@ def test_parse_errors():
         data[field] = value
         with pytest.raises(InstanceError):
             parse_instance(data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw=mutated_instances())
+def test_parse_instance_raises_only_instance_errors(raw):
+    # parse_instance is the one boundary where a library PreconditionError becomes an
+    # InstanceError; the CLI's exit 2 or 3 for a bad file would not tell the two apart.
+    try:
+        data = json.loads(raw)
+    except ValueError:  # bytes that are no JSON are load_instance's to refuse
+        assume(False)
+    try:
+        assert isinstance(parse_instance(data), Instance)
+    except InstanceError:
+        pass
 
 
 def test_load_instance_errors(tmp_path):
