@@ -6,72 +6,18 @@ goodness with exact rational arithmetic, produces certificates (loops for
 failures; geodesics, boundaries, and full splits for structure), solves the
 split equation under prescribed boundary values, and certifies extreme
 points among measures with fixed marginals.
+
+Public names are declared once, in each module's `__all__`; the package
+republishes those of the six library modules below and no others.  The
+instance format and the command line stay in `goodsets.instances` and
+`goodsets.cli`.
 """
 
-from .goodness import (
-    GoodnessVerdict,
-    Loop,
-    associated_full_set,
-    extend_to_maximal,
-    full_closure,
-    full_split,
-    is_full,
-    is_good,
-)
-from .linalg import (
-    CircuitVector,
-    IncidenceSystem,
-    LinearSolve,
-    RowBasis,
-    column_kernel,
-    extract_circuit,
-    in_span,
-    rank,
-    solve_pinned,
-    verify_circuit,
-)
-from .measures import (
-    FiniteMeasure,
-    MarginalVector,
-    SimplicialVerdict,
-    is_mu_set,
-    is_simplicial,
-    marginals,
-)
-from .model import (
-    Axis,
-    Decomposition,
-    FunctionTable,
-    PinSet,
-    PointSet,
-    PreconditionError,
-    Space,
-    VerificationError,
-    as_fraction,
-    incidence_vector,
-)
-from .solve import (
-    BoundDiagnostics,
-    GeodesicMatrix,
-    SolveReport,
-    bound_diagnostics,
-    geodesic_matrix,
-    solve_componentwise,
-    solve_direct,
-    solve_via_geodesics,
-    solve_with_boundary,
-)
-from .structure import (
-    BoundaryConstruction,
-    ComponentPartition,
-    EiClasses,
-    Geodesic,
-    boundary,
-    ei_classes,
-    full_component,
-    geodesic,
-    related,
-    related_components,
-)
+from .goodness import *
+from .linalg import *
+from .measures import *
+from .model import *
+from .solve import *
+from .structure import *
 
 __version__ = "0.1.0"

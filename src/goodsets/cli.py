@@ -301,10 +301,10 @@ def run(args) -> dict:
             "result": {"files": [p.name for p in written], "directory": args.directory},
         }
 
-    instance = instances.load_instance(args.instance)
+    raw, instance = instances._read_instance(args.instance)
     digest = {
         "path": str(args.instance),
-        "sha256": hashlib.sha256(Path(args.instance).read_bytes()).hexdigest(),
+        "sha256": hashlib.sha256(raw).hexdigest(),
         "points": len(instance.file_points),
         "axes": [len(ax.values) for ax in instance.space.axes],
     }

@@ -24,6 +24,8 @@ library `PreconditionError` becomes an `InstanceError`, with the same message;
 the other mappings add context (a pin, an ``f`` or ``measure`` entry, or
 `parse_rational`'s public contract).  `_coordinate_form` writes a coordinate's
 JSON form, ``{"axis": name, "value": label}``, for files and CLI reports alike.
+`_read_instance` is the one read of a file: it returns the bytes it parsed,
+which the CLI hashes for its report.
 """
 
 from __future__ import annotations
@@ -112,18 +114,18 @@ def parse_instance(data: dict) -> Instance:
             (_label(ax["name"]), [_label(v) for v in _list(ax["values"], "axis values")])
             for ax in _list(data["axes"], "'axes'")
         ]
-        raw_points = [
+        # Tuples of str labels: `PointSet` reads each once and stores it as given.
+        file_points = tuple(
             tuple(_label(v) for v in _list(p, "each of 'points'"))
             for p in _list(data["points"], "'points'")
-        ]
+        )
     except (KeyError, TypeError) as exc:
         raise InstanceError(f"missing or malformed field: {exc}") from exc
     try:
         space = Space.of(*axes)
-        file_points = tuple(space.validate_point(p) for p in raw_points)
-        if len(set(file_points)) != len(file_points):
-            raise InstanceError("duplicate points in instance")
         point_set = PointSet(space, file_points)
+        if len(point_set) != len(file_points):
+            raise InstanceError("duplicate points in instance")
 
         f = None
         if "f" in data:
@@ -210,9 +212,11 @@ def _decode(text: str):
         raise InstanceError("JSON nested too deeply") from None
 
 
-def load_instance(path) -> Instance:
+def _read_instance(path) -> tuple[bytes, Instance]:
+    """The one read of an instance file: its bytes, and the instance parsed from them."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        raw = Path(path).read_bytes()
+        text = raw.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise InstanceError(f"cannot read {path}: {exc}") from exc
     try:
@@ -221,7 +225,11 @@ def load_instance(path) -> Instance:
         raise InstanceError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise InstanceError("instance file must hold a JSON object")
-    return parse_instance(data)
+    return raw, parse_instance(data)
+
+
+def load_instance(path) -> Instance:
+    return _read_instance(path)[1]
 
 
 def instance_to_dict(instance: Instance) -> dict:

@@ -52,7 +52,6 @@ __all__ = [
     "CircuitVector",
     "IncidenceSystem",
     "LinearSolve",
-    "PinRow",
     "RowBasis",
     "column_kernel",
     "extract_circuit",
@@ -88,10 +87,6 @@ def _combine(v: dict[int, int], a: int, row: dict[int, int], b: int) -> dict[int
         else:
             del v[j]
     return _primitive(v)
-
-
-def _dense(row: Mapping[int, int], ncols: int) -> tuple[int, ...]:
-    return tuple(row.get(j, 0) for j in range(ncols))
 
 
 def _transpose(rows: Sequence[Mapping[int, int]], ncols: int) -> list[dict[int, int]]:

@@ -46,11 +46,9 @@ from typing import Iterable, Iterator, Mapping
 
 __all__ = [
     "Axis",
-    "Coordinate",
     "Decomposition",
     "FunctionTable",
     "PinSet",
-    "Point",
     "PointSet",
     "PreconditionError",
     "Space",

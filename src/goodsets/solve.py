@@ -48,7 +48,6 @@ from .linalg import (
     IncidenceSystem,
     LinearSolve,
     _decomposition,
-    _dense,
     _incidence_row,
     _is_boundary,
     _require_total,
@@ -132,7 +131,8 @@ def geodesic_matrix(G: PointSet, base) -> GeodesicMatrix:
     columns = tuple(c for c in G.coordinates() if c not in removed)
     ordered = (base,) + tuple(p for p in G if p != base)
     col_index = {c: j for j, c in enumerate(columns)}
-    matrix = tuple(_dense(_incidence_row(p, col_index), len(columns)) for p in ordered)
+    rows = (_incidence_row(p, col_index) for p in ordered)
+    matrix = tuple(tuple(row.get(j, 0) for j in range(len(columns))) for row in rows)
     return GeodesicMatrix(ordered, columns, matrix)
 
 

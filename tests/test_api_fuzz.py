@@ -20,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import goodsets as gs
-from goodsets import structure
 from util import DIAGONAL, RECTANGLE, T4, cube_set, pset
 
 SETS = (
@@ -226,6 +225,7 @@ ENTRIES = [
     ("related", "point", lambda S, p: gs.related(S, S.points[0], p)),
     ("geodesic", "point", lambda S, p: gs.geodesic(S, p, S.points[0])),
     ("full_component", "point", lambda S, p: gs.full_component(S, p)),
+    ("verify_boundary", "coordinate", lambda S, c: _boundary_with(S, c)),
     ("associated_full_set", "coordinate", lambda S, c: gs.associated_full_set(S, [c])),
 ]
 
@@ -276,7 +276,7 @@ def _boundary_with(S, coord):
     """S's boundary construction with its first coordinate replaced by `coord`."""
     construction = gs.boundary(S)
     bound = (coord,) + construction.boundary[1:]
-    return structure.verify_boundary(S, dataclasses.replace(construction, boundary=bound))
+    return gs.verify_boundary(S, dataclasses.replace(construction, boundary=bound))
 
 
 # Every public entry that takes an axis or a coordinate, called on T4 in

@@ -1,12 +1,14 @@
+import hashlib
 import json
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from goodsets import linalg, solve, structure
-from goodsets.cli import main
+from goodsets.cli import COMMANDS, main
 from goodsets.instances import dumps_canonical, emit_examples, example_instance
 
 
@@ -37,6 +39,34 @@ def test_check_good_reports_digest(capsys, inst_dir):
     _, report, _ = run_cli(capsys, "check-good", str(inst_dir / "t4.json"))
     assert len(report["instance"]["sha256"]) == 64
     assert report["instance"]["points"] == 4
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_command_reads_its_instance_once_and_hashes_those_bytes(
+    capsys, tmp_path, monkeypatch, command
+):
+    # A second read could hash bytes that were never parsed, had the file changed in between.
+    # ex07 is good and not full, so every command computes; CRLF line ends are hashed as
+    # read and are JSON whitespace to the parser.
+    path = tmp_path / "ex07.json"
+    data = {**example_instance("ex07"), "f": {"0": "1"}}
+    text = dumps_canonical(data).replace("\n", "\r\n")
+    path.write_bytes(text.encode("utf-8"))
+    want = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    reads = []
+    for name in ("read_bytes", "read_text"):
+        original = getattr(Path, name)
+
+        def spy(self, *args, _original=original, **kwargs):
+            reads.append(self)
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, name, spy)
+    extra = ["--from", "0", "--to", "3"] if command == "geodesic" else []
+    code, report, _ = run_cli(capsys, command, str(path), *extra)
+    assert code == 0
+    assert reads == [path]
+    assert report["instance"]["sha256"] == want
 
 
 def test_find_loop(capsys, inst_dir):

@@ -2,6 +2,7 @@
 
 import ast
 from pathlib import Path
+from types import ModuleType
 
 import goodsets
 
@@ -52,3 +53,18 @@ def test_every_exported_callable_is_fuzzed_or_exempt():
     assert fuzzed & exempt == set()
     assert exported - fuzzed - exempt == set()
     assert (fuzzed | exempt) - exported == set()
+
+
+def test_the_package_exports_exactly_its_modules_public_names():
+    # Each module's `__all__` is the one list; the package republishes it, binding the same objects.
+    from goodsets import goodness, linalg, measures, model, solve, structure
+
+    modules = (goodness, linalg, measures, model, solve, structure)
+    declared = {name: module for module in modules for name in module.__all__}
+    exported = {
+        name
+        for name, value in vars(goodsets).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert exported == declared.keys()
+    assert all(getattr(goodsets, name) is getattr(m, name) for name, m in declared.items())
