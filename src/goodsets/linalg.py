@@ -288,45 +288,37 @@ def _is_boundary(system: IncidenceSystem, coords: Sequence[Coordinate]) -> bool:
     return _echelon(_stack_pins(system, coords), size).rank == size
 
 
-def _pinned_inverse(
-    system: IncidenceSystem, coords, targets=None
-) -> dict[Coordinate, dict[int, Fraction]]:
-    """Rows of A^-1 at the target columns, A the incidence rows over the pins.
+def _pinned_inverse(system: IncidenceSystem, coords) -> dict[Coordinate, dict[int, Fraction]]:
+    """The rows of A^-1, A the incidence rows over the pins, one per column.
 
-    The targets default to every column.  Each row is a sparse dict
-    {k: Fraction} of its nonzero entries in increasing k: entry k of the row
-    at column c is the weight of right-hand side entry k, the point k, in
-    u_c.  The pins' entries are left out, as every caller pins at zero, so
-    the keys are the points the row weights.
-    That row w solves A^T w = e_c, so one elimination of [A^T | E], E
-    the unit columns of the targets, followed by back-substitution leaves
-    D W in the E block, D diagonal and W's columns the requested rows.  A
-    core asks for n rows, and the row operations then act on n + |A|
-    entries rather than 2|A|.  The rows of A^T enter in reverse column
-    order: the result does not depend on the order, and this one measured
-    1.2-7 times faster than column order on chains, maximal sets and random
-    full sets.
+    Each row is a sparse dict {k: Fraction} of its nonzero entries in
+    increasing k: entry k of the row at column c is the weight of
+    right-hand side entry k, the point k, in u_c.  The pins' entries are
+    left out, as every caller pins at zero, so the keys are the points the
+    row weights.  That row w solves A^T w = e_c, so one elimination of
+    [A^T | I] followed by back-substitution leaves D W in the I block, D
+    diagonal and W's columns the rows.  The rows of A^T enter in reverse
+    column order: the result does not depend on the order, and this one
+    measured 1.2-7 times faster than column order on chains, maximal sets
+    and random full sets.
     """
     rows = _stack_pins(system, coords)
     size = len(system.columns)
     if len(rows) != size:
         raise VerificationError(f"pinned system is {len(rows)} x {size}; expected square")
-    targets = system.columns if targets is None else tuple(targets)
-    transpose = _transpose(rows, size)
-    for i, t in enumerate(targets):
-        transpose[_column(system, t)][size + i] = 1
-    basis = _echelon(reversed(transpose), size + len(targets))
+    transpose = [{**column, size + j: 1} for j, column in enumerate(_transpose(rows, size))]
+    basis = _echelon(reversed(transpose), 2 * size)
     if any(k not in basis.pivot_rows for k in range(size)):
         raise VerificationError("pinned system is singular")
     basis.back_substitute()
-    inverse: dict[Coordinate, dict[int, Fraction]] = {t: {} for t in targets}
+    inverse: dict[Coordinate, dict[int, Fraction]] = {c: {} for c in system.columns}
     for k in range(len(system.points)):
-        # Past back-substitution, row k is nonzero at its pivot k and at
-        # target columns alone.
+        # Past back-substitution, row k is nonzero at its pivot k and in
+        # the identity block alone.
         row = basis.pivot_rows[k]
         for j, x in row.items():
             if j >= size:
-                inverse[targets[j - size]][k] = Fraction(x, row[k])
+                inverse[system.columns[j - size]][k] = Fraction(x, row[k])
     return inverse
 
 

@@ -3,10 +3,10 @@
 Four routes produce the same numbers and certify each other:
 
 * direct -- one pinned elimination over the whole incidence system.
-* geodesic -- pin a base point's first n - 1 coordinates; each coordinate's
-  value is its row of the class's pinned inverse dotted with f, which by
-  Theorem (a) in `structure` is its row in the pinned inverse of any
-  geodesic from the base that reaches it.
+* geodesic -- pin a base point's first n - 1 coordinates at zero and solve
+  block by block along `structure._order`, the matching order from the
+  base: the points with one closure form a square block over their matched
+  coordinates, solved once the smaller closures are.
 * componentwise -- the geodesic route per relatedness component, valid when
   components share no coordinate of any kind.
 * boundary -- prescribe values on a boundary: the pins are stacked under
@@ -16,19 +16,17 @@ Four routes produce the same numbers and certify each other:
   `goodness.associated_full_set`, not a solve route.)
 
 `bound_diagnostics` reports the finite-scale boundedness data: geodesic
-lengths from a base and the largest solution value over singleton indicator
-right-hand sides, read off one exact inverse of the system pinned at the
-base's first n - 1 coordinates; every geodesic from the base is walked
-over that inverse too.
+lengths from a base, the sizes of the order's closures, and the largest
+solution value over singleton indicator right-hand sides, read off one exact
+inverse of the system pinned at the base's first n - 1 coordinates, which is
+also its good-set check.
 
-The geodesic route and `bound_diagnostics` take the base's class, its
-sparse pinned inverse and the good-set check from `structure._pinned_class`,
-and keep only their own messages for a point outside that class.  The
-geodesic and componentwise routes share one loop, `_geodesic_values`: it
-dots each sparse row of the one pinned inverse the route holds (the class's,
-or each component's `structure._inverse`) once with f, and walks each
-point's geodesic over that inverse only for its length.  Both routes, like
-`solve_pinned`, first require f to be given on exactly S's points.
+The geodesic and componentwise routes share one solve, `_block_solve`, and
+invert nothing.  The geodesic route's good-set check is the one rank of S
+that `structure._order` runs; the componentwise route's is the refinement
+behind `related_components`, so its components are not checked again.  Both
+routes, like `solve_pinned`, first require f to be given on exactly S's
+points.
 
 Every split is built by one builder, `linalg._decomposition`, and checked
 by one check, `_check`: the split must honour its pins and reproduce f on
@@ -47,9 +45,11 @@ from .linalg import (
     UNIQUE,
     IncidenceSystem,
     LinearSolve,
+    _canonical_solution,
     _decomposition,
     _incidence_row,
     _is_boundary,
+    _pinned_inverse,
     _require_total,
     solve_pinned,
 )
@@ -63,7 +63,7 @@ from .model import (
     PreconditionError,
     VerificationError,
 )
-from .structure import _inverse, _pinned_class, _walk, related_components
+from .structure import _order, _require_good, related_components
 
 __all__ = [
     "BoundDiagnostics",
@@ -136,36 +136,6 @@ def geodesic_matrix(G: PointSet, base) -> GeodesicMatrix:
     return GeodesicMatrix(ordered, columns, matrix)
 
 
-def _base_inverse(S: PointSet, base, what: str, unrelated):
-    """The base (S's first point by default) and S's sparse inverse pinned at it.
-
-    `what` names the caller to `structure._pinned_class`, which checks that
-    S is good; the first point of S outside the base's class raises
-    `unrelated(y)`.
-    """
-    S.require_nonempty(what)
-    base = S.points[0] if base is None else S.require_member(base)
-    F, inverse = _pinned_class(S, base, what)
-    if inverse is None:
-        raise unrelated(next(y for y in S if y not in F))
-    return base, inverse
-
-
-def _geodesic_values(F: PointSet, f: FunctionTable, base: Point, inverse, values: dict) -> int:
-    """Write every coordinate's value into `values`; return the longest geodesic.
-
-    F is full and holds the base, and `inverse` is F's inverse pinned at it.
-    Each coordinate's value is its row of that inverse dotted once with f
-    over F's points; by Theorem (a) in `structure`, the row equals the
-    coordinate's row in the inverse of any geodesic that reaches it.  Each
-    point's geodesic is walked over the inverse only for its length.
-    """
-    fs = [f(p) for p in F.points]
-    for coord, row in inverse.items():
-        values[coord] = sum((w * fs[k] for k, w in row.items()), Fraction(0))
-    return max(len(_walk(F, base, y, inverse)) for y in F)
-
-
 def _check(S: PointSet, f: FunctionTable, decomposition: Decomposition, pins):
     """The one split check: every (coordinate, value) pin is honoured and f is reproduced on S."""
     for coord, value in pins:
@@ -176,43 +146,64 @@ def _check(S: PointSet, f: FunctionTable, decomposition: Decomposition, pins):
             raise VerificationError("split does not reproduce f")
 
 
-def _unique(S: PointSet, f: FunctionTable, values: dict) -> LinearSolve:
-    """The unique solve with the given {coordinate: value}, checked to reproduce f."""
-    decomposition = _decomposition(S.space, values.items())
-    _check(S, f, decomposition, ())
-    return LinearSolve(UNIQUE, decomposition, (), None)
+def _block_solve(S: PointSet, f: FunctionTable, method: str, parts, what=None) -> SolveReport:
+    """The geodesic routes' split, solved block by block along each part's order.
+
+    Each (F, base) in `parts` is S itself or one of its components, and
+    the parts share no coordinate.  F's base has its first n - 1
+    coordinates pinned at zero, and `structure._order` of F from the base,
+    named `what`, gives the blocks: the points with one closure form a
+    square block over their matched coordinates, and the first point
+    without a closure is refused as unrelated to the base.  The blocks are
+    solved in order of closure size, so every other coordinate a block's
+    rows hold already has its value (the matching theorem in `structure`).
+    The split lists each part's coordinates in order, the longest geodesic
+    is the largest closure, and `_check` asserts that the split reproduces
+    f.
+    """
+    values, blocks = {}, {}
+    for F, base in parts:
+        values.update(((i, base[i]), Fraction(0)) for i in range(S.space.n - 1))
+        match, close = _order(F, base, what)
+        for p, g in zip(F, map(close, F)):
+            if g is None:
+                raise PreconditionError(
+                    f"{p!r} is unrelated to the base; use the componentwise or boundary method"
+                )
+            blocks.setdefault(g, {})[p] = match[p]
+    for g in sorted(blocks, key=len):
+        columns = {c: j for j, c in enumerate(blocks[g].values())}
+        rows = [_incidence_row(p, columns) for p in blocks[g]]
+        rhs = [f(p) - sum(values[c] for c in enumerate(p) if c not in columns) for p in blocks[g]]
+        solution, _ = _canonical_solution(rows, rhs, len(columns))
+        if solution is None:
+            raise VerificationError("a geodesic block is singular")
+        values.update(zip(columns, solution))
+    split = _decomposition(S.space, ((c, values[c]) for F, _ in parts for c in F.coordinates()))
+    _check(S, f, split, ())
+    return _report(method, LinearSolve(UNIQUE, split, (), None), max(map(len, blocks)))
 
 
 def solve_via_geodesics(S: PointSet, f: FunctionTable, base=None) -> SolveReport:
-    """Case of a single relatedness component: read the split off one pinned inverse.
+    """Case of a single relatedness component: solve block by block along the matching order.
 
-    Pins the base's first n - 1 coordinates at zero.  Each coordinate's
-    value is its row of S's inverse pinned there, dotted with f
-    (`_geodesic_values`); by Theorem (a) in `structure`, that row is the
-    coordinate's row in the pinned inverse of every geodesic from the base
-    that reaches it.  The geodesics are walked over the same inverse for
-    their lengths, and `_check` asserts that the split reproduces f.
+    Pins the base's first n - 1 coordinates at zero.  One rank of S is the
+    good-set check of `structure._order`, and `_block_solve` solves its
+    blocks, lower blocks first.
     """
     _require_total(f, S.points)
-    base, inverse = _base_inverse(
-        S,
-        base,
-        "solve_via_geodesics",
-        lambda y: PreconditionError(
-            f"{y!r} is unrelated to the base; use the componentwise or boundary method"
-        ),
-    )
-    values: dict[Coordinate, Fraction] = {}
-    max_len = _geodesic_values(S, f, base, inverse, values)
-    return _report("geodesic", _unique(S, f, values), max_len)
+    S.require_nonempty("solve_via_geodesics")
+    base = S.points[0] if base is None else S.require_member(base)
+    return _block_solve(S, f, "geodesic", [(S, base)], "solve_via_geodesics")
 
 
 def solve_componentwise(S: PointSet, f: FunctionTable, bases=None) -> SolveReport:
     """Geodesic route per component; requires components to share no coordinate.
 
-    Each component is full, so its own inverse pinned at its base is
-    invertible, and `_geodesic_values` writes its coordinates into one
-    shared table, which is assembled and checked once.
+    Each component is full and was checked good by `related_components`'
+    refinement, so its matching order from its base needs no check of its
+    own; `_block_solve` solves every component's blocks into one table,
+    which is assembled and checked once.
     """
     _require_total(f, S.points)
     S.require_nonempty("solve_componentwise")
@@ -226,17 +217,10 @@ def solve_componentwise(S: PointSet, f: FunctionTable, bases=None) -> SolveRepor
                 )
     if bases is None:
         bases = [comp.points[0] for comp in comps]
-    else:
-        bases = list(bases)
-        if len(bases) != len(comps):
-            raise PreconditionError("one base point per component required")
-        bases = [comp.require_member(b) for comp, b in zip(comps, bases)]
-
-    values: dict[Coordinate, Fraction] = {}
-    max_len = max(
-        _geodesic_values(comp, f, b, _inverse(comp, b), values) for comp, b in zip(comps, bases)
-    )
-    return _report("componentwise", _unique(S, f, values), max_len)
+    if not hasattr(bases, "__iter__") or len(bases := list(bases)) != len(comps):
+        raise PreconditionError("one base point per component required")
+    parts = [(comp, comp.require_member(b)) for comp, b in zip(comps, bases)]
+    return _block_solve(S, f, "componentwise", parts)
 
 
 def solve_with_boundary(
@@ -284,24 +268,29 @@ def bound_diagnostics(S: PointSet, base=None) -> BoundDiagnostics:
 
     The indicator sweep is the largest absolute value of any u solving
     u = 1_{p}, p in S, with the base's first n - 1 coordinates pinned at
-    zero.  Those solutions are the point columns of one pinned inverse, so
-    the sweep is read off the inverse that every geodesic is walked over
-    too, and that inversion is the good-set check.
+    zero.  Those solutions are the point columns of one pinned inverse.
+    It is square exactly when def(S) = n - 1, and then invertible exactly
+    when S is good, so it is the good-set check; any other S is ranked, as
+    a good one has several classes.  The lengths are the closures of
+    `structure._order` from the base, each computed once.
     """
-    base, inverse = _base_inverse(
-        S,
-        base,
-        "bound_diagnostics",
-        lambda y: PreconditionError("diagnostics are per component; this set has several"),
-    )
-    lengths = {y: len(_walk(S, base, y, inverse)) for y in S}
+    S.require_nonempty("bound_diagnostics")
+    base = S.points[0] if base is None else S.require_member(base)
+    if S.deficiency() != S.space.n - 1:
+        _require_good(S, "bound_diagnostics")
+        raise PreconditionError("diagnostics are per component; this set has several")
+    try:
+        inverse = _pinned_inverse(IncidenceSystem(S), [(i, base[i]) for i in range(S.space.n - 1)])
+    except VerificationError:
+        raise PreconditionError("bound_diagnostics requires a good set") from None
+    close = _order(S, base, None)[1]
+    lengths = {y: len(close(y)) for y in S}
     entries = (v for row in inverse.values() for v in row.values())
     worst = max(map(abs, entries), default=Fraction(0))
-    total = sum(lengths.values())
     return BoundDiagnostics(
         base=base,
         lengths=lengths,
         max_geodesic_length=max(lengths.values()),
-        mean_geodesic_length=Fraction(total, len(lengths)),
+        mean_geodesic_length=Fraction(sum(lengths.values()), len(lengths)),
         max_abs_indicator_value=worst,
     )

@@ -2,7 +2,8 @@
 
 Two points of a good set are *related* when some full subset contains both;
 a minimal such subset is a *geodesic*, and it is unique.  Both are decided
-in polynomial time, by exact eliminations and no search over subsets.
+in polynomial time, by exact eliminations and a bipartite matching, with no
+search over subsets.
 
 Notation.  C(G) is the coordinate set of G, def(G) = |C(G)| - |G| its
 deficiency, and K(G) the column kernel of G's incidence rows: the functions
@@ -47,49 +48,50 @@ determine each other.  For e_f the pair is (1, {f: -1}), the key of a free
 column f.  Two points share a signature exactly when their n coordinate
 keys agree, and no `Fraction` is built to compare them.
 
-Goodness.  Each public entry names itself to the refinement, whose first
-elimination of S is the good-set check: one rank of S's rows when
-def(S) = n - 1, otherwise the first split's elimination, as dim K(S) =
-|C(S)| - rank exceeds def(S) exactly when the rows are dependent.  Every
-later group is a subset of S and good with it.  The walks from one point
-x, in `geodesic` here and in `solve`'s `bound_diagnostics` and
-`solve_via_geodesics`, share one prologue, `_pinned_class`: x's class and
-`_inverse`, the sparse inverse of its system pinned at x's first n - 1
-coordinates, whose rows list the points they weight.  A set with
-def(S) = n - 1 does not refine: it is one class exactly when it is good,
-and its pinned system is square and singular exactly when S is not good,
-so that inversion is its check.  A singular inversion of a proper class,
-one the refinement has checked, is an internal error.
+Goodness.  Each public entry names itself to its one good-set check.  The
+refinement's first elimination of S is the check behind `related_components`
+and `boundary`: one rank of S's rows when def(S) = n - 1, otherwise the
+first split's elimination, as dim K(S) = |C(S)| - rank exceeds def(S)
+exactly when the rows are dependent.  Every later group is a subset of S
+and good with it.  `related`, `geodesic` and `full_component` rank S once
+(`_require_good`) and then read the matching order below, which counts and
+so is right only on a good set.
 
 Geodesics.  The same equality gives |C(F1) & C(F2)| = |F1 & F2| + n - 1,
 which squeezes |C(F1 & F2)| to that value: two full subsets sharing a point
 meet in a full set.  This meet property makes the minimal full subset
 through x and y, the geodesic g, unique, and it lies inside every full set
-through both.  Let F be x's class and A its system pinned at x's first
-n - 1 coordinates, square and invertible.  Call a set closed when every row
-of A^-1 at one of its coordinates is zero on the points outside it.  The
-intersection of two closed sets is closed, as C(U1 & U2) lies in C(U1) and
-in C(U2), so a least closed set through x and y exists.
+through both.
 
-Theorem.  The least closed set U through x and y is g.
-  (a) U is inside g.  For a full G in F through x, the pinned solve on G
-      agrees with the one on F on C(G), so u_c for c in C(G) depends only
-      on f on G.  Hence g is closed, and U, the least closed set through x
-      and y, lies inside it.
-  (b) U is full.  Closedness means that f = 0 on U forces u = 0 on C(U).
-      So A^-1 maps {f on g : f = 0 on U}, of dimension |g| - |U|, into
-      {u pinned on C(g) : u = 0 on C(U)}, of dimension |C(g)| - |C(U)|,
-      and A maps back; hence |C(U)| = |U| + n - 1.  A full U inside the
-      minimal g through x and y is g.
-So a geodesic is one breadth-first walk from y's coordinates: a coordinate
-c leads to the points with a nonzero entry in row c of A^-1, and a point to
-its coordinates.  Every set it reaches lies inside the closed set g, and a
-walk with nothing left to visit has reached U; so it meets a full set, and
-the first one is g.  The first layer, the rows at y's coordinates, is the
-*core*: the points every full subset through x and y holds.  One geodesic
-eliminates for those n rows alone and for the full inverse only when the
-core is not full, and a sweep over every y from one base walks all its
-geodesics over one full inverse.
+Every subset of a good S is good, so G through x is full exactly when
+|C(G) - C(x)| = |G - {x}|: fullness is a count.  Join each point of S - {x}
+to its own coordinates outside C(x).  Each T inside S - {x} is good with S,
+so |C(T | {x})| >= |T| + n, and T meets at least |T| of those coordinates;
+by Hall's theorem a matching M sends every point of S - {x} to one of them.
+Let x own C(x) and M^-1(c) own each matched c, and give each point an edge
+to the owner of each of its coordinates.
+
+Matching theorem.  A subset G of S through x is full exactly when it is
+closed under the edges and holds no unmatched coordinate.
+  (a) If so, each coordinate of G outside C(x) is matched to a point of G,
+      and M is injective, so |C(G)| = n + |G| - 1.
+  (b) If G is full, G - {x} meets exactly |G| - 1 coordinates outside C(x),
+      and M sends its |G| - 1 points to distinct ones among them, so each
+      is matched into G: G is closed and holds no unmatched coordinate.
+So g(x, z) is the closure of x and z under the edges when it holds no
+unmatched coordinate, and x and z are unrelated otherwise; x's class is
+the set of the z of the first kind.  This is the Dulmage-Mendelsohn order
+of the matching (Dulmage and Mendelsohn, 1958), and `_order` computes it
+with no arithmetic: the matching by augmenting paths, then each closure
+once.  The points that share a closure, a strongly connected component of
+the edges, form a *block*.  Pinned at x's first n - 1 coordinates, x's row
+and a block's rows are zero off C(x), their own matched coordinates and
+those matched in smaller closures; so the pinned system of x's class is
+block-triangular in order of closure size, each block square over its
+matched coordinates and invertible, as the system of the full closure is.
+Hence the pinned solve on any full G through x agrees with the one on the
+class on C(G), and `solve` reads the split block by block.  `geodesic`
+re-counts |C(g)| - |g| = n - 1 before it returns g.
 
 The classes drive the boundary construction: per axis, chains of components
 sharing a value merge projection values into equivalence classes; each class
@@ -105,13 +107,13 @@ test, which `goodness.associated_full_set` shares.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .linalg import (
     IncidenceSystem,
     _echelon,
     _incidence_row,
     _is_boundary,
-    _pinned_inverse,
     rank,
 )
 from .model import (
@@ -166,8 +168,14 @@ def _signature_groups(G: PointSet, what: str | None = None) -> list[list[Point]]
     return list(groups.values())
 
 
-def _classes(S: PointSet, what: str, x: Point | None = None) -> list[PointSet]:
-    """The relatedness classes of S; with x, only the one holding x.
+def _require_good(S: PointSet, what: str):
+    """The good-set check by one rank of S's rows, naming `what` when it fails."""
+    if rank(IncidenceSystem(S)) != len(S):
+        raise PreconditionError(f"{what} requires a good set")
+
+
+def _classes(S: PointSet, what: str) -> list[PointSet]:
+    """The relatedness classes of S.
 
     A full group is final; any other group splits by signature, and one that
     does not split means the theorem failed.  S's first elimination is also
@@ -177,15 +185,67 @@ def _classes(S: PointSet, what: str, x: Point | None = None) -> list[PointSet]:
     while groups:
         G = groups.pop()
         if G.deficiency() == S.space.n - 1:
-            if G is S and rank(IncidenceSystem(G)) != len(G):
-                raise PreconditionError(f"{what} requires a good set")
+            if G is S:
+                _require_good(S, what)
             classes.append(G)
             continue
         parts = _signature_groups(G, what if G is S else None)
         if len(parts) == 1:
             raise VerificationError("a group that is not full has one kernel signature")
-        groups.extend(PointSet(S.space, part) for part in parts if x is None or x in part)
+        groups.extend(PointSet(S.space, part) for part in parts)
     return classes
+
+
+def _order(S: PointSet, x: Point, what: str | None) -> tuple:
+    """(match, closure): the matching order of the good S from x.
+
+    With `what`, `_require_good` checks S first.  `match` sends x to its
+    last coordinate and every other point to one of its own coordinates
+    outside C(x), injectively: a point takes a free coordinate of its own
+    when it has one, and otherwise an augmenting path found breadth first,
+    which Hall's theorem gives every point of a good set.  `closure(p)` is
+    g(x, p), the points that x and p reach along the edges, or None when
+    one of them holds an unmatched coordinate, whose owner is `None`.  Each
+    closure is searched once, breadth first, when it is first asked for,
+    and takes a closure found before whole instead of searching past its
+    point.
+    """
+    if what is not None:
+        _require_good(S, what)
+    owner: dict = dict.fromkeys(enumerate(x), x)
+    match = {x: (S.space.n - 1, x[-1])}
+    for p in (p for p in S if p != x):
+        parent = dict.fromkeys(enumerate(p), p)
+        free = next((c for c in parent if c not in owner), None)
+        queue = [owner[c] for c in parent] if free is None else []
+        for q in queue:
+            fresh = [c for c in enumerate(q) if c not in parent]
+            parent.update(dict.fromkeys(fresh, q))
+            free = next((c for c in fresh if c not in owner), None)
+            if free is not None:
+                break
+            queue.extend(owner[c] for c in fresh)
+        while free is not None:
+            q = owner[free] = parent[free]
+            match[q], free = free, match.get(q)
+
+    closure: dict = {None: None}
+
+    def close(z):
+        if z not in closure:
+            reach, todo = {x, z}, [z]
+            for p in todo:
+                if p in closure:
+                    reach.update(closure[p] or (None,))
+                    continue
+                for q in map(owner.get, enumerate(p)):
+                    if q not in reach:
+                        reach.add(q)
+                        todo.append(q)
+            closure[z] = None if None in reach else frozenset(reach)
+        return closure[z]
+
+    return match, close
 
 
 @dataclass(frozen=True)
@@ -203,80 +263,22 @@ class Geodesic:
 def related(S: PointSet, x, y) -> bool:
     """True iff some full subset of S contains both points."""
     x, y = S.require_member(x), S.require_member(y)
-    return y in _classes(S, "related", x)[0]
+    return _order(S, x, "related")[1](y) is not None
 
 
 def geodesic(S: PointSet, x, y) -> Geodesic | None:
     """The unique minimal full subset containing x and y, or None if unrelated.
 
-    A walk that ends without a full set is a fatal internal error.
+    The closure is re-checked to be full by its count before it is returned;
+    one that is not is a fatal internal error.
     """
     x, y = S.require_member(x), S.require_member(y)
-    F, inverse = _pinned_class(S, x, "geodesic", y)
-    if inverse is None:
+    g = _order(S, x, "geodesic")[1](y)
+    if g is None:
         return None
-    return Geodesic((x, y), PointSet(F.space, tuple(_walk(F, x, y, inverse))))
-
-
-def _pinned_class(S: PointSet, x: Point, what: str, y: Point | None = None):
-    """x's class F and F's `_inverse` pinned at x, or None for it.
-
-    The prologue of every walk from x, `what` naming the caller.  With y,
-    the inverse has the rows at y's coordinates alone and is built only
-    when F holds y; without, it has every row and is built only when F is
-    S.  A set with def(S) = n - 1 is one class exactly when it is good,
-    and then its pinned system is square and singular exactly when S is
-    not good, so that inversion is its good-set check.  Any other S is
-    checked by the refinement, and a singular inversion of a proper class
-    is an internal error.
-    """
-    F = S if S.deficiency() == S.space.n - 1 else _classes(S, what, x)[0]
-    if F is not S and (y is None or y not in F):
-        return F, None
-    try:
-        return F, _inverse(F, x, None if y is None else enumerate(y))
-    except VerificationError:
-        if F is not S:
-            raise
-        raise PreconditionError(f"{what} requires a good set") from None
-
-
-def _inverse(F: PointSet, x: Point, targets=None) -> dict:
-    """The sparse rows of F's system pinned at x's first n - 1 coordinates, inverted.
-
-    `linalg._pinned_inverse` with the base pins of every walk from x: the
-    rows at the `targets` alone when they are given, else every row.  A
-    row's keys index the points of F that it weights.
-    """
-    pins = [(i, x[i]) for i in range(F.space.n - 1)]
-    return _pinned_inverse(IncidenceSystem(F), pins, targets)
-
-
-def _walk(F: PointSet, x: Point, y: Point, inverse: dict) -> set[Point]:
-    """The points of the geodesic of x and y, walked over F's inverse pinned at x.
-
-    F is full and holds x and y.  Layer by layer from y's coordinates, the
-    walk adds the points with a nonzero entry in the rows at the new
-    coordinates, counting the coordinates it has reached, and stops at the
-    first full set.  It keeps the indices of its points in F, so a row's
-    keys enter whole.  When the `inverse` lacks a row the walk needs, as one
-    over the rows at y's coordinates alone does past its first layer, it is
-    replaced by F's full inverse, once.
-    """
-    n, points = F.space.n, F.points
-    reached = {points.index(x), points.index(y)}
-    layer = list(enumerate(y))
-    seen = set(layer)
-    while layer:
-        if any(c not in inverse for c in layer):
-            inverse = _inverse(F, x)
-        reached.update(*(inverse[c] for c in layer))
-        coords = {c for k in reached for c in enumerate(points[k])}
-        if len(coords) - len(reached) == n - 1:
-            return {points[k] for k in reached}
-        layer = coords - seen
-        seen |= layer
-    raise VerificationError("the geodesic is not full or misses its core")
+    if len({c for p in g for c in enumerate(p)}) - len(g) != S.space.n - 1:
+        raise VerificationError("the geodesic is not full")
+    return Geodesic((x, y), PointSet(S.space, tuple(g)))
 
 
 @dataclass(frozen=True)
@@ -303,19 +305,16 @@ def _partition(S: PointSet, what: str) -> ComponentPartition:
     components = sorted(_classes(S, what), key=lambda c: S.space.point_key(c.points[0]))
     # Distinct components may share at most n - 2 kinds of coordinates.
     kinds = [[{p[i] for p in comp} for i in range(S.space.n)] for comp in components]
-    for a in range(len(kinds)):
-        for b in range(a + 1, len(kinds)):
-            shared = sum(1 for va, vb in zip(kinds[a], kinds[b]) if not va.isdisjoint(vb))
-            if shared > S.space.n - 2:
-                raise VerificationError(
-                    "distinct components share too many coordinate kinds"
-                )
+    for a, b in combinations(kinds, 2):
+        if sum(not va.isdisjoint(vb) for va, vb in zip(a, b)) > S.space.n - 2:
+            raise VerificationError("distinct components share too many coordinate kinds")
     return ComponentPartition(tuple(components))
 
 
 def full_component(S: PointSet, x) -> PointSet:
     """The largest full subset of S containing x (its relatedness class)."""
-    return _classes(S, "full_component", S.require_member(x))[0]
+    close = _order(S, S.require_member(x), "full_component")[1]
+    return PointSet(S.space, tuple(p for p in S if close(p) is not None))
 
 
 @dataclass(frozen=True)

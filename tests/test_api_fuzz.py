@@ -11,6 +11,7 @@ entry returns a result or raises `PreconditionError`, never anything else.
 `ENTRIES` names each entry by the name `goodsets` exports it under, and
 `EXEMPT` names, with the reason, every exported callable that is in no
 entry; `tests/test_source.py` holds the two lists to the package's exports.
+`solve_componentwise` also gets bases that are not iterable at all.
 """
 
 import dataclasses
@@ -30,6 +31,8 @@ SETS = (
 )
 
 NOT_SEQUENCES = (5, None, 2.5, True)
+# None asks `solve_componentwise` for its default bases.
+NOT_ITERABLE_BASES = tuple(v for v in NOT_SEQUENCES if v is not None)
 OFF_AXIS = ("zz", 99, -1, (0,), frozenset())
 UNHASHABLE = ([0], {}, {0: 1})
 NOT_RATIONALS = (
@@ -117,6 +120,7 @@ KINDS = {
     "rational": lambda S: st.sampled_from(NOT_RATIONALS),
     "pin": _pins,
     "function": _functions,
+    "bases": lambda S: st.sampled_from(NOT_ITERABLE_BASES),
 }
 
 
@@ -214,6 +218,7 @@ ENTRIES = [
     ("solve_via_geodesics", "point", lambda S, p: gs.solve_via_geodesics(S, _zero(S), p)),
     ("solve_componentwise", "function", lambda S, f: gs.solve_componentwise(S, f)),
     ("solve_componentwise", "point", lambda S, p: gs.solve_componentwise(S, _zero(S), [p])),
+    ("solve_componentwise", "bases", lambda S, b: gs.solve_componentwise(S, _zero(S), b)),
     ("solve_with_boundary", "function", lambda S, f: gs.solve_with_boundary(S, f, gs.PinSet(()))),
     (
         "solve_with_boundary",
@@ -270,6 +275,15 @@ def test_library_contract_on_malformed_values(data):
         call(S, value)
     except gs.PreconditionError:
         pass
+
+
+@pytest.mark.parametrize("bases", NOT_ITERABLE_BASES)
+def test_componentwise_refuses_bases_that_are_no_sequence(bases):
+    # `list(bases)` leaked "'int' object is not iterable" on the diagonal,
+    # whose two components pass the route's other checks.
+    S = cube_set(DIAGONAL)
+    with pytest.raises(gs.PreconditionError, match="^one base point per component required$"):
+        gs.solve_componentwise(S, _zero(S), bases)
 
 
 def _boundary_with(S, coord):

@@ -393,18 +393,21 @@ def test_shared_kinds_check_exits_internal(capsys, inst_dir, monkeypatch, parts)
 
 
 def test_internal_error_exit_code(capsys, inst_dir, monkeypatch):
-    # With every row of the pinned inverse zero, the walk from point 3 stops
-    # at {0, 3}, which is not full.
-    def zero_rows(system, coords, targets=None):
-        targets = system.columns if targets is None else tuple(targets)
-        return {t: {} for t in targets}
+    # A matching order whose closures drop every point but x and y: from
+    # point 0 to point 3 of t4 that leaves {0, 3}, which is not full, and the
+    # geodesic's count certificate refuses it.
+    real = structure._order
 
-    monkeypatch.setattr(structure, "_pinned_inverse", zero_rows)
+    def thinned(S, x, what):
+        match, closure = real(S, x, what)
+        return match, lambda p: closure(p) and frozenset({x, p})
+
+    monkeypatch.setattr(structure, "_order", thinned)
     code, report, err = run_cli(
         capsys, "geodesic", str(inst_dir / "t4.json"), "--from", "0", "--to", "3"
     )
     assert code == 4 and report is None
-    assert err.startswith("internal error: the geodesic is not full or misses its core")
+    assert err.startswith("internal error: the geodesic is not full\n")
     assert "Traceback" not in err
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 import goodsets as gs
-from goodsets import structure
+from goodsets import linalg, solve, structure
 from goodsets.instances import _example10, parse_instance
 from util import RECTANGLE, T4, cube_set, int_space, oracle_independent, pset
 
@@ -149,57 +149,97 @@ def test_bad_set_of_deficiency_n_minus_one_names_the_entry(name, call, message):
             assert str(err.value) == message
 
 
-def test_full_set_geodesic_checks_goodness_without_a_rank(monkeypatch):
-    # On a set with def(S) = n - 1 the pinned inversion behind the walk is
-    # the good-set check, so no rank of S runs: the known geodesics still
-    # come back, and a dependent set still gets the exact message.
-    def no_rank(system):
-        raise AssertionError("a full set's geodesic ranked its rows")
+def _count_eliminations(monkeypatch) -> list:
+    """Record the column count of every `_echelon` call, under each name it is bound to."""
+    real, calls = linalg._echelon, []
 
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return real(rows, ncols)
+
+    monkeypatch.setattr(linalg, "_echelon", counted)
+    monkeypatch.setattr(structure, "_echelon", counted)
+    return calls
+
+
+def test_geodesic_entries_run_one_good_set_elimination(monkeypatch):
+    # `related`, `geodesic` and `full_component` rank S once and read the
+    # rest off the matching order, which does no arithmetic; on a set with
+    # def(S) = n - 1, `bound_diagnostics` takes its one pinned inversion as
+    # the check.  The known geodesics still come back, and a dependent set
+    # still gets the exact message after that one elimination.
+    calls = _count_eliminations(monkeypatch)
     chain = parse_instance(_example10(6))
-    monkeypatch.setattr(structure, "rank", no_rank)
     t4 = cube_set(T4)
+    apart = pset(T4 + [(2, 2, 2)], (3, 3, 3))
     for y in t4:
+        calls.clear()
         g = gs.geodesic(t4, (1, 0, 1), y)
         assert set(g.points) == ({y} if y == (1, 0, 1) else set(t4.points))
+        assert len(calls) == 1
     base = chain.file_points[0]
     for index, y in enumerate(chain.file_points):
         # Base to a step-m point of the doubling chain: 3m + 1 points on the
         # diagonal, 3m - 1 off it.
         step = (index + 2) // 3
         length = 1 if step == 0 else 3 * step + (1 if index % 3 == 0 else -1)
+        calls.clear()
         g = gs.geodesic(chain.point_set, base, y)
         assert g.length == length and {base, y} <= set(g.points)
+        assert len(calls) == 1
         assert gs.is_full(g.points)
+    for S in (t4, chain.point_set, apart):
+        for call in (
+            lambda: gs.related(S, S.points[0], S.points[-1]),
+            lambda: gs.full_component(S, S.points[-1]),
+        ):
+            calls.clear()
+            call()
+            assert len(calls) == 1
+    calls.clear()
+    assert gs.bound_diagnostics(chain.point_set).max_geodesic_length == 19
+    assert len(calls) == 1
+    # The block solve eliminates each block, so the solve routes count ranks:
+    # the geodesic route ranks S once, and the componentwise route leaves its
+    # check to the refinement behind `related_components`.
+    real_rank, ranks = structure.rank, []
+    monkeypatch.setattr(structure, "rank", lambda system: ranks.append(system) or real_rank(system))
+    for S, solver, count in [
+        (chain.point_set, gs.solve_via_geodesics, 1),
+        (t4, gs.solve_via_geodesics, 1),
+        (apart, gs.solve_componentwise, 0),
+    ]:
+        ranks.clear()
+        assert solver(S, gs.FunctionTable.zero(S)).unique
+        assert len(ranks) == count
     for S in RANK_PATH_SETS:
+        calls.clear()
         with pytest.raises(gs.PreconditionError) as err:
             gs.geodesic(S, S.points[0], S.points[-1])
         assert str(err.value) == "geodesic requires a good set"
+        assert len(calls) == 1
 
 
 def test_singular_class_inversion_is_a_precondition_only_on_the_whole_set(monkeypatch):
-    # A singular pinned inversion means "S is not good" only when x's class
-    # is S itself, def(S) = n - 1; on a proper class the refinement has
-    # already checked S, so the same failure is an internal error.
-    def singular(system, coords, targets=None):
+    # The one pinned inversion left is `bound_diagnostics`' of the whole set
+    # with def(S) = n - 1, where a singular inversion means S is not good.
+    # No other entry inverts a class: the matching order answers them, so a
+    # broken inversion leaves their answers as they were.
+    def singular(system, coords):
         raise gs.VerificationError("pinned system is singular")
 
-    monkeypatch.setattr(structure, "_pinned_inverse", singular)
+    monkeypatch.setattr(linalg, "_pinned_inverse", singular)
+    monkeypatch.setattr(solve, "_pinned_inverse", singular)
     t4 = cube_set(T4)
     apart = pset(T4 + [(2, 2, 2)], (3, 3, 3))
     assert gs.is_good(apart) and apart.deficiency() > apart.space.n - 1
-    with pytest.raises(gs.VerificationError, match="^pinned system is singular$"):
-        gs.geodesic(apart, (1, 0, 1), (0, 0, 0))
-    # Unrelated points need no inversion.
+    assert set(gs.geodesic(apart, (1, 0, 1), (0, 0, 0)).points) == set(T4)
     assert gs.geodesic(apart, (1, 0, 1), (2, 2, 2)) is None
-    for message, call in [
-        ("geodesic", lambda: gs.geodesic(t4, (1, 0, 1), (0, 0, 0))),
-        ("bound_diagnostics", lambda: gs.bound_diagnostics(t4)),
-        ("solve_via_geodesics", lambda: gs.solve_via_geodesics(t4, gs.FunctionTable.zero(t4))),
-    ]:
-        with pytest.raises(gs.PreconditionError) as err:
-            call()
-        assert str(err.value) == f"{message} requires a good set"
+    assert gs.geodesic(t4, (1, 0, 1), (0, 0, 0)).length == 4
+    assert gs.solve_via_geodesics(t4, gs.FunctionTable.zero(t4)).unique
+    with pytest.raises(gs.PreconditionError) as err:
+        gs.bound_diagnostics(t4)
+    assert str(err.value) == "bound_diagnostics requires a good set"
 
 
 def test_random_bad_sets_cover_both_sides_of_n_minus_one():

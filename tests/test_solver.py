@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import goodsets as gs
-from goodsets import linalg, solve, structure
+from goodsets import linalg, solve
 from goodsets.instances import _example10, example_instance, parse_instance
 from goodsets.linalg import _pinned_inverse
 from util import (
@@ -13,6 +13,7 @@ from util import (
     T4,
     brute_force_geodesic,
     cube_set,
+    greedy_maximal_cube,
     int_space,
     pset,
     random_decomposition,
@@ -383,8 +384,8 @@ def test_bound_diagnostics_matches_indicator_sweep():
 def test_indicator_maximum_matches_every_inverse_entry():
     # The sweep's maximum skips the inverse's zero entries; it must equal
     # the largest |v| over all of them, zeros included.
-    sets = [_greedy_maximal_cube(random.Random(seed), k) for seed in range(3) for k in (8, 20)]
-    sets += [_greedy_maximal_cube(random.Random(seed), 5, 4) for seed in range(3)]
+    sets = [greedy_maximal_cube(random.Random(seed), k) for seed in range(3) for k in (8, 20)]
+    sets += [greedy_maximal_cube(random.Random(seed), 5, 4) for seed in range(3)]
     rng = random.Random(103)
     for S in sets:
         base = rng.choice(S.points)
@@ -395,7 +396,7 @@ def test_indicator_maximum_matches_every_inverse_entry():
 
 
 def test_doubling_chain_frontier_depth_twelve():
-    # 37 points: each geodesic is its core, read off one pinned inverse.
+    # 37 points: every block of the matching order is one point.
     depth = 12
     S = parse_instance(_example10(depth)).point_set
     f = random_function(random.Random(73), S)
@@ -412,7 +413,8 @@ def test_doubling_chain_frontier_depth_twelve():
 
 
 def test_doubling_chain_frontier_depth_forty():
-    # 121 points: every geodesic is walked over one pinned inverse.
+    # 121 points: one pinned inverse for the indicator sweep, and every
+    # geodesic length read off the matching order.
     depth = 40
     S = parse_instance(_example10(depth)).point_set
     f = random_function(random.Random(79), S)
@@ -446,24 +448,10 @@ def test_doubling_chain_frontier_depth_two_hundred():
     assert elapsed < 5
 
 
-def _greedy_maximal_cube(rng, k, n=3):
-    """Uniform points of k^n, each kept when its row is independent of those kept."""
-    space = int_space((k,) * n)
-    index = {c: j for j, c in enumerate(space.coordinates())}
-    basis = gs.RowBasis(len(index))
-    kept = set()
-    while len(kept) < n * (k - 1) + 1:
-        p = tuple(rng.randrange(k) for _ in range(n))
-        row = {index[c]: 1 for c in enumerate(p)}
-        if p not in kept and basis.add_sparse(row) is not None:
-            kept.add(p)
-    return gs.PointSet.of(space, kept)
-
-
 def test_greedy_maximal_frontier():
     # 598 points of 200^3, one relatedness class: a maximal good set is full.
     rng = random.Random(83)
-    S = _greedy_maximal_cube(rng, 200)
+    S = greedy_maximal_cube(rng, 200)
     f = random_function(rng, S)
     pins = gs.PinSet.zeros([(i, S.points[0][i]) for i in range(2)])
     start = time.monotonic()
@@ -480,11 +468,36 @@ def test_greedy_maximal_frontier():
     assert components_elapsed < 5
 
 
+def test_greedy_maximal_matching_order_frontier():
+    # The same 598 points: both geodesic routes solve block by block along
+    # the matching order from the base, and 20 geodesics from the base each
+    # rank S once and read one closure.
+    rng = random.Random(83)
+    S = greedy_maximal_cube(rng, 200)
+    f = random_function(rng, S)
+    base = S.points[0]
+    pins = gs.PinSet.zeros([(i, base[i]) for i in range(2)])
+    direct = gs.solve_direct(S, f, pins)
+    for solver in (gs.solve_via_geodesics, gs.solve_componentwise):
+        start = time.monotonic()
+        report = solver(S, f)
+        elapsed = time.monotonic() - start
+        assert report.decomposition.tables == direct.decomposition.tables
+        assert elapsed < 2
+    targets = random.Random(5).sample(S.points, 20)
+    start = time.monotonic()
+    geodesics = [gs.geodesic(S, base, y) for y in targets]
+    elapsed = time.monotonic() - start
+    for y, g in zip(targets, geodesics):
+        assert {base, y} <= set(g.points) and g.points.deficiency() == 2
+    assert elapsed < 5
+
+
 def test_greedy_maximal_geodesic_frontier():
-    # 118 points of 40^3: the core is full for few targets, so nearly every
-    # geodesic of the sweep walks past its first layer.
+    # 118 points of 40^3: most geodesics from the base hold points of the
+    # one large block of the matching order.
     rng = random.Random(2)
-    S = _greedy_maximal_cube(rng, 40)
+    S = greedy_maximal_cube(rng, 40)
     base = S.points[0]
     f = random_function(rng, S)
     start = time.monotonic()
@@ -504,10 +517,10 @@ def test_greedy_maximal_geodesic_frontier():
 
 
 def test_greedy_maximal_geodesic_routes_frontier():
-    # 238 points of 80^3: both routes dot each row of one pinned inverse
-    # once, and walk each geodesic over it for its length alone.
+    # 238 points of 80^3: both routes solve block by block along the
+    # matching order, with no pinned inverse.
     rng = random.Random(2)
-    S = _greedy_maximal_cube(rng, 80)
+    S = greedy_maximal_cube(rng, 80)
     f = random_function(rng, S)
     base = S.points[0]
     pins = gs.PinSet.zeros([(i, base[i]) for i in range(S.space.n - 1)])
@@ -522,15 +535,15 @@ def test_greedy_maximal_geodesic_routes_frontier():
 
 
 def test_shared_inverse_matches_single_geodesics():
-    # One inverse per base serves every walk; each single geodesic computes
-    # its own core rows, and the full inverse only past the core.  The
-    # greedy maximal sets make most walks go past their first layer.  The
-    # direct solve pins the same coordinates.
+    # The lengths `bound_diagnostics` reads off one matching order from the
+    # base are those of each single geodesic, which orders again.  The
+    # greedy maximal sets have large blocks.  The direct solve pins the same
+    # coordinates.
     rng = random.Random(97)
     sets = [gs.full_closure(random_good_set(rng, random_space(rng), 8)) for _ in range(40)]
     sets += [ex10(depth).point_set for depth in range(1, 7)]
-    greedy = [_greedy_maximal_cube(random.Random(seed), 8) for seed in range(3)]
-    greedy += [_greedy_maximal_cube(random.Random(seed), 5, 4) for seed in range(3)]
+    greedy = [greedy_maximal_cube(random.Random(seed), 8) for seed in range(3)]
+    greedy += [greedy_maximal_cube(random.Random(seed), 5, 4) for seed in range(3)]
     for S in sets + greedy:
         base = rng.choice(S.points)
         diag = gs.bound_diagnostics(S, base)
@@ -612,58 +625,56 @@ def test_split_check_catches_a_wrong_value(monkeypatch, route, target, message):
 
 
 @pytest.mark.parametrize("route", ["geodesic", "componentwise"])
-def test_wrong_held_inverse_is_caught(monkeypatch, route):
-    # Both routes read every value off one held pinned inverse, taken from
-    # `structure._inverse` through `_pinned_class` on the geodesic route and
-    # from `solve._inverse` per component.  One entry scaled by 2 moves one
-    # coordinate's value off by that entry, as f = 1 everywhere, and the
-    # split check must refuse the split.
+def test_wrong_block_value_is_caught(monkeypatch, route):
+    # Both routes solve the blocks of the matching order one at a time with
+    # `linalg._canonical_solution`.  One block's first value off by one must
+    # not be reported: the split check must refuse the split.
     inst = parse_instance(_example10(2))
-    S = inst.point_set
-    f = gs.FunctionTable(S, {p: 1 for p in S})
-    module = structure if route == "geodesic" else solve
-    real = module._inverse
+    S, f = inst.point_set, inst.f
+    real, solved = linalg._canonical_solution, []
 
-    def scaled(F, x, targets=None):
-        rows = real(F, x, targets)
-        row = next(row for row in rows.values() if row)
-        k = next(iter(row))
-        row[k] *= 2
-        return rows
+    def wrong(rows, rhs, ncols):
+        solution, basis = real(rows, rhs, ncols)
+        solved.append(ncols)
+        if len(solved) == 3:
+            solution[0] += 1
+        return solution, basis
 
-    monkeypatch.setattr(module, "_inverse", scaled)
+    monkeypatch.setattr(solve, "_canonical_solution", wrong)
     solver = gs.solve_via_geodesics if route == "geodesic" else gs.solve_componentwise
     with pytest.raises(gs.VerificationError, match="^split does not reproduce f$"):
         solver(S, f)
+    assert len(solved) > 3
 
 
-def test_one_pinned_inverse_per_class_per_solve(monkeypatch):
-    # The geodesic route inverts its class once; the componentwise route
-    # inverts each component once.  No geodesic is inverted on its own.
-    real, calls = structure._pinned_inverse, []
+def test_no_pinned_inverse_on_either_geodesic_route(monkeypatch):
+    # The geodesic and componentwise routes solve block by block along the
+    # matching order, and the geodesic route's good-set check is one rank of
+    # S; neither inverts a class or a geodesic.  Their splits equal the
+    # direct solve pinned at the same base.
+    def no_inverse(system, coords):
+        raise AssertionError("a geodesic route inverted a pinned system")
 
-    def counted(system, coords, targets=None):
-        calls.append(system)
-        return real(system, coords, targets)
-
-    monkeypatch.setattr(structure, "_pinned_inverse", counted)
+    monkeypatch.setattr(linalg, "_pinned_inverse", no_inverse)
+    monkeypatch.setattr(solve, "_pinned_inverse", no_inverse)
     rng = random.Random(131)
     full = [gs.full_closure(random_good_set(rng, random_space(rng), 8)) for _ in range(20)]
     full += [ex10(depth).point_set for depth in (1, 3)]
     for S in full:
-        calls.clear()
-        gs.solve_via_geodesics(S, random_function(rng, S), rng.choice(S.points))
-        assert len(calls) == 1
+        f, base = random_function(rng, S), rng.choice(S.points)
+        pins = gs.PinSet.zeros([(i, base[i]) for i in range(S.space.n - 1)])
+        via = gs.solve_via_geodesics(S, f, base)
+        assert via.decomposition.tables == gs.solve_direct(S, f, pins).decomposition.tables
     for parts in (1, 2, 3):
         points, offsets = [], [0, 0, 0]
         for _ in range(parts):
             points += [tuple(o + v for o, v in zip(offsets, p)) for p in T4]
             offsets = [o + 2 for o in offsets]
         S = gs.PointSet.of(int_space(offsets), points)
-        calls.clear()
-        gs.solve_componentwise(S, random_function(rng, S))
+        f = random_function(rng, S)
+        report = gs.solve_componentwise(S, f)
         assert len(gs.related_components(S)) == parts
-        assert len(calls) == parts
+        assert all(report.decomposition.evaluate(p) == f(p) for p in S)
 
 
 @pytest.mark.parametrize("solver", [gs.solve_via_geodesics, gs.solve_componentwise])

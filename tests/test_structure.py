@@ -4,11 +4,13 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import goodsets as gs
 from goodsets import structure
 from goodsets.instances import _example10, parse_instance
-from goodsets.linalg import _echelon, _pinned_inverse
+from goodsets.linalg import _echelon
 from util import (
     DIAGONAL,
     RECTANGLE,
@@ -21,7 +23,11 @@ from util import (
     cube_set,
     fraction_signature_groups,
     geodesic_inverse_rows,
+    greedy_maximal_cube,
     int_space,
+    inverse_walk,
+    pinned_inverse,
+    pruned_tree_geodesic,
     pset,
     random_good_set,
     random_space,
@@ -169,8 +175,9 @@ def test_geodesics_match_brute_force_subsets():
 def test_geodesics_lie_inside_every_full_subset():
     # Two full subsets of a good set that share a point meet in a full set,
     # so a geodesic lies inside every full subset through its endpoints, and
-    # so does the core, the first layer of its walk: x, y and the points in
-    # the support of the pinned inverse's rows at y's coordinates.
+    # so does the core, the first layer of the inverse walk: x, y and the
+    # points in the support of the class's pinned inverse's rows at y's
+    # coordinates.
     rng = random.Random(67)
     pairs = completed = 0
     for _ in range(80):
@@ -186,9 +193,8 @@ def test_geodesics_lie_inside_every_full_subset():
                 if x in F and y in F:
                     assert g <= F
             cls = gs.full_component(S, x)
-            pins = [(i, x[i]) for i in range(S.space.n - 1)]
-            rows = _pinned_inverse(gs.IncidenceSystem(cls), pins, enumerate(y))
-            weighted = (cls.points[k] for row in rows.values() for k in row)
+            inverse = pinned_inverse(cls, x)
+            weighted = (cls.points[k] for c in enumerate(y) for k in inverse[c])
             core = frozenset({x, y}.union(weighted))
             assert core <= g
             pairs += 1
@@ -206,17 +212,18 @@ def _rows_off_their_geodesics(S, base, held, inverse):
 
 
 def test_held_inverse_rows_are_every_geodesics_rows():
-    # Theorem (a): for a full G in the class F through the base, the pinned
-    # solve on G agrees with the one on F on C(G), so the rows of F's
-    # pinned inverse at y's coordinates are those of y's geodesic's own
-    # inverse, and zero off it.  A held row with one entry dropped must be
-    # caught at every y that holds its coordinate.
+    # The matching theorem in `structure`: for a full G in the class F
+    # through the base, the pinned solve on G agrees with the one on F on
+    # C(G), which the block solve relies on.  So the rows of F's pinned
+    # inverse at y's coordinates are those of y's geodesic's own inverse,
+    # and zero off it.  A held row with one entry dropped must be caught at
+    # every y that holds its coordinate.
     rng = random.Random(137)
     sets = [gs.full_closure(random_good_set(rng, random_space(rng), 8)) for _ in range(60)]
     sets += [parse_instance(_example10(depth)).point_set for depth in range(1, 9)]
     for S in sets:
         base = rng.choice(S.points)
-        inverse = structure._inverse(S, base)
+        inverse = pinned_inverse(S, base)
         assert _rows_off_their_geodesics(S, base, inverse, inverse) == []
         coord = rng.choice([c for c, row in inverse.items() if row])
         dropped = dict(inverse[coord])
@@ -224,6 +231,68 @@ def test_held_inverse_rows_are_every_geodesics_rows():
         mutant = {**inverse, coord: dropped}
         holders = [y for y in S if coord in enumerate(y)]
         assert _rows_off_their_geodesics(S, base, mutant, inverse) == holders
+
+
+def _brute_force_class(S, x):
+    return next(c for c in brute_force_components(S.points) if x in c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), pick=st.integers(0, 8))
+def test_matching_order_matches_brute_force_subsets(seed, pick):
+    # On random good sets of up to 9 points, the order from x gives every
+    # geodesic g(x, z) that the subset search finds, None for an unrelated
+    # z, and x's class; `related`, `geodesic` and `full_component` read it.
+    rng = random.Random(seed)
+    S = random_good_set(rng, random_space(rng), 9)
+    x = S.points[pick % len(S)]
+    _, closure = structure._order(S, x, "test")
+    for z in S:
+        expected = brute_force_geodesic(S.points, x, z)
+        assert closure(z) == (expected[0] if expected else None)
+        assert gs.related(S, x, z) == bool(expected)
+        g = gs.geodesic(S, x, z)
+        assert (g and frozenset(g.points)) == (expected[0] if expected else None)
+    cls = _brute_force_class(S, x)
+    assert frozenset(z for z in S if closure(z) is not None) == cls
+    assert frozenset(gs.full_component(S, x)) == cls
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from([(8, 3), (5, 4)]))
+def test_matching_order_matches_the_inverse_walk(seed, shape):
+    # Greedy maximal sets in 8^3 and 5^4 are full and too large for the
+    # subset search: each closure from the base must be the walk over the
+    # set's pinned inverse, and the matching must send each point but the
+    # base, injectively, to one of its own coordinates outside the base's.
+    rng = random.Random(seed)
+    S = greedy_maximal_cube(rng, *shape)
+    x = rng.choice(S.points)
+    match, closure = structure._order(S, x, None)
+    inverse = pinned_inverse(S, x)
+    for z in S:
+        assert closure(z) == frozenset(inverse_walk(S, x, z, inverse))
+    assert match[x] == (S.space.n - 1, x[-1])
+    assert len(set(match.values())) == len(S)
+    for p in S:
+        assert p == x or (match[p] in set(enumerate(p)) - set(enumerate(x)))
+
+
+def test_matching_order_on_two_axes_is_the_tree_order():
+    # For n = 2 a good set is a forest in the bipartite graph of its values:
+    # x's class is x's tree, each block of the order is one point, and
+    # g(x, z) is the least subtree holding x and z.
+    rng = random.Random(139)
+    for _ in range(40):
+        S = random_good_set(rng, random_space(rng, (2,), max_axis=8), 14)
+        trees = bipartite_components(list(S.points))
+        x = rng.choice(S.points)
+        tree = next(t for t in trees if x in t)
+        _, closure = structure._order(S, x, None)
+        assert frozenset(z for z in S if closure(z) is not None) == tree
+        assert len({closure(z) for z in tree}) == len(tree)
+        for z in tree:
+            assert closure(z) == pruned_tree_geodesic(tree, x, z)
 
 
 def test_ei_classes_single_component():

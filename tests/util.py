@@ -3,8 +3,9 @@
 The oracles here stay independent of the code paths they check: incidence
 rows are rebuilt from the encoding's definition, rank/null-space questions go
 through sympy, the n = 2 statements use a union-find over the bipartite
-multigraph rather than any linear algebra, and relatedness classes and
-geodesics come from enumerating every subset.  `DenseRowBasis` is the
+multigraph rather than any linear algebra (and `pruned_tree_geodesic` a
+pruning of its leaves), and relatedness classes and geodesics come from
+enumerating every subset.  `DenseRowBasis` is the
 dense elimination that the sparse `RowBasis` must match row for row,
 `fraction_marginals` the plain `Fraction` sums that the integer marginals
 must match entry by entry, `fraction_signature_groups` the `Fraction`
@@ -13,9 +14,11 @@ kernel signatures that the integer signature keys must group alike, and
 tagged elimination's circuit must match coefficient for coefficient,
 `union_find_ei_classes` the union-find that the set-merging chain classes
 must match class for class, `oracle_is_boundary` the sympy rank of the
-stacked pin rows that the one boundary test must agree with, and
-`geodesic_inverse_rows` the per-geodesic inversion whose rows the class's
-held pinned inverse must match row for row.
+stacked pin rows that the one boundary test must agree with,
+`inverse_walk` the walk over a pinned inverse that the matching order's
+geodesics must match point for point, and `geodesic_inverse_rows` the
+per-geodesic inversion whose rows the class's pinned inverse must match
+row for row.
 """
 
 import itertools
@@ -23,7 +26,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import goodsets as gs
-from goodsets import structure
+from goodsets.linalg import _pinned_inverse
 
 
 def int_space(sizes) -> gs.Space:
@@ -83,6 +86,20 @@ def random_good_set(rng, space, max_points) -> gs.PointSet:
         if gs.is_good(candidate):
             chosen.append(p)
     return gs.PointSet.of(space, chosen)
+
+
+def greedy_maximal_cube(rng, k, n=3) -> gs.PointSet:
+    """Uniform points of k^n, each kept when its row is independent of those kept."""
+    space = int_space((k,) * n)
+    index = {c: j for j, c in enumerate(space.coordinates())}
+    basis = gs.RowBasis(len(index))
+    kept = set()
+    while len(kept) < n * (k - 1) + 1:
+        p = tuple(rng.randrange(k) for _ in range(n))
+        row = {index[c]: 1 for c in enumerate(p)}
+        if p not in kept and basis.add_sparse(row) is not None:
+            kept.add(p)
+    return gs.PointSet.of(space, kept)
 
 
 def random_fraction(rng, span=9, max_den=7) -> Fraction:
@@ -221,19 +238,47 @@ def oracle_is_boundary(S: gs.PointSet, coords) -> bool:
     return len(rows) == len(columns) and Matrix(rows).rank() == len(columns)
 
 
+def pinned_inverse(F: gs.PointSet, x) -> dict:
+    """F's inverse pinned at x's first n - 1 coordinates, every row, by `linalg._pinned_inverse`."""
+    return _pinned_inverse(gs.IncidenceSystem(F), [(i, x[i]) for i in range(F.space.n - 1)])
+
+
+def inverse_walk(F: gs.PointSet, x, y, inverse) -> set:
+    """The points of x and y's geodesic, walked over F's `inverse` pinned at x.
+
+    How `geodesic` found them before the matching order, kept as it was but
+    over the full inverse alone.  F is full and holds x and y.  Layer by
+    layer from y's coordinates, the walk adds the points with a nonzero
+    entry in the rows at the new coordinates, counting the coordinates it
+    has reached, and stops at the first full set.
+    """
+    n, points = F.space.n, F.points
+    reached = {points.index(x), points.index(y)}
+    layer = list(enumerate(y))
+    seen = set(layer)
+    while layer:
+        reached.update(*(inverse[c] for c in layer))
+        coords = {c for k in reached for c in enumerate(points[k])}
+        if len(coords) - len(reached) == n - 1:
+            return {points[k] for k in reached}
+        layer = coords - seen
+        seen |= layer
+    raise AssertionError("the walk ended without a full set")
+
+
 def geodesic_inverse_rows(F: gs.PointSet, x, y, inverse) -> dict:
     """The rows at y's coordinates of the inverse of x and y's geodesic, keyed by F's indices.
 
     How the geodesic route read its values before it read them off the
     class's inverse, kept as it was: the geodesic G is walked over F's
-    `inverse` pinned at x, G's own system pinned at x is inverted at y's
-    coordinates, and each row's keys, indices into G's points, are mapped
-    to the same points' indices in F.
+    `inverse` pinned at x (`inverse_walk`), G's own system pinned at x is
+    inverted, and each row at y's coordinates has its keys, indices into
+    G's points, mapped to the same points' indices in F.
     """
-    G = gs.PointSet(F.space, tuple(structure._walk(F, x, y, inverse)))
+    G = gs.PointSet(F.space, tuple(inverse_walk(F, x, y, inverse)))
     index = {p: k for k, p in enumerate(F.points)}
-    rows = structure._inverse(G, x, enumerate(y))
-    return {c: {index[G.points[k]]: w for k, w in row.items()} for c, row in rows.items()}
+    rows = pinned_inverse(G, x)
+    return {c: {index[G.points[k]]: w for k, w in rows[c].items()} for c in enumerate(y)}
 
 
 def oracle_rank(space, points) -> int:
@@ -380,6 +425,25 @@ def bipartite_components(points):
     for p in points:
         groups.setdefault(find(("L", p[0])), set()).add(tuple(p))
     return sorted(frozenset(g) for g in groups.values())
+
+
+def pruned_tree_geodesic(points, x, y):
+    """n = 2 geodesic oracle: x and y's tree in the bipartite forest, pruned to them.
+
+    Repeatedly drop every point other than x and y with a coordinate that
+    no other point left holds, a leaf edge; what stays is the least subtree
+    holding both edges.  The caller passes the component of x and y.
+    """
+    left = {tuple(p) for p in points}
+    while True:
+        held = {}
+        for p in left:
+            for c in enumerate(p):
+                held[c] = held.get(c, 0) + 1
+        leaves = {p for p in left if p not in (x, y) and min(held[c] for c in enumerate(p)) == 1}
+        if not leaves:
+            return frozenset(left)
+        left -= leaves
 
 
 def brute_force_full_subsets(points):
