@@ -21,10 +21,13 @@ key handed in by a caller is first read by `model._coordinate`.
 One dependence scan decides goodness and yields loops (`extract_circuit`):
 one reverse pass over the canonical support finds the first point e_k that
 turns the rows dependent, if any; from e_k on, the support holds exactly
-one circuit.  Only then are those tail rows eliminated once more, each
-tagged by a unit column of its own, the way a witness is read: the one
-basis row whose coordinate part is zero carries the circuit's primitive
-integer coefficients in its tags, e_k's first and positive.
+one circuit.  The scan builds a point's row only when it reaches the point,
+so it builds no `IncidenceSystem`, and a set that is not good costs the
+tail from e_k on, not the whole support.  Only then are the tail's rows
+eliminated once more, each tagged by a unit column of its own, the way a
+witness is read: the one basis row whose coordinate part is zero carries
+the circuit's primitive integer coefficients in its tags, e_k's first and
+positive.
 """
 
 from __future__ import annotations
@@ -480,25 +483,30 @@ def _circuit(S: PointSet) -> CircuitVector | None:
     """The dependence scan: the circuit among S's points, None if they are independent.
 
     One pass scans S in reverse canonical order, with rows over S's own
-    coordinates; the first point e_k whose row is dependent on the rows
-    after it makes T = S.points[k:] hold exactly one circuit, and e_k is in
-    it.  That circuit is what the deletion loop (drop, in canonical order,
-    any point whose removal keeps the rest dependent) would leave.  T's rows
-    are then eliminated once more, tagged (`_tagged_echelon`): exactly one
-    basis row has a zero coordinate part, its lead is e_k's tag, and its tag
-    entries are the circuit's primitive integer coefficients, e_k's positive.
-    The tags enter only here, after the scan, so a good set pays the scan
-    alone.
+    coordinates (`S.coordinates()`); each point's row is built by
+    `_incidence_row` only when the scan reaches it.  The first point e_k
+    whose row is dependent on the rows after it makes T = S.points[k:] hold
+    exactly one circuit, and e_k is in it.  That circuit is what the
+    deletion loop (drop, in canonical order, any point whose removal keeps
+    the rest dependent) would leave.  T's rows, the ones the scan built, are
+    then eliminated once more, tagged (`_tagged_echelon`): exactly one basis
+    row has a zero coordinate part, its lead is e_k's tag, and its tag
+    entries are the circuit's primitive integer coefficients, e_k's
+    positive.  So a set that is not good costs its tail, not its support,
+    and a good set pays the scan alone.
     """
-    system = IncidenceSystem(S)
-    rows = system.sparse_rows
-    ncols = len(system.columns)
+    col_index = {c: j for j, c in enumerate(S.coordinates())}
+    ncols = len(col_index)
     scan = RowBasis(ncols)
-    k = next((k for k in reversed(range(len(rows))) if scan.add_sparse(rows[k]) is None), None)
-    if k is None:
+    tail: list[dict[int, int]] = []
+    for k in reversed(range(len(S))):
+        tail.append(_incidence_row(S.points[k], col_index))
+        if scan.add_sparse(tail[-1]) is None:
+            break
+    else:
         return None
 
-    basis = _tagged_echelon(rows[k:], ncols)
+    basis = _tagged_echelon(tail[::-1], ncols)
     if [p for p in basis.pivot_rows if p >= ncols] != [ncols]:
         raise VerificationError("tail relations are not one, led by the first dependent point")
     tags, coefficients = zip(*sorted(basis.pivot_rows[ncols].items()))

@@ -10,15 +10,22 @@ support admits no nonzero signed measure with vanishing marginals at all
 against brute-force extremality in the acceptance tests rather than assumed.
 
 Marginals and every "sums to one" check add integer numerators over one
-common denominator, the lcm of the weights' denominators, and build a
-`Fraction` only for each value they return.
+common denominator D, the lcm of the weights' denominators, and build a
+`Fraction` only for each value they return.  A `FiniteMeasure` keeps the
+numerators and D that its validation computed, and `marginals` reads them.
+A simplicial certificate costs the loop, not the support: the step is
+epsilon = min w_p / |c_p| over the loop's entries, and `is_simplicial`
+checks both perturbed measures in integers over the loop's distinct points
+alone.  They keep total mass one exactly when the coefficients sum to
+zero, and stay nonnegative exactly when each point's weight covers epsilon
+times the sum of its coefficients; no other weight moves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .goodness import Loop, is_good
 from .linalg import _over_common_denominator
@@ -36,10 +43,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FiniteMeasure:
-    """Rational probability weights, strictly positive on the support."""
+    """Rational probability weights, strictly positive on the support.
+
+    `_integer` holds what validation computed: the weights' points and
+    values, in the weights' order, their integer numerators and D.
+    """
 
     support: PointSet
     weights: Mapping
+    _integer: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.support.require_nonempty("finite measure")
@@ -52,12 +64,25 @@ class FiniteMeasure:
         if sum(numerators) != D:
             raise PreconditionError("weights must sum to one exactly")
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "_integer", (tuple(w), tuple(w.values()), numerators, D))
 
     @classmethod
     def uniform(cls, support: PointSet) -> "FiniteMeasure":
         support.require_nonempty("uniform measure")
         w = Fraction(1, len(support))
         return cls(support, {p: w for p in support})
+
+    def _integer_weights(self) -> tuple[Iterable, list[int], int]:
+        """(points, numerators, D): the weights in order, as integers over D.
+
+        These are validation's own while the weights dict holds the points
+        and values validated; a dict changed in place is read afresh.
+        """
+        points, values, numerators, D = self._integer
+        if tuple(self.weights) != points or tuple(self.weights.values()) != values:
+            numerators, D = _over_common_denominator(self.weights.values())
+            points = self.weights
+        return points, numerators, D
 
     def __call__(self, point) -> Fraction:
         """The weight at a point, 0 off the support; a point is read only if the lookup misses."""
@@ -83,11 +108,11 @@ class MarginalVector:
 
 def marginals(m: FiniteMeasure) -> MarginalVector:
     """One-dimensional marginals of the measure."""
-    numerators, D = _over_common_denominator(m.weights.values())
+    points, numerators, D = m._integer_weights()
     per_axis: list[dict] = []
     for i in range(m.support.space.n):
         table: dict = {}
-        for p, a in zip(m.weights, numerators):
+        for p, a in zip(points, numerators):
             table[p[i]] = table.get(p[i], 0) + a
         if sum(table.values()) != D:
             raise VerificationError("a marginal does not sum to one")
@@ -125,26 +150,39 @@ class SimplicialVerdict:
             if m(p) < abs(move):
                 raise PreconditionError(f"the measure weighs {p!r} below the certificate's step")
             w[p] = w.get(p, Fraction(0)) + move
-        return {p: v for p, v in w.items() if v.numerator}
+        for p in dict.fromkeys(self.loop.points):
+            if not w[p]:
+                del w[p]
+        return w
 
 
 def is_simplicial(m: FiniteMeasure) -> SimplicialVerdict:
-    """Extreme among measures with the same marginals <=> support is good."""
+    """Extreme among measures with the same marginals <=> support is good.
+
+    The certificate is checked before it is returned, over the loop alone:
+    with epsilon = e / f and C_p the sum of point p's coefficients,
+    mu + sign*eps*nu weighs w_p + sign*C_p*e/f at p, which for w_p = a / d
+    is nonnegative exactly when a*f + sign*C_p*e*d is, and its total stays
+    one exactly when the C_p sum to zero.  The checks run in the order of
+    the two perturbed measures, +1 first, each sign before mass.
+    """
     verdict = is_good(m.support)
     if verdict.good:
         return SimplicialVerdict(True, None, None)
     loop = verdict.loop
-    epsilon = min(
-        m.weights[p] / abs(c) for p, c in zip(loop.points, loop.coefficients)
-    )
-    certificate = SimplicialVerdict(False, loop, epsilon)
+    epsilon = min(m.weights[p] / abs(c) for p, c in zip(loop.points, loop.coefficients))
+    moves: dict = {}
+    for p, c in zip(loop.points, loop.coefficients):
+        moves[p] = moves.get(p, 0) + c
+    e, f = epsilon.as_integer_ratio()
     for sign in (+1, -1):
-        numerators, D = _over_common_denominator(certificate.perturbed(m, sign).values())
-        if any(a < 0 for a in numerators):
-            raise VerificationError("perturbed measure went negative")
-        if sum(numerators) != D:
+        for p, c in moves.items():
+            a, d = m.weights[p].as_integer_ratio()
+            if a * f + sign * c * e * d < 0:
+                raise VerificationError("perturbed measure went negative")
+        if sum(moves.values()):
             raise VerificationError("perturbed measure lost total mass")
-    return certificate
+    return SimplicialVerdict(False, loop, epsilon)
 
 
 def is_mu_set(S: PointSet) -> bool:

@@ -2,10 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import goodsets as gs
 from goodsets.instances import _example10, parse_instance
-from goodsets.linalg import _is_boundary, _pinned_inverse
+from goodsets.linalg import _circuit, _is_boundary, _pinned_inverse
 from util import (
     DIAGONAL,
     DenseRowBasis,
@@ -23,6 +25,7 @@ from util import (
     random_good_set,
     random_space,
     transposed_kernel_circuit,
+    whole_system_circuit,
 )
 
 
@@ -383,6 +386,36 @@ def test_tagged_circuit_matches_transposed_kernel():
     # The closed chain of depth d has coefficients up to 2^(d - 1).
     for d, top in ((6, 32), (10, 512), (14, 8192)):
         assert max(map(abs, transposed_kernel_circuit(_closed_chain(d)).coefficients)) == top
+
+
+def _scan_input(kind, rng) -> gs.PointSet:
+    """One set of the kind: a random dense subset, a closed chain, a maximal
+    set plus one point, or a random good set."""
+    if kind == "closed-chain":
+        return _closed_chain(rng.randint(1, 14))
+    space = random_space(rng, max_axis=6)
+    product = list(space.all_points())
+    if kind == "dense-subset":
+        return gs.PointSet.of(space, rng.sample(product, rng.randint(1, min(150, len(product)))))
+    S = random_good_set(rng, space, 12)
+    if kind == "good":
+        return S
+    M = gs.extend_to_maximal(S)
+    return M.union(rng.sample([p for p in product if p not in M], min(1, len(product) - len(M))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(("dense-subset", "closed-chain", "maximal-plus-one", "good")),
+    rng=st.randoms(use_true_random=False),
+)
+def test_lazy_scan_matches_whole_system_scan(kind, rng):
+    S = _scan_input(kind, rng)
+    want = whole_system_circuit(S)
+    assert _circuit(S) == want
+    assert gs.is_good(S).loop == want
+    if kind != "dense-subset":
+        assert (want is None) == oracle_independent(S.space, S.points)
 
 
 def test_unique_solutions_match_sympy():

@@ -1,4 +1,6 @@
+import gc
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,8 @@ from util import (
     T4,
     cube_set,
     fraction_marginals,
+    fraction_perturbation,
+    int_space,
     oracle_zero_marginal_dependency,
     pset,
     random_measure,
@@ -220,3 +224,101 @@ def test_perturbation_lost_mass_message(monkeypatch):
     with pytest.raises(gs.VerificationError) as exc:
         gs.is_simplicial(m)
     assert str(exc.value) == "perturbed measure lost total mass"
+
+
+def _full_dict_verdict(m, loop):
+    """What checking both perturbed measures in full, as `Fraction` dicts, says."""
+    for sign in (+1, -1):
+        _, weights = fraction_perturbation(m, loop, sign)
+        if any(v < 0 for v in weights.values()):
+            return "perturbed measure went negative"
+        if sum(weights.values()) != 1:
+            return "perturbed measure lost total mass"
+    return None
+
+
+def test_certificates_match_the_fraction_oracle():
+    rng = random.Random(139)
+    done = 0
+    while done < 60:
+        S = random_point_set(rng, random_space(rng, (2, 3, 4), max_axis=5), 40)
+        weights = _mixed_weights(rng, S) if rng.random() < 0.5 else random_measure(rng, S).weights
+        m = gs.FiniteMeasure(S, weights)
+        verdict = gs.is_simplicial(m)
+        if verdict.simplicial:
+            continue
+        for sign in (+1, -1):
+            epsilon, weights = fraction_perturbation(m, verdict.loop, sign)
+            assert verdict.epsilon == epsilon
+            assert list(verdict.perturbed(m, sign).items()) == list(weights.items())
+        done += 1
+
+
+def test_loop_only_check_matches_the_full_dict_check(monkeypatch):
+    # Hand-made loops may repeat a point and need not cancel: the check
+    # sums each point's coefficients, and must raise what the full-dict
+    # check raised, in the same order, or pass where it passed.
+    rng = random.Random(149)
+    outcomes = set()
+    for _ in range(300):
+        S = random_point_set(rng, random_space(rng, (2, 3), max_axis=3), 8)
+        m = random_measure(rng, S)
+        points = [rng.choice(S.points) for _ in range(rng.randint(1, 6))]
+        coefficients = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in points]
+        if rng.random() < 0.5:
+            points.append(rng.choice(S.points))
+            coefficients.append(-sum(coefficients) or 1)
+        _with_loop(monkeypatch, points, coefficients)
+        want = _full_dict_verdict(m, gs.Loop(tuple(points), tuple(coefficients)))
+        if want is None:
+            verdict = gs.is_simplicial(m)
+            assert verdict.epsilon == fraction_perturbation(m, verdict.loop, 1)[0]
+        else:
+            with pytest.raises(gs.VerificationError) as exc:
+                gs.is_simplicial(m)
+            assert str(exc.value) == want
+        outcomes.add(want)
+    assert outcomes == {
+        None, "perturbed measure went negative", "perturbed measure lost total mass"
+    }
+
+
+def test_measure_repr_and_equality_ignore_the_integer_form():
+    S = pset(RECTANGLE)
+    weights = dict(zip(S.points, (Fraction(1, 2), Fraction(1, 6), Fraction(1, 6), Fraction(1, 6))))
+    m = gs.FiniteMeasure(S, weights)
+    assert repr(m) == f"FiniteMeasure(support={S!r}, weights={weights!r})"
+    assert m == gs.FiniteMeasure(S, dict(reversed(weights.items())))
+    assert m != gs.FiniteMeasure.uniform(S)
+
+
+def test_marginals_read_a_weights_dict_changed_in_place():
+    # Two weights swapped: the total is still one, and the marginals are
+    # those of the weights as they now are.
+    S = pset(RECTANGLE)
+    weights = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 12), Fraction(1, 12))
+    m = gs.FiniteMeasure(S, dict(zip(S.points, weights)))
+    a, b = S.points[0], S.points[-1]
+    m.weights[a], m.weights[b] = m.weights[b], m.weights[a]
+    assert gs.marginals(m).per_axis == tuple(fraction_marginals(m.weights, S.space.n))
+
+
+def test_product_frontier_certificate_costs_the_loop():
+    # The uniform measure on all of 40^3 (64,000 points): the scan meets a
+    # loop within the last few points, and the certificate is checked over
+    # the loop alone.
+    space = int_space((40, 40, 40))
+    S = gs.PointSet.of(space, space.all_points())
+    m = gs.FiniteMeasure.uniform(S)
+    gc.collect()
+    start = time.monotonic()
+    loop = gs.is_good(S).loop
+    good_elapsed = time.monotonic() - start
+    gc.collect()
+    start = time.monotonic()
+    verdict = gs.is_simplicial(m)
+    simplicial_elapsed = time.monotonic() - start
+    assert verdict.loop == loop and len(loop) == 4
+    assert verdict.epsilon == Fraction(1, 64000)
+    assert good_elapsed < 0.06
+    assert simplicial_elapsed < 0.03

@@ -18,7 +18,10 @@ stacked pin rows that the one boundary test must agree with,
 `inverse_walk` the walk over a pinned inverse that the matching order's
 geodesics must match point for point, and `geodesic_inverse_rows` the
 per-geodesic inversion whose rows the class's pinned inverse must match
-row for row.
+row for row, `whole_system_circuit` the scan over every row of S that the
+lazy dependence scan must match circuit for circuit, and
+`fraction_perturbation` the full-dict `Fraction` perturbation that the
+loop-only integer certificate must match step and weights alike.
 """
 
 import itertools
@@ -26,7 +29,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import goodsets as gs
-from goodsets.linalg import _pinned_inverse
+from goodsets.linalg import _pinned_inverse, _tagged_echelon
 
 
 def int_space(sizes) -> gs.Space:
@@ -188,6 +191,40 @@ def transposed_kernel_circuit(S: gs.PointSet):
     return gs.CircuitVector(
         tuple(tail[i] for i in ints), tuple(sign * c // g for c in ints.values())
     )
+
+
+def whole_system_circuit(S: gs.PointSet):
+    """The dependence scan over an `IncidenceSystem` built for all of S, or None.
+
+    This is how `linalg._circuit` ran before it built rows lazily, kept as
+    it was: every point's row is built up front, the reverse scan finds the
+    first dependent point e_k, and the tail's rows from e_k on are
+    eliminated tagged.
+    """
+    system = gs.IncidenceSystem(S)
+    rows = system.sparse_rows
+    ncols = len(system.columns)
+    scan = gs.RowBasis(ncols)
+    k = next((k for k in reversed(range(len(rows))) if scan.add_sparse(rows[k]) is None), None)
+    if k is None:
+        return None
+    basis = _tagged_echelon(rows[k:], ncols)
+    assert [p for p in basis.pivot_rows if p >= ncols] == [ncols]
+    tags, coefficients = zip(*sorted(basis.pivot_rows[ncols].items()))
+    return gs.CircuitVector(tuple(S.points[k + j - ncols] for j in tags), coefficients)
+
+
+def fraction_perturbation(m: gs.FiniteMeasure, loop, sign):
+    """(epsilon, weights of mu + sign*eps*nu) in plain `Fraction`s over the whole dict.
+
+    epsilon is the least w_p / |c_p| over the loop's entries; the weights
+    are m's, in m's order, with every entry's move added and zeros dropped.
+    """
+    epsilon = min(m.weights[p] / abs(c) for p, c in zip(loop.points, loop.coefficients))
+    w = dict(m.weights)
+    for p, c in zip(loop.points, loop.coefficients):
+        w[p] = w.get(p, Fraction(0)) + epsilon * sign * c
+    return epsilon, {p: v for p, v in w.items() if v != 0}
 
 
 def union_find_ei_classes(S: gs.PointSet, partition=None) -> gs.EiClasses:
