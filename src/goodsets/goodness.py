@@ -24,6 +24,7 @@ from .linalg import (
     _incidence_row,
     _is_boundary,
     _stack_pins,
+    rank,
 )
 from .model import (
     PointSet,
@@ -72,14 +73,15 @@ def is_good(S: PointSet) -> GoodnessVerdict:
 def is_full(S: PointSet, definitional: bool = False) -> bool:
     """Is S maximal good within the product of its own projections?
 
-    Fast path: deficiency = n - 1, then good.  The definitional check
-    eliminates S's rows once: S must be good (rank |S|) and every point of
-    the projection product must lie in the row span; the two must agree
-    everywhere and tests enforce that.
+    Fast path: deficiency = n - 1, then good by `linalg.rank`, which peels
+    first; a bool needs no loop, so the dependence scan is not run.  The
+    definitional check eliminates S's rows once: S must be good (rank |S|)
+    and every point of the projection product must lie in the row span; the
+    two must agree everywhere and tests enforce that.
     """
     S.require_nonempty("fullness")
     if not definitional:
-        return S.deficiency() == S.space.n - 1 and bool(is_good(S))
+        return S.deficiency() == S.space.n - 1 and rank(IncidenceSystem(S)) == len(S)
     system = IncidenceSystem(S)
     basis = _echelon(system.sparse_rows, len(system.columns))
     if basis.rank < len(S):

@@ -18,6 +18,17 @@ target and vector key finds its column through `_column`, the one column
 lookup, which refuses a coordinate that is not a column of the system; a
 key handed in by a caller is first read by `model._coordinate`.
 
+Questions whose answer does not depend on the order of rows or the choice
+of free columns, the rank (`rank`) and the boundary test (`_is_boundary`),
+are decided by the peel first (`_peel`): with no arithmetic it removes,
+again and again, a row together with a column that only it holds, or a row
+with one live column together with that column, each step adding 1 to the
+rank.  Only the 2-core left, if any, goes to the one elimination.  The
+doubling chain peels to nothing, and so does every unit pin row.  Answers
+that do depend on that choice (solves, kernels, witnesses, span tests,
+signatures) eliminate the rows as they are, and so does the dependence
+scan below, which stops at the tail it needs.
+
 One dependence scan decides goodness and yields loops (`extract_circuit`):
 one reverse pass over the canonical support finds the first point e_k that
 turns the rows dependent, if any; from e_k on, the support holds exactly
@@ -178,6 +189,72 @@ def _echelon(rows: Iterable[Mapping[int, int]], ncols: int) -> RowBasis:
     return basis
 
 
+def _peel(rows: Sequence[Mapping[int, int]], ncols: int) -> tuple[list, dict[int, dict[int, int]]]:
+    """(steps, core): the 2-core peel of the rows, with no arithmetic.
+
+    A step (k, j) removes row k together with column j, where k holds j and
+    either no other live row holds j (j is private to k) or j is the one
+    live column of k.  Either way the rank is 1 plus that of the other rows
+    with column j deleted: row k can clear column j from them, and it is
+    nonzero there.  So each step adds exactly 1 to the rank.  Steps repeat
+    until neither rule applies.  `core` maps each row left, in increasing
+    index, to its entries at the live columns; a row left with no live
+    column is zero and is dropped.  So the rows' rank is len(steps) plus
+    the core's rank.  A row with a private column is in no relation among
+    the rows; on incidence rows, n >= 2 entries each, the second rule never
+    fires, so the core holds every loop.  Stored entries must be nonzero;
+    the value of an entry is never read.  O(nonzeros).
+    """
+    holders: list[list[int]] = [[] for _ in range(ncols)]
+    for k, row in enumerate(rows):
+        for j in row:
+            holders[j].append(k)
+    count = list(map(len, holders))
+    degree = list(map(len, rows))
+    row_live = [d > 0 for d in degree]
+    col_live = [True] * ncols
+    private = [j for j in range(ncols) if count[j] == 1]
+    single = [k for k in range(len(rows)) if degree[k] == 1]
+    steps = []
+    while private or single:
+        if private:
+            j = private.pop()
+            if not col_live[j] or count[j] != 1:
+                continue
+            k = next(k for k in holders[j] if row_live[k])
+        else:
+            k = single.pop()
+            if not row_live[k] or degree[k] != 1:
+                continue
+            j = next(j for j in rows[k] if col_live[j])
+        steps.append((k, j))
+        row_live[k] = col_live[j] = False
+        for i in rows[k]:
+            if col_live[i]:
+                count[i] -= 1
+                if count[i] == 1:
+                    private.append(i)
+        for h in holders[j]:
+            if row_live[h]:
+                degree[h] -= 1
+                if degree[h] == 1:
+                    single.append(h)
+                elif degree[h] == 0:
+                    row_live[h] = False
+    core = {
+        k: {j: x for j, x in row.items() if col_live[j]}
+        for k, row in enumerate(rows)
+        if row_live[k]
+    }
+    return steps, core
+
+
+def _peeled_rank(rows: Sequence[Mapping[int, int]], ncols: int) -> int:
+    """The rows' rank: the peel's step count plus the core's, eliminated only when not empty."""
+    steps, core = _peel(rows, ncols)
+    return len(steps) + (_echelon(core.values(), ncols).rank if core else 0)
+
+
 def _over_common_denominator(values: Iterable[Fraction]) -> tuple[list[int], int]:
     """The rationals as integer numerators over D, the lcm of their denominators.
 
@@ -283,12 +360,13 @@ def _is_boundary(system: IncidenceSystem, coords: Sequence[Coordinate]) -> bool:
     They do exactly when, stacked as pin rows under the incidence rows, they
     give a square system of full rank: |S| + |coords| = |C(S)|, every
     coordinate is a column, and the `_stack_pins` rows have rank |C(S)|.
-    The rows are eliminated only once the count and the columns pass.
+    The rows are ranked (`_peeled_rank`) only once the count and the columns
+    pass; the peel collapses each unit pin row with its column.
     """
     size = len(system.columns)
     if len(system.points) + len(coords) != size or any(c not in system.col_index for c in coords):
         return False
-    return _echelon(_stack_pins(system, coords), size).rank == size
+    return _peeled_rank(_stack_pins(system, coords), size) == size
 
 
 def _pinned_inverse(system: IncidenceSystem, coords) -> dict[Coordinate, dict[int, Fraction]]:
@@ -326,8 +404,8 @@ def _pinned_inverse(system: IncidenceSystem, coords) -> dict[Coordinate, dict[in
 
 
 def rank(system: IncidenceSystem) -> int:
-    """Exact rank of the incidence rows over the rationals."""
-    return _echelon(system.sparse_rows, len(system.columns)).rank
+    """Exact rank of the incidence rows over the rationals: the peel, then its core."""
+    return _peeled_rank(system.sparse_rows, len(system.columns))
 
 
 def _kernel_dicts(system: IncidenceSystem, basis: RowBasis) -> list[dict]:
@@ -550,5 +628,9 @@ def verify_circuit(space: Space, circuit: CircuitVector):
         g = gcd(g, abs(c))
     if g != 1 or coeffs[0] <= 0:
         raise VerificationError("circuit coefficients are not normalized")
-    if rank(IncidenceSystem(PointSet(space, pts))) != len(pts) - 1:
+    # A circuit is its own 2-core: a point holding a coordinate no other
+    # point holds would have coefficient 0.  So the peel would remove
+    # nothing here, and the rows go straight to the elimination.
+    system = IncidenceSystem(PointSet(space, pts))
+    if _echelon(system.sparse_rows, len(system.columns)).rank != len(pts) - 1:
         raise VerificationError("circuit support is not minimal")

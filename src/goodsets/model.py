@@ -323,6 +323,19 @@ class PointSet:
     def subset(self, points: Iterable) -> "PointSet":
         return PointSet(self.space, tuple(map(self.require_member, points)))
 
+    def _part(self, points: Iterable[Point]) -> "PointSet":
+        """The subset of S's own points, given in S's order, with nothing read or sorted again.
+
+        The caller vouches for both: each point is one S holds as read, and
+        they come in S's canonical order.
+        """
+        part = object.__new__(PointSet)
+        points = tuple(points)
+        object.__setattr__(part, "space", self.space)
+        object.__setattr__(part, "points", points)
+        object.__setattr__(part, "_members", frozenset(points))
+        return part
+
     def union(self, points: Iterable) -> "PointSet":
         return PointSet(self.space, self.points + tuple(points))
 

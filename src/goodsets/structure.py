@@ -55,7 +55,13 @@ first split's elimination, as dim K(S) = |C(S)| - rank exceeds def(S)
 exactly when the rows are dependent.  Every later group is a subset of S
 and good with it.  `related`, `geodesic` and `full_component` rank S once
 (`_require_good`) and then read the matching order below, which counts and
-so is right only on a good set.
+so is right only on a good set.  That rank, like the one for a full S in
+the refinement, peels S first (`linalg.rank`): a point with a coordinate
+no other point holds is in no loop, so S is good exactly when the 2-core
+left after removing such points again and again is good, and only that
+core is eliminated.  A chain peels to nothing and costs no elimination.
+Each part the refinement splits off, and each geodesic and component, is
+built from S's own points in S's order (`PointSet._part`), read once.
 
 Geodesics.  The same equality gives |C(F1) & C(F2)| = |F1 & F2| + n - 1,
 which squeezes |C(F1 & F2)| to that value: two full subsets sharing a point
@@ -169,7 +175,11 @@ def _signature_groups(G: PointSet, what: str | None = None) -> list[list[Point]]
 
 
 def _require_good(S: PointSet, what: str):
-    """The good-set check by one rank of S's rows, naming `what` when it fails."""
+    """The good-set check by one rank of S's rows, naming `what` when it fails.
+
+    The rank peels S to its 2-core and eliminates only the core, if any is
+    left; no loop lies outside it.
+    """
     if rank(IncidenceSystem(S)) != len(S):
         raise PreconditionError(f"{what} requires a good set")
 
@@ -192,7 +202,7 @@ def _classes(S: PointSet, what: str) -> list[PointSet]:
         parts = _signature_groups(G, what if G is S else None)
         if len(parts) == 1:
             raise VerificationError("a group that is not full has one kernel signature")
-        groups.extend(PointSet(S.space, part) for part in parts)
+        groups.extend(map(S._part, parts))
     return classes
 
 
@@ -278,7 +288,7 @@ def geodesic(S: PointSet, x, y) -> Geodesic | None:
         return None
     if len({c for p in g for c in enumerate(p)}) - len(g) != S.space.n - 1:
         raise VerificationError("the geodesic is not full")
-    return Geodesic((x, y), PointSet(S.space, tuple(g)))
+    return Geodesic((x, y), S._part(p for p in S if p in g))
 
 
 @dataclass(frozen=True)
@@ -314,7 +324,7 @@ def _partition(S: PointSet, what: str) -> ComponentPartition:
 def full_component(S: PointSet, x) -> PointSet:
     """The largest full subset of S containing x (its relatedness class)."""
     close = _order(S, S.require_member(x), "full_component")[1]
-    return PointSet(S.space, tuple(p for p in S if close(p) is not None))
+    return S._part(p for p in S if close(p) is not None)
 
 
 @dataclass(frozen=True)

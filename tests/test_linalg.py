@@ -1,13 +1,14 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import goodsets as gs
 from goodsets.instances import _example10, parse_instance
-from goodsets.linalg import _circuit, _is_boundary, _pinned_inverse
+from goodsets.linalg import _circuit, _is_boundary, _peel, _pinned_inverse
 from util import (
     DIAGONAL,
     DenseRowBasis,
@@ -15,6 +16,7 @@ from util import (
     RECTANGLE,
     T4,
     _rows,
+    bipartite_is_forest,
     cube_set,
     int_space,
     oracle_independent,
@@ -416,6 +418,99 @@ def test_lazy_scan_matches_whole_system_scan(kind, rng):
     assert gs.is_good(S).loop == want
     if kind != "dense-subset":
         assert (want is None) == oracle_independent(S.space, S.points)
+
+
+def _peel_input(kind, rng) -> gs.PointSet:
+    """A random sparse set, a dense subset, or a doubling chain: whole, closed or thinned."""
+    if kind == "chain":
+        d = rng.randint(1, 9)
+        S = parse_instance(_example10(d)).point_set
+        shape = rng.choice(("whole", "closed", "thinned"))
+        if shape == "closed":
+            return _closed_chain(d)
+        if shape == "thinned":
+            return S.difference(rng.sample(S.points, rng.randint(1, len(S) - 1)))
+        return S
+    space = random_space(rng, max_axis=5)
+    product = list(space.all_points())
+    if kind == "dense":
+        top = min(60, len(product))
+        k = rng.randint(min(top, (len(product) + 1) // 2), top)
+        return gs.PointSet.of(space, rng.sample(product, k))
+    return gs.PointSet.of(space, rng.sample(product, rng.randint(1, min(12, len(product)))))
+
+
+def _assert_two_core(rows, steps, core):
+    """On incidence rows: each step takes its own column, each row is a step
+    or in the core, and the core is a 2-core: every core row keeps two live
+    columns, and no live column is private."""
+    assert len({j for _, j in steps}) == len(steps)
+    assert sorted([*core, *(k for k, _ in steps)]) == list(range(len(rows)))
+    dead = {j for _, j in steps}
+    for k, row in core.items():
+        assert row == {j: x for j, x in rows[k].items() if j not in dead}
+        assert len(row) >= 2
+    held = Counter(j for row in core.values() for j in row)
+    assert all(c >= 2 for c in held.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(("random", "dense", "chain")), rng=st.randoms(use_true_random=False))
+def test_peeled_rank_matches_sympy(kind, rng):
+    # The rank is the peel's step count plus the core's elimination; sympy
+    # ranks the dense rows over every coordinate of the space.
+    S = _peel_input(kind, rng)
+    system = gs.IncidenceSystem(S)
+    steps, core = _peel(system.sparse_rows, len(system.columns))
+    _assert_two_core(system.sparse_rows, steps, core)
+    assert gs.rank(system) == oracle_rank(S.space, S.points)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(("random", "good", "chain")), rng=st.randoms(use_true_random=False))
+def test_peeled_boundary_test_matches_sympy(kind, rng):
+    # The pins stacked under S's rows are unit rows, which the peel's second
+    # rule collapses; a pin repeated leaves a zero row behind.
+    if kind == "good":
+        S = random_good_set(rng, random_space(rng, max_axis=4), 9)
+    else:
+        S = _peel_input(kind, rng)
+    system = gs.IncidenceSystem(S)
+    columns = list(system.columns)
+    d = len(columns) - len(S)
+    candidates = [rng.choices(columns, k=max(d, 0))]
+    candidates += [rng.sample(columns, k) for k in (d - 1, d, d + 1) if 0 <= k <= len(columns)]
+    if gs.is_good(S):
+        candidates.append(gs.boundary(S).boundary)
+    for coords in candidates:
+        assert _is_boundary(system, coords) == oracle_is_boundary(S, coords), (S.points, coords)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(("dense-subset", "closed-chain", "maximal-plus-one")),
+    rng=st.randoms(use_true_random=False),
+)
+def test_every_loop_lies_in_the_core(kind, rng):
+    S = _scan_input(kind, rng)
+    assume(not gs.is_good(S))
+    circuit = gs.extract_circuit(S.space, S.points)
+    system = gs.IncidenceSystem(S)
+    _, core = _peel(system.sparse_rows, len(system.columns))
+    assert set(circuit.points) <= {S.points[k] for k in core}
+
+
+@settings(max_examples=200, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_two_fold_core_is_empty_exactly_on_forests(rng):
+    # For n = 2 a private coordinate is a leaf of the bipartite graph, so
+    # the peel strips leaves, and only a forest strips to nothing.
+    space = int_space((rng.randint(1, 6), rng.randint(1, 6)))
+    product = list(space.all_points())
+    S = gs.PointSet.of(space, rng.sample(product, rng.randint(1, min(10, len(product)))))
+    system = gs.IncidenceSystem(S)
+    steps, core = _peel(system.sparse_rows, len(system.columns))
+    assert (not core) == bipartite_is_forest(S.points) == (len(steps) == len(S))
 
 
 def test_unique_solutions_match_sympy():

@@ -510,6 +510,23 @@ def test_chain_minus_middle_components_frontier():
     assert ours == sorted(brute_force_components(small.points))
 
 
+def test_doubling_chain_peel_frontier():
+    # The d = 1,000 chain (3,001 points) peels to an empty core, so its rank,
+    # alone or as `geodesic`'s good-set check, takes no elimination.
+    S = parse_instance(_example10(1000)).point_set
+    system = gs.IncidenceSystem(S)
+    start = time.monotonic()
+    g = gs.geodesic(S, S.points[0], S.points[-1])
+    geodesic_s = time.monotonic() - start
+    start = time.monotonic()
+    r = gs.rank(system)
+    rank_s = time.monotonic() - start
+    assert len(S) == r == g.length == 3001
+    assert g.points == S
+    assert geodesic_s < 0.2
+    assert rank_s < 0.1
+
+
 def test_thinned_maximal_sets_components_frontier():
     # Maximal good sets in 6^4 (21 points) with random points removed.
     rng = random.Random(83)
