@@ -24,10 +24,15 @@ are decided by the peel first (`_peel`): with no arithmetic it removes,
 again and again, a row together with a column that only it holds, or a row
 with one live column together with that column, each step adding 1 to the
 rank.  Only the 2-core left, if any, goes to the one elimination.  The
-doubling chain peels to nothing, and so does every unit pin row.  Answers
-that do depend on that choice (solves, kernels, witnesses, span tests,
-signatures) eliminate the rows as they are, and so does the dependence
-scan below, which stops at the tail it needs.
+doubling chain peels to nothing, and so does every unit pin row.  A solve
+peels first too, for the unique verdict (`_peeled_solution`): a unique
+solution does not depend on that choice either, so it is read along the
+peel by integer substitution, forward for a step whose other columns are
+known and backward for one with a private column, with only the core
+eliminated.  Answers that do depend on the choice (an underdetermined
+solve's split and kernel, an inconsistent one's witness, span tests,
+signatures) eliminate the rows as they are, and so does the dependence scan
+below, which stops at the tail it needs.
 
 One dependence scan decides goodness and yields loops (`extract_circuit`):
 one reverse pass over the canonical support finds the first point e_k that
@@ -260,7 +265,8 @@ def _over_common_denominator(values: Iterable[Fraction]) -> tuple[list[int], int
 
     Numerator k is values[k] * D, with the sign of values[k]; the values sum
     to one exactly when the numerators sum to D.  The one common-denominator
-    helper, behind the augmented rhs, `in_span` and `measures`.
+    helper, behind the augmented rhs, the peeled solve, `in_span`,
+    `measures` and `solve`'s largest |value|.
     """
     ratios = [v.as_integer_ratio() for v in values]
     D = lcm(*(d for _, d in ratios))
@@ -273,11 +279,81 @@ def _augment(rows, rhs: Sequence[Fraction], ncols: int) -> tuple[list[dict[int, 
     return [{**r, ncols: a} if a else r for r, a in zip(rows, numerators)], scale
 
 
+def _peeled_solution(rows: Sequence[Mapping[int, int]], rhs: Sequence[Fraction], ncols: int):
+    """The unique x with rows . x = rhs, read along the peel, or None if there is none.
+
+    Precondition: the entry of every peel step is 1, as on incidence and pin
+    rows, so a step divides by 1; it is checked, and a step that breaks it
+    is a `VerificationError`.  The solution is unique only if the steps and
+    the columns the core holds number ncols, which is counted before any
+    arithmetic.  Then the rhs is put over D, the lcm of its denominators,
+    and every value is an integer numerator until the end.  A step (k, j)
+    whose other columns went in earlier steps reads u_j = b_k minus the
+    others *forward*, in step order; such columns are all forward ones, as
+    a column that a live row still holds is never private.  The core,
+    whose removed columns are all forward, is eliminated once by `RowBasis`
+    on its rhs reduced by those values, and back-substituted; every value
+    is then brought over D m, m the lcm of the core's pivot entries.  The
+    other steps, each with a private column, read theirs *backward*, in
+    reverse step order, once every later column has its value.  A row the
+    peel dropped as zero holds forward columns only and must sum to its
+    rhs.  None when the core is inconsistent or short of full rank, or a
+    dropped row is inconsistent; `Fraction`s are built once, at the end.
+    """
+    steps, core = _peel(rows, ncols)
+    held = {j for row in core.values() for j in row}
+    if len(steps) + len(held) != ncols:
+        return None
+    b, scale = _over_common_denominator(rhs)
+    value: list = [None] * ncols
+    backward = []
+    for k, j in steps:
+        row = rows[k]
+        if row[j] != 1:
+            raise VerificationError("a peel step's entry is not 1")
+        s = b[k]
+        for i, x in row.items():
+            if i != j:
+                v = value[i]
+                if v is None:
+                    backward.append((k, j))
+                    break
+                s -= x * v
+        else:
+            value[j] = s
+    dropped = set(range(len(rows))).difference(core, (k for k, _ in steps))
+    for k in dropped:
+        if sum(x * value[i] for i, x in rows[k].items()) != b[k]:
+            return None
+    m = 1
+    if core:
+        reduced = []
+        for k, row in core.items():
+            s = b[k] - sum(x * value[i] for i, x in rows[k].items() if i not in row)
+            reduced.append({**row, ncols: s} if s else row)
+        basis = _echelon(reduced, ncols + 1)
+        if basis.rank != len(held) or ncols in basis.pivot_rows:
+            return None
+        basis.back_substitute()
+        m = lcm(*(row[p] for p, row in basis.pivot_rows.items()))
+        if m != 1:
+            value = [v if v is None else v * m for v in value]
+        for p, row in basis.pivot_rows.items():
+            value[p] = row.get(ncols, 0) * (m // row[p])
+    for k, j in reversed(backward):
+        value[j] = m * b[k] - sum(x * value[i] for i, x in rows[k].items() if i != j)
+    denominator = scale * m
+    return [Fraction(v, denominator) for v in value]
+
+
 def _canonical_solution(rows, rhs: Sequence[Fraction], ncols: int):
     """(x, basis): x solves rows . x = rhs with free columns at 0, or is None.
 
     The basis is the back-substituted echelon form of the augmented rows when
     the system is consistent, so its first ncols columns carry the kernel.
+    `solve_pinned` runs it only when `_peeled_solution` finds no unique
+    solution: which columns are free decides the solution, the kernel and
+    the witness, so those eliminate the rows as they are.
     """
     augmented, scale = _augment(rows, rhs, ncols)
     basis = _echelon(augmented, ncols + 1)
@@ -508,7 +584,10 @@ def solve_pinned(
 
     The three verdicts are mutually exclusive and exhaustive; for unique and
     underdetermined outcomes the returned decomposition reproduces `rhs`
-    bit-exactly on every point.
+    bit-exactly on every point.  A unique solution is read along the peel
+    (`_peeled_solution`), with only the 2-core eliminated; any other system
+    is eliminated as it is (`_canonical_solution`), which picks the free
+    columns of the split and the kernel and the rows of the witness.
     """
     _require_total(rhs, system.points)
     pins = PinSet(()) if pins is None else pins
@@ -516,14 +595,17 @@ def solve_pinned(
     b = [rhs(p) for p in system.points] + [value for _, value in pins]
     ncols = len(system.columns)
 
+    solution = _peeled_solution(rows, b, ncols)
+    if solution is not None:
+        decomposition = _decomposition(system.space, zip(system.columns, solution))
+        return LinearSolve(UNIQUE, decomposition, (), None)
     solution, basis = _canonical_solution(rows, b, ncols)
     if solution is None:
         labels = list(system.points) + [PinRow(c) for c in pins.coordinates()]
         return LinearSolve(INCONSISTENT, None, (), _witness(rows, b, ncols, labels))
-
-    decomposition = _decomposition(system.space, zip(system.columns, solution))
     if basis.rank == ncols:
-        return LinearSolve(UNIQUE, decomposition, (), None)
+        raise VerificationError("the peel missed a unique solution")
+    decomposition = _decomposition(system.space, zip(system.columns, solution))
     kernel = tuple(_kernel_dicts(system, basis))
     return LinearSolve(UNDERDETERMINED, decomposition, kernel, None)
 

@@ -2,7 +2,7 @@
 
 Four routes produce the same numbers and certify each other:
 
-* direct -- one pinned elimination over the whole incidence system.
+* direct -- one pinned solve over the whole incidence system.
 * geodesic -- pin a base point's first n - 1 coordinates at zero and solve
   block by block along `structure._order`, the matching order from the
   base: the points with one closure form a square block over their matched
@@ -20,6 +20,12 @@ lengths from a base, the sizes of the order's closures, and the largest
 solution value over singleton indicator right-hand sides, read off one exact
 inverse of the system pinned at the base's first n - 1 coordinates, which is
 also its good-set check.
+
+Every unique solve is one read along the peel, `linalg._peeled_solution`:
+the direct and boundary routes' through `solve_pinned`, and each square
+block of the geodesic and componentwise routes directly.  It substitutes
+in integers over one denominator and eliminates only the 2-core; the
+chain has none.
 
 The geodesic and componentwise routes share one solve, `_block_solve`, and
 invert nothing.  The geodesic route's good-set check is the one rank of S
@@ -45,10 +51,11 @@ from .linalg import (
     UNIQUE,
     IncidenceSystem,
     LinearSolve,
-    _canonical_solution,
     _decomposition,
     _incidence_row,
     _is_boundary,
+    _over_common_denominator,
+    _peeled_solution,
     _pinned_inverse,
     _require_total,
     solve_pinned,
@@ -87,19 +94,28 @@ class SolveReport(LinearSolve):
     max_abs_value: Fraction | None
 
 
+def _largest_abs(values) -> Fraction:
+    """The largest |value|, 0 for none: the largest |numerator| over the common denominator.
+
+    Exact, and no `Fraction` is built or compared per value.
+    """
+    numerators, D = _over_common_denominator(values)
+    return Fraction(max(map(abs, numerators), default=0), D)
+
+
 def _report(method: str, outcome: LinearSolve, max_len: int | None = None) -> SolveReport:
     """The report of every route: its outcome and largest |value|, tagged with the method."""
     d = outcome.decomposition
     worst = None
     if d is not None:
-        worst = max((abs(v) for t in d.tables for v in t.values()), default=Fraction(0))
+        worst = _largest_abs(v for t in d.tables for v in t.values())
     return SolveReport(
         **vars(outcome), method=method, max_geodesic_length=max_len, max_abs_value=worst
     )
 
 
 def solve_direct(S: PointSet, f: FunctionTable, pins: PinSet | None = None) -> SolveReport:
-    """Pinned elimination over the full incidence system of S."""
+    """One pinned solve (`solve_pinned`) over the whole incidence system of S."""
     S.require_nonempty("solve_direct")
     return _report("direct", solve_pinned(IncidenceSystem(S), f, pins))
 
@@ -156,10 +172,11 @@ def _block_solve(S: PointSet, f: FunctionTable, method: str, parts, what=None) -
     square block over their matched coordinates, and the first point
     without a closure is refused as unrelated to the base.  The blocks are
     solved in order of closure size, so every other coordinate a block's
-    rows hold already has its value (the matching theorem in `structure`).
-    The split lists each part's coordinates in order, the longest geodesic
-    is the largest closure, and `_check` asserts that the split reproduces
-    f.
+    rows hold already has its value (the matching theorem in `structure`);
+    each is read along its peel (`_peeled_solution`), and one with no
+    unique solution is refused as singular.  The split lists each part's
+    coordinates in order, the longest geodesic is the largest closure, and
+    `_check` asserts that the split reproduces f.
     """
     values, blocks = {}, {}
     for F, base in parts:
@@ -175,7 +192,7 @@ def _block_solve(S: PointSet, f: FunctionTable, method: str, parts, what=None) -
         columns = {c: j for j, c in enumerate(blocks[g].values())}
         rows = [_incidence_row(p, columns) for p in blocks[g]]
         rhs = [f(p) - sum(values[c] for c in enumerate(p) if c not in columns) for p in blocks[g]]
-        solution, _ = _canonical_solution(rows, rhs, len(columns))
+        solution = _peeled_solution(rows, rhs, len(columns))
         if solution is None:
             raise VerificationError("a geodesic block is singular")
         values.update(zip(columns, solution))
@@ -285,8 +302,7 @@ def bound_diagnostics(S: PointSet, base=None) -> BoundDiagnostics:
         raise PreconditionError("bound_diagnostics requires a good set") from None
     close = _order(S, base, None)[1]
     lengths = {y: len(close(y)) for y in S}
-    entries = (v for row in inverse.values() for v in row.values())
-    worst = max(map(abs, entries), default=Fraction(0))
+    worst = _largest_abs(v for row in inverse.values() for v in row.values())
     return BoundDiagnostics(
         base=base,
         lengths=lengths,

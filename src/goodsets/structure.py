@@ -112,6 +112,7 @@ test, which `goodness.associated_full_set` shares.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -313,12 +314,27 @@ def _partition(S: PointSet, what: str) -> ComponentPartition:
     """`related_components`, with `what` named when S is empty or not good."""
     S.require_nonempty(what)
     components = sorted(_classes(S, what), key=lambda c: S.space.point_key(c.points[0]))
-    # Distinct components may share at most n - 2 kinds of coordinates.
-    kinds = [[{p[i] for p in comp} for i in range(S.space.n)] for comp in components]
-    for a, b in combinations(kinds, 2):
-        if sum(not va.isdisjoint(vb) for va, vb in zip(a, b)) > S.space.n - 2:
-            raise VerificationError("distinct components share too many coordinate kinds")
+    if _overshared(components, S.space.n):
+        raise VerificationError("distinct components share too many coordinate kinds")
     return ComponentPartition(tuple(components))
+
+
+def _overshared(components, n: int) -> bool:
+    """Do two distinct components share more than n - 2 kinds of coordinates?
+
+    A pair shares kind i when some axis-i value is in both.  The components
+    are indexed by (axis, value), so only pairs that share a value are
+    counted, one per axis on which they do, and pairs that share nothing
+    cost nothing.
+    """
+    shared: Counter = Counter()
+    for i in range(n):
+        holders: dict = {}
+        for k, comp in enumerate(components):
+            for v in {p[i] for p in comp}:
+                holders.setdefault(v, []).append(k)
+        shared.update({pair for ks in holders.values() for pair in combinations(ks, 2)})
+    return any(c > n - 2 for c in shared.values())
 
 
 def full_component(S: PointSet, x) -> PointSet:

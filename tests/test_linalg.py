@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -8,7 +9,19 @@ from hypothesis import strategies as st
 
 import goodsets as gs
 from goodsets.instances import _example10, parse_instance
-from goodsets.linalg import _circuit, _is_boundary, _peel, _pinned_inverse
+from goodsets.linalg import (
+    PinRow,
+    _canonical_solution,
+    _circuit,
+    _decomposition,
+    _is_boundary,
+    _kernel_dicts,
+    _peel,
+    _peeled_solution,
+    _pinned_inverse,
+    _stack_pins,
+    _witness,
+)
 from util import (
     DIAGONAL,
     DenseRowBasis,
@@ -18,12 +31,14 @@ from util import (
     _rows,
     bipartite_is_forest,
     cube_set,
+    greedy_maximal_cube,
     int_space,
     oracle_independent,
     oracle_is_boundary,
     oracle_rank,
     oracle_zero_marginal_dependency,
     pset,
+    random_fraction,
     random_good_set,
     random_space,
     transposed_kernel_circuit,
@@ -511,6 +526,133 @@ def test_two_fold_core_is_empty_exactly_on_forests(rng):
     system = gs.IncidenceSystem(S)
     steps, core = _peel(system.sparse_rows, len(system.columns))
     assert (not core) == bipartite_is_forest(S.points) == (len(steps) == len(S))
+
+
+def _solve_input(kind, rng) -> gs.PointSet:
+    """A `_peel_input` set, or a greedy maximal set of up to 19 points in k^3 or 4^4."""
+    if kind != "greedy":
+        return _peel_input(kind, rng)
+    if rng.random() < 0.3:
+        return greedy_maximal_cube(rng, 4, 4)
+    return greedy_maximal_cube(rng, rng.randint(2, 7))
+
+
+def _pin_lists(S: gs.PointSet, system, rng) -> list[list]:
+    """Coordinate lists to pin: random ones of def(S) - 1, def(S) and def(S) + 1
+    coordinates, one with repeats, a base point's first n - 1, the boundary
+    of a good S, and that boundary with one coordinate pinned twice."""
+    columns = list(system.columns)
+    d = len(columns) - len(S)
+    lists = [rng.choices(columns, k=max(d, 1))]
+    lists += [rng.sample(columns, k) for k in (d - 1, d, d + 1) if 0 <= k <= len(columns)]
+    lists.append([(i, rng.choice(S.points)[i]) for i in range(S.space.n - 1)])
+    if gs.is_good(S):
+        bound = list(gs.boundary(S).boundary)
+        lists += [bound, bound + [rng.choice(bound or columns)]]
+    return lists
+
+
+def _sympy_verdict(rows, rhs, ncols) -> str:
+    """The verdict of rows . x = rhs from sympy ranks of the matrix and the augmented one.
+
+    The rhs is scaled to integers, which keeps both ranks, so sympy ranks over ZZ.
+    """
+    from sympy import ZZ
+    from sympy.polys.matrices import DomainMatrix
+
+    scale = lcm(*(b.denominator for b in rhs))
+    A = [[row.get(j, 0) for j in range(ncols)] for row in rows]
+    rank = DomainMatrix.from_list(A, ZZ).rank()
+    augmented = [a + [int(b * scale)] for a, b in zip(A, rhs)]
+    if DomainMatrix.from_list(augmented, ZZ).rank() > rank:
+        return "inconsistent"
+    return "unique" if rank == ncols else "underdetermined"
+
+
+def _canonical_solve(system, rhs, pins):
+    """`solve_pinned` as one canonical elimination with no peel: (verdict, split, kernel, witness)."""
+    rows = _stack_pins(system, pins.coordinates())
+    b = [rhs(p) for p in system.points] + [value for _, value in pins]
+    ncols = len(system.columns)
+    solution, basis = _canonical_solution(rows, b, ncols)
+    if solution is None:
+        labels = list(system.points) + [PinRow(c) for c in pins.coordinates()]
+        return "inconsistent", None, (), _witness(rows, b, ncols, labels)
+    split = _decomposition(system.space, zip(system.columns, solution))
+    if basis.rank == ncols:
+        return "unique", split, (), None
+    return "underdetermined", split, tuple(_kernel_dicts(system, basis)), None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(("random", "dense", "chain", "greedy")),
+    rng=st.randoms(use_true_random=False),
+)
+def test_peeled_solve_matches_canonical_elimination_and_sympy(kind, rng):
+    # Stacked pins, repeated ones too (one pinned twice leaves a zero row
+    # behind, consistent or not): the peeled read is a solution exactly when
+    # the canonical elimination's is unique, and then it is that solution;
+    # sympy ranks give the same verdict.
+    S = _solve_input(kind, rng)
+    system = gs.IncidenceSystem(S)
+    ncols = len(system.columns)
+    for coords in _pin_lists(S, system, rng):
+        rows = _stack_pins(system, coords)
+        rhs = [random_fraction(rng) for _ in rows]
+        if rng.random() < 0.5:
+            # Consistent on S: f is a split's sum and each pin its value.
+            split = {c: random_fraction(rng) for c in system.columns}
+            rhs = [sum(split[c] for c in enumerate(p)) for p in S] + [split[c] for c in coords]
+        solution, basis = _canonical_solution(rows, rhs, ncols)
+        unique = solution is not None and basis.rank == ncols
+        assert _peeled_solution(rows, rhs, ncols) == (solution if unique else None)
+        want = "unique" if unique else "inconsistent" if solution is None else "underdetermined"
+        assert _sympy_verdict(rows, rhs, ncols) == want
+        if len(set(coords)) == len(coords):
+            pins = gs.PinSet(tuple(zip(coords, rhs[len(S) :])))
+            f = gs.FunctionTable(S, dict(zip(S.points, rhs)))
+            out = gs.solve_pinned(system, f, pins)
+            assert (out.verdict, out.decomposition, out.kernel, out.witness) == _canonical_solve(
+                system, f, pins
+            )
+
+
+def test_peeled_solve_refuses_a_step_entry_other_than_one():
+    # Incidence and pin rows are 0/1, so every step divides by 1; a step on
+    # an entry of 2 is refused rather than read.
+    with pytest.raises(gs.VerificationError, match="peel step's entry is not 1"):
+        _peeled_solution([{0: 2}], [Fraction(1)], 1)
+    assert _peeled_solution([{0: 1, 1: 1}, {1: 1}], [Fraction(3), Fraction(1, 2)], 2) == [
+        Fraction(5, 2),
+        Fraction(1, 2),
+    ]
+
+
+def test_peeled_solve_by_hand():
+    # Greedy maximal in 3^3, pinned at its first point's first two
+    # coordinates: the two pins and two points peel forward, two points with
+    # a private coordinate backward, and the core is three points in an odd
+    # cycle, each pair sharing one coordinate, whose determinant is 2.  So
+    # an integer f has half-integer splits, read only through the core's lcm.
+    S = greedy_maximal_cube(random.Random(1), 3)
+    assert S.points == ((0, 2, 0), (1, 0, 0), (1, 0, 1), (1, 1, 2), (1, 2, 0), (2, 0, 2), (2, 1, 1))
+    system = gs.IncidenceSystem(S)
+    ncols = len(system.columns)
+    coords = [(0, 0), (1, 2)]
+    rows = _stack_pins(system, coords)
+    steps, core = _peel(rows, ncols)
+    assert len(steps) == 6 and sorted(core) == [3, 5, 6]
+    rhs = [Fraction(k == 2) for k in range(len(rows))]
+    solution, _ = _canonical_solution(rows, rhs, ncols)
+    assert Fraction(1, 2) in solution
+    assert _peeled_solution(rows, rhs, ncols) == solution
+    # The first pin again: its row is dropped as zero, and must agree.
+    twice = _stack_pins(system, coords + coords[:1])
+    assert _peeled_solution(twice, rhs + [rhs[-2]], ncols) == solution
+    assert _peeled_solution(twice, rhs + [rhs[-2] + 1], ncols) is None
+    # One pin short, the count refuses before any arithmetic.
+    assert _peeled_solution(rows[:-1], rhs[:-1], ncols) is None
 
 
 def test_unique_solutions_match_sympy():

@@ -434,7 +434,8 @@ def test_doubling_chain_frontier_depth_forty():
 
 
 def test_doubling_chain_frontier_depth_two_hundred():
-    # 601 points: one sparse elimination each for rank, goodness and the solve.
+    # 601 points: the rank and the solve peel to an empty core, and goodness
+    # is one sparse dependence scan.
     inst = parse_instance(_example10(200))
     S = inst.point_set
     start = time.monotonic()
@@ -446,6 +447,20 @@ def test_doubling_chain_frontier_depth_two_hundred():
     assert report.verdict == "unique"
     assert all(report.decomposition.evaluate(p) == inst.f(p) for p in S)
     assert elapsed < 5
+
+
+def test_doubling_chain_peeled_solve_frontier():
+    # The d = 1,000 chain (3,001 points) pinned as its instance pins it peels
+    # to an empty core, so its unique split is read by integer substitution
+    # with no elimination, though its values grow like 2^d.
+    inst = parse_instance(_example10(1000))
+    S = inst.point_set
+    start = time.monotonic()
+    report = gs.solve_direct(S, inst.f, inst.pins)
+    elapsed = time.monotonic() - start
+    assert len(S) == 3001 and report.verdict == "unique"
+    assert all(report.decomposition.evaluate(p) == inst.f(p) for p in S)
+    assert elapsed < 0.2
 
 
 def test_greedy_maximal_frontier():
@@ -627,20 +642,20 @@ def test_split_check_catches_a_wrong_value(monkeypatch, route, target, message):
 @pytest.mark.parametrize("route", ["geodesic", "componentwise"])
 def test_wrong_block_value_is_caught(monkeypatch, route):
     # Both routes solve the blocks of the matching order one at a time with
-    # `linalg._canonical_solution`.  One block's first value off by one must
+    # `linalg._peeled_solution`.  One block's first value off by one must
     # not be reported: the split check must refuse the split.
     inst = parse_instance(_example10(2))
     S, f = inst.point_set, inst.f
-    real, solved = linalg._canonical_solution, []
+    real, solved = linalg._peeled_solution, []
 
     def wrong(rows, rhs, ncols):
-        solution, basis = real(rows, rhs, ncols)
+        solution = real(rows, rhs, ncols)
         solved.append(ncols)
         if len(solved) == 3:
             solution[0] += 1
-        return solution, basis
+        return solution
 
-    monkeypatch.setattr(solve, "_canonical_solution", wrong)
+    monkeypatch.setattr(solve, "_peeled_solution", wrong)
     solver = gs.solve_via_geodesics if route == "geodesic" else gs.solve_componentwise
     with pytest.raises(gs.VerificationError, match="^split does not reproduce f$"):
         solver(S, f)

@@ -482,6 +482,30 @@ def test_components_share_few_kinds():
                 assert shared <= S.space.n - 2
 
 
+def _pairwise_overshared(components, n):
+    """Every pair of components, counting the axes on which they share a value."""
+    kinds = [[{p[i] for p in comp} for i in range(n)] for comp in components]
+    return any(
+        sum(not va.isdisjoint(vb) for va, vb in zip(a, b)) > n - 2
+        for a, b in itertools.combinations(kinds, 2)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_indexed_kind_check_matches_the_pairwise_one(rng):
+    # Random component lists, not partitions of a good set, so that both
+    # answers come up: the index by (axis, value) counts only the pairs
+    # that share a value and must agree with the check of every pair.
+    n = rng.randint(2, 4)
+    values = rng.randint(1, 4)
+    components = [
+        [tuple(rng.randrange(values) for _ in range(n)) for _ in range(rng.randint(1, 3))]
+        for _ in range(rng.randint(0, 6))
+    ]
+    assert structure._overshared(components, n) == _pairwise_overshared(components, n)
+
+
 def _assert_class_invariants(S, partition):
     """Full classes (definitional check) that partition S, in least-point order."""
     classes = partition.components
