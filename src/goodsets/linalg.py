@@ -254,10 +254,13 @@ def _peel(rows: Sequence[Mapping[int, int]], ncols: int) -> tuple[list, dict[int
     return steps, core
 
 
-def _peeled_rank(rows: Sequence[Mapping[int, int]], ncols: int) -> int:
-    """The rows' rank: the peel's step count plus the core's, eliminated only when not empty."""
+def _peeled_rank(rows: Sequence[Mapping[int, int]], ncols: int) -> tuple[int, list]:
+    """(rank, steps): the peel's step count plus the core's rank, and the peel's steps.
+
+    The core is eliminated only when it is not empty.
+    """
     steps, core = _peel(rows, ncols)
-    return len(steps) + (_echelon(core.values(), ncols).rank if core else 0)
+    return len(steps) + (_echelon(core.values(), ncols).rank if core else 0), steps
 
 
 def _over_common_denominator(values: Iterable[Fraction]) -> tuple[list[int], int]:
@@ -280,7 +283,7 @@ def _augment(rows, rhs: Sequence[Fraction], ncols: int) -> tuple[list[dict[int, 
 
 
 def _peeled_solution(rows: Sequence[Mapping[int, int]], rhs: Sequence[Fraction], ncols: int):
-    """The unique x with rows . x = rhs, read along the peel, or None if there is none.
+    """(verdict, x): the unique x with rows . x = rhs, read along the peel.
 
     Precondition: the entry of every peel step is 1, as on incidence and pin
     rows, so a step divides by 1; it is checked, and a step that breaks it
@@ -297,13 +300,17 @@ def _peeled_solution(rows: Sequence[Mapping[int, int]], rhs: Sequence[Fraction],
     other steps, each with a private column, read theirs *backward*, in
     reverse step order, once every later column has its value.  A row the
     peel dropped as zero holds forward columns only and must sum to its
-    rhs.  None when the core is inconsistent or short of full rank, or a
-    dropped row is inconsistent; `Fraction`s are built once, at the end.
+    rhs.  `Fraction`s are built once, at the end, and the verdict is UNIQUE.
+    Every forward value is forced by its row, so a dropped row that fails,
+    or a core whose rhs column is a pivot, makes the system inconsistent:
+    the verdict is INCONSISTENT and x is None.  A core short of full rank,
+    or a count short of ncols, gives (None, None): not unique, and not
+    decided further.
     """
     steps, core = _peel(rows, ncols)
     held = {j for row in core.values() for j in row}
     if len(steps) + len(held) != ncols:
-        return None
+        return None, None
     b, scale = _over_common_denominator(rhs)
     value: list = [None] * ncols
     backward = []
@@ -324,7 +331,7 @@ def _peeled_solution(rows: Sequence[Mapping[int, int]], rhs: Sequence[Fraction],
     dropped = set(range(len(rows))).difference(core, (k for k, _ in steps))
     for k in dropped:
         if sum(x * value[i] for i, x in rows[k].items()) != b[k]:
-            return None
+            return INCONSISTENT, None
     m = 1
     if core:
         reduced = []
@@ -332,8 +339,10 @@ def _peeled_solution(rows: Sequence[Mapping[int, int]], rhs: Sequence[Fraction],
             s = b[k] - sum(x * value[i] for i, x in rows[k].items() if i not in row)
             reduced.append({**row, ncols: s} if s else row)
         basis = _echelon(reduced, ncols + 1)
-        if basis.rank != len(held) or ncols in basis.pivot_rows:
-            return None
+        if ncols in basis.pivot_rows:
+            return INCONSISTENT, None
+        if basis.rank != len(held):
+            return None, None
         basis.back_substitute()
         m = lcm(*(row[p] for p, row in basis.pivot_rows.items()))
         if m != 1:
@@ -343,7 +352,7 @@ def _peeled_solution(rows: Sequence[Mapping[int, int]], rhs: Sequence[Fraction],
     for k, j in reversed(backward):
         value[j] = m * b[k] - sum(x * value[i] for i, x in rows[k].items() if i != j)
     denominator = scale * m
-    return [Fraction(v, denominator) for v in value]
+    return UNIQUE, [Fraction(v, denominator) for v in value]
 
 
 def _canonical_solution(rows, rhs: Sequence[Fraction], ncols: int):
@@ -353,7 +362,8 @@ def _canonical_solution(rows, rhs: Sequence[Fraction], ncols: int):
     the system is consistent, so its first ncols columns carry the kernel.
     `solve_pinned` runs it only when `_peeled_solution` finds no unique
     solution: which columns are free decides the solution, the kernel and
-    the witness, so those eliminate the rows as they are.
+    the witness, so those eliminate the rows as they are.  An inconsistent
+    verdict of the peel skips it.
     """
     augmented, scale = _augment(rows, rhs, ncols)
     basis = _echelon(augmented, ncols + 1)
@@ -442,7 +452,7 @@ def _is_boundary(system: IncidenceSystem, coords: Sequence[Coordinate]) -> bool:
     size = len(system.columns)
     if len(system.points) + len(coords) != size or any(c not in system.col_index for c in coords):
         return False
-    return _peeled_rank(_stack_pins(system, coords), size) == size
+    return _peeled_rank(_stack_pins(system, coords), size)[0] == size
 
 
 def _pinned_inverse(system: IncidenceSystem, coords) -> dict[Coordinate, dict[int, Fraction]]:
@@ -481,7 +491,7 @@ def _pinned_inverse(system: IncidenceSystem, coords) -> dict[Coordinate, dict[in
 
 def rank(system: IncidenceSystem) -> int:
     """Exact rank of the incidence rows over the rationals: the peel, then its core."""
-    return _peeled_rank(system.sparse_rows, len(system.columns))
+    return _peeled_rank(system.sparse_rows, len(system.columns))[0]
 
 
 def _kernel_dicts(system: IncidenceSystem, basis: RowBasis) -> list[dict]:
@@ -585,9 +595,11 @@ def solve_pinned(
     The three verdicts are mutually exclusive and exhaustive; for unique and
     underdetermined outcomes the returned decomposition reproduces `rhs`
     bit-exactly on every point.  A unique solution is read along the peel
-    (`_peeled_solution`), with only the 2-core eliminated; any other system
-    is eliminated as it is (`_canonical_solution`), which picks the free
-    columns of the split and the kernel and the rows of the witness.
+    (`_peeled_solution`), with only the 2-core eliminated.  When the peel
+    proves the system inconsistent, the witness (`_witness`) is the only
+    elimination left.  Any other system is eliminated as it is
+    (`_canonical_solution`), which picks the free columns of the split and
+    the kernel, and an inconsistent one then gets its witness.
     """
     _require_total(rhs, system.points)
     pins = PinSet(()) if pins is None else pins
@@ -595,11 +607,12 @@ def solve_pinned(
     b = [rhs(p) for p in system.points] + [value for _, value in pins]
     ncols = len(system.columns)
 
-    solution = _peeled_solution(rows, b, ncols)
-    if solution is not None:
+    verdict, solution = _peeled_solution(rows, b, ncols)
+    if verdict == UNIQUE:
         decomposition = _decomposition(system.space, zip(system.columns, solution))
         return LinearSolve(UNIQUE, decomposition, (), None)
-    solution, basis = _canonical_solution(rows, b, ncols)
+    if verdict is None:
+        solution, basis = _canonical_solution(rows, b, ncols)
     if solution is None:
         labels = list(system.points) + [PinRow(c) for c in pins.coordinates()]
         return LinearSolve(INCONSISTENT, None, (), _witness(rows, b, ncols, labels))

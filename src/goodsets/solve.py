@@ -29,22 +29,24 @@ chain has none.
 
 The geodesic and componentwise routes share one solve, `_block_solve`, and
 invert nothing.  The geodesic route's good-set check is the one rank of S
-that `structure._order` runs; the componentwise route's is the refinement
-behind `related_components`, so its components are not checked again.  Both
-routes, like `solve_pinned`, first require f to be given on exactly S's
-points.
+that `structure._order` runs, whose peel also seeds the order's matching;
+the componentwise route's is the refinement behind `related_components`,
+so its components are not checked again.  Both routes, like
+`solve_pinned`, first require f to be given on exactly S's points.
 
 Every split is built by one builder, `linalg._decomposition`, and checked
 by one check, `_check`: the split must honour its pins and reproduce f on
-S.  The geodesic, componentwise and boundary routes run it before they
-report; `solve_direct`'s split is checked by tests only.  `_report` builds
-every route's report, a `LinearSolve` with the method tag and diagnostics.
+S, compared in integers over one denominator.  The geodesic, componentwise
+and boundary routes run it before they report; `solve_direct`'s split is
+checked by tests only.  `_report` builds every route's report, a
+`LinearSolve` with the method tag and diagnostics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .goodness import is_good
 from .linalg import (
@@ -153,12 +155,31 @@ def geodesic_matrix(G: PointSet, base) -> GeodesicMatrix:
 
 
 def _check(S: PointSet, f: FunctionTable, decomposition: Decomposition, pins):
-    """The one split check: every (coordinate, value) pin is honoured and f is reproduced on S."""
-    for coord, value in pins:
-        if decomposition.value(*coord) != value:
+    """The one split check: every (coordinate, value) pin is honoured and f is reproduced on S.
+
+    The split's values, f's and the pins' are put over one denominator
+    (`_over_common_denominator`), so each comparison is of integers.  A
+    coordinate the split lacks is named by `Decomposition.value`, as it is
+    by `Decomposition.evaluate`.
+    """
+    tables = decomposition.tables
+    values = [v for table in tables for v in table.values()]
+    values += map(f, S)
+    values += (value for _, value in pins)
+    numerators = iter(_over_common_denominator(values)[0])
+    scaled = [dict(zip(table, numerators)) for table in tables]
+    at_points = list(islice(numerators, len(S)))
+    for (coord, _), b in zip(pins, numerators):
+        decomposition.value(*coord)  # raises if the split has no value there
+        if scaled[coord[0]][coord[1]] != b:
             raise VerificationError("solution does not honor a prescribed boundary value")
-    for p in S:
-        if decomposition.evaluate(p) != f(p):
+    for p, b in zip(S, at_points):
+        try:
+            a = sum(map(dict.__getitem__, scaled, p))
+        except KeyError:
+            decomposition.evaluate(p)  # raises, naming the coordinate
+            raise
+        if a != b:
             raise VerificationError("split does not reproduce f")
 
 
@@ -192,8 +213,8 @@ def _block_solve(S: PointSet, f: FunctionTable, method: str, parts, what=None) -
         columns = {c: j for j, c in enumerate(blocks[g].values())}
         rows = [_incidence_row(p, columns) for p in blocks[g]]
         rhs = [f(p) - sum(values[c] for c in enumerate(p) if c not in columns) for p in blocks[g]]
-        solution = _peeled_solution(rows, rhs, len(columns))
-        if solution is None:
+        verdict, solution = _peeled_solution(rows, rhs, len(columns))
+        if verdict != UNIQUE:
             raise VerificationError("a geodesic block is singular")
         values.update(zip(columns, solution))
     split = _decomposition(S.space, ((c, values[c]) for F, _ in parts for c in F.coordinates()))
@@ -205,8 +226,8 @@ def solve_via_geodesics(S: PointSet, f: FunctionTable, base=None) -> SolveReport
     """Case of a single relatedness component: solve block by block along the matching order.
 
     Pins the base's first n - 1 coordinates at zero.  One rank of S is the
-    good-set check of `structure._order`, and `_block_solve` solves its
-    blocks, lower blocks first.
+    good-set check of `structure._order`, and its peel seeds the order's
+    matching; `_block_solve` solves the blocks, lower blocks first.
     """
     _require_total(f, S.points)
     S.require_nonempty("solve_via_geodesics")

@@ -56,12 +56,16 @@ exactly when the rows are dependent.  Every later group is a subset of S
 and good with it.  `related`, `geodesic` and `full_component` rank S once
 (`_require_good`) and then read the matching order below, which counts and
 so is right only on a good set.  That rank, like the one for a full S in
-the refinement, peels S first (`linalg.rank`): a point with a coordinate
-no other point holds is in no loop, so S is good exactly when the 2-core
-left after removing such points again and again is good, and only that
-core is eliminated.  A chain peels to nothing and costs no elimination.
-Each part the refinement splits off, and each geodesic and component, is
-built from S's own points in S's order (`PointSet._part`), read once.
+the refinement, peels S first (`linalg._peeled_rank`): a point with a
+coordinate no other point holds is in no loop, so S is good exactly when
+the 2-core left after removing such points again and again is good, and
+only that core is eliminated.  A chain peels to nothing and costs no
+elimination.  Each peel step removes a point with one of its own
+coordinates, and no two steps share either, so the check's steps are a
+partial matching: the steps off C(x) seed the matching of `_order`, and
+only the points they leave are matched by augmenting paths.  Each part
+the refinement splits off, and each geodesic and component, is built from
+S's own points in S's order (`PointSet._part`), read once.
 
 Geodesics.  The same equality gives |C(F1) & C(F2)| = |F1 & F2| + n - 1,
 which squeezes |C(F1 & F2)| to that value: two full subsets sharing a point
@@ -88,16 +92,17 @@ So g(x, z) is the closure of x and z under the edges when it holds no
 unmatched coordinate, and x and z are unrelated otherwise; x's class is
 the set of the z of the first kind.  This is the Dulmage-Mendelsohn order
 of the matching (Dulmage and Mendelsohn, 1958), and `_order` computes it
-with no arithmetic: the matching by augmenting paths, then each closure
-once.  The points that share a closure, a strongly connected component of
-the edges, form a *block*.  Pinned at x's first n - 1 coordinates, x's row
-and a block's rows are zero off C(x), their own matched coordinates and
-those matched in smaller closures; so the pinned system of x's class is
-block-triangular in order of closure size, each block square over its
-matched coordinates and invertible, as the system of the full closure is.
-Hence the pinned solve on any full G through x agrees with the one on the
-class on C(G), and `solve` reads the split block by block.  `geodesic`
-re-counts |C(g)| - |g| = n - 1 before it returns g.
+with no arithmetic: the matching seeded by the good-set check's peel and
+completed by augmenting paths, then each closure once.  The points that
+share a closure, a strongly connected component of the edges, form a
+*block*.  Pinned at x's first n - 1 coordinates, x's row and a block's
+rows are zero off C(x), their own matched coordinates and those matched in
+smaller closures; so the pinned system of x's class is block-triangular in
+order of closure size, each block square over its matched coordinates and
+invertible, as the system of the full closure is.  Hence the pinned solve
+on any full G through x agrees with the one on the class on C(G), and
+`solve` reads the split block by block.  `geodesic` re-counts
+|C(g)| - |g| = n - 1 before it returns g.
 
 The classes drive the boundary construction: per axis, chains of components
 sharing a value merge projection values into equivalence classes; each class
@@ -115,13 +120,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterator
 
 from .linalg import (
     IncidenceSystem,
     _echelon,
     _incidence_row,
     _is_boundary,
-    rank,
+    _peeled_rank,
 )
 from .model import (
     Coordinate,
@@ -175,14 +181,21 @@ def _signature_groups(G: PointSet, what: str | None = None) -> list[list[Point]]
     return list(groups.values())
 
 
-def _require_good(S: PointSet, what: str):
+def _require_good(S: PointSet, what: str) -> Iterator[tuple[Point, Coordinate]]:
     """The good-set check by one rank of S's rows, naming `what` when it fails.
 
-    The rank peels S to its 2-core and eliminates only the core, if any is
-    left; no loop lies outside it.
+    The rank (`linalg._peeled_rank`) peels S to its 2-core and eliminates
+    only the core, if any is left; no loop lies outside it.  Returns the
+    peel's steps as (point, coordinate) pairs, built only as they are read:
+    each sends a point to one of its own coordinates, and no two share
+    either, so they seed `_order`'s matching.
     """
-    if rank(IncidenceSystem(S)) != len(S):
+    system = IncidenceSystem(S)
+    rank, steps = _peeled_rank(system.sparse_rows, len(system.columns))
+    if rank != len(S):
         raise PreconditionError(f"{what} requires a good set")
+    points, columns = S.points, system.columns
+    return ((points[k], columns[j]) for k, j in steps)
 
 
 def _classes(S: PointSet, what: str) -> list[PointSet]:
@@ -210,22 +223,28 @@ def _classes(S: PointSet, what: str) -> list[PointSet]:
 def _order(S: PointSet, x: Point, what: str | None) -> tuple:
     """(match, closure): the matching order of the good S from x.
 
-    With `what`, `_require_good` checks S first.  `match` sends x to its
-    last coordinate and every other point to one of its own coordinates
-    outside C(x), injectively: a point takes a free coordinate of its own
-    when it has one, and otherwise an augmenting path found breadth first,
-    which Hall's theorem gives every point of a good set.  `closure(p)` is
-    g(x, p), the points that x and p reach along the edges, or None when
-    one of them holds an unmatched coordinate, whose owner is `None`.  Each
-    closure is searched once, breadth first, when it is first asked for,
-    and takes a closure found before whole instead of searching past its
-    point.
+    With `what`, `_require_good` checks S first, and its peel seeds the
+    matching: each step (p, c) with c outside C(x), so p is not x, matches
+    p to c, as the steps share no point and no coordinate.  `match` sends x
+    to its last coordinate and every other point to one of its own
+    coordinates outside C(x), injectively: a point the seed left unmatched
+    takes a free coordinate of its own when it has one, and otherwise an
+    augmenting path found breadth first, which Hall's theorem gives every
+    point of a good set.  The closures do not depend on the matching (the
+    matching theorem in the module docstring), so the seed changes none of
+    them.  `closure(p)` is g(x, p), the points that x and p reach along the
+    edges, or None when one of them holds an unmatched coordinate, whose
+    owner is `None`.  Each closure is searched once, breadth first, when it
+    is first asked for, and takes a closure found before whole instead of
+    searching past its point.
     """
-    if what is not None:
-        _require_good(S, what)
     owner: dict = dict.fromkeys(enumerate(x), x)
     match = {x: (S.space.n - 1, x[-1])}
-    for p in (p for p in S if p != x):
+    if what is not None:
+        for p, c in _require_good(S, what):
+            if c not in owner:
+                match[p], owner[c] = c, p
+    for p in (p for p in S if p not in match):
         parent = dict.fromkeys(enumerate(p), p)
         free = next((c for c in parent if c not in owner), None)
         queue = [owner[c] for c in parent] if free is None else []

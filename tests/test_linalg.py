@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -8,8 +9,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import goodsets as gs
+from goodsets import linalg
 from goodsets.instances import _example10, parse_instance
 from goodsets.linalg import (
+    INCONSISTENT,
+    UNIQUE,
     PinRow,
     _canonical_solution,
     _circuit,
@@ -593,6 +597,8 @@ def test_peeled_solve_matches_canonical_elimination_and_sympy(kind, rng):
     # Stacked pins, repeated ones too (one pinned twice leaves a zero row
     # behind, consistent or not): the peeled read is a solution exactly when
     # the canonical elimination's is unique, and then it is that solution;
+    # when the peel's count says the system is determined and it is
+    # inconsistent, the peel says so, and otherwise it decides nothing;
     # sympy ranks give the same verdict.
     S = _solve_input(kind, rng)
     system = gs.IncidenceSystem(S)
@@ -606,7 +612,13 @@ def test_peeled_solve_matches_canonical_elimination_and_sympy(kind, rng):
             rhs = [sum(split[c] for c in enumerate(p)) for p in S] + [split[c] for c in coords]
         solution, basis = _canonical_solution(rows, rhs, ncols)
         unique = solution is not None and basis.rank == ncols
-        assert _peeled_solution(rows, rhs, ncols) == (solution if unique else None)
+        steps, core = _peel(rows, ncols)
+        determined = len(steps) + len({j for row in core.values() for j in row}) == ncols
+        if unique:
+            peeled = UNIQUE, solution
+        else:
+            peeled = (INCONSISTENT if solution is None and determined else None), None
+        assert _peeled_solution(rows, rhs, ncols) == peeled
         want = "unique" if unique else "inconsistent" if solution is None else "underdetermined"
         assert _sympy_verdict(rows, rhs, ncols) == want
         if len(set(coords)) == len(coords):
@@ -623,10 +635,43 @@ def test_peeled_solve_refuses_a_step_entry_other_than_one():
     # an entry of 2 is refused rather than read.
     with pytest.raises(gs.VerificationError, match="peel step's entry is not 1"):
         _peeled_solution([{0: 2}], [Fraction(1)], 1)
-    assert _peeled_solution([{0: 1, 1: 1}, {1: 1}], [Fraction(3), Fraction(1, 2)], 2) == [
-        Fraction(5, 2),
-        Fraction(1, 2),
-    ]
+    assert _peeled_solution([{0: 1, 1: 1}, {1: 1}], [Fraction(3), Fraction(1, 2)], 2) == (
+        UNIQUE,
+        [Fraction(5, 2), Fraction(1, 2)],
+    )
+
+
+def test_inconsistent_verdict_of_the_peel_skips_the_canonical_elimination(monkeypatch):
+    # When the peel's count says the system is determined, a dropped row
+    # that fails or a core whose rhs column is a pivot proves it
+    # inconsistent, and `solve_pinned` goes straight to the witness.  All of
+    # 2^3 is its own core, of rank 4 over 6 columns: an indicator rhs makes
+    # the rhs a pivot, and a consistent one leaves the peel undecided.  The
+    # d = 2 chain with its boundary and one more pin, off the split, fails
+    # at a dropped row.  Every outcome is the canonical-only reference's.
+    real, canonical = linalg._canonical_solution, []
+
+    def counted(rows, rhs, ncols):
+        canonical.append(ncols)
+        return real(rows, rhs, ncols)
+
+    monkeypatch.setattr(linalg, "_canonical_solution", counted)
+    cube = cube_set(list(itertools.product((0, 1), repeat=3)))
+    chain = parse_instance(_example10(2))
+    unique = gs.solve_pinned(gs.IncidenceSystem(chain.point_set), chain.f, chain.pins)
+    extra = next(c for c in chain.point_set.coordinates() if c not in chain.pins.coordinates())
+    pins = gs.PinSet(chain.pins.pins + ((extra, unique.decomposition.value(*extra) + 1),))
+    for S, f, pins, verdict, runs in [
+        (cube, gs.FunctionTable.indicator(cube, (0, 0, 0)), None, "inconsistent", 0),
+        (cube, gs.FunctionTable.zero(cube), None, "underdetermined", 1),
+        (chain.point_set, chain.f, pins, "inconsistent", 0),
+    ]:
+        system = gs.IncidenceSystem(S)
+        canonical.clear()
+        out = gs.solve_pinned(system, f, pins)
+        assert out.verdict == verdict and len(canonical) == runs
+        reference = _canonical_solve(system, f, pins or gs.PinSet(()))
+        assert (out.verdict, out.decomposition, out.kernel, out.witness) == reference
 
 
 def test_peeled_solve_by_hand():
@@ -646,13 +691,14 @@ def test_peeled_solve_by_hand():
     rhs = [Fraction(k == 2) for k in range(len(rows))]
     solution, _ = _canonical_solution(rows, rhs, ncols)
     assert Fraction(1, 2) in solution
-    assert _peeled_solution(rows, rhs, ncols) == solution
-    # The first pin again: its row is dropped as zero, and must agree.
+    assert _peeled_solution(rows, rhs, ncols) == (UNIQUE, solution)
+    # The first pin again: its row is dropped as zero, and must agree, or
+    # the system is inconsistent.
     twice = _stack_pins(system, coords + coords[:1])
-    assert _peeled_solution(twice, rhs + [rhs[-2]], ncols) == solution
-    assert _peeled_solution(twice, rhs + [rhs[-2] + 1], ncols) is None
+    assert _peeled_solution(twice, rhs + [rhs[-2]], ncols) == (UNIQUE, solution)
+    assert _peeled_solution(twice, rhs + [rhs[-2] + 1], ncols) == (INCONSISTENT, None)
     # One pin short, the count refuses before any arithmetic.
-    assert _peeled_solution(rows[:-1], rhs[:-1], ncols) is None
+    assert _peeled_solution(rows[:-1], rhs[:-1], ncols) == (None, None)
 
 
 def test_unique_solutions_match_sympy():

@@ -164,14 +164,23 @@ def _count_eliminations(monkeypatch) -> list:
 
 def test_geodesic_entries_run_one_good_set_elimination(monkeypatch):
     # `related`, `geodesic` and `full_component` rank S once and read the
-    # rest off the matching order, which does no arithmetic; on a set with
-    # def(S) = n - 1, `bound_diagnostics` takes its one pinned inversion as
-    # the check.  The rank peels S first and eliminates only a core that is
-    # left: T4 and `apart` keep one (T4 has no private coordinate), and the
-    # doubling chain peels to nothing, so it is ranked with no elimination.
-    # The known geodesics still come back, and a dependent set still gets
-    # the exact message after its one elimination.
+    # rest off the matching order, which does no arithmetic and is seeded by
+    # that rank's peel; on a set with def(S) = n - 1, `bound_diagnostics`
+    # takes its one pinned inversion as the check.  The rank peels S first
+    # and eliminates only a core that is left: T4 and `apart` keep one (T4
+    # has no private coordinate), and the doubling chain peels to nothing,
+    # so it is ranked with no elimination.  Each entry runs its one check,
+    # `structure._require_good`.  The known geodesics still come back, and
+    # a dependent set still gets the exact message after its one
+    # elimination.
     calls = _count_eliminations(monkeypatch)
+    real_check, checks = structure._require_good, []
+
+    def check(S, what):
+        checks.append(what)
+        return real_check(S, what)
+
+    monkeypatch.setattr(structure, "_require_good", check)
     cores = {"t4": 1, "chain": 0, "apart": 1}
     chain = parse_instance(_example10(6))
     t4 = cube_set(T4)
@@ -194,28 +203,29 @@ def test_geodesic_entries_run_one_good_set_elimination(monkeypatch):
         assert gs.is_full(g.points)
     for name, S in (("t4", t4), ("chain", chain.point_set), ("apart", apart)):
         for call in (
+            lambda: gs.geodesic(S, S.points[0], S.points[-1]),
             lambda: gs.related(S, S.points[0], S.points[-1]),
             lambda: gs.full_component(S, S.points[-1]),
         ):
+            checks.clear()
             calls.clear()
             call()
-            assert len(calls) == cores[name]
+            assert len(checks) == 1 and len(calls) == cores[name]
     calls.clear()
     assert gs.bound_diagnostics(chain.point_set).max_geodesic_length == 19
     assert len(calls) == 1
-    # The block solve eliminates each block, so the solve routes count ranks:
-    # the geodesic route ranks S once, and the componentwise route leaves its
-    # check to the refinement behind `related_components`.
-    real_rank, ranks = structure.rank, []
-    monkeypatch.setattr(structure, "rank", lambda system: ranks.append(system) or real_rank(system))
+    # The block solve eliminates each block, so the solve routes count
+    # good-set checks: the geodesic route checks S once, and the
+    # componentwise route leaves its check to the refinement behind
+    # `related_components`.
     for S, solver, count in [
         (chain.point_set, gs.solve_via_geodesics, 1),
         (t4, gs.solve_via_geodesics, 1),
         (apart, gs.solve_componentwise, 0),
     ]:
-        ranks.clear()
+        checks.clear()
         assert solver(S, gs.FunctionTable.zero(S)).unique
-        assert len(ranks) == count
+        assert len(checks) == count
     for S in RANK_PATH_SETS:
         calls.clear()
         with pytest.raises(gs.PreconditionError) as err:

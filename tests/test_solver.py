@@ -3,6 +3,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import goodsets as gs
 from goodsets import linalg, solve
@@ -613,6 +615,50 @@ def _adds_one_at(target):
     return lambda space, pairs: build(space, [(c, v + (c == target)) for c, v in pairs])
 
 
+def _fraction_split_check(S, f, decomposition, pins):
+    """The split check in `Fraction`s, pin by pin and point by point: the oracle of `_check`."""
+    for coord, value in pins:
+        if decomposition.value(*coord) != value:
+            raise gs.VerificationError("solution does not honor a prescribed boundary value")
+    for p in S:
+        if decomposition.evaluate(p) != f(p):
+            raise gs.VerificationError("split does not reproduce f")
+
+
+def _raised(check, *args):
+    try:
+        check(*args)
+    except (gs.PreconditionError, gs.VerificationError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_integer_split_check_matches_the_fraction_check(rng):
+    # `solve._check` compares integers over one denominator.  On splits
+    # that reproduce f or miss it at one point or more, that lack a
+    # coordinate or not, and on pins that hold, miss, lie off the split or
+    # off the axes, it raises exactly what the `Fraction` check raises.
+    S = random_good_set(rng, random_space(rng), 8)
+    tables = [dict(t) for t in random_decomposition(rng, S).tables]
+    split = gs.Decomposition(S.space, tuple(tables))
+    values = gs.FunctionTable.from_decomposition(S, split).values
+    off = {p: (rng.random() < 0.2) * random_fraction(rng) for p in S}
+    f = gs.FunctionTable(S, {p: v + off[p] for p, v in values.items()})
+    if rng.random() < 0.2:
+        axis = rng.randrange(S.space.n)
+        del tables[axis][rng.choice(list(tables[axis]))]
+        split = gs.Decomposition(S.space, tuple(tables))
+    coords = rng.sample(S.coordinates(), rng.randint(0, min(3, len(S.coordinates()))))
+    pins = [(c, split.tables[c[0]].get(c[1], 0) + (rng.random() < 0.1)) for c in coords]
+    if rng.random() < 0.2:
+        pins.insert(rng.randint(0, len(pins)), (rng.choice([(S.space.n, 0), (0, "off")]), 0))
+    pins = gs.PinSet(tuple(pins))
+    expected = _raised(_fraction_split_check, S, f, split, pins)
+    assert _raised(solve._check, S, f, split, pins) == expected
+
+
 @pytest.mark.parametrize(
     "route, target, message",
     [
@@ -649,11 +695,11 @@ def test_wrong_block_value_is_caught(monkeypatch, route):
     real, solved = linalg._peeled_solution, []
 
     def wrong(rows, rhs, ncols):
-        solution = real(rows, rhs, ncols)
+        verdict, solution = real(rows, rhs, ncols)
         solved.append(ncols)
         if len(solved) == 3:
             solution[0] += 1
-        return solution
+        return verdict, solution
 
     monkeypatch.setattr(solve, "_peeled_solution", wrong)
     solver = gs.solve_via_geodesics if route == "geodesic" else gs.solve_componentwise

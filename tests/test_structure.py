@@ -278,6 +278,26 @@ def test_matching_order_matches_the_inverse_walk(seed, shape):
         assert p == x or (match[p] in set(enumerate(p)) - set(enumerate(x)))
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_peel_seeded_matching_order_matches_the_unseeded_one(seed):
+    # With `what`, the good-set check's peel seeds the matching with its
+    # steps off C(x).  On random good sets, n = 2-4, from every x: the
+    # seeded order's closures are the unseeded order's for every z, and the
+    # seeded match sends x to its last coordinate and every other point,
+    # injectively, to one of its own coordinates outside C(x).
+    rng = random.Random(seed)
+    S = random_good_set(rng, random_space(rng, (2, 3, 4), max_axis=4), 9)
+    for x in S:
+        match, closure = structure._order(S, x, "test")
+        _, unseeded = structure._order(S, x, None)
+        assert [closure(z) for z in S] == [unseeded(z) for z in S]
+        assert match[x] == (S.space.n - 1, x[-1])
+        assert len(match) == len(set(match.values())) == len(S)
+        for p in S:
+            assert p == x or match[p] in set(enumerate(p)) - set(enumerate(x))
+
+
 def test_matching_order_on_two_axes_is_the_tree_order():
     # For n = 2 a good set is a forest in the bipartite graph of its values:
     # x's class is x's tree, each block of the order is one point, and
