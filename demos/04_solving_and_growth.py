@@ -3,10 +3,11 @@
 
 The split of f into per-axis tables is linear algebra over the point /
 coordinate incidence pattern, and all four solver routes must agree:
-direct pinned elimination, square blocks along the geodesics from a base,
-per-component assembly, and prescribed boundary values.  The famous three-axis chain shows
-why boundedness can fail for n > 2: solution values double along the chain
-even though f is an indicator.
+direct pinned elimination, one solve pinned at a base whose geodesics
+reach every point, the same per component, and prescribed boundary
+values.  The famous three-axis chain shows why boundedness can fail for
+n > 2: solution values double along the chain even though f is an
+indicator.
 """
 
 from fractions import Fraction
@@ -23,8 +24,8 @@ pins = gs.PinSet.zeros([(0, 1), (1, 1)])
 direct = gs.solve_direct(t4, f, pins)
 print("direct   :", [dict(t) for t in direct.decomposition.tables])
 
-# Geodesic: pin the base (1,1,0)'s first two coordinates, the pins above, and
-# solve one square block per geodesic from the base, shorter geodesics first.
+# Geodesic: pin the base (1,1,0)'s first two coordinates, the pins above, check
+# that every point has a geodesic from the base, and solve once.
 via_geodesics = gs.solve_via_geodesics(t4, f, (1, 1, 0))
 print("geodesic :", [dict(t) for t in via_geodesics.decomposition.tables])
 print("agree?", direct.decomposition.tables == via_geodesics.decomposition.tables)

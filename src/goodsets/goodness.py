@@ -23,10 +23,11 @@ from .linalg import (
     _echelon,
     _incidence_row,
     _is_boundary,
-    _stack_pins,
+    column_kernel,
     rank,
 )
 from .model import (
+    PinSet,
     PointSet,
     PreconditionError,
     VerificationError,
@@ -172,10 +173,9 @@ def full_split(S: PointSet) -> PointSet:
     solution pinned to zero at x0's first n - 1 coordinates, and swaps one
     coordinate of x0 to a value where the solution is nonzero; the new point
     lowers the deficiency by exactly one.  The solution is the first vector
-    of `linalg.column_kernel`, read off the back-substituted integer basis
-    of F's rows over those pins: 1 at the least free column f, nonzero at a
-    pivot p exactly when row p holds f.  Such a p is less than f, so the
-    swap is the least such pivot, or f when no pivot row holds it.
+    of `linalg.column_kernel` over those pins, the one of the least free
+    column, and it lists its nonzero coordinates in column order; the
+    swap is its first.
     """
     grown = _addable(S, S.coordinates(), S.product_points(), "full_split")
     n = S.space.n
@@ -187,17 +187,12 @@ def full_split(S: PointSet) -> PointSet:
         raise VerificationError("a good set that is not full has no addable point")
     F = S.union([first])
     while F.deficiency() > n - 1:
-        extra = F.difference(S.points)
-        x0 = extra.points[0]
-        system = IncidenceSystem(F)
-        ncols = len(system.columns)
-        basis = _echelon(_stack_pins(system, [(i, x0[i]) for i in range(n - 1)]), ncols)
-        basis.back_substitute()
-        rows = basis.pivot_rows
-        f = next((j for j in range(ncols) if j not in rows), None)
-        if f is None:
+        x0 = F.difference(S.points).points[0]
+        pins = PinSet.zeros((i, x0[i]) for i in range(n - 1))
+        kernel = column_kernel(IncidenceSystem(F), pins)
+        if not kernel:
             raise VerificationError("set not full but pinned kernel is trivial")
-        j, value = system.columns[min((p for p, row in rows.items() if f in row), default=f)]
+        j, value = next(iter(kernel[0]))
         new_point = tuple(value if i == j else x0[i] for i in range(n))
         if new_point in F:
             raise VerificationError("split construction produced an existing point")

@@ -572,8 +572,8 @@ def _witness(rows, rhs: Sequence[Fraction], ncols: int, labels) -> tuple:
 def _decomposition(space: Space, pairs: Iterable[tuple[Coordinate, Fraction]]) -> Decomposition:
     """The split that gives each coordinate of the (coordinate, value) pairs its value.
 
-    Every route builds its split here: `solve_pinned` from its columns and
-    solution, `solve._unique` from the geodesic values.
+    Every route builds its split here, as every route solves with
+    `solve_pinned`, from its columns and solution.
     """
     tables: list[dict] = [dict() for _ in range(space.n)]
     for (axis, label), v in pairs:

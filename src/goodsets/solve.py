@@ -1,14 +1,14 @@
 """Exact solvers for u_1(x_1) + ... + u_n(x_n) = f on a good set.
 
-Four routes produce the same numbers and certify each other:
+Four routes produce the same numbers:
 
 * direct -- one pinned solve over the whole incidence system.
 * geodesic -- pin a base point's first n - 1 coordinates at zero and solve
-  block by block along `structure._order`, the matching order from the
-  base: the points with one closure form a square block over their matched
-  coordinates, solved once the smaller closures are.
-* componentwise -- the geodesic route per relatedness component, valid when
-  components share no coordinate of any kind.
+  once; `structure._order`, the matching order from the base, only
+  refuses a point unrelated to the base and measures the longest geodesic.
+* componentwise -- the geodesic route per relatedness component, every
+  base pinned in the one solve, valid when components share no coordinate
+  of any kind.
 * boundary -- prescribe values on a boundary: the pins are stacked under
   the incidence rows, the stacked system must be square, and one pinned
   solve must come out unique.  (The comb through a boundary that meets
@@ -21,25 +21,26 @@ solution value over singleton indicator right-hand sides, read off one exact
 inverse of the system pinned at the base's first n - 1 coordinates, which is
 also its good-set check.
 
-Every unique solve is one read along the peel, `linalg._peeled_solution`:
-the direct and boundary routes' through `solve_pinned`, and each square
-block of the geodesic and componentwise routes directly.  It substitutes
-in integers over one denominator and eliminates only the 2-core; the
-chain has none.
+Every route solves once, with `linalg.solve_pinned`, and a unique solve
+is one read along the peel, `linalg._peeled_solution`: it substitutes in
+integers over one denominator and eliminates only the 2-core; the chain
+has none.  `solve_pinned` keeps its own oracle, sympy, in the tests.
 
-The geodesic and componentwise routes share one solve, `_block_solve`, and
-invert nothing.  The geodesic route's good-set check is the one rank of S
-that `structure._order` runs, whose peel also seeds the order's matching;
-the componentwise route's is the refinement behind `related_components`,
-so its components are not checked again.  Both routes, like
-`solve_pinned`, first require f to be given on exactly S's points.
+The geodesic and componentwise routes share one solve, `_geodesic_solve`,
+and invert nothing.  The geodesic route's good-set check is the one rank
+of S that `structure._order` runs, whose peel also seeds the order's
+matching; the componentwise route's is the refinement behind
+`related_components`, so its components are not checked again.  Both
+routes, like `solve_pinned`, first require f to be given on exactly S's
+points.
 
-Every split is built by one builder, `linalg._decomposition`, and checked
-by one check, `_check`: the split must honour its pins and reproduce f on
-S, compared in integers over one denominator.  The geodesic, componentwise
-and boundary routes run it before they report; `solve_direct`'s split is
-checked by tests only.  `_report` builds every route's report, a
-`LinearSolve` with the method tag and diagnostics.
+Every split is built by one builder, `linalg._decomposition`, inside
+`solve_pinned`, and checked by one check, `_check`: the split must honour
+its pins and reproduce f on S, compared in integers over one denominator.
+The geodesic, componentwise and boundary routes run it before they report,
+so it certifies each of their splits; `solve_direct`'s split is checked
+by tests only.  `_report` builds every route's report, a `LinearSolve`
+with the method tag and diagnostics.
 """
 
 from __future__ import annotations
@@ -50,14 +51,11 @@ from itertools import islice
 
 from .goodness import is_good
 from .linalg import (
-    UNIQUE,
     IncidenceSystem,
     LinearSolve,
-    _decomposition,
     _incidence_row,
     _is_boundary,
     _over_common_denominator,
-    _peeled_solution,
     _pinned_inverse,
     _require_total,
     solve_pinned,
@@ -183,56 +181,48 @@ def _check(S: PointSet, f: FunctionTable, decomposition: Decomposition, pins):
             raise VerificationError("split does not reproduce f")
 
 
-def _block_solve(S: PointSet, f: FunctionTable, method: str, parts, what=None) -> SolveReport:
-    """The geodesic routes' split, solved block by block along each part's order.
+def _geodesic_solve(S: PointSet, f: FunctionTable, method: str, parts, what=None) -> SolveReport:
+    """The geodesic routes' split: every part's base pinned, solved once.
 
     Each (F, base) in `parts` is S itself or one of its components, and
-    the parts share no coordinate.  F's base has its first n - 1
-    coordinates pinned at zero, and `structure._order` of F from the base,
-    named `what`, gives the blocks: the points with one closure form a
-    square block over their matched coordinates, and the first point
-    without a closure is refused as unrelated to the base.  The blocks are
-    solved in order of closure size, so every other coordinate a block's
-    rows hold already has its value (the matching theorem in `structure`);
-    each is read along its peel (`_peeled_solution`), and one with no
-    unique solution is refused as singular.  The split lists each part's
-    coordinates in order, the longest geodesic is the largest closure, and
-    `_check` asserts that the split reproduces f.
+    the parts share no coordinate.  `structure._order` of F from the base,
+    named `what`, refuses the first point of F without a closure as
+    unrelated to the base and gives the longest geodesic, its largest
+    closure; it solves nothing.  Every base's first n - 1 coordinates are
+    then pinned at zero and S is solved once (`solve_pinned`): each part
+    is full, so those pins are a boundary of it, and the split is unique.
+    Any other verdict is an internal error.  `_check` asserts that the
+    split honours the pins and reproduces f.
     """
-    values, blocks = {}, {}
+    coords, longest = [], 0
     for F, base in parts:
-        values.update(((i, base[i]), Fraction(0)) for i in range(S.space.n - 1))
-        match, close = _order(F, base, what)
+        coords += ((i, base[i]) for i in range(S.space.n - 1))
+        close = _order(F, base, what)[1]
         for p, g in zip(F, map(close, F)):
             if g is None:
                 raise PreconditionError(
                     f"{p!r} is unrelated to the base; use the componentwise or boundary method"
                 )
-            blocks.setdefault(g, {})[p] = match[p]
-    for g in sorted(blocks, key=len):
-        columns = {c: j for j, c in enumerate(blocks[g].values())}
-        rows = [_incidence_row(p, columns) for p in blocks[g]]
-        rhs = [f(p) - sum(values[c] for c in enumerate(p) if c not in columns) for p in blocks[g]]
-        verdict, solution = _peeled_solution(rows, rhs, len(columns))
-        if verdict != UNIQUE:
-            raise VerificationError("a geodesic block is singular")
-        values.update(zip(columns, solution))
-    split = _decomposition(S.space, ((c, values[c]) for F, _ in parts for c in F.coordinates()))
-    _check(S, f, split, ())
-    return _report(method, LinearSolve(UNIQUE, split, (), None), max(map(len, blocks)))
+            longest = max(longest, len(g))
+    pins = PinSet.zeros(coords)
+    outcome = solve_pinned(IncidenceSystem(S), f, pins)
+    if not outcome.unique:
+        raise VerificationError("the system pinned at the bases has no unique split")
+    _check(S, f, outcome.decomposition, pins)
+    return _report(method, outcome, longest)
 
 
 def solve_via_geodesics(S: PointSet, f: FunctionTable, base=None) -> SolveReport:
-    """Case of a single relatedness component: solve block by block along the matching order.
+    """Case of a single relatedness component: one solve pinned at the base.
 
     Pins the base's first n - 1 coordinates at zero.  One rank of S is the
     good-set check of `structure._order`, and its peel seeds the order's
-    matching; `_block_solve` solves the blocks, lower blocks first.
+    matching; `_geodesic_solve` reads the order and solves once.
     """
     _require_total(f, S.points)
     S.require_nonempty("solve_via_geodesics")
     base = S.points[0] if base is None else S.require_member(base)
-    return _block_solve(S, f, "geodesic", [(S, base)], "solve_via_geodesics")
+    return _geodesic_solve(S, f, "geodesic", [(S, base)], "solve_via_geodesics")
 
 
 def solve_componentwise(S: PointSet, f: FunctionTable, bases=None) -> SolveReport:
@@ -240,8 +230,8 @@ def solve_componentwise(S: PointSet, f: FunctionTable, bases=None) -> SolveRepor
 
     Each component is full and was checked good by `related_components`'
     refinement, so its matching order from its base needs no check of its
-    own; `_block_solve` solves every component's blocks into one table,
-    which is assembled and checked once.
+    own; `_geodesic_solve` pins every component's base and solves S once,
+    and the split is checked once.
     """
     _require_total(f, S.points)
     S.require_nonempty("solve_componentwise")
@@ -258,7 +248,7 @@ def solve_componentwise(S: PointSet, f: FunctionTable, bases=None) -> SolveRepor
     if not hasattr(bases, "__iter__") or len(bases := list(bases)) != len(comps):
         raise PreconditionError("one base point per component required")
     parts = [(comp, comp.require_member(b)) for comp, b in zip(comps, bases)]
-    return _block_solve(S, f, "componentwise", parts)
+    return _geodesic_solve(S, f, "componentwise", parts)
 
 
 def solve_with_boundary(

@@ -100,9 +100,10 @@ rows are zero off C(x), their own matched coordinates and those matched in
 smaller closures; so the pinned system of x's class is block-triangular in
 order of closure size, each block square over its matched coordinates and
 invertible, as the system of the full closure is.  Hence the pinned solve
-on any full G through x agrees with the one on the class on C(G), and
-`solve` reads the split block by block.  `geodesic` re-counts
-|C(g)| - |g| = n - 1 before it returns g.
+on any full G through x agrees with the one on the class on C(G).  `solve`
+reads the order only to refuse a point unrelated to its base and to
+measure the longest geodesic; its split is one pinned solve.  `geodesic`
+re-counts |C(g)| - |g| = n - 1 before it returns g.
 
 The classes drive the boundary construction: per axis, chains of components
 sharing a value merge projection values into equivalence classes; each class
@@ -236,7 +237,9 @@ def _order(S: PointSet, x: Point, what: str | None) -> tuple:
     edges, or None when one of them holds an unmatched coordinate, whose
     owner is `None`.  Each closure is searched once, breadth first, when it
     is first asked for, and takes a closure found before whole instead of
-    searching past its point.
+    searching past its point.  Every caller in the package reads the
+    closures alone; `match` is returned so that tests can hold the matching
+    to its contract.
     """
     owner: dict = dict.fromkeys(enumerate(x), x)
     match = {x: (S.space.n - 1, x[-1])}

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from goodsets import linalg, solve, structure
+from goodsets import linalg, structure
 from goodsets.cli import COMMANDS, main
 from goodsets.instances import dumps_canonical, emit_examples, example_instance
 
@@ -419,7 +419,6 @@ def test_a_split_that_fails_its_check_exits_internal(capsys, inst_dir, monkeypat
     def wrong(space, pairs):
         return build(space, [(c, v + (c == (2, "z1"))) for c, v in pairs])
 
-    monkeypatch.setattr(solve, "_decomposition", wrong)
     monkeypatch.setattr(linalg, "_decomposition", wrong)
     code, report, err = run_cli(
         capsys, "solve", str(inst_dir / "ex10_depth2.json"), "--method", method

@@ -214,7 +214,7 @@ def test_geodesic_entries_run_one_good_set_elimination(monkeypatch):
     calls.clear()
     assert gs.bound_diagnostics(chain.point_set).max_geodesic_length == 19
     assert len(calls) == 1
-    # The block solve eliminates each block, so the solve routes count
+    # The pinned solve eliminates S's core, so the solve routes count
     # good-set checks: the geodesic route checks S once, and the
     # componentwise route leaves its check to the refinement behind
     # `related_components`.

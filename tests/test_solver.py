@@ -486,9 +486,9 @@ def test_greedy_maximal_frontier():
 
 
 def test_greedy_maximal_matching_order_frontier():
-    # The same 598 points: both geodesic routes solve block by block along
-    # the matching order from the base, and 20 geodesics from the base each
-    # rank S once and read one closure.
+    # The same 598 points: both geodesic routes read the matching order
+    # from the base and solve once pinned there, and 20 geodesics from the
+    # base each rank S once and read one closure.
     rng = random.Random(83)
     S = greedy_maximal_cube(rng, 200)
     f = random_function(rng, S)
@@ -534,8 +534,8 @@ def test_greedy_maximal_geodesic_frontier():
 
 
 def test_greedy_maximal_geodesic_routes_frontier():
-    # 238 points of 80^3: both routes solve block by block along the
-    # matching order, with no pinned inverse.
+    # 238 points of 80^3: both routes read the matching order and solve
+    # once, with no pinned inverse.
     rng = random.Random(2)
     S = greedy_maximal_cube(rng, 80)
     f = random_function(rng, S)
@@ -669,12 +669,12 @@ def test_integer_split_check_matches_the_fraction_check(rng):
     ],
 )
 def test_split_check_catches_a_wrong_value(monkeypatch, route, target, message):
-    # Every route but direct builds its split through `_decomposition` and
-    # checks it in `solve._check`; one wrong value must not be reported.
+    # Every route builds its split through `linalg._decomposition`, and
+    # every route but direct checks it in `solve._check`; one wrong value
+    # must not be reported.
     inst = parse_instance(_example10(2))
     S, f = inst.point_set, inst.f
     wrong = _adds_one_at(target)
-    monkeypatch.setattr(solve, "_decomposition", wrong)
     monkeypatch.setattr(linalg, "_decomposition", wrong)
     solvers = {
         "geodesic": lambda: gs.solve_via_geodesics(S, f),
@@ -687,9 +687,10 @@ def test_split_check_catches_a_wrong_value(monkeypatch, route, target, message):
 
 @pytest.mark.parametrize("route", ["geodesic", "componentwise"])
 def test_wrong_block_value_is_caught(monkeypatch, route):
-    # Both routes solve the blocks of the matching order one at a time with
-    # `linalg._peeled_solution`.  One block's first value off by one must
-    # not be reported: the split check must refuse the split.
+    # Both routes solve S once, pinned at the bases, with
+    # `linalg._peeled_solution`.  The last column's value, which no pin
+    # holds, off by one must not be reported: the split check must refuse
+    # the split.
     inst = parse_instance(_example10(2))
     S, f = inst.point_set, inst.f
     real, solved = linalg._peeled_solution, []
@@ -697,34 +698,43 @@ def test_wrong_block_value_is_caught(monkeypatch, route):
     def wrong(rows, rhs, ncols):
         verdict, solution = real(rows, rhs, ncols)
         solved.append(ncols)
-        if len(solved) == 3:
-            solution[0] += 1
+        solution[-1] += 1
         return verdict, solution
 
-    monkeypatch.setattr(solve, "_peeled_solution", wrong)
+    monkeypatch.setattr(linalg, "_peeled_solution", wrong)
     solver = gs.solve_via_geodesics if route == "geodesic" else gs.solve_componentwise
     with pytest.raises(gs.VerificationError, match="^split does not reproduce f$"):
         solver(S, f)
-    assert len(solved) > 3
+    assert solved == [len(S.coordinates())]
 
 
 def test_no_pinned_inverse_on_either_geodesic_route(monkeypatch):
-    # The geodesic and componentwise routes solve block by block along the
-    # matching order, and the geodesic route's good-set check is one rank of
-    # S; neither inverts a class or a geodesic.  Their splits equal the
-    # direct solve pinned at the same base.
+    # The geodesic and componentwise routes read the matching order and
+    # solve once, pinned at the bases, and the geodesic route's good-set
+    # check is one rank of S; neither inverts a class or a geodesic, and
+    # each runs `linalg._peeled_solution` exactly once.  Their splits equal
+    # the direct solve pinned at the same base.
     def no_inverse(system, coords):
         raise AssertionError("a geodesic route inverted a pinned system")
 
     monkeypatch.setattr(linalg, "_pinned_inverse", no_inverse)
     monkeypatch.setattr(solve, "_pinned_inverse", no_inverse)
+    real, peeled = linalg._peeled_solution, []
+
+    def counted(rows, rhs, ncols):
+        peeled.append(ncols)
+        return real(rows, rhs, ncols)
+
+    monkeypatch.setattr(linalg, "_peeled_solution", counted)
     rng = random.Random(131)
     full = [gs.full_closure(random_good_set(rng, random_space(rng), 8)) for _ in range(20)]
     full += [ex10(depth).point_set for depth in (1, 3)]
     for S in full:
         f, base = random_function(rng, S), rng.choice(S.points)
         pins = gs.PinSet.zeros([(i, base[i]) for i in range(S.space.n - 1)])
+        peeled.clear()
         via = gs.solve_via_geodesics(S, f, base)
+        assert len(peeled) == 1
         assert via.decomposition.tables == gs.solve_direct(S, f, pins).decomposition.tables
     for parts in (1, 2, 3):
         points, offsets = [], [0, 0, 0]
@@ -733,7 +743,9 @@ def test_no_pinned_inverse_on_either_geodesic_route(monkeypatch):
             offsets = [o + 2 for o in offsets]
         S = gs.PointSet.of(int_space(offsets), points)
         f = random_function(rng, S)
+        peeled.clear()
         report = gs.solve_componentwise(S, f)
+        assert len(peeled) == 1
         assert len(gs.related_components(S)) == parts
         assert all(report.decomposition.evaluate(p) == f(p) for p in S)
 
