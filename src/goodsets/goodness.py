@@ -12,7 +12,6 @@ other in tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 
 from .linalg import (
@@ -32,6 +31,7 @@ from .model import (
     PreconditionError,
     VerificationError,
     _coordinate,
+    _Frozen,
 )
 
 __all__ = [
@@ -49,12 +49,15 @@ __all__ = [
 Loop = CircuitVector
 
 
-@dataclass(frozen=True)
-class GoodnessVerdict:
+class GoodnessVerdict(_Frozen):
     """good=True means no loop exists; otherwise `loop` is the certificate."""
 
     good: bool
     loop: Loop | None
+
+    def __init__(self, good, loop):
+        object.__setattr__(self, "good", good)
+        object.__setattr__(self, "loop", loop)
 
     def __bool__(self) -> bool:
         return self.good

@@ -31,7 +31,6 @@ which the CLI hashes for its report.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -43,6 +42,7 @@ from .model import (
     PointSet,
     PreconditionError,
     Space,
+    _Frozen,
     as_fraction,
 )
 
@@ -79,8 +79,7 @@ def _coordinate_form(space: Space, coord) -> dict:
     return {"axis": space.axes[coord[0]].name, "value": coord[1]}
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(_Frozen):
     """A parsed instance; `file_points` keeps the file order for index maps."""
 
     space: Space
@@ -89,6 +88,14 @@ class Instance:
     f: FunctionTable | None
     pins: PinSet | None
     measure: FiniteMeasure | None
+
+    def __init__(self, space, point_set, file_points, f, pins, measure):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "point_set", point_set)
+        object.__setattr__(self, "file_points", file_points)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "pins", pins)
+        object.__setattr__(self, "measure", measure)
 
     def index_of(self, point) -> int:
         return self.file_points.index(self.point_set.require_member(point))

@@ -48,10 +48,9 @@ positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
 
 from .model import (
     Coordinate,
@@ -64,6 +63,7 @@ from .model import (
     Space,
     VerificationError,
     _coordinate,
+    _Frozen,
     as_fraction,
 )
 
@@ -386,15 +386,16 @@ def _incidence_row(point: Point, col_index: Mapping) -> dict[int, int]:
     return row
 
 
-@dataclass(frozen=True)
-class PinRow:
+class PinRow(_Frozen):
     """Label of a stacked pin equation inside a witness combination."""
 
     coordinate: Coordinate
 
+    def __init__(self, coordinate):
+        object.__setattr__(self, "coordinate", coordinate)
 
-@dataclass(frozen=True)
-class IncidenceSystem:
+
+class IncidenceSystem(_Frozen):
     """Rows: incidence vectors of the points of S.  Columns: coordinates of S.
 
     `sparse_rows`, one dict {column: 1} per point, are what the elimination
@@ -522,8 +523,7 @@ def column_kernel(system: IncidenceSystem, pins: PinSet | None = None) -> list[d
     return _kernel_dicts(system, basis)
 
 
-@dataclass(frozen=True)
-class LinearSolve:
+class LinearSolve(_Frozen):
     """Outcome of a pinned solve.
 
     verdict 'unique': decomposition set, kernel empty.
@@ -537,6 +537,12 @@ class LinearSolve:
     decomposition: Decomposition | None
     kernel: tuple[dict, ...]
     witness: tuple[tuple[object, Fraction], ...] | None
+
+    def __init__(self, verdict, decomposition, kernel, witness):
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "decomposition", decomposition)
+        object.__setattr__(self, "kernel", kernel)
+        object.__setattr__(self, "witness", witness)
 
     @property
     def unique(self) -> bool:
@@ -636,8 +642,7 @@ def in_span(system: IncidenceSystem, vector: Mapping[Coordinate, object]) -> boo
     return basis.contains_sparse(dict(zip(entries, numerators)))
 
 
-@dataclass(frozen=True)
-class CircuitVector:
+class CircuitVector(_Frozen):
     """A minimal dependent point list with its normalized integer coefficients.
 
     sum_i coefficients[i] * incidence_vector(points[i]) = 0 coordinatewise,
@@ -647,6 +652,10 @@ class CircuitVector:
 
     points: tuple[Point, ...]
     coefficients: tuple[int, ...]
+
+    def __init__(self, points, coefficients):
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "coefficients", coefficients)
 
     def __len__(self) -> int:
         return len(self.points)

@@ -23,13 +23,12 @@ times the sum of its coefficients; no other weight moves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 from .goodness import Loop, is_good
 from .linalg import _over_common_denominator
-from .model import PointSet, PreconditionError, VerificationError, _axis, as_fraction
+from .model import PointSet, PreconditionError, VerificationError, _axis, _Frozen, as_fraction
 
 __all__ = [
     "FiniteMeasure",
@@ -41,8 +40,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FiniteMeasure:
+class FiniteMeasure(_Frozen):
     """Rational probability weights, strictly positive on the support.
 
     `_integer` holds what validation computed: the weights' points and
@@ -51,12 +49,13 @@ class FiniteMeasure:
 
     support: PointSet
     weights: Mapping
-    _integer: tuple = field(init=False, repr=False, compare=False)
+    _integer: tuple
 
-    def __post_init__(self):
-        self.support.require_nonempty("finite measure")
-        w = {p: as_fraction(v) for p, v in self.weights.items()}
-        if w.keys() != set(self.support.points):
+    def __init__(self, support, weights):
+        object.__setattr__(self, "support", support)
+        support.require_nonempty("finite measure")
+        w = {p: as_fraction(v) for p, v in weights.items()}
+        if w.keys() != set(support.points):
             raise PreconditionError("weights must be given exactly on the support")
         numerators, D = _over_common_denominator(w.values())
         if any(a <= 0 for a in numerators):
@@ -92,11 +91,13 @@ class FiniteMeasure:
             return self.weights.get(self.support.space.validate_point(point), Fraction(0))
 
 
-@dataclass(frozen=True)
-class MarginalVector:
+class MarginalVector(_Frozen):
     """Per axis, the pushforward weights; each axis sums to one."""
 
     per_axis: tuple[dict, ...]
+
+    def __init__(self, per_axis):
+        object.__setattr__(self, "per_axis", per_axis)
 
     def mass(self, axis: int, label) -> Fraction:
         """The weight of the label on the axis, read by `model._axis`; 0 off the support."""
@@ -120,8 +121,7 @@ def marginals(m: FiniteMeasure) -> MarginalVector:
     return MarginalVector(tuple(per_axis))
 
 
-@dataclass(frozen=True)
-class SimplicialVerdict:
+class SimplicialVerdict(_Frozen):
     """Extremality verdict; failures carry a signed perturbation certificate.
 
     The certificate is a loop with integer coefficients and a step size
@@ -132,6 +132,11 @@ class SimplicialVerdict:
     simplicial: bool
     loop: Loop | None
     epsilon: Fraction | None
+
+    def __init__(self, simplicial, loop, epsilon):
+        object.__setattr__(self, "simplicial", simplicial)
+        object.__setattr__(self, "loop", loop)
+        object.__setattr__(self, "epsilon", epsilon)
 
     def perturbed(self, m: FiniteMeasure, sign: int) -> dict:
         """The weights of mu + sign*eps*nu, sign the int +1 or -1.

@@ -16,7 +16,9 @@ holds the data they all share:
 
 All scalars are :class:`fractions.Fraction`; nothing is ever rounded.  Every
 type is immutable after construction and every operation is pure, so shared
-instances are safe under concurrent use.
+instances are safe under concurrent use.  Every value class of the package
+stands on `_Frozen`, which refuses writes and compares, hashes and prints
+a value by its fields; each class's own `__init__` checks and sets them.
 
 Input.  Every point that enters the package is read by one reader,
 `Space._read`: it makes the point a tuple, checks its arity and looks up
@@ -39,10 +41,10 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from operator import attrgetter
 
 __all__ = [
     "Axis",
@@ -72,6 +74,41 @@ class PreconditionError(ValueError):
 
 class VerificationError(RuntimeError):
     """An internal consistency check failed; indicates a bug, not bad input."""
+
+
+class _Frozen:
+    """The base of every value class: read-only fields, with equality, hash and repr over them.
+
+    A class's fields are its annotated names without a leading `_`, its
+    bases' first; its `__init__` sets them with `object.__setattr__`.  An
+    annotated `_name` is a cache, outside equality, hash and repr.  Values
+    are equal only when their classes are the same and their fields equal.
+    `_key(value)` reads the fields, a tuple of them when there are two or more.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields += tuple(name for name in cls.__annotations__ if not name.startswith("_"))
+        cls._key = attrgetter(*cls._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 def as_fraction(value) -> Fraction:
@@ -119,26 +156,26 @@ def _coordinate(coord) -> Coordinate:
     return axis, label
 
 
-@dataclass(frozen=True)
-class Axis:
+class Axis(_Frozen):
     """One factor of the product: a name and its ordered, distinct labels."""
 
     name: str
     values: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        if not self.values:
-            raise PreconditionError(f"axis {self.name!r} has no values")
+    def __init__(self, name, values):
+        values = tuple(values)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "values", values)
+        if not values:
+            raise PreconditionError(f"axis {name!r} has no values")
         try:
-            if len(set(self.values)) != len(self.values):
-                raise PreconditionError(f"axis {self.name!r} has duplicate values")
+            if len(set(values)) != len(values):
+                raise PreconditionError(f"axis {name!r} has duplicate values")
         except TypeError:
-            raise PreconditionError(f"axis {self.name!r} has an unhashable value") from None
+            raise PreconditionError(f"axis {name!r} has an unhashable value") from None
 
 
-@dataclass(frozen=True)
-class Space:
+class Space(_Frozen):
     """An ordered list of n >= 2 axes.
 
     Canonical orders used throughout: axes in declaration order, values in
@@ -146,18 +183,19 @@ class Space:
     """
 
     axes: tuple[Axis, ...]
-    _value_index: tuple[dict, ...] = field(init=False, repr=False, compare=False)
+    _value_index: tuple[dict, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "axes", tuple(self.axes))
-        if len(self.axes) < 2:
+    def __init__(self, axes):
+        axes = tuple(axes)
+        object.__setattr__(self, "axes", axes)
+        if len(axes) < 2:
             raise PreconditionError("a space needs at least two axes")
-        if len({ax.name for ax in self.axes}) != len(self.axes):
+        if len({ax.name for ax in axes}) != len(axes):
             raise PreconditionError("axis names must be distinct")
         object.__setattr__(
             self,
             "_value_index",
-            tuple({v: k for k, v in enumerate(ax.values)} for ax in self.axes),
+            tuple({v: k for k, v in enumerate(ax.values)} for ax in axes),
         )
 
     @classmethod
@@ -224,8 +262,7 @@ def incidence_vector(space: Space, point: Point) -> dict:
     return {(i, label): 1 for i, label in enumerate(point)}
 
 
-@dataclass(frozen=True)
-class PointSet:
+class PointSet(_Frozen):
     """A finite set of distinct points, stored in canonical order.
 
     The projections and coordinates are computed once, on first use; the
@@ -234,10 +271,11 @@ class PointSet:
 
     space: Space
     points: tuple[Point, ...]
-    _members: frozenset = field(init=False, repr=False, compare=False)
+    _members: frozenset
 
-    def __post_init__(self):
-        keys = dict(map(self.space._read, self.points))
+    def __init__(self, space, points):
+        keys = dict(map(space._read, points))
+        object.__setattr__(self, "space", space)
         object.__setattr__(self, "points", tuple(sorted(keys, key=keys.__getitem__)))
         object.__setattr__(self, "_members", frozenset(keys))
 
@@ -348,16 +386,16 @@ class PointSet:
         return itertools.product(*self.projections())
 
 
-@dataclass(frozen=True)
-class FunctionTable:
+class FunctionTable(_Frozen):
     """An exact rational function given by its value at every point of a set."""
 
     domain: PointSet
     values: Mapping[Point, Fraction]
 
-    def __post_init__(self):
-        vals = {p: as_fraction(v) for p, v in self.values.items()}
-        dom = self.domain._members
+    def __init__(self, domain, values):
+        object.__setattr__(self, "domain", domain)
+        vals = {p: as_fraction(v) for p, v in values.items()}
+        dom = domain._members
         if vals.keys() != dom:
             raise PreconditionError(
                 f"function table must be total on its domain "
@@ -386,8 +424,7 @@ class FunctionTable:
             return self.values[self.domain.require_member(point)]
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(_Frozen):
     """Per-axis value tables u_1, ..., u_n with exact rational entries.
 
     Supports the linear-space operations the solution theory relies on, so
@@ -397,14 +434,15 @@ class Decomposition:
     space: Space
     tables: tuple[Mapping, ...]
 
-    def __post_init__(self):
-        if len(self.tables) != self.space.n:
+    def __init__(self, space, tables):
+        object.__setattr__(self, "space", space)
+        if len(tables) != space.n:
             raise PreconditionError("one table per axis required")
         frozen = []
-        for i, table in enumerate(self.tables):
+        for i, table in enumerate(tables):
             clean = {}
             for label, v in table.items():
-                self.space.value_index(i, label)
+                space.value_index(i, label)
                 clean[label] = as_fraction(v)
             frozen.append(clean)
         object.__setattr__(self, "tables", tuple(frozen))
@@ -448,8 +486,7 @@ class Decomposition:
         return self.scale(c)
 
 
-@dataclass(frozen=True)
-class PinSet:
+class PinSet(_Frozen):
     """Prescribed values at distinct coordinates, e.g. u_1(x) = 0.
 
     Each coordinate is read by `_coordinate`: an (axis, label) pair, its
@@ -458,9 +495,9 @@ class PinSet:
 
     pins: tuple[tuple[Coordinate, Fraction], ...]
 
-    def __post_init__(self):
+    def __init__(self, pins):
         clean = {}
-        for pin in self.pins:
+        for pin in pins:
             try:
                 coord, v = pin
             except (TypeError, ValueError):

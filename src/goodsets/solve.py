@@ -45,7 +45,6 @@ with the method tag and diagnostics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
@@ -69,6 +68,7 @@ from .model import (
     PointSet,
     PreconditionError,
     VerificationError,
+    _Frozen,
 )
 from .structure import _order, _require_good, related_components
 
@@ -85,13 +85,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class SolveReport(LinearSolve):
     """A route's `LinearSolve` with its method tag and diagnostics."""
 
     method: str
     max_geodesic_length: int | None
     max_abs_value: Fraction | None
+
+    def __init__(
+        self, verdict, decomposition, kernel, witness, method, max_geodesic_length, max_abs_value
+    ):
+        super().__init__(verdict, decomposition, kernel, witness)
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "max_geodesic_length", max_geodesic_length)
+        object.__setattr__(self, "max_abs_value", max_abs_value)
 
 
 def _largest_abs(values) -> Fraction:
@@ -120,8 +127,7 @@ def solve_direct(S: PointSet, f: FunctionTable, pins: PinSet | None = None) -> S
     return _report("direct", solve_pinned(IncidenceSystem(S), f, pins))
 
 
-@dataclass(frozen=True)
-class GeodesicMatrix:
+class GeodesicMatrix(_Frozen):
     """The square 0/1 system of a geodesic, base point first.
 
     Columns are the geodesic's coordinates minus the base's first n - 1;
@@ -131,6 +137,11 @@ class GeodesicMatrix:
     points: tuple[Point, ...]
     columns: tuple[Coordinate, ...]
     matrix: tuple[tuple[int, ...], ...]
+
+    def __init__(self, points, columns, matrix):
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "matrix", matrix)
 
 
 def geodesic_matrix(G: PointSet, base) -> GeodesicMatrix:
@@ -280,8 +291,7 @@ def solve_with_boundary(
     return _report("boundary", outcome)
 
 
-@dataclass(frozen=True)
-class BoundDiagnostics:
+class BoundDiagnostics(_Frozen):
     """Finite boundedness data for a single-component good set."""
 
     base: Point
@@ -289,6 +299,15 @@ class BoundDiagnostics:
     max_geodesic_length: int
     mean_geodesic_length: Fraction
     max_abs_indicator_value: Fraction
+
+    def __init__(
+        self, base, lengths, max_geodesic_length, mean_geodesic_length, max_abs_indicator_value
+    ):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "lengths", lengths)
+        object.__setattr__(self, "max_geodesic_length", max_geodesic_length)
+        object.__setattr__(self, "mean_geodesic_length", mean_geodesic_length)
+        object.__setattr__(self, "max_abs_indicator_value", max_abs_indicator_value)
 
 
 def bound_diagnostics(S: PointSet, base=None) -> BoundDiagnostics:

@@ -119,9 +119,8 @@ test, which `goodness.associated_full_set` shares.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterator
 from itertools import combinations
-from typing import Iterator
 
 from .linalg import (
     IncidenceSystem,
@@ -139,6 +138,7 @@ from .model import (
     VerificationError,
     _axis,
     _coordinate,
+    _Frozen,
 )
 
 __all__ = [
@@ -281,12 +281,15 @@ def _order(S: PointSet, x: Point, what: str | None) -> tuple:
     return match, close
 
 
-@dataclass(frozen=True)
-class Geodesic:
+class Geodesic(_Frozen):
     """The unique smallest full subset of S containing both endpoints."""
 
     endpoints: tuple[Point, Point]
     points: PointSet
+
+    def __init__(self, endpoints, points):
+        object.__setattr__(self, "endpoints", endpoints)
+        object.__setattr__(self, "points", points)
 
     @property
     def length(self) -> int:
@@ -314,11 +317,13 @@ def geodesic(S: PointSet, x, y) -> Geodesic | None:
     return Geodesic((x, y), S._part(p for p in S if p in g))
 
 
-@dataclass(frozen=True)
-class ComponentPartition:
+class ComponentPartition(_Frozen):
     """Partition of a good set into its (full) relatedness components."""
 
     components: tuple[PointSet, ...]
+
+    def __init__(self, components):
+        object.__setattr__(self, "components", components)
 
     def __len__(self) -> int:
         return len(self.components)
@@ -365,8 +370,7 @@ def full_component(S: PointSet, x) -> PointSet:
     return S._part(p for p in S if close(p) is not None)
 
 
-@dataclass(frozen=True)
-class EiClasses:
+class EiClasses(_Frozen):
     """Per axis, the partition of the projection values into chain classes.
 
     Two axis-i values fall in one class when a chain of components, adjacent
@@ -374,6 +378,9 @@ class EiClasses:
     """
 
     classes_by_axis: tuple[tuple[tuple, ...], ...]
+
+    def __init__(self, classes_by_axis):
+        object.__setattr__(self, "classes_by_axis", classes_by_axis)
 
     def class_of(self, axis: int, label) -> tuple:
         for cls in self.classes_by_axis[_axis(axis, len(self.classes_by_axis))]:
@@ -410,8 +417,7 @@ def ei_classes(S: PointSet, partition: ComponentPartition | None = None) -> EiCl
     return EiClasses(tuple(per_axis))
 
 
-@dataclass(frozen=True)
-class BoundaryConstruction:
+class BoundaryConstruction(_Frozen):
     """The generator/relation system behind a boundary, plus the boundary itself.
 
     generators: all (axis, class) pairs in canonical order -- the formal
@@ -429,6 +435,26 @@ class BoundaryConstruction:
     pivot_generators: tuple[int, ...]
     basis_generators: tuple[int, ...]
     boundary: tuple[Coordinate, ...]
+
+    def __init__(
+        self,
+        partition,
+        cross_section,
+        ei,
+        generators,
+        relations,
+        pivot_generators,
+        basis_generators,
+        boundary,
+    ):
+        object.__setattr__(self, "partition", partition)
+        object.__setattr__(self, "cross_section", cross_section)
+        object.__setattr__(self, "ei", ei)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "relations", relations)
+        object.__setattr__(self, "pivot_generators", pivot_generators)
+        object.__setattr__(self, "basis_generators", basis_generators)
+        object.__setattr__(self, "boundary", boundary)
 
     def boundary_pins(self, values=None) -> PinSet:
         """Pin the boundary coordinates (at zero unless values are given)."""

@@ -14,8 +14,6 @@ entry; `tests/test_source.py` holds the two lists to the package's exports.
 `solve_componentwise` also gets bases that are not iterable at all.
 """
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -288,9 +286,12 @@ def test_componentwise_refuses_bases_that_are_no_sequence(bases):
 
 def _boundary_with(S, coord):
     """S's boundary construction with its first coordinate replaced by `coord`."""
-    construction = gs.boundary(S)
-    bound = (coord,) + construction.boundary[1:]
-    return gs.verify_boundary(S, dataclasses.replace(construction, boundary=bound))
+    c = gs.boundary(S)
+    altered = gs.BoundaryConstruction(
+        c.partition, c.cross_section, c.ei, c.generators,
+        c.relations, c.pivot_generators, c.basis_generators, boundary=(coord,) + c.boundary[1:],
+    )
+    return gs.verify_boundary(S, altered)
 
 
 # Every public entry that takes an axis or a coordinate, called on T4 in

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -439,6 +440,24 @@ def test_unknown_command_exits_2(inst_dir):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", str(inst_dir / "t4.json")])
     assert exc.value.code == 2
+
+
+def test_the_cli_imports_no_dataclasses_inspect_or_typing():
+    # Each CLI run is a new process, so what `import goodsets.cli` loads is paid on every command.
+    # `-S` keeps `site`, and whatever a `.pth` file imports, out of the count.
+    src = Path(linalg.__file__).parents[1]
+    probe = (
+        "import goodsets.cli, sys; "
+        "print(*sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"
 
 
 @pytest.mark.skipif(shutil.which("goodsets") is None, reason="script not installed")

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import goodsets as gs
-from util import DIAGONAL, T4, cube_set, int_space
+from goodsets import goodness, instances, linalg, measures, model, solve, structure
+from util import DIAGONAL, E5, RECTANGLE, T4, cube_set, int_space, pset
 
 
 def test_space_needs_two_axes():
@@ -244,3 +245,86 @@ def test_evaluate_is_linear(a, b, point):
     )
     combo = d1.scale(a) + d2.scale(b)
     assert combo.evaluate(point) == a * d1.evaluate(point) + b * d2.evaluate(point)
+
+
+def _one_of_each_value_class() -> list:
+    """A value of every value class, built afresh on each call."""
+    full, diagonal, loop = cube_set(E5), cube_set(DIAGONAL), pset(RECTANGLE)
+    x = full.points[0]
+    measure = gs.FiniteMeasure.uniform(loop)
+    example = instances.example_names()[0]
+    return [
+        full.space.axes[0],
+        full.space,
+        full,
+        gs.FunctionTable.indicator(full, x),
+        gs.Decomposition.zero(full.space),
+        gs.PinSet.zeros(full.coordinates()[:2]),
+        linalg.PinRow((0, 0)),
+        gs.IncidenceSystem(full),
+        gs.solve_pinned(gs.IncidenceSystem(full), gs.FunctionTable.zero(full)),
+        gs.is_good(loop).loop,
+        gs.is_good(full),
+        measure,
+        gs.marginals(measure),
+        gs.is_simplicial(measure),
+        gs.solve_direct(full, gs.FunctionTable.zero(full)),
+        gs.geodesic_matrix(full, x),
+        gs.bound_diagnostics(full),
+        gs.geodesic(full, x, full.points[-1]),
+        gs.related_components(diagonal),
+        gs.ei_classes(diagonal),
+        gs.boundary(diagonal),
+        instances.parse_instance(instances.example_instance(example)),
+    ]
+
+
+def _public_fields(value) -> dict:
+    return {name: v for name, v in vars(value).items() if not name.startswith("_")}
+
+
+def test_every_value_class_is_a_frozen_value():
+    # Every public class on the package's one base, found through the modules' `__all__`, and
+    # `PinRow`, the witness's label for a pin, which the CLI reads but no `__all__` lists.
+    modules = (goodness, instances, linalg, measures, model, solve, structure)
+    declared = {
+        value
+        for module in modules
+        for value in map(vars(module).__getitem__, module.__all__)
+        if isinstance(value, type) and issubclass(value, model._Frozen)
+    }
+    values, twins = _one_of_each_value_class(), _one_of_each_value_class()
+    assert {type(v) for v in values} == declared | {linalg.PinRow}
+    assert len(values) == 22
+    for value, twin in zip(values, twins):
+        cls, fields = type(value), _public_fields(value)
+        assert value is not twin and value == twin and not value != twin
+        try:
+            h = hash(value)
+        except TypeError:
+            with pytest.raises(TypeError):
+                hash(twin)
+        else:
+            assert hash(twin) == h
+        for name in (*fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert _public_fields(value) == fields
+        shown = ", ".join(f"{name}={v!r}" for name, v in fields.items())
+        assert repr(value) == f"{cls.__qualname__}({shown})"
+        # A value of another class with the same fields is a different value.
+        impostor = object.__new__(type(cls.__name__, (cls,), {}))
+        vars(impostor).update(vars(value))
+        assert value != impostor and impostor != value
+
+
+def test_a_report_is_no_plain_solve_and_tables_do_not_hash():
+    S = cube_set(E5)
+    report = gs.solve_direct(S, gs.FunctionTable.zero(S))
+    plain = gs.LinearSolve(report.verdict, report.decomposition, report.kernel, report.witness)
+    assert report != plain and plain != report
+    for value in (gs.FunctionTable.zero(S), gs.Decomposition.zero(S.space)):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
