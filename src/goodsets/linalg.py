@@ -38,12 +38,15 @@ One dependence scan decides goodness and yields loops (`extract_circuit`):
 one reverse pass over the canonical support finds the first point e_k that
 turns the rows dependent, if any; from e_k on, the support holds exactly
 one circuit.  The scan builds a point's row only when it reaches the point,
-so it builds no `IncidenceSystem`, and a set that is not good costs the
-tail from e_k on, not the whole support.  Only then are the tail's rows
-eliminated once more, each tagged by a unit column of its own, the way a
-witness is read: the one basis row whose coordinate part is zero carries
+over the space's coordinates, so it builds no `IncidenceSystem` and
+computes no projections, and a set that is not good costs the tail from
+e_k on, not the whole support.  Each row carries a unit tag of its own, the
+way a witness is read, so e_k's residual, zero on the coordinates, carries
 the circuit's primitive integer coefficients in its tags, e_k's first and
-positive.
+positive.  A set with more points than a good set can hold is scanned so,
+in one elimination; a set that may be good is scanned untagged first, as
+the tags would cost a good set several times its scan, and only a tail
+found dependent is scanned again, tagged.
 """
 
 from __future__ import annotations
@@ -556,7 +559,10 @@ def _tagged_echelon(rows: Sequence[Mapping[int, int]], width: int) -> RowBasis:
     the integer combination of the rows that it is.  A basis row whose lead
     is at or past column width is zero before it, so its tags are a primitive
     integer relation among the rows' first width entries, led by a positive
-    entry at the least row index it involves.
+    entry at the least row index it involves.  Its callers are `_witness`,
+    which reads an inconsistent solve's combination off it, and the test
+    suite's oracle for the dependence scan; the scan itself (`_scan`) tags
+    its rows as it goes.
     """
     return _echelon(({**r, width + k: 1} for k, r in enumerate(rows)), width + len(rows))
 
@@ -661,38 +667,68 @@ class CircuitVector(_Frozen):
         return len(self.points)
 
 
+def _scan(points: Sequence[Point], columns, width: int, stop: int, tagged: bool):
+    """The reverse scan of points[stop:]: (k, residual, lead) at the first dependent row, or None.
+
+    Row k is built only when the scan reaches it, over the space's
+    coordinates: `columns` gives each axis's first column and its label
+    index, and width counts them all.  A tagged row also carries a unit tag
+    at column width + k, so every residual's tags say which combination of
+    the scanned rows it is.  A residual that leads at a coordinate becomes a
+    pivot row; the first one that does not is returned.
+    """
+    scan = RowBasis(width + len(points))
+    for k in reversed(range(stop, len(points))):
+        row = {o + index[label]: 1 for (o, index), label in zip(columns, points[k])}
+        if tagged:
+            row[width + k] = 1
+        residual, lead = scan._reduce(row)
+        if lead >= width:
+            return k, residual, lead
+        scan.pivot_rows[lead] = residual
+    return None
+
+
 def _circuit(S: PointSet) -> CircuitVector | None:
     """The dependence scan: the circuit among S's points, None if they are independent.
 
-    One pass scans S in reverse canonical order, with rows over S's own
-    coordinates (`S.coordinates()`); each point's row is built by
-    `_incidence_row` only when the scan reaches it.  The first point e_k
-    whose row is dependent on the rows after it makes T = S.points[k:] hold
-    exactly one circuit, and e_k is in it.  That circuit is what the
+    S is scanned in reverse canonical order (`_scan`).  Coordinate (i, label)
+    is column axis i's offset plus the label's index, so S's projections are
+    never computed, and the columns keep the relative order of S's own.
+    The first point e_k whose row depends on the rows after it makes T =
+    S.points[k:] hold exactly one circuit, and e_k is in it; it is what the
     deletion loop (drop, in canonical order, any point whose removal keeps
-    the rest dependent) would leave.  T's rows, the ones the scan built, are
-    then eliminated once more, tagged (`_tagged_echelon`): exactly one basis
-    row has a zero coordinate part, its lead is e_k's tag, and its tag
-    entries are the circuit's primitive integer coefficients, e_k's
-    positive.  So a set that is not good costs its tail, not its support,
-    and a good set pays the scan alone.
-    """
-    col_index = {c: j for j, c in enumerate(S.coordinates())}
-    ncols = len(col_index)
-    scan = RowBasis(ncols)
-    tail: list[dict[int, int]] = []
-    for k in reversed(range(len(S))):
-        tail.append(_incidence_row(S.points[k], col_index))
-        if scan.add_sparse(tail[-1]) is None:
-            break
-    else:
-        return None
+    the rest dependent) would leave.  On tagged rows, e_k's residual is zero
+    on the coordinates, so its tags are T's one relation, primitive; e_k's
+    tag is the least in T, so it leads, positive.
 
-    basis = _tagged_echelon(tail[::-1], ncols)
-    if [p for p in basis.pivot_rows if p >= ncols] != [ncols]:
-        raise VerificationError("tail relations are not one, led by the first dependent point")
-    tags, coefficients = zip(*sorted(basis.pivot_rows[ncols].items()))
-    return CircuitVector(tuple(S.points[k + j - ncols] for j in tags), coefficients)
+    A good set has at most width - (n - 1) points.  With more, S holds a
+    loop, and its rows carry their tags from the start: the loop costs one
+    elimination of the tail.  Otherwise S may be good, and tags carried to
+    the end of a good set's scan would cost it several times the scan, so
+    the scan runs untagged, and a tail it finds dependent is scanned again,
+    tagged, in the same order.  That route alone would serve every set, but
+    it eliminates each dependent tail twice, and the count spares the sets
+    it decides.
+    """
+    columns = []  # per axis: (its first column, its label -> index dict)
+    width = 0
+    for index in S.space._value_index:
+        columns.append((width, index))
+        width += len(index)
+    points = S.points
+    stop = 0
+    if len(points) <= width - S.space.n + 1:
+        found = _scan(points, columns, width, 0, tagged=False)
+        if found is None:
+            return None
+        stop = found[0]
+    # Dependent, by the count or by the untagged scan: a tagged row leads at its tag.
+    k, residual, lead = _scan(points, columns, width, stop, tagged=True)
+    if lead != width + k:
+        raise VerificationError("the tail's relation is not led by the first dependent point")
+    tags, coefficients = zip(*sorted(residual.items()))
+    return CircuitVector(tuple(points[j - width] for j in tags), coefficients)
 
 
 def extract_circuit(space: Space, points: Iterable[Point]) -> CircuitVector:
@@ -735,6 +771,8 @@ def verify_circuit(space: Space, circuit: CircuitVector):
     # A circuit is its own 2-core: a point holding a coordinate no other
     # point holds would have coefficient 0.  So the peel would remove
     # nothing here, and the rows go straight to the elimination.
+    # The rank does not depend on the order of the rows; the reverse order,
+    # the scan's, fills in far less on loops such as the closed chain's.
     system = IncidenceSystem(PointSet(space, pts))
-    if _echelon(system.sparse_rows, len(system.columns)).rank != len(pts) - 1:
+    if _echelon(reversed(system.sparse_rows), len(system.columns)).rank != len(pts) - 1:
         raise VerificationError("circuit support is not minimal")

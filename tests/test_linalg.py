@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from math import lcm
@@ -437,6 +439,47 @@ def test_lazy_scan_matches_whole_system_scan(kind, rng):
     assert gs.is_good(S).loop == want
     if kind != "dense-subset":
         assert (want is None) == oracle_independent(S.space, S.points)
+
+
+def test_the_scan_reads_no_projections():
+    # The scan finds each coordinate's column from the space, so neither a
+    # good set nor one that is not good has its projections computed.
+    space = int_space((40, 40, 40))
+    for points in ([(0, 0, 0), (1, 1, 1), (0, 1, 2)], space.all_points()):
+        S = gs.PointSet.of(space, points)
+        gs.is_good(S)
+        assert "_projections" not in vars(S)
+
+
+def test_closed_chain_loop_frontier():
+    # The closed chain of depth 200 (602 points) holds one loop through all
+    # but one of its points, with coefficients up to 2^199.  The scan reads
+    # it off its one tagged elimination, and `verify_circuit` ranks the
+    # loop's rows in the scan's order.
+    S = _closed_chain(200)
+    gc.collect()
+    start = time.monotonic()
+    loop = gs.is_good(S).loop
+    elapsed = time.monotonic() - start
+    assert len(S) == 602 and len(loop) == 601
+    assert max(map(abs, loop.coefficients)) == 2**199
+    gs.verify_circuit(S.space, loop)
+    assert elapsed < 0.15
+
+
+def test_good_set_scan_frontier():
+    # A set that may be good is scanned untagged: tags carried to the end of
+    # the scan would cost the d = 1,000 chain (3,001 points) and a 598-point
+    # greedy maximal set several times the scan itself.
+    chain = parse_instance(_example10(1000)).point_set
+    greedy = greedy_maximal_cube(random.Random(83), 200)
+    for S, budget in ((chain, 0.1), (greedy, 0.2)):
+        gc.collect()
+        start = time.monotonic()
+        verdict = gs.is_good(S)
+        elapsed = time.monotonic() - start
+        assert verdict.good and verdict.loop is None
+        assert elapsed < budget
 
 
 def _peel_input(kind, rng) -> gs.PointSet:
