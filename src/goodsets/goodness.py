@@ -8,6 +8,14 @@ set is *full* when it is maximal good inside the product of its own
 projections; for good sets this is the same as deficiency(S) = n - 1, and
 both characterisations are implemented so they can be played against each
 other in tests.
+
+`full_closure`, `extend_to_maximal` and `full_split` grow S by the matroid
+greedy, `_addable`.  It holds the grown set T as its coordinates and the
+column kernel K(T) of its incidence rows, one integer vector per unit of
+deficiency, so T is full exactly when n - 1 vectors are left; a candidate
+enters when some kernel vector is nonzero at it, or when it brings a new
+coordinate.  Once T is full, whole blocks of the product that lie inside
+T's coordinates are skipped unread.
 """
 
 from __future__ import annotations
@@ -17,8 +25,8 @@ from itertools import islice
 from .linalg import (
     CircuitVector,
     IncidenceSystem,
-    RowBasis,
     _circuit,
+    _combine,
     _echelon,
     _incidence_row,
     _is_boundary,
@@ -95,49 +103,92 @@ def is_full(S: PointSet, definitional: bool = False) -> bool:
     )
 
 
-def _addable(S: PointSet, columns, candidates, what: str):
-    """Greedy growth: the candidates outside S that each enlarge the row span.
+def _enter(kernel: list[dict], used: list[set], p) -> bool:
+    """Grow a good T by the point p if p's row is independent of T's rows.
 
-    In order, each yielded candidate's incidence row is independent of S's
-    rows and of the rows yielded before it.  `columns` must hold every
-    coordinate of S and of the candidates.  S's rows are eliminated once,
-    here and before any candidate is drawn, and that elimination is also
-    the goodness check: a dependent row raises "<what> requires a good set".
+    T is held as `used`, its coordinates C(T) axis by axis, and `kernel`, a
+    basis K(T) of the column kernel of its rows over C(T): integer dicts
+    keyed by coordinate, with g(q) = sum_i g(i, q_i) = 0 at every point q
+    of T.  T is good, so len(K) = def(T).  Both are updated in place, and
+    only when p enters.
 
-    T = S plus the points yielded so far stays good.  A good T with
-    |C(T)| - |T| = n - 1 is full, and a full set spans every point of the
-    product of its projections; so while T is full, a candidate inside C(T)
-    is dependent and is skipped without an elimination.  Only candidates
-    with a new coordinate, or those met while T is not full, are reduced.
-    `is_full(definitional=True)` does not rest on this fact, since it is the
-    check that holds the deficiency count to the definition.
+    If p has coordinates outside C(T), its row is independent: each g is set
+    at p's first new coordinate j0 so that g(p) = 0, and e_j - e_j0 is
+    appended for each other new coordinate j.  Otherwise its row is
+    independent exactly when some g(p) != 0: the first such g0 is dropped,
+    and every other g with g(p) != 0 is combined with it by
+    `linalg._combine`, the elimination's one step, to vanish at p.
+    """
+    coords = tuple(enumerate(p))
+    zeros = (0,) * len(coords)
+    values = [sum(map(g.get, coords, zeros)) for g in kernel]
+    new = [c for c in coords if c[1] not in used[c[0]]]
+    if new:
+        j0 = new[0]
+        for g, x in zip(kernel, values):
+            if x:
+                g[j0] = -x
+        kernel.extend({j: 1, j0: -1} for j in new[1:])
+        for i, v in new:
+            used[i].add(v)
+        return True
+    k = next((k for k, x in enumerate(values) if x), None)
+    if k is None:
+        return False
+    g0, a = kernel.pop(k), values.pop(k)
+    kernel[:] = [_combine(g, a, g0, x) if x else g for g, x in zip(kernel, values)]
+    return True
+
+
+def _addable(S: PointSet, axes, what: str):
+    """Greedy growth: the points of the product of `axes`, outside S, that enlarge the row span.
+
+    The walk is lexicographic, and each yielded point's incidence row is
+    independent of S's rows and of the rows yielded before it.  The product
+    of `axes` must hold S.  T, S plus the points yielded so far, is held as
+    C(T) and K(T), the column kernel of its rows, and each point enters by
+    `_enter`; T is full exactly when len(K) = n - 1.  S's points enter
+    first, here and before any candidate is drawn: that is the goodness
+    check, and a dependent point raises "<what> requires a good set".
+
+    A full T spans every point of the product of its projections.  So while
+    T is full, a block of the walk (the points with a fixed prefix) is
+    skipped whole when the prefix's coordinates lie in C(T) and every later
+    axis lies wholly in C(T).  `is_full(definitional=True)` does not rest on
+    this fact, since it is the check that holds the deficiency count to the
+    definition.
     """
     S.require_nonempty("goodness")
     n = S.space.n
-    col_index = {c: j for j, c in enumerate(columns)}
-    basis = RowBasis(len(columns))
+    kernel: list[dict] = []
+    used = [set() for _ in range(n)]
     for p in S:
-        if basis.add_sparse(_incidence_row(p, col_index)) is None:
+        if not _enter(kernel, used, p):
             raise PreconditionError(f"{what} requires a good set")
-    used = [set(S.projection(i)) for i in range(n)]
-    excess = sum(map(len, used)) - len(S) - (n - 1)
+    sizes = [len(values) for values in axes]
 
-    def grow():
-        nonlocal excess
-        for candidate in candidates:
-            if candidate in S:
-                continue
-            if excess == 0 and all(v in used[i] for i, v in enumerate(candidate)):
-                continue
-            if basis.add_sparse(_incidence_row(candidate, col_index)) is not None:
-                for i, v in enumerate(candidate):
-                    if v not in used[i]:
-                        used[i].add(v)
-                        excess += 1
-                excess -= 1
-                yield candidate
+    def covered(prefix) -> bool:
+        return (
+            len(kernel) == n - 1
+            and all(len(used[i]) == sizes[i] for i in range(len(prefix), n))
+            and all(map(set.__contains__, used, prefix))
+        )
 
-    return grow()
+    def walk(prefix, d):
+        for v in axes[d]:
+            p = prefix + (v,)
+            if covered(p):
+                continue
+            if d + 1 < n:
+                yield from walk(p, d + 1)
+            elif p not in S and _enter(kernel, used, p):
+                yield p
+            else:
+                continue
+            if covered(prefix):  # T may have grown, so the rest of this block may be covered
+                return
+
+    return walk((), 0)
 
 
 def extend_to_maximal(S: PointSet) -> PointSet:
@@ -146,7 +197,8 @@ def extend_to_maximal(S: PointSet) -> PointSet:
     Candidates run in lexicographic order; one pass suffices because the row
     span only grows.  The result's projections cover every axis entirely.
     """
-    grown = _addable(S, S.space.coordinates(), S.space.all_points(), "extend_to_maximal")
+    axes = tuple(axis.values for axis in S.space.axes)
+    grown = _addable(S, axes, "extend_to_maximal")
     result = S.union(grown)
     for i in range(S.space.n):
         if set(result.projection(i)) != set(S.space.axes[i].values):
@@ -160,7 +212,7 @@ def full_closure(S: PointSet) -> PointSet:
     Projections are preserved; the growth stops exactly when deficiency
     reaches n - 1.
     """
-    grown = _addable(S, S.coordinates(), S.product_points(), "full_closure")
+    grown = _addable(S, S.projections(), "full_closure")
     missing = S.deficiency() - (S.space.n - 1)
     result = S.union(islice(grown, missing))
     if result.deficiency() != S.space.n - 1:
@@ -180,7 +232,7 @@ def full_split(S: PointSet) -> PointSet:
     column, and it lists its nonzero coordinates in column order; the
     swap is its first.
     """
-    grown = _addable(S, S.coordinates(), S.product_points(), "full_split")
+    grown = _addable(S, S.projections(), "full_split")
     n = S.space.n
     if S.deficiency() == n - 1:
         raise PreconditionError("full_split requires a set that is not full")
@@ -190,7 +242,7 @@ def full_split(S: PointSet) -> PointSet:
         raise VerificationError("a good set that is not full has no addable point")
     F = S.union([first])
     while F.deficiency() > n - 1:
-        x0 = F.difference(S.points).points[0]
+        x0 = next(p for p in F if p not in S)
         pins = PinSet.zeros((i, x0[i]) for i in range(n - 1))
         kernel = column_kernel(IncidenceSystem(F), pins)
         if not kernel:

@@ -1,8 +1,11 @@
+import gc
 import random
 import re
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import goodsets as gs
 from goodsets import goodness
@@ -162,6 +165,95 @@ def test_extend_to_maximal_frontier():
     assert elapsed < 10
 
 
+def test_extend_to_maximal_frontier_skips_blocks():
+    # 298 points in 100^3 from three seed points: once the grown set is full,
+    # whole blocks of the product are skipped rather than each point.
+    space = int_space((100, 100, 100))
+    seeds = [(0, 0, 0), (5, 7, 9), (50, 2, 3)]
+    gc.collect()
+    start = time.monotonic()
+    M = gs.extend_to_maximal(gs.PointSet.of(space, seeds))
+    elapsed = time.monotonic() - start
+    assert len(M) == 3 * 100 - 2
+    assert gs.is_good(M).good
+    assert all(p in M for p in seeds)
+    assert all(set(M.projection(i)) == set(range(100)) for i in range(3))
+    assert elapsed < 0.3
+
+
+def _plain_greedy(S, candidates):
+    """The plain greedy's additions: each candidate outside S goes through `RowBasis.add_sparse`."""
+    index = {c: j for j, c in enumerate(S.space.coordinates())}
+    basis = gs.RowBasis(len(index))
+    for p in S:
+        assert basis.add_sparse({index[c]: 1 for c in enumerate(p)}) is not None
+    return [
+        p
+        for p in candidates
+        if p not in S and basis.add_sparse({index[c]: 1 for c in enumerate(p)}) is not None
+    ]
+
+
+def test_full_closure_and_split_match_plain_greedy():
+    # Full sets among the draws are closed to themselves and have no split.
+    rng = random.Random(34)
+    splits = 0
+    while splits < 60:
+        S = random_good_set(rng, random_space(rng, (2, 3, 4), max_axis=4), 8)
+        grown = _plain_greedy(S, S.product_points())
+        assert len(grown) == S.deficiency() - (S.space.n - 1)
+        assert gs.full_closure(S).points == S.union(grown).points
+        if grown:
+            first = next(goodness._addable(S, S.projections(), "probe"))
+            assert first == grown[0]
+            assert first in gs.full_split(S)
+            splits += 1
+
+
+def _check_held_kernel(kernel, used, T):
+    """K(T) has def(T) vectors of rank def(T) over C(T), each vanishing on every row of T."""
+    from sympy import Matrix
+
+    columns = sorted({(i, v) for p in T for i, v in enumerate(p)})
+    assert [set(u) for u in used] == [{v for i, v in columns if i == k} for k in range(len(used))]
+    deficiency = len(columns) - len(T)
+    assert len(kernel) == deficiency
+    assert all(set(g) <= set(columns) for g in kernel)
+    if kernel:
+        assert Matrix([[g.get(c, 0) for c in columns] for g in kernel]).rank() == deficiency
+    for g in kernel:
+        for p in T:
+            assert sum(g.get(c, 0) for c in enumerate(p)) == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(("extend", "closure", "greedy-part")),
+    rng=st.randoms(use_true_random=False),
+)
+def test_held_kernel_is_the_column_kernel_of_the_grown_set(kind, rng):
+    # The growth's own step, replayed on S's points and then on each point
+    # the growth yields: after each, the held vectors are a basis of K(T).
+    space = random_space(rng, (2, 3, 4), max_axis=4)
+    if kind == "greedy-part":
+        M = gs.extend_to_maximal(random_good_set(rng, space, 3))
+        S = gs.PointSet.of(space, rng.sample(M.points, rng.randint(1, len(M))))
+    else:
+        S = random_good_set(rng, space, 8)
+    if kind == "extend":
+        axes = tuple(axis.values for axis in space.axes)
+    else:
+        axes = S.projections()
+    kernel, used, T = [], [set() for _ in range(space.n)], []
+    for p in S.points + tuple(goodness._addable(S, axes, "probe")):
+        assert goodness._enter(kernel, used, p)
+        T.append(p)
+        _check_held_kernel(kernel, used, T)
+    for p in T:
+        assert not goodness._enter(kernel, used, p)
+    assert len(kernel) == space.n - 1
+
+
 def test_full_closure_diagonal():
     F = gs.full_closure(cube_set(DIAGONAL))
     assert F.points == ((0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 1, 1))
@@ -228,9 +320,9 @@ def test_full_split_preconditions():
 
 
 def test_non_good_inputs_raise_before_growth():
-    # Goodness is read off the one elimination of S's rows that the growth
-    # starts from.  The rectangle and the full cube have deficiency below
-    # n - 1, so full_closure would slice no candidate at all.
+    # Goodness is read off the held kernel that the growth starts from, as
+    # S's points enter it.  The rectangle and the full cube have deficiency
+    # below n - 1, so full_closure would slice no candidate at all.
     rng = random.Random(89)
     bad = [pset(RECTANGLE), cube_set(list(int_space((2, 2, 2)).all_points()))]
     while len(bad) < 60:
@@ -243,13 +335,15 @@ def test_non_good_inputs_raise_before_growth():
                 fn(S)
             assert str(exc.value) == f"{fn.__name__} requires a good set"
 
+    # The axes of the walk are read only after every point of S has entered
+    # the held kernel, so no candidate is drawn from a set that is not good.
     def untouched():
-        raise AssertionError("a candidate was drawn")
+        raise AssertionError("an axis of the walk was read")
         yield
 
     S = pset(RECTANGLE)
     with pytest.raises(gs.PreconditionError, match="^probe requires a good set$"):
-        goodness._addable(S, S.coordinates(), untouched(), "probe")
+        goodness._addable(S, untouched(), "probe")
 
 
 def test_associated_full_set_missing_axis():
