@@ -28,13 +28,12 @@ from .linalg import (
     _circuit,
     _combine,
     _echelon,
+    _first_kernel_coordinate,
     _incidence_row,
     _is_boundary,
-    column_kernel,
     rank,
 )
 from .model import (
-    PinSet,
     PointSet,
     PreconditionError,
     VerificationError,
@@ -230,7 +229,8 @@ def full_split(S: PointSet) -> PointSet:
     lowers the deficiency by exactly one.  The solution is the first vector
     of `linalg.column_kernel` over those pins, the one of the least free
     column, and it lists its nonzero coordinates in column order; the
-    swap is its first.
+    swap is its first, which `linalg._first_kernel_coordinate` reads with
+    no kernel built.
     """
     grown = _addable(S, S.projections(), "full_split")
     n = S.space.n
@@ -243,11 +243,10 @@ def full_split(S: PointSet) -> PointSet:
     F = S.union([first])
     while F.deficiency() > n - 1:
         x0 = next(p for p in F if p not in S)
-        pins = PinSet.zeros((i, x0[i]) for i in range(n - 1))
-        kernel = column_kernel(IncidenceSystem(F), pins)
-        if not kernel:
+        swap = _first_kernel_coordinate(IncidenceSystem(F), [(i, x0[i]) for i in range(n - 1)])
+        if swap is None:
             raise VerificationError("set not full but pinned kernel is trivial")
-        j, value = next(iter(kernel[0]))
+        j, value = swap
         new_point = tuple(value if i == j else x0[i] for i in range(n))
         if new_point in F:
             raise VerificationError("split construction produced an existing point")

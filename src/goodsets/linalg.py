@@ -13,7 +13,8 @@ inverse are extra keys of the same dicts.  A rational right-hand side is
 scaled to integers by the lcm of its denominators, and `Fraction` appears
 only at the final division by a pivot entry.  Pins (prescribed coordinate
 values) enter as extra unit rows, not by column elimination, which keeps
-the unique / underdetermined / inconsistent reporting uniform.  Every pin,
+the unique / underdetermined / inconsistent reporting uniform.  Every
+incidence row is built by one builder, `_incidence_row`.  Every pin,
 target and vector key finds its column through `_column`, the one column
 lookup, which refuses a coordinate that is not a column of the system; a
 key handed in by a caller is first read by `model._coordinate`.
@@ -23,16 +24,18 @@ of free columns, the rank (`rank`) and the boundary test (`_is_boundary`),
 are decided by the peel first (`_peel`): with no arithmetic it removes,
 again and again, a row together with a column that only it holds, or a row
 with one live column together with that column, each step adding 1 to the
-rank.  Only the 2-core left, if any, goes to the one elimination.  The
+rank.  Only the 2-core left, if any, goes to the one elimination; a private
+column's one holder is read off a running sum of holder indices.  The
 doubling chain peels to nothing, and so does every unit pin row.  A solve
 peels first too, for the unique verdict (`_peeled_solution`): a unique
 solution does not depend on that choice either, so it is read along the
 peel by integer substitution, forward for a step whose other columns are
 known and backward for one with a private column, with only the core
-eliminated.  Answers that do depend on the choice (an underdetermined
-solve's split and kernel, an inconsistent one's witness, span tests,
-signatures) eliminate the rows as they are, and so does the dependence scan
-below, which stops at the tail it needs.
+eliminated, and handed to the split builder (`_decomposition`) as integer
+numerators over one denominator.  Answers that do depend on the choice (an
+underdetermined solve's split and kernel, an inconsistent one's witness,
+span tests, signatures) eliminate the rows as they are, and so does the
+dependence scan below, which stops at the tail it needs.
 
 One dependence scan decides goodness and yields loops (`extract_circuit`):
 one reverse pass over the canonical support finds the first point e_k that
@@ -54,6 +57,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .model import (
     Coordinate,
@@ -67,6 +71,7 @@ from .model import (
     VerificationError,
     _coordinate,
     _Frozen,
+    _over_common_denominator,
     as_fraction,
 )
 
@@ -212,24 +217,31 @@ def _peel(rows: Sequence[Mapping[int, int]], ncols: int) -> tuple[list, dict[int
     the rows; on incidence rows, n >= 2 entries each, the second rule never
     fires, so the core holds every loop.  Stored entries must be nonzero;
     the value of an entry is never read.  O(nonzeros).
+
+    Each live column keeps its count of live holders and the sum of their
+    indices, so a private column's one holder is that sum.  Only a step by
+    the second rule, on a column other live rows still hold, lowers their
+    degrees, and only then are holder lists built, once.
     """
-    holders: list[list[int]] = [[] for _ in range(ncols)]
+    count = [0] * ncols
+    total = [0] * ncols  # per column, the sum of its live holders' indices
     for k, row in enumerate(rows):
         for j in row:
-            holders[j].append(k)
-    count = list(map(len, holders))
+            count[j] += 1
+            total[j] += k
     degree = list(map(len, rows))
-    row_live = [d > 0 for d in degree]
+    row_live = list(map(bool, degree))
     col_live = [True] * ncols
-    private = [j for j in range(ncols) if count[j] == 1]
-    single = [k for k in range(len(rows)) if degree[k] == 1]
+    private = [j for j, c in enumerate(count) if c == 1]
+    single = [k for k, d in enumerate(degree) if d == 1]
+    holders = None
     steps = []
     while private or single:
         if private:
             j = private.pop()
             if not col_live[j] or count[j] != 1:
                 continue
-            k = next(k for k in holders[j] if row_live[k])
+            k = total[j]
         else:
             k = single.pop()
             if not row_live[k] or degree[k] != 1:
@@ -240,8 +252,16 @@ def _peel(rows: Sequence[Mapping[int, int]], ncols: int) -> tuple[list, dict[int
         for i in rows[k]:
             if col_live[i]:
                 count[i] -= 1
+                total[i] -= k
                 if count[i] == 1:
                     private.append(i)
+        if count[j] == 1:
+            continue
+        if holders is None:
+            holders = [[] for _ in range(ncols)]
+            for h, row in enumerate(rows):
+                for i in row:
+                    holders[i].append(h)
         for h in holders[j]:
             if row_live[h]:
                 degree[h] -= 1
@@ -266,19 +286,6 @@ def _peeled_rank(rows: Sequence[Mapping[int, int]], ncols: int) -> tuple[int, li
     return len(steps) + (_echelon(core.values(), ncols).rank if core else 0), steps
 
 
-def _over_common_denominator(values: Iterable[Fraction]) -> tuple[list[int], int]:
-    """The rationals as integer numerators over D, the lcm of their denominators.
-
-    Numerator k is values[k] * D, with the sign of values[k]; the values sum
-    to one exactly when the numerators sum to D.  The one common-denominator
-    helper, behind the augmented rhs, the peeled solve, `in_span`,
-    `measures` and `solve`'s largest |value|.
-    """
-    ratios = [v.as_integer_ratio() for v in values]
-    D = lcm(*(d for _, d in ratios))
-    return [a * (D // d) for a, d in ratios], D
-
-
 def _augment(rows, rhs: Sequence[Fraction], ncols: int) -> tuple[list[dict[int, int]], int]:
     """Rows extended by the rhs at column ncols, scaled by the lcm of its denominators."""
     numerators, scale = _over_common_denominator(rhs)
@@ -286,34 +293,35 @@ def _augment(rows, rhs: Sequence[Fraction], ncols: int) -> tuple[list[dict[int, 
 
 
 def _peeled_solution(rows: Sequence[Mapping[int, int]], rhs: Sequence[Fraction], ncols: int):
-    """(verdict, x): the unique x with rows . x = rhs, read along the peel.
+    """(verdict, numerators, D): the unique x with rows . x = rhs, as numerators over D.
 
-    Precondition: the entry of every peel step is 1, as on incidence and pin
-    rows, so a step divides by 1; it is checked, and a step that breaks it
-    is a `VerificationError`.  The solution is unique only if the steps and
-    the columns the core holds number ncols, which is counted before any
-    arithmetic.  Then the rhs is put over D, the lcm of its denominators,
-    and every value is an integer numerator until the end.  A step (k, j)
-    whose other columns went in earlier steps reads u_j = b_k minus the
-    others *forward*, in step order; such columns are all forward ones, as
-    a column that a live row still holds is never private.  The core,
-    whose removed columns are all forward, is eliminated once by `RowBasis`
-    on its rhs reduced by those values, and back-substituted; every value
-    is then brought over D m, m the lcm of the core's pivot entries.  The
-    other steps, each with a private column, read theirs *backward*, in
-    reverse step order, once every later column has its value.  A row the
-    peel dropped as zero holds forward columns only and must sum to its
-    rhs.  `Fraction`s are built once, at the end, and the verdict is UNIQUE.
-    Every forward value is forced by its row, so a dropped row that fails,
-    or a core whose rhs column is a pivot, makes the system inconsistent:
-    the verdict is INCONSISTENT and x is None.  A core short of full rank,
-    or a count short of ncols, gives (None, None): not unique, and not
-    decided further.
+    x is read along the peel.  Precondition: the entry of every peel step is
+    1, as on incidence and pin rows, so a step divides by 1; it is checked,
+    and a step that breaks it is a `VerificationError`.  The solution is
+    unique only if the steps and the columns the core holds number ncols,
+    which is counted before any arithmetic.  Then the rhs is put over D, the
+    lcm of its denominators, and every value is an integer numerator until
+    the end.  A step (k, j) whose other columns went in earlier steps reads
+    u_j = b_k minus the others *forward*, in step order; such columns are
+    all forward ones, as a column that a live row still holds is never
+    private.  The core, whose removed columns are all forward, is eliminated
+    once by `RowBasis` on its rhs reduced by those values, and
+    back-substituted; every value is then brought over D m, m the lcm of the
+    core's pivot entries.  The other steps, each with a private column, read
+    theirs *backward*, in reverse step order, once every later column has
+    its value.  A row the peel dropped as zero holds forward columns only
+    and must sum to its rhs.  The verdict is UNIQUE, and the numerators go
+    to the split builder (`_decomposition`) over D as they are, with no
+    `Fraction` built here.  Every forward value is forced by its row, so a
+    dropped row that fails, or a core whose rhs column is a pivot, makes the
+    system inconsistent: (INCONSISTENT, None, None).  A core short of full
+    rank, or a count short of ncols, gives (None, None, None): not unique,
+    and not decided further.
     """
     steps, core = _peel(rows, ncols)
     held = {j for row in core.values() for j in row}
     if len(steps) + len(held) != ncols:
-        return None, None
+        return None, None, None
     b, scale = _over_common_denominator(rhs)
     value: list = [None] * ncols
     backward = []
@@ -331,10 +339,11 @@ def _peeled_solution(rows: Sequence[Mapping[int, int]], rhs: Sequence[Fraction],
                 s -= x * v
         else:
             value[j] = s
+    get = value.__getitem__
     dropped = set(range(len(rows))).difference(core, (k for k, _ in steps))
     for k in dropped:
-        if sum(x * value[i] for i, x in rows[k].items()) != b[k]:
-            return INCONSISTENT, None
+        if sum(map(mul, rows[k].values(), map(get, rows[k]))) != b[k]:
+            return INCONSISTENT, None, None
     m = 1
     if core:
         reduced = []
@@ -343,19 +352,20 @@ def _peeled_solution(rows: Sequence[Mapping[int, int]], rhs: Sequence[Fraction],
             reduced.append({**row, ncols: s} if s else row)
         basis = _echelon(reduced, ncols + 1)
         if ncols in basis.pivot_rows:
-            return INCONSISTENT, None
+            return INCONSISTENT, None, None
         if basis.rank != len(held):
-            return None, None
+            return None, None, None
         basis.back_substitute()
         m = lcm(*(row[p] for p, row in basis.pivot_rows.items()))
         if m != 1:
-            value = [v if v is None else v * m for v in value]
+            value[:] = [v if v is None else v * m for v in value]
         for p, row in basis.pivot_rows.items():
             value[p] = row.get(ncols, 0) * (m // row[p])
     for k, j in reversed(backward):
-        value[j] = m * b[k] - sum(x * value[i] for i, x in rows[k].items() if i != j)
-    denominator = scale * m
-    return UNIQUE, [Fraction(v, denominator) for v in value]
+        row = rows[k]
+        value[j] = 0  # so that the row's sum leaves column j out
+        value[j] = m * b[k] - sum(map(mul, row.values(), map(get, row)))
+    return UNIQUE, value, scale * m
 
 
 def _canonical_solution(rows, rhs: Sequence[Fraction], ncols: int):
@@ -380,12 +390,10 @@ def _canonical_solution(rows, rhs: Sequence[Fraction], ncols: int):
 
 
 def _incidence_row(point: Point, col_index: Mapping) -> dict[int, int]:
-    """Sparse 0/1 row of a point over the indexed columns; other coordinates are dropped."""
+    """The one row builder: the point's sparse 0/1 row, 1 at col_index[c] for its coordinates c."""
     row = {}
     for coord in enumerate(point):
-        j = col_index.get(coord)
-        if j is not None:
-            row[j] = 1
+        row[col_index[coord]] = 1
     return row
 
 
@@ -514,6 +522,13 @@ def _kernel_dicts(system: IncidenceSystem, basis: RowBasis) -> list[dict]:
     return [{columns[j]: x for j, x in sorted(v.items())} for v in vectors.values()]
 
 
+def _pinned_basis(system: IncidenceSystem, coords) -> RowBasis:
+    """The back-substituted basis of the incidence rows over unit rows at the coordinates."""
+    basis = _echelon(_stack_pins(system, coords), len(system.columns))
+    basis.back_substitute()
+    return basis
+
+
 def column_kernel(system: IncidenceSystem, pins: PinSet | None = None) -> list[dict]:
     """Basis of {g on columns : M g = 0, g = 0 at pinned coordinates}.
 
@@ -521,9 +536,21 @@ def column_kernel(system: IncidenceSystem, pins: PinSet | None = None) -> list[d
     pin *values* are ignored here on purpose.
     """
     coords = () if pins is None else pins.coordinates()
-    basis = _echelon(_stack_pins(system, coords), len(system.columns))
-    basis.back_substitute()
-    return _kernel_dicts(system, basis)
+    return _kernel_dicts(system, _pinned_basis(system, coords))
+
+
+def _first_kernel_coordinate(system: IncidenceSystem, coords) -> Coordinate | None:
+    """The first key of `column_kernel`'s first vector, pinned at coords; None if it has none.
+
+    That vector is the one of the least free column f0, nonzero at f0 and
+    at each pivot p whose back-substituted row holds f0, so its first
+    coordinate is the least of those columns; no `Fraction` is built.
+    """
+    rows = _pinned_basis(system, coords).pivot_rows
+    f0 = next((j for j in range(len(system.columns)) if j not in rows), None)
+    if f0 is None:
+        return None
+    return system.columns[min([f0, *(p for p, row in rows.items() if f0 in row)])]
 
 
 class LinearSolve(_Frozen):
@@ -581,21 +608,21 @@ def _witness(rows, rhs: Sequence[Fraction], ncols: int, labels) -> tuple:
     )
 
 
-def _decomposition(space: Space, pairs: Iterable[tuple[Coordinate, Fraction]]) -> Decomposition:
-    """The split that gives each coordinate of the (coordinate, value) pairs its value.
+def _decomposition(space: Space, columns, numerators: list[int], D: int) -> Decomposition:
+    """The split with value numerators[k] / D at columns[k], the solve's own columns.
 
     Every route builds its split here, as every route solves with
-    `solve_pinned`, from its columns and solution.
+    `solve_pinned`; nothing is read again (`Decomposition._trusted`).
     """
-    tables: list[dict] = [dict() for _ in range(space.n)]
-    for (axis, label), v in pairs:
-        tables[axis][label] = v
-    return Decomposition(space, tuple(tables))
+    tables = tuple({} for _ in range(space.n))
+    for (axis, label), a in zip(columns, numerators):
+        tables[axis][label] = Fraction(a, D)
+    return Decomposition._trusted(space, tables, numerators, D)
 
 
-def _require_total(rhs: FunctionTable, points: Iterable[Point]):
-    """The right-hand side must be given at exactly the points solved over."""
-    if set(rhs.domain.points) != set(points):
+def _require_total(rhs: FunctionTable, S: PointSet):
+    """The right-hand side must be given at exactly the points of S."""
+    if rhs.domain._members != S._members:
         raise PreconditionError("right-hand side must be total on the system's points")
 
 
@@ -613,16 +640,18 @@ def solve_pinned(
     (`_canonical_solution`), which picks the free columns of the split and
     the kernel, and an inconsistent one then gets its witness.
     """
-    _require_total(rhs, system.points)
+    _require_total(rhs, system.point_set)
     pins = PinSet(()) if pins is None else pins
     rows = _stack_pins(system, pins.coordinates())
-    b = [rhs(p) for p in system.points] + [value for _, value in pins]
+    b = list(map(rhs.values.__getitem__, system.points))
+    b += (value for _, value in pins)
     ncols = len(system.columns)
 
-    verdict, solution = _peeled_solution(rows, b, ncols)
+    verdict, numerators, D = _peeled_solution(rows, b, ncols)
     if verdict == UNIQUE:
-        decomposition = _decomposition(system.space, zip(system.columns, solution))
+        decomposition = _decomposition(system.space, system.columns, numerators, D)
         return LinearSolve(UNIQUE, decomposition, (), None)
+    solution = None
     if verdict is None:
         solution, basis = _canonical_solution(rows, b, ncols)
     if solution is None:
@@ -630,7 +659,8 @@ def solve_pinned(
         return LinearSolve(INCONSISTENT, None, (), _witness(rows, b, ncols, labels))
     if basis.rank == ncols:
         raise VerificationError("the peel missed a unique solution")
-    decomposition = _decomposition(system.space, zip(system.columns, solution))
+    numerators, D = _over_common_denominator(solution)
+    decomposition = _decomposition(system.space, system.columns, numerators, D)
     kernel = tuple(_kernel_dicts(system, basis))
     return LinearSolve(UNDERDETERMINED, decomposition, kernel, None)
 
@@ -667,19 +697,20 @@ class CircuitVector(_Frozen):
         return len(self.points)
 
 
-def _scan(points: Sequence[Point], columns, width: int, stop: int, tagged: bool):
+def _scan(points: Sequence[Point], columns: Mapping, stop: int, tagged: bool):
     """The reverse scan of points[stop:]: (k, residual, lead) at the first dependent row, or None.
 
-    Row k is built only when the scan reaches it, over the space's
-    coordinates: `columns` gives each axis's first column and its label
-    index, and width counts them all.  A tagged row also carries a unit tag
-    at column width + k, so every residual's tags say which combination of
-    the scanned rows it is.  A residual that leads at a coordinate becomes a
+    Row k is built (`_incidence_row`) only when the scan reaches it, over
+    the space's coordinates: `columns` numbers them all (`Space._columns`),
+    and width is their count.  A tagged row also carries a unit tag at
+    column width + k, so every residual's tags say which combination of the
+    scanned rows it is.  A residual that leads at a coordinate becomes a
     pivot row; the first one that does not is returned.
     """
+    width = len(columns)
     scan = RowBasis(width + len(points))
     for k in reversed(range(stop, len(points))):
-        row = {o + index[label]: 1 for (o, index), label in zip(columns, points[k])}
+        row = _incidence_row(points[k], columns)
         if tagged:
             row[width + k] = 1
         residual, lead = scan._reduce(row)
@@ -692,9 +723,9 @@ def _scan(points: Sequence[Point], columns, width: int, stop: int, tagged: bool)
 def _circuit(S: PointSet) -> CircuitVector | None:
     """The dependence scan: the circuit among S's points, None if they are independent.
 
-    S is scanned in reverse canonical order (`_scan`).  Coordinate (i, label)
-    is column axis i's offset plus the label's index, so S's projections are
-    never computed, and the columns keep the relative order of S's own.
+    S is scanned in reverse canonical order (`_scan`), over the space's
+    coordinates in canonical order, so S's projections are never computed,
+    and the columns keep the relative order of S's own.
     The first point e_k whose row depends on the rows after it makes T =
     S.points[k:] hold exactly one circuit, and e_k is in it; it is what the
     deletion loop (drop, in canonical order, any point whose removal keeps
@@ -711,20 +742,17 @@ def _circuit(S: PointSet) -> CircuitVector | None:
     it eliminates each dependent tail twice, and the count spares the sets
     it decides.
     """
-    columns = []  # per axis: (its first column, its label -> index dict)
-    width = 0
-    for index in S.space._value_index:
-        columns.append((width, index))
-        width += len(index)
+    columns = S.space._columns
+    width = len(columns)
     points = S.points
     stop = 0
     if len(points) <= width - S.space.n + 1:
-        found = _scan(points, columns, width, 0, tagged=False)
+        found = _scan(points, columns, 0, tagged=False)
         if found is None:
             return None
         stop = found[0]
     # Dependent, by the count or by the untagged scan: a tagged row leads at its tag.
-    k, residual, lead = _scan(points, columns, width, stop, tagged=True)
+    k, residual, lead = _scan(points, columns, stop, tagged=True)
     if lead != width + k:
         raise VerificationError("the tail's relation is not led by the first dependent point")
     tags, coefficients = zip(*sorted(residual.items()))
@@ -773,6 +801,8 @@ def verify_circuit(space: Space, circuit: CircuitVector):
     # nothing here, and the rows go straight to the elimination.
     # The rank does not depend on the order of the rows; the reverse order,
     # the scan's, fills in far less on loops such as the closed chain's.
-    system = IncidenceSystem(PointSet(space, pts))
-    if _echelon(reversed(system.sparse_rows), len(system.columns)).rank != len(pts) - 1:
+    # The rows are the scan's too, over the space's columns.
+    columns = space._columns
+    rows = [_incidence_row(p, columns) for p in reversed(PointSet(space, pts).points)]
+    if _echelon(rows, len(columns)).rank != len(pts) - 1:
         raise VerificationError("circuit support is not minimal")

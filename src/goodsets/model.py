@@ -44,6 +44,7 @@ import re
 from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from operator import attrgetter
 
 __all__ = [
@@ -130,6 +131,19 @@ def as_fraction(value) -> Fraction:
         raise PreconditionError(f"rational of {len(value)} characters: {exc}") from None
 
 
+def _over_common_denominator(values: Iterable[Fraction]) -> tuple[list[int], int]:
+    """The rationals as integer numerators over D, the lcm of their denominators.
+
+    Numerator k is values[k] * D, with the sign of values[k]; the values sum
+    to one exactly when the numerators sum to D.  The one common-denominator
+    helper, behind `Decomposition`'s integer form, the augmented rhs,
+    `in_span`, `measures` and `solve`'s split check and largest |value|.
+    """
+    ratios = [v.as_integer_ratio() for v in values]
+    D = lcm(*(d for _, d in ratios))
+    return [a * (D // d) for a, d in ratios], D
+
+
 def _axis(axis, n: int) -> int:
     """The one axis rule: the axis itself, if it is an int in range(n) and not a bool."""
     if isinstance(axis, bool) or not isinstance(axis, int) or axis not in range(n):
@@ -197,6 +211,11 @@ class Space(_Frozen):
             "_value_index",
             tuple({v: k for k, v in enumerate(ax.values)} for ax in axes),
         )
+
+    @cached_property
+    def _columns(self) -> dict:
+        """Each coordinate's index in `coordinates()`: the columns of the dependence scan's rows."""
+        return {c: j for j, c in enumerate(self.coordinates())}
 
     @classmethod
     def of(cls, *axes: tuple[str, Iterable]) -> "Space":
@@ -428,11 +447,14 @@ class Decomposition(_Frozen):
     """Per-axis value tables u_1, ..., u_n with exact rational entries.
 
     Supports the linear-space operations the solution theory relies on, so
-    tests can state linearity as actual arithmetic.
+    tests can state linearity as actual arithmetic.  The `_integer` cache
+    holds the values, in table order, as (numerators, D): computed by
+    validation or handed over by the solve that built the split.
     """
 
     space: Space
     tables: tuple[Mapping, ...]
+    _integer: tuple
 
     def __init__(self, space, tables):
         object.__setattr__(self, "space", space)
@@ -446,6 +468,21 @@ class Decomposition(_Frozen):
                 clean[label] = as_fraction(v)
             frozen.append(clean)
         object.__setattr__(self, "tables", tuple(frozen))
+        values = (v for table in frozen for v in table.values())
+        object.__setattr__(self, "_integer", _over_common_denominator(values))
+
+    @classmethod
+    def _trusted(cls, space: Space, tables: tuple, numerators: list, D: int) -> "Decomposition":
+        """The split of tables the caller vouches for, with nothing read or checked again.
+
+        One dict per axis, keyed by labels of its axis; numerators[k] / D is
+        the k-th value in table order.
+        """
+        d = object.__new__(cls)
+        object.__setattr__(d, "space", space)
+        object.__setattr__(d, "tables", tables)
+        object.__setattr__(d, "_integer", (numerators, D))
+        return d
 
     @classmethod
     def zero(cls, space: Space) -> "Decomposition":

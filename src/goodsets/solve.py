@@ -52,7 +52,6 @@ from .goodness import is_good
 from .linalg import (
     IncidenceSystem,
     LinearSolve,
-    _incidence_row,
     _is_boundary,
     _over_common_denominator,
     _pinned_inverse,
@@ -111,11 +110,15 @@ def _largest_abs(values) -> Fraction:
 
 
 def _report(method: str, outcome: LinearSolve, max_len: int | None = None) -> SolveReport:
-    """The report of every route: its outcome and largest |value|, tagged with the method."""
+    """The report of every route: its outcome, tagged with the method, and largest |value|.
+
+    That is the split's largest |numerator| over D, read off its `_integer` form.
+    """
     d = outcome.decomposition
     worst = None
     if d is not None:
-        worst = _largest_abs(v for t in d.tables for v in t.values())
+        numerators, D = d._integer
+        worst = Fraction(max(map(abs, numerators), default=0), D)
     return SolveReport(
         **vars(outcome), method=method, max_geodesic_length=max_len, max_abs_value=worst
     )
@@ -149,18 +152,19 @@ def geodesic_matrix(G: PointSet, base) -> GeodesicMatrix:
 
     The base's first n - 1 coordinates form a boundary of G exactly when the
     system with their columns deleted is square and invertible, so the one
-    boundary test, `linalg._is_boundary`, is the certificate.
+    boundary test, `linalg._is_boundary`, is the certificate.  The matrix
+    reads that system's own rows, base first, at the columns kept.
     """
     base = G.require_member(base)
     removed = [(i, base[i]) for i in range(G.space.n - 1)]
-    if not _is_boundary(IncidenceSystem(G), removed):
+    system = IncidenceSystem(G)
+    if not _is_boundary(system, removed):
         raise VerificationError("geodesic system is not square and invertible")
-    columns = tuple(c for c in G.coordinates() if c not in removed)
+    kept = [j for j, c in enumerate(system.columns) if c not in removed]
+    row_of = dict(zip(G.points, system.sparse_rows))
     ordered = (base,) + tuple(p for p in G if p != base)
-    col_index = {c: j for j, c in enumerate(columns)}
-    rows = (_incidence_row(p, col_index) for p in ordered)
-    matrix = tuple(tuple(row.get(j, 0) for j in range(len(columns))) for row in rows)
-    return GeodesicMatrix(ordered, columns, matrix)
+    matrix = tuple(tuple(row_of[p].get(j, 0) for j in kept) for p in ordered)
+    return GeodesicMatrix(ordered, tuple(system.columns[j] for j in kept), matrix)
 
 
 def _check(S: PointSet, f: FunctionTable, decomposition: Decomposition, pins):
@@ -230,7 +234,7 @@ def solve_via_geodesics(S: PointSet, f: FunctionTable, base=None) -> SolveReport
     good-set check of `structure._order`, and its peel seeds the order's
     matching; `_geodesic_solve` reads the order and solves once.
     """
-    _require_total(f, S.points)
+    _require_total(f, S)
     S.require_nonempty("solve_via_geodesics")
     base = S.points[0] if base is None else S.require_member(base)
     return _geodesic_solve(S, f, "geodesic", [(S, base)], "solve_via_geodesics")
@@ -244,7 +248,7 @@ def solve_componentwise(S: PointSet, f: FunctionTable, bases=None) -> SolveRepor
     own; `_geodesic_solve` pins every component's base and solves S once,
     and the split is checked once.
     """
-    _require_total(f, S.points)
+    _require_total(f, S)
     S.require_nonempty("solve_componentwise")
     comps = related_components(S).components
     owner: dict[Coordinate, int] = {}

@@ -417,8 +417,9 @@ def test_a_split_that_fails_its_check_exits_internal(capsys, inst_dir, monkeypat
     # A split builder wrong by one at u_z(z1): the split check catches it.
     build = linalg._decomposition
 
-    def wrong(space, pairs):
-        return build(space, [(c, v + (c == (2, "z1"))) for c, v in pairs])
+    def wrong(space, columns, numerators, D):
+        off = [a + D * (c == (2, "z1")) for c, a in zip(columns, numerators)]
+        return build(space, columns, off, D)
 
     monkeypatch.setattr(linalg, "_decomposition", wrong)
     code, report, err = run_cli(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import goodsets as gs
 from goodsets import goodness
+from goodsets.linalg import _first_kernel_coordinate
 from util import (
     DIAGONAL,
     E5,
@@ -429,3 +430,25 @@ def test_cross_is_full():
     assert len(cross) == 7
     assert gs.is_good(cross).good
     assert gs.is_full(cross, definitional=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_swap_coordinate_is_the_first_key_of_the_pinned_kernel(rng):
+    # `full_split` swaps x0 to the first coordinate of `column_kernel`'s
+    # first vector over zero pins at x0's first n - 1 coordinates; it is
+    # read off the back-substituted rows with no kernel built.  On any set,
+    # good or not, pinned at a point's first n - 1 coordinates or at random
+    # columns, it is that key, or None when the kernel is trivial.
+    space = random_space(rng, max_axis=5)
+    S = random_good_set(rng, space, 12) if rng.random() < 0.5 else random_point_set(rng, space, 12)
+    system = gs.IncidenceSystem(S)
+    x0 = rng.choice(S.points)
+    columns = list(system.columns)
+    for coords in (
+        [(i, x0[i]) for i in range(space.n - 1)],
+        rng.sample(columns, rng.randint(0, len(columns))),
+    ):
+        kernel = gs.column_kernel(system, gs.PinSet.zeros(coords))
+        want = next(iter(kernel[0])) if kernel else None
+        assert _first_kernel_coordinate(system, coords) == want

@@ -23,11 +23,13 @@ from goodsets.linalg import (
     _is_boundary,
     _kernel_dicts,
     _peel,
+    _peeled_rank,
     _peeled_solution,
     _pinned_inverse,
     _stack_pins,
     _witness,
 )
+from goodsets.model import _over_common_denominator
 from util import (
     DIAGONAL,
     DenseRowBasis,
@@ -38,6 +40,8 @@ from util import (
     bipartite_is_forest,
     cube_set,
     greedy_maximal_cube,
+    holder_list_peel,
+    incidence_row,
     int_space,
     oracle_independent,
     oracle_is_boundary,
@@ -46,6 +50,7 @@ from util import (
     pset,
     random_fraction,
     random_good_set,
+    random_point_set,
     random_space,
     transposed_kernel_circuit,
     whole_system_circuit,
@@ -599,21 +604,89 @@ def _pin_lists(S: gs.PointSet, system, rng) -> list[list]:
     return lists
 
 
+def _sympy_rank(A) -> int:
+    """The rank over ZZ of a dense integer matrix given as a list of rows."""
+    from sympy import ZZ
+    from sympy.polys.matrices import DomainMatrix
+
+    return DomainMatrix.from_list(A, ZZ).rank()
+
+
 def _sympy_verdict(rows, rhs, ncols) -> str:
     """The verdict of rows . x = rhs from sympy ranks of the matrix and the augmented one.
 
     The rhs is scaled to integers, which keeps both ranks, so sympy ranks over ZZ.
     """
-    from sympy import ZZ
-    from sympy.polys.matrices import DomainMatrix
-
     scale = lcm(*(b.denominator for b in rhs))
     A = [[row.get(j, 0) for j in range(ncols)] for row in rows]
-    rank = DomainMatrix.from_list(A, ZZ).rank()
+    rank = _sympy_rank(A)
     augmented = [a + [int(b * scale)] for a, b in zip(A, rhs)]
-    if DomainMatrix.from_list(augmented, ZZ).rank() > rank:
+    if _sympy_rank(augmented) > rank:
         return "inconsistent"
     return "unique" if rank == ncols else "underdetermined"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(("random", "dense", "chain", "greedy")),
+    rng=st.randoms(use_true_random=False),
+)
+def test_holder_sum_peel_matches_the_holder_list_peel(kind, rng):
+    # Stacked pins, a repeated one among them, and zero rows put in at
+    # random: the peel that reads a private column's holder off the holder
+    # sum, and builds holder lists only for the second rule, takes as many
+    # steps as the holder-list oracle and leaves the same core; each of its
+    # steps takes a column of its own, held by its row; and its rank is
+    # sympy's.
+    S = _solve_input(kind, rng)
+    system = gs.IncidenceSystem(S)
+    ncols = len(system.columns)
+    for coords in _pin_lists(S, system, rng):
+        rows = _stack_pins(system, coords)
+        for _ in range(rng.randint(0, 2)):
+            rows.insert(rng.randint(0, len(rows)), {})
+        steps, core = _peel(rows, ncols)
+        oracle_steps, oracle_core = holder_list_peel(rows, ncols)
+        assert len(steps) == len(oracle_steps) and core == oracle_core
+        assert len({j for _, j in steps}) == len({k for k, _ in steps}) == len(steps)
+        assert all(j in rows[k] for k, j in steps)
+        dense = [[row.get(j, 0) for j in range(ncols)] for row in rows]
+        assert _peeled_rank(rows, ncols)[0] == _sympy_rank(dense)
+
+
+@settings(max_examples=200, deadline=None)
+@given(labels=st.sampled_from(("int", "str")), rng=st.randoms(use_true_random=False))
+def test_incidence_rows_match_the_coordinate_lookup_reference(labels, rng):
+    # `IncidenceSystem` numbers S's coordinates and builds each point's row
+    # with `linalg._incidence_row`, the one row builder, which the scan,
+    # `is_full` and `boundary` share.  Against rows built from the
+    # definition, over `S.coordinates()`, the columns, the column index and
+    # the rows agree, key order included, with int labels and with shuffled
+    # string labels.
+    space = random_space(rng, max_axis=5)
+    if labels == "str":
+        names = [[f"v{rng.randrange(99)}-{k}" for k in range(len(ax.values))] for ax in space.axes]
+        for values in names:
+            rng.shuffle(values)
+        space = gs.Space.of(*((ax.name, values) for ax, values in zip(space.axes, names)))
+    S = random_point_set(rng, space, 14)
+    system = gs.IncidenceSystem(S)
+    col_index = {c: j for j, c in enumerate(S.coordinates())}
+    reference = [incidence_row(p, col_index) for p in S]
+    assert system.columns == S.coordinates()
+    assert list(system.col_index.items()) == list(col_index.items())
+    assert [list(row.items()) for row in system.sparse_rows] == [
+        list(row.items()) for row in reference
+    ]
+
+
+def _peeled(rows, rhs, ncols):
+    """`_peeled_solution`'s verdict and its numerators over D rebuilt as `Fraction`s, or None."""
+    verdict, numerators, D = _peeled_solution(rows, rhs, ncols)
+    if verdict != UNIQUE:
+        assert numerators is None and D is None
+        return verdict, None
+    return verdict, [Fraction(a, D) for a in numerators]
 
 
 def _canonical_solve(system, rhs, pins):
@@ -625,7 +698,7 @@ def _canonical_solve(system, rhs, pins):
     if solution is None:
         labels = list(system.points) + [PinRow(c) for c in pins.coordinates()]
         return "inconsistent", None, (), _witness(rows, b, ncols, labels)
-    split = _decomposition(system.space, zip(system.columns, solution))
+    split = _decomposition(system.space, system.columns, *_over_common_denominator(solution))
     if basis.rank == ncols:
         return "unique", split, (), None
     return "underdetermined", split, tuple(_kernel_dicts(system, basis)), None
@@ -661,7 +734,7 @@ def test_peeled_solve_matches_canonical_elimination_and_sympy(kind, rng):
             peeled = UNIQUE, solution
         else:
             peeled = (INCONSISTENT if solution is None and determined else None), None
-        assert _peeled_solution(rows, rhs, ncols) == peeled
+        assert _peeled(rows, rhs, ncols) == peeled
         want = "unique" if unique else "inconsistent" if solution is None else "underdetermined"
         assert _sympy_verdict(rows, rhs, ncols) == want
         if len(set(coords)) == len(coords):
@@ -678,7 +751,7 @@ def test_peeled_solve_refuses_a_step_entry_other_than_one():
     # an entry of 2 is refused rather than read.
     with pytest.raises(gs.VerificationError, match="peel step's entry is not 1"):
         _peeled_solution([{0: 2}], [Fraction(1)], 1)
-    assert _peeled_solution([{0: 1, 1: 1}, {1: 1}], [Fraction(3), Fraction(1, 2)], 2) == (
+    assert _peeled([{0: 1, 1: 1}, {1: 1}], [Fraction(3), Fraction(1, 2)], 2) == (
         UNIQUE,
         [Fraction(5, 2), Fraction(1, 2)],
     )
@@ -734,14 +807,14 @@ def test_peeled_solve_by_hand():
     rhs = [Fraction(k == 2) for k in range(len(rows))]
     solution, _ = _canonical_solution(rows, rhs, ncols)
     assert Fraction(1, 2) in solution
-    assert _peeled_solution(rows, rhs, ncols) == (UNIQUE, solution)
+    assert _peeled(rows, rhs, ncols) == (UNIQUE, solution)
     # The first pin again: its row is dropped as zero, and must agree, or
     # the system is inconsistent.
     twice = _stack_pins(system, coords + coords[:1])
-    assert _peeled_solution(twice, rhs + [rhs[-2]], ncols) == (UNIQUE, solution)
-    assert _peeled_solution(twice, rhs + [rhs[-2] + 1], ncols) == (INCONSISTENT, None)
+    assert _peeled(twice, rhs + [rhs[-2]], ncols) == (UNIQUE, solution)
+    assert _peeled(twice, rhs + [rhs[-2] + 1], ncols) == (INCONSISTENT, None)
     # One pin short, the count refuses before any arithmetic.
-    assert _peeled_solution(rows[:-1], rhs[:-1], ncols) == (None, None)
+    assert _peeled(rows[:-1], rhs[:-1], ncols) == (None, None)
 
 
 def test_unique_solutions_match_sympy():

@@ -612,7 +612,12 @@ def test_bound_diagnostics_rejects_multiple_components():
 def _adds_one_at(target):
     """A split builder that is wrong by one at the target coordinate."""
     build = linalg._decomposition
-    return lambda space, pairs: build(space, [(c, v + (c == target)) for c, v in pairs])
+
+    def wrong(space, columns, numerators, D):
+        off = [a + D * (c == target) for c, a in zip(columns, numerators)]
+        return build(space, columns, off, D)
+
+    return wrong
 
 
 def _fraction_split_check(S, f, decomposition, pins):
@@ -659,6 +664,39 @@ def test_integer_split_check_matches_the_fraction_check(rng):
     assert _raised(solve._check, S, f, split, pins) == expected
 
 
+@settings(max_examples=150, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_solver_built_split_matches_the_validated_one(rng):
+    # `solve_pinned` hands its split over as integer numerators over one D,
+    # built with nothing read again: pinned at a boundary of a good set the
+    # peel reads it, pinned at one coordinate fewer the canonical
+    # elimination does.  Either way it equals and prints as the split
+    # validated from the same `Fraction`s, its integer form is its
+    # values, its report's largest |value| is `_largest_abs` over its
+    # tables, and the split check refuses it with any one value changed.
+    S = random_good_set(rng, random_space(rng), 9)
+    f = random_function(rng, S)
+    bound = gs.boundary(S).boundary
+    coords = bound[: len(bound) - (rng.random() < 0.3)]
+    pins = gs.PinSet(tuple((c, random_fraction(rng)) for c in coords))
+    out = gs.solve_pinned(gs.IncidenceSystem(S), f, pins)
+    assert out.verdict == ("unique" if coords == bound else "underdetermined")
+    split = out.decomposition
+    values = [v for table in split.tables for v in table.values()]
+    validated = gs.Decomposition(S.space, split.tables)
+    assert split == validated and repr(split) == repr(validated)
+    numerators, D = split._integer
+    assert [Fraction(a, D) for a in numerators] == values
+    assert solve._report("direct", out).max_abs_value == solve._largest_abs(values)
+    solve._check(S, f, split, pins)
+    axis = rng.choice([i for i, table in enumerate(split.tables) if table])
+    label = rng.choice(list(split.tables[axis]))
+    changed = [dict(table) for table in split.tables]
+    changed[axis][label] += rng.choice([-1, 1]) * random_fraction(rng, max_den=3) or 1
+    with pytest.raises(gs.VerificationError):
+        solve._check(S, f, gs.Decomposition(S.space, tuple(changed)), pins)
+
+
 @pytest.mark.parametrize(
     "route, target, message",
     [
@@ -696,10 +734,10 @@ def test_wrong_block_value_is_caught(monkeypatch, route):
     real, solved = linalg._peeled_solution, []
 
     def wrong(rows, rhs, ncols):
-        verdict, solution = real(rows, rhs, ncols)
+        verdict, numerators, D = real(rows, rhs, ncols)
         solved.append(ncols)
-        solution[-1] += 1
-        return verdict, solution
+        numerators[-1] += D
+        return verdict, numerators, D
 
     monkeypatch.setattr(linalg, "_peeled_solution", wrong)
     solver = gs.solve_via_geodesics if route == "geodesic" else gs.solve_componentwise

@@ -21,7 +21,11 @@ per-geodesic inversion whose rows the class's pinned inverse must match
 row for row, `whole_system_circuit` the scan over every row of S that the
 lazy dependence scan must match circuit for circuit, and
 `fraction_perturbation` the full-dict `Fraction` perturbation that the
-loop-only integer certificate must match step and weights alike.
+loop-only integer certificate must match step and weights alike,
+`holder_list_peel` the peel over per-column holder lists whose step count
+and core the holder-sum peel must match, and `incidence_row` the 0/1 row
+over an index of coordinates whose rows, key order included,
+`IncidenceSystem` must match.
 """
 
 import itertools
@@ -535,3 +539,64 @@ def brute_force_geodesic(points, x, y):
         if hits:
             return hits
     return []
+
+
+def incidence_row(point, col_index) -> dict:
+    """Sparse 0/1 row of a point, one (axis, label) lookup per coordinate; others are dropped."""
+    row = {}
+    for coord in enumerate(point):
+        j = col_index.get(coord)
+        if j is not None:
+            row[j] = 1
+    return row
+
+
+def holder_list_peel(rows, ncols):
+    """(steps, core): the 2-core peel with a list of its holders kept for every column.
+
+    The same two rules as `linalg._peel`: a row goes with a column only it
+    holds, or with its one live column, and each removed column lowers the
+    degree of every live row on its holder list.
+    """
+    holders = [[] for _ in range(ncols)]
+    for k, row in enumerate(rows):
+        for j in row:
+            holders[j].append(k)
+    count = list(map(len, holders))
+    degree = list(map(len, rows))
+    row_live = [d > 0 for d in degree]
+    col_live = [True] * ncols
+    private = [j for j in range(ncols) if count[j] == 1]
+    single = [k for k in range(len(rows)) if degree[k] == 1]
+    steps = []
+    while private or single:
+        if private:
+            j = private.pop()
+            if not col_live[j] or count[j] != 1:
+                continue
+            k = next(k for k in holders[j] if row_live[k])
+        else:
+            k = single.pop()
+            if not row_live[k] or degree[k] != 1:
+                continue
+            j = next(j for j in rows[k] if col_live[j])
+        steps.append((k, j))
+        row_live[k] = col_live[j] = False
+        for i in rows[k]:
+            if col_live[i]:
+                count[i] -= 1
+                if count[i] == 1:
+                    private.append(i)
+        for h in holders[j]:
+            if row_live[h]:
+                degree[h] -= 1
+                if degree[h] == 1:
+                    single.append(h)
+                elif degree[h] == 0:
+                    row_live[h] = False
+    core = {
+        k: {j: x for j, x in row.items() if col_live[j]}
+        for k, row in enumerate(rows)
+        if row_live[k]
+    }
+    return steps, core
