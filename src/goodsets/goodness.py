@@ -62,10 +62,6 @@ class GoodnessVerdict(_Frozen):
     good: bool
     loop: Loop | None
 
-    def __init__(self, good, loop):
-        object.__setattr__(self, "good", good)
-        object.__setattr__(self, "loop", loop)
-
     def __bool__(self) -> bool:
         return self.good
 

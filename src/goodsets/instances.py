@@ -89,14 +89,6 @@ class Instance(_Frozen):
     pins: PinSet | None
     measure: FiniteMeasure | None
 
-    def __init__(self, space, point_set, file_points, f, pins, measure):
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "point_set", point_set)
-        object.__setattr__(self, "file_points", file_points)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "pins", pins)
-        object.__setattr__(self, "measure", measure)
-
     def index_of(self, point) -> int:
         return self.file_points.index(self.point_set.require_member(point))
 

@@ -402,9 +402,6 @@ class PinRow(_Frozen):
 
     coordinate: Coordinate
 
-    def __init__(self, coordinate):
-        object.__setattr__(self, "coordinate", coordinate)
-
 
 class IncidenceSystem(_Frozen):
     """Rows: incidence vectors of the points of S.  Columns: coordinates of S.
@@ -423,10 +420,7 @@ class IncidenceSystem(_Frozen):
         columns = point_set.coordinates()
         col_index = {c: j for j, c in enumerate(columns)}
         sparse_rows = tuple(_incidence_row(p, col_index) for p in point_set)
-        object.__setattr__(self, "point_set", point_set)
-        object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "col_index", col_index)
-        object.__setattr__(self, "sparse_rows", sparse_rows)
+        super().__init__(point_set, columns, col_index, sparse_rows)
 
     @property
     def space(self) -> Space:
@@ -568,12 +562,6 @@ class LinearSolve(_Frozen):
     kernel: tuple[dict, ...]
     witness: tuple[tuple[object, Fraction], ...] | None
 
-    def __init__(self, verdict, decomposition, kernel, witness):
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "decomposition", decomposition)
-        object.__setattr__(self, "kernel", kernel)
-        object.__setattr__(self, "witness", witness)
-
     @property
     def unique(self) -> bool:
         return self.verdict == UNIQUE
@@ -688,10 +676,6 @@ class CircuitVector(_Frozen):
 
     points: tuple[Point, ...]
     coefficients: tuple[int, ...]
-
-    def __init__(self, points, coefficients):
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "coefficients", coefficients)
 
     def __len__(self) -> int:
         return len(self.points)

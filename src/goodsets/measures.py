@@ -52,7 +52,6 @@ class FiniteMeasure(_Frozen):
     _integer: tuple
 
     def __init__(self, support, weights):
-        object.__setattr__(self, "support", support)
         support.require_nonempty("finite measure")
         w = {p: as_fraction(v) for p, v in weights.items()}
         if w.keys() != set(support.points):
@@ -62,7 +61,7 @@ class FiniteMeasure(_Frozen):
             raise PreconditionError("weights must be positive on the support")
         if sum(numerators) != D:
             raise PreconditionError("weights must sum to one exactly")
-        object.__setattr__(self, "weights", w)
+        super().__init__(support, w)
         object.__setattr__(self, "_integer", (tuple(w), tuple(w.values()), numerators, D))
 
     @classmethod
@@ -95,9 +94,6 @@ class MarginalVector(_Frozen):
     """Per axis, the pushforward weights; each axis sums to one."""
 
     per_axis: tuple[dict, ...]
-
-    def __init__(self, per_axis):
-        object.__setattr__(self, "per_axis", per_axis)
 
     def mass(self, axis: int, label) -> Fraction:
         """The weight of the label on the axis, read by `model._axis`; 0 off the support."""
@@ -132,11 +128,6 @@ class SimplicialVerdict(_Frozen):
     simplicial: bool
     loop: Loop | None
     epsilon: Fraction | None
-
-    def __init__(self, simplicial, loop, epsilon):
-        object.__setattr__(self, "simplicial", simplicial)
-        object.__setattr__(self, "loop", loop)
-        object.__setattr__(self, "epsilon", epsilon)
 
     def perturbed(self, m: FiniteMeasure, sign: int) -> dict:
         """The weights of mu + sign*eps*nu, sign the int +1 or -1.

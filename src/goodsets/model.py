@@ -17,8 +17,9 @@ holds the data they all share:
 All scalars are :class:`fractions.Fraction`; nothing is ever rounded.  Every
 type is immutable after construction and every operation is pure, so shared
 instances are safe under concurrent use.  Every value class of the package
-stands on `_Frozen`, which refuses writes and compares, hashes and prints
-a value by its fields; each class's own `__init__` checks and sets them.
+stands on `_Frozen`, which sets its fields in one `__init__`, refuses writes,
+and compares, hashes and prints a value by its fields.  A class that checks
+its input reads it in an `__init__` of its own and hands the fields on.
 
 Input.  Every point that enters the package is read by one reader,
 `Space._read`: it makes the point a tuple, checks its arity and looks up
@@ -81,10 +82,12 @@ class _Frozen:
     """The base of every value class: read-only fields, with equality, hash and repr over them.
 
     A class's fields are its annotated names without a leading `_`, its
-    bases' first; its `__init__` sets them with `object.__setattr__`.  An
-    annotated `_name` is a cache, outside equality, hash and repr.  Values
-    are equal only when their classes are the same and their fields equal.
-    `_key(value)` reads the fields, a tuple of them when there are two or more.
+    bases' first.  `__init__` is the one field setter: it takes every field
+    once, by position in that order, then by name, as a written signature
+    would.  An annotated `_name` is a cache, set with `object.__setattr__`
+    and outside equality, hash and repr.  Values are equal only when their
+    classes are the same and their fields equal.  `_key(value)` reads the
+    fields, a tuple of them when there are two or more.
     """
 
     _fields: tuple[str, ...] = ()
@@ -92,6 +95,17 @@ class _Frozen:
     def __init_subclass__(cls):
         cls._fields += tuple(name for name in cls.__annotations__ if not name.startswith("_"))
         cls._key = attrgetter(*cls._fields)
+
+    def __init__(self, *values, **named):
+        fields = self._fields
+        if len(values) + len(named) != len(fields) or (
+            named and not named.keys() <= set(fields[len(values) :])
+        ):
+            raise TypeError(
+                f"{type(self).__name__} takes the fields ({', '.join(fields)}), each once: "
+                f"got {len(values)} by position and {', '.join(named) or 'none'} by name"
+            )
+        vars(self).update(zip(fields, values), **named)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is frozen: cannot assign {name!r}")
@@ -178,8 +192,6 @@ class Axis(_Frozen):
 
     def __init__(self, name, values):
         values = tuple(values)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "values", values)
         if not values:
             raise PreconditionError(f"axis {name!r} has no values")
         try:
@@ -187,6 +199,7 @@ class Axis(_Frozen):
                 raise PreconditionError(f"axis {name!r} has duplicate values")
         except TypeError:
             raise PreconditionError(f"axis {name!r} has an unhashable value") from None
+        super().__init__(name, values)
 
 
 class Space(_Frozen):
@@ -201,11 +214,11 @@ class Space(_Frozen):
 
     def __init__(self, axes):
         axes = tuple(axes)
-        object.__setattr__(self, "axes", axes)
         if len(axes) < 2:
             raise PreconditionError("a space needs at least two axes")
         if len({ax.name for ax in axes}) != len(axes):
             raise PreconditionError("axis names must be distinct")
+        super().__init__(axes)
         object.__setattr__(
             self,
             "_value_index",
@@ -294,8 +307,7 @@ class PointSet(_Frozen):
 
     def __init__(self, space, points):
         keys = dict(map(space._read, points))
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "points", tuple(sorted(keys, key=keys.__getitem__)))
+        super().__init__(space, tuple(sorted(keys, key=keys.__getitem__)))
         object.__setattr__(self, "_members", frozenset(keys))
 
     @classmethod
@@ -388,8 +400,7 @@ class PointSet(_Frozen):
         """
         part = object.__new__(PointSet)
         points = tuple(points)
-        object.__setattr__(part, "space", self.space)
-        object.__setattr__(part, "points", points)
+        _Frozen.__init__(part, self.space, points)
         object.__setattr__(part, "_members", frozenset(points))
         return part
 
@@ -412,7 +423,6 @@ class FunctionTable(_Frozen):
     values: Mapping[Point, Fraction]
 
     def __init__(self, domain, values):
-        object.__setattr__(self, "domain", domain)
         vals = {p: as_fraction(v) for p, v in values.items()}
         dom = domain._members
         if vals.keys() != dom:
@@ -420,7 +430,7 @@ class FunctionTable(_Frozen):
                 f"function table must be total on its domain "
                 f"(missing {len(dom - vals.keys())}, extraneous {len(vals.keys() - dom)})"
             )
-        object.__setattr__(self, "values", vals)
+        super().__init__(domain, vals)
 
     @classmethod
     def zero(cls, domain: PointSet) -> "FunctionTable":
@@ -457,7 +467,6 @@ class Decomposition(_Frozen):
     _integer: tuple
 
     def __init__(self, space, tables):
-        object.__setattr__(self, "space", space)
         if len(tables) != space.n:
             raise PreconditionError("one table per axis required")
         frozen = []
@@ -467,7 +476,7 @@ class Decomposition(_Frozen):
                 space.value_index(i, label)
                 clean[label] = as_fraction(v)
             frozen.append(clean)
-        object.__setattr__(self, "tables", tuple(frozen))
+        super().__init__(space, tuple(frozen))
         values = (v for table in frozen for v in table.values())
         object.__setattr__(self, "_integer", _over_common_denominator(values))
 
@@ -479,8 +488,7 @@ class Decomposition(_Frozen):
         the k-th value in table order.
         """
         d = object.__new__(cls)
-        object.__setattr__(d, "space", space)
-        object.__setattr__(d, "tables", tables)
+        _Frozen.__init__(d, space, tables)
         object.__setattr__(d, "_integer", (numerators, D))
         return d
 
@@ -545,7 +553,7 @@ class PinSet(_Frozen):
             if coord in clean:
                 raise PreconditionError(f"coordinate {coord!r} pinned twice")
             clean[coord] = as_fraction(v)
-        object.__setattr__(self, "pins", tuple(clean.items()))
+        super().__init__(tuple(clean.items()))
 
     @classmethod
     def of(cls, mapping: Mapping) -> "PinSet":

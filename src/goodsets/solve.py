@@ -91,14 +91,6 @@ class SolveReport(LinearSolve):
     max_geodesic_length: int | None
     max_abs_value: Fraction | None
 
-    def __init__(
-        self, verdict, decomposition, kernel, witness, method, max_geodesic_length, max_abs_value
-    ):
-        super().__init__(verdict, decomposition, kernel, witness)
-        object.__setattr__(self, "method", method)
-        object.__setattr__(self, "max_geodesic_length", max_geodesic_length)
-        object.__setattr__(self, "max_abs_value", max_abs_value)
-
 
 def _largest_abs(values) -> Fraction:
     """The largest |value|, 0 for none: the largest |numerator| over the common denominator.
@@ -140,11 +132,6 @@ class GeodesicMatrix(_Frozen):
     points: tuple[Point, ...]
     columns: tuple[Coordinate, ...]
     matrix: tuple[tuple[int, ...], ...]
-
-    def __init__(self, points, columns, matrix):
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "matrix", matrix)
 
 
 def geodesic_matrix(G: PointSet, base) -> GeodesicMatrix:
@@ -303,15 +290,6 @@ class BoundDiagnostics(_Frozen):
     max_geodesic_length: int
     mean_geodesic_length: Fraction
     max_abs_indicator_value: Fraction
-
-    def __init__(
-        self, base, lengths, max_geodesic_length, mean_geodesic_length, max_abs_indicator_value
-    ):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "lengths", lengths)
-        object.__setattr__(self, "max_geodesic_length", max_geodesic_length)
-        object.__setattr__(self, "mean_geodesic_length", mean_geodesic_length)
-        object.__setattr__(self, "max_abs_indicator_value", max_abs_indicator_value)
 
 
 def bound_diagnostics(S: PointSet, base=None) -> BoundDiagnostics:

@@ -237,7 +237,8 @@ def _order(S: PointSet, x: Point, what: str | None) -> tuple:
     edges, or None when one of them holds an unmatched coordinate, whose
     owner is `None`.  Each closure is searched once, breadth first, when it
     is first asked for, and takes a closure found before whole instead of
-    searching past its point.  Every caller in the package reads the
+    searching past its point, and stops as soon as it reaches `None`: the
+    closure is then `None`, whatever else the walk would reach.  Every caller in the package reads the
     closures alone; `match` is returned so that tests can hold the matching
     to its contract.
     """
@@ -268,6 +269,8 @@ def _order(S: PointSet, x: Point, what: str | None) -> tuple:
         if z not in closure:
             reach, todo = {x, z}, [z]
             for p in todo:
+                if None in reach:
+                    break
                 if p in closure:
                     reach.update(closure[p] or (None,))
                     continue
@@ -286,10 +289,6 @@ class Geodesic(_Frozen):
 
     endpoints: tuple[Point, Point]
     points: PointSet
-
-    def __init__(self, endpoints, points):
-        object.__setattr__(self, "endpoints", endpoints)
-        object.__setattr__(self, "points", points)
 
     @property
     def length(self) -> int:
@@ -321,9 +320,6 @@ class ComponentPartition(_Frozen):
     """Partition of a good set into its (full) relatedness components."""
 
     components: tuple[PointSet, ...]
-
-    def __init__(self, components):
-        object.__setattr__(self, "components", components)
 
     def __len__(self) -> int:
         return len(self.components)
@@ -379,9 +375,6 @@ class EiClasses(_Frozen):
 
     classes_by_axis: tuple[tuple[tuple, ...], ...]
 
-    def __init__(self, classes_by_axis):
-        object.__setattr__(self, "classes_by_axis", classes_by_axis)
-
     def class_of(self, axis: int, label) -> tuple:
         for cls in self.classes_by_axis[_axis(axis, len(self.classes_by_axis))]:
             if label in cls:
@@ -435,26 +428,6 @@ class BoundaryConstruction(_Frozen):
     pivot_generators: tuple[int, ...]
     basis_generators: tuple[int, ...]
     boundary: tuple[Coordinate, ...]
-
-    def __init__(
-        self,
-        partition,
-        cross_section,
-        ei,
-        generators,
-        relations,
-        pivot_generators,
-        basis_generators,
-        boundary,
-    ):
-        object.__setattr__(self, "partition", partition)
-        object.__setattr__(self, "cross_section", cross_section)
-        object.__setattr__(self, "ei", ei)
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "relations", relations)
-        object.__setattr__(self, "pivot_generators", pivot_generators)
-        object.__setattr__(self, "basis_generators", basis_generators)
-        object.__setattr__(self, "boundary", boundary)
 
     def boundary_pins(self, values=None) -> PinSet:
         """Pin the boundary coordinates (at zero unless values are given)."""

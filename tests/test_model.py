@@ -320,6 +320,33 @@ def test_every_value_class_is_a_frozen_value():
         assert value != impostor and impostor != value
 
 
+def test_the_base_constructor_takes_each_field_once():
+    # A class without an `__init__` of its own is built by the base's one field setter:
+    # its fields by position or by name, each exactly once, as a written signature takes them.
+    plain = [v for v in _one_of_each_value_class() if type(v).__init__ is model._Frozen.__init__]
+    assert len(plain) == 14
+    for value in plain:
+        cls = type(value)
+        fields = {name: getattr(value, name) for name in cls._fields}
+        names, values = list(fields), list(fields.values())
+        assert cls(*values) == value
+        assert cls(**fields) == value
+        assert cls(**dict(reversed(fields.items()))) == value
+        assert cls(values[0], **dict(list(fields.items())[1:])) == value
+        wrong = [
+            lambda: cls(*values[:-1]),
+            lambda: cls(**dict(list(fields.items())[:-1])),
+            lambda: cls(*values, None),
+            lambda: cls(**fields, extra=None),
+            lambda: cls(*values, **{names[0]: values[0]}),
+        ]
+        if len(names) > 1:
+            wrong.append(lambda: cls(*values[:-1], **{names[0]: values[0]}))
+        for build in wrong:
+            with pytest.raises(TypeError, match=f"^{cls.__name__} takes the fields"):
+                build()
+
+
 def test_a_report_is_no_plain_solve_and_tables_do_not_hash():
     S = cube_set(E5)
     report = gs.solve_direct(S, gs.FunctionTable.zero(S))

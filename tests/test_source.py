@@ -39,6 +39,43 @@ def test_the_check_sees_an_unused_import():
     assert _unused_imports(tree) == ["cached_property (line 1)"]
 
 
+def _field_writes(tree: ast.Module) -> list[str]:
+    """`object.__setattr__` calls that set anything but a `_` cache, named by line."""
+    writes = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "__setattr__"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "object"
+        ):
+            name = node.args[1] if len(node.args) > 1 else None
+            if not (isinstance(name, ast.Constant) and str(name.value).startswith("_")):
+                shown = ast.unparse(name) if name is not None else "?"
+                writes.append(f"{shown} (line {node.lineno})")
+    return writes
+
+
+def test_fields_are_set_only_by_the_base_constructor():
+    # `model._Frozen.__init__` is the one field setter; `object.__setattr__` sets caches only.
+    modules = sorted(PACKAGE.glob("*.py"))
+    writes = {
+        p.name: found for p in modules if (found := _field_writes(ast.parse(p.read_text(), str(p))))
+    }
+    assert writes == {}
+
+
+def test_the_check_sees_a_field_set_by_hand():
+    tree = ast.parse(
+        "object.__setattr__(self, '_members', frozenset())\n"
+        "object.__setattr__(self, 'points', ())\n"
+        "object.__setattr__(self, name, 0)\n"
+        "setattr(self, 'points', ())\n"
+    )
+    assert _field_writes(tree) == ["'points' (line 2)", "name (line 3)"]
+
+
 def test_every_exported_callable_is_fuzzed_or_exempt():
     # A new public entry must join the library contract's fuzz test, or say why not.
     import test_api_fuzz

@@ -579,6 +579,20 @@ def test_doubling_chain_peel_frontier():
     assert rank_s < 0.1
 
 
+def test_chain_minus_middle_full_component_frontier():
+    # The d = 1,000 chain less its middle point (3,000 points): each closure
+    # walk stops at the first unmatched coordinate it meets, so a class query
+    # costs its own walk, not one walk over the set per point.
+    S = _chain_minus_middle(1000)
+    first, middle = S.points[0], S.points[len(S) // 2]
+    gc.collect()
+    start = time.monotonic()
+    sizes = [len(gs.full_component(S, x)) for x in (first, middle)]
+    elapsed = time.monotonic() - start
+    assert len(S) == 3000 and sizes == [750, 1]
+    assert elapsed < 0.5
+
+
 def test_thinned_maximal_sets_components_frontier():
     # Maximal good sets in 6^4 (21 points) with random points removed.
     rng = random.Random(83)
