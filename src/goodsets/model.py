@@ -107,7 +107,8 @@ class _Frozen:
                 )
             values += tuple(map(named.__getitem__, rest))
         # Field by field, not `vars(self).update(...)`: building the instance's `__dict__`
-        # makes every later attribute read slower (four reads 0.19 against 0.10 µs, 3.11).
+        # makes every later attribute read slower (four reads took 0.19 against 0.10 µs
+        # on CPython 3.11, 2-core Xeon VM).
         for name, value in zip(fields, values):
             object.__setattr__(self, name, value)
 

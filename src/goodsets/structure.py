@@ -236,11 +236,11 @@ def _order(S: PointSet, x: Point, what: str | None) -> tuple:
     them.  `closure(p)` is g(x, p), the points that x and p reach along the
     edges, or None when one of them holds an unmatched coordinate, whose
     owner is `None`.  Each closure is searched once, breadth first, when it
-    is first asked for, and takes a closure found before whole instead of
+    is first asked for, takes a closure found before whole instead of
     searching past its point, and stops as soon as it reaches `None`: the
-    closure is then `None`, whatever else the walk would reach.  Every caller in the package reads the
-    closures alone; `match` is returned so that tests can hold the matching
-    to its contract.
+    closure is then `None`, whatever else the walk would reach.  Every
+    caller in the package reads the closures alone; `match` is returned so
+    that tests can hold the matching to its contract.
     """
     owner: dict = dict.fromkeys(enumerate(x), x)
     match = {x: (S.space.n - 1, x[-1])}

@@ -59,10 +59,9 @@ def _field_writes(tree: ast.Module) -> list[str]:
             and isinstance(node.func.value, ast.Name)
             and node.func.value.id == "object"
         ):
-            name = node.args[1] if len(node.args) > 1 else None
+            name = node.args[1]
             if not (isinstance(name, ast.Constant) and str(name.value).startswith("_")):
-                shown = ast.unparse(name) if name is not None else "?"
-                writes.append(f"{shown} (line {node.lineno})")
+                writes.append(f"{ast.unparse(name)} (line {node.lineno})")
     return writes
 
 
