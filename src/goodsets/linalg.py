@@ -8,13 +8,13 @@ in this package, so there is exactly one elimination, the integer
 coefficients are views on it.  A point's row has n nonzeros among |C(S)|
 columns, so rows are sparse: dicts {column: int} of their nonzero entries,
 and a reduction touches only the entries that are there.  The right-hand
-side, the unit tags of a witness or a circuit and the unit columns of an
-inverse are extra keys of the same dicts.  A rational right-hand side is
-scaled to integers by the lcm of its denominators, and `Fraction` appears
-only at the final division by a pivot entry.  Pins (prescribed coordinate
-values) enter as extra unit rows, not by column elimination, which keeps
-the unique / underdetermined / inconsistent reporting uniform.  Every
-incidence row is built by one builder, `_incidence_row`.  Every pin,
+side, the unit tags of a witness or a circuit and the point tags of an
+inverse's core are extra keys of the same dicts.  A rational right-hand
+side is scaled to integers by the lcm of its denominators, and `Fraction`
+appears only at the final division by a pivot entry.  Pins (prescribed
+coordinate values) enter as extra unit rows, not by column elimination,
+which keeps the unique / underdetermined / inconsistent reporting uniform.
+Every incidence row is built by one builder, `_incidence_row`.  Every pin,
 target and vector key finds its column through `_column`, the one column
 lookup, which refuses a coordinate that is not a column of the system; a
 key handed in by a caller is first read by `model._coordinate`.
@@ -32,10 +32,15 @@ solution does not depend on that choice either, so it is read along the
 peel by integer substitution, forward for a step whose other columns are
 known and backward for one with a private column, with only the core
 eliminated, and handed to the split builder (`_decomposition`) as integer
-numerators over one denominator.  Answers that do depend on the choice (an
-underdetermined solve's split and kernel, an inconsistent one's witness,
-span tests, signatures) eliminate the rows as they are, and so does the
-dependence scan below, which stops at the tail it needs.
+numerators over one denominator.  The columns of a square system's inverse
+at its point rows, the solves of every indicator right-hand side at once,
+are read along the same peel in the same order (`_peeled_inverse`): each
+value is a sparse integer combination of the right-hand sides, and the
+core is eliminated once, each row tagged with its combination; a core short
+of full rank means there is no inverse.  Answers that do depend on the
+choice (an underdetermined solve's split and kernel, an inconsistent one's
+witness, span tests, signatures) eliminate the rows as they are, and so
+does the dependence scan below, which stops at the tail it needs.
 
 One dependence scan decides goodness and yields loops (`extract_circuit`):
 one reverse pass over the canonical support finds the first point e_k that
@@ -114,15 +119,6 @@ def _combine(v: dict[int, int], a: int, row: dict[int, int], b: int) -> dict[int
         else:
             del v[j]
     return _primitive(v)
-
-
-def _transpose(rows: Sequence[Mapping[int, int]], ncols: int) -> list[dict[int, int]]:
-    """Column j of the rows as a sparse row keyed by row index, for j < ncols."""
-    columns: list[dict[int, int]] = [{} for _ in range(ncols)]
-    for k, row in enumerate(rows):
-        for j, x in row.items():
-            columns[j][k] = x
-    return columns
 
 
 class RowBasis:
@@ -368,6 +364,57 @@ def _peeled_solution(rows: Sequence[Mapping[int, int]], rhs: Sequence[Fraction],
     return UNIQUE, value, scale * m
 
 
+def _peeled_inverse(rows: Sequence[Mapping[int, int]], count: int, ncols: int):
+    """(values, m): the square rows' inverse at its first count columns, over m; or (None, None).
+
+    The many-rhs read of `_peeled_solution`, with the same precondition on
+    the peel steps' entries: the rhs of row k is the unit e_k for k < count
+    and 0 for the rows after, and values[j] is a sparse integer combination
+    {k: coefficient} of those rhs, so u_j = sum_k values[j][k] f_k / m.
+    Along the same peel, in the same order: forward steps, then the core,
+    eliminated once by `RowBasis` with a tag column ncols + k for each k <
+    count that carries each row's combination, and back-substituted, then
+    backward steps.  m is the lcm of the core's pivot entries, 1 with no
+    core.  The rows must be square, the steps and the core's columns must
+    number ncols, and the core must have full rank; otherwise there is no
+    inverse, and the read gives (None, None).
+    """
+    steps, core = _peel(rows, ncols)
+    held = {j for row in core.values() for j in row}
+    if len(rows) != ncols or len(steps) + len(held) != ncols:
+        return None, None
+    value, backward, m = [None] * ncols, [], 1
+
+    def read(k: int, a: int) -> dict[int, int]:
+        """Row k's rhs times a, less each entry x of the row times its column's value, if any."""
+        s = {k: a} if k < count else {}
+        for i, x in rows[k].items():
+            for r, c in (value[i] or {}).items():
+                s[r] = s.get(r, 0) - x * c
+        return {r: c for r, c in s.items() if c}
+
+    for k, j in steps:
+        if rows[k][j] != 1:
+            raise VerificationError("a peel step's entry is not 1")
+        if all(value[i] is not None for i in rows[k] if i != j):
+            value[j] = read(k, 1)
+        else:
+            backward.append((k, j))
+    if core:
+        tagged = ({ncols + r: c for r, c in read(k, 1).items()} | row for k, row in core.items())
+        basis = _echelon(tagged, ncols + count)
+        if not held.issubset(basis.pivot_rows):
+            return None, None
+        basis.back_substitute()
+        m = lcm(*(row[p] for p, row in basis.pivot_rows.items()))
+        value[:] = [v and {r: c * m for r, c in v.items()} for v in value]
+        for p, row in basis.pivot_rows.items():
+            value[p] = {r - ncols: c * (m // row[p]) for r, c in row.items() if r != p}
+    for k, j in reversed(backward):
+        value[j] = read(k, m)
+    return value, m
+
+
 def _canonical_solution(rows, rhs: Sequence[Fraction], ncols: int):
     """(x, basis): x solves rows . x = rhs with free columns at 0, or is None.
 
@@ -459,40 +506,6 @@ def _is_boundary(system: IncidenceSystem, coords: Sequence[Coordinate]) -> bool:
     if len(system.points) + len(coords) != size or any(c not in system.col_index for c in coords):
         return False
     return _peeled_rank(_stack_pins(system, coords), size)[0] == size
-
-
-def _pinned_inverse(system: IncidenceSystem, coords) -> dict[Coordinate, dict[int, Fraction]]:
-    """The rows of A^-1, A the incidence rows over the pins, one per column.
-
-    Each row is a sparse dict {k: Fraction} of its nonzero entries in
-    increasing k: entry k of the row at column c is the weight of
-    right-hand side entry k, the point k, in u_c.  The pins' entries are
-    left out, as every caller pins at zero, so the keys are the points the
-    row weights.  That row w solves A^T w = e_c, so one elimination of
-    [A^T | I] followed by back-substitution leaves D W in the I block, D
-    diagonal and W's columns the rows.  The rows of A^T enter in reverse
-    column order: the result does not depend on the order, and this one
-    measured 1.2-7 times faster than column order on chains, maximal sets
-    and random full sets.
-    """
-    rows = _stack_pins(system, coords)
-    size = len(system.columns)
-    if len(rows) != size:
-        raise VerificationError(f"pinned system is {len(rows)} x {size}; expected square")
-    transpose = [{**column, size + j: 1} for j, column in enumerate(_transpose(rows, size))]
-    basis = _echelon(reversed(transpose), 2 * size)
-    if any(k not in basis.pivot_rows for k in range(size)):
-        raise VerificationError("pinned system is singular")
-    basis.back_substitute()
-    inverse: dict[Coordinate, dict[int, Fraction]] = {c: {} for c in system.columns}
-    for k in range(len(system.points)):
-        # Past back-substitution, row k is nonzero at its pivot k and in
-        # the identity block alone.
-        row = basis.pivot_rows[k]
-        for j, x in row.items():
-            if j >= size:
-                inverse[system.columns[j - size]][k] = Fraction(x, row[k])
-    return inverse
 
 
 def rank(system: IncidenceSystem) -> int:

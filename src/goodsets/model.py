@@ -515,6 +515,8 @@ class Decomposition(_Frozen):
         return sum((self.value(i, label) for i, label in enumerate(point)), Fraction(0))
 
     def __add__(self, other: "Decomposition") -> "Decomposition":
+        if not isinstance(other, Decomposition):
+            return NotImplemented
         if other.space is not self.space and other.space != self.space:
             raise PreconditionError("decompositions live on different spaces")
         merged = []

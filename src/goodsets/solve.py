@@ -17,9 +17,11 @@ Four routes produce the same numbers:
 
 `bound_diagnostics` reports the finite-scale boundedness data: geodesic
 lengths from a base, the sizes of the order's closures, and the largest
-solution value over singleton indicator right-hand sides, read off one exact
-inverse of the system pinned at the base's first n - 1 coordinates, which is
-also its good-set check.
+solution value over singleton indicator right-hand sides.  Those solutions
+are the point columns of the inverse of the system pinned at the base's
+first n - 1 coordinates, all read along the peel at once
+(`linalg._peeled_inverse`), and finding that inverse is also its good-set
+check.
 
 Every route solves once, with `linalg.solve_pinned`, and a unique solve
 is one read along the peel, `linalg._peeled_solution`: it substitutes in
@@ -54,8 +56,9 @@ from .linalg import (
     LinearSolve,
     _is_boundary,
     _over_common_denominator,
-    _pinned_inverse,
+    _peeled_inverse,
     _require_total,
+    _stack_pins,
     solve_pinned,
 )
 from .model import (
@@ -92,15 +95,6 @@ class SolveReport(LinearSolve):
     max_abs_value: Fraction | None
 
 
-def _largest_abs(values) -> Fraction:
-    """The largest |value|, 0 for none: the largest |numerator| over the common denominator.
-
-    Exact, and no `Fraction` is built or compared per value.
-    """
-    numerators, D = _over_common_denominator(values)
-    return Fraction(max(map(abs, numerators), default=0), D)
-
-
 def _report(method: str, outcome: LinearSolve, max_len: int | None = None) -> SolveReport:
     """The report of every route: its outcome, tagged with the method, and largest |value|.
 
@@ -111,9 +105,7 @@ def _report(method: str, outcome: LinearSolve, max_len: int | None = None) -> So
     if d is not None:
         numerators, D = d._integer
         worst = Fraction(max(map(abs, numerators), default=0), D)
-    return SolveReport(
-        **vars(outcome), method=method, max_geodesic_length=max_len, max_abs_value=worst
-    )
+    return SolveReport(*LinearSolve._key(outcome), method, max_len, worst)
 
 
 def solve_direct(S: PointSet, f: FunctionTable, pins: PinSet | None = None) -> SolveReport:
@@ -297,24 +289,27 @@ def bound_diagnostics(S: PointSet, base=None) -> BoundDiagnostics:
 
     The indicator sweep is the largest absolute value of any u solving
     u = 1_{p}, p in S, with the base's first n - 1 coordinates pinned at
-    zero.  Those solutions are the point columns of one pinned inverse.
-    It is square exactly when def(S) = n - 1, and then invertible exactly
-    when S is good, so it is the good-set check; any other S is ranked, as
-    a good one has several classes.  The lengths are the closures of
-    `structure._order` from the base, each computed once.
+    zero.  Those solutions are the point columns of the pinned system's
+    inverse, read along its peel (`linalg._peeled_inverse`) as integers
+    over one m, so the sweep is their largest |integer| over m.  The
+    system is square exactly when def(S) = n - 1, and then invertible
+    exactly when S is good, so the read is the good-set check; any other S
+    is ranked, as a good one has several classes.  The lengths are the
+    closures of `structure._order` from the base, each computed once.
     """
     S.require_nonempty("bound_diagnostics")
     base = S.points[0] if base is None else S.require_member(base)
     if S.deficiency() != S.space.n - 1:
         _require_good(S, "bound_diagnostics")
         raise PreconditionError("diagnostics are per component; this set has several")
-    try:
-        inverse = _pinned_inverse(IncidenceSystem(S), [(i, base[i]) for i in range(S.space.n - 1)])
-    except VerificationError:
-        raise PreconditionError("bound_diagnostics requires a good set") from None
+    system = IncidenceSystem(S)
+    rows = _stack_pins(system, [(i, base[i]) for i in range(S.space.n - 1)])
+    values, m = _peeled_inverse(rows, len(S), len(system.columns))
+    if values is None:
+        raise PreconditionError("bound_diagnostics requires a good set")
     close = _order(S, base, None)[1]
     lengths = {y: len(close(y)) for y in S}
-    worst = _largest_abs(v for row in inverse.values() for v in row.values())
+    worst = Fraction(max((max(map(abs, v.values())) for v in values if v), default=0), m)
     return BoundDiagnostics(
         base=base,
         lengths=lengths,

@@ -23,9 +23,9 @@ from goodsets.linalg import (
     _is_boundary,
     _kernel_dicts,
     _peel,
+    _peeled_inverse,
     _peeled_rank,
     _peeled_solution,
-    _pinned_inverse,
     _stack_pins,
     _witness,
 )
@@ -47,6 +47,7 @@ from util import (
     oracle_is_boundary,
     oracle_rank,
     oracle_zero_marginal_dependency,
+    pinned_inverse,
     pset,
     random_fraction,
     random_good_set,
@@ -925,20 +926,34 @@ def _full_sets_and_chains():
 
 
 def test_pinned_inverse_is_an_inverse():
-    # The rows W of A^-1 at the point columns, A the stacked pinned system,
-    # multiplied out in plain Fraction arithmetic: every point row of A
-    # times W is the identity, and W is empty at each pinned coordinate (the
-    # pin rows of A times W are zero).  As A is invertible, that fixes every
-    # returned entry.
+    # The inverse read along the peel, W at the point columns of A^-1, A the
+    # stacked pinned system, multiplied out in plain Fraction arithmetic:
+    # every point row of A times W is the identity, and W is empty at each
+    # pinned coordinate (the pin rows of A times W are zero).  As A is
+    # invertible, that fixes every returned entry, and each equals the
+    # `Fraction` Gauss-Jordan inverse of `tests/util.pinned_inverse`.  The
+    # chains peel to no core, so m is 1 on them; greedy maximal cubes keep
+    # one, and in 5^4 its pivot entries make m > 1 before backward steps.
     rng, sets = _full_sets_and_chains()
+    sets += [greedy_maximal_cube(random.Random(seed), 8) for seed in range(4)]
+    sets += [greedy_maximal_cube(random.Random(seed), 5, 4) for seed in range(4)]
+    cores = scaled = 0
     for S in sets:
         base = rng.choice(S.points)
         pins = [(i, base[i]) for i in range(S.space.n - 1)]
         system = gs.IncidenceSystem(S)
         columns = system.columns
         assert len(S) + len(pins) == len(columns)
-        inverse = _pinned_inverse(system, pins)
-        assert list(inverse) == list(columns)
+        rows = _stack_pins(system, pins)
+        values, m = _peeled_inverse(rows, len(S), len(columns))
+        cores += bool(_peel(rows, len(columns))[1])
+        scaled += m > 1
+        assert m >= 1 and len(values) == len(columns)
+        inverse = {
+            c: {k: Fraction(x, m) for k, x in sorted(v.items())}
+            for c, v in zip(columns, values)
+        }
+        assert inverse == pinned_inverse(S, base)
         for c in columns:
             assert all(inverse[c].values())
         for p in S:
@@ -947,17 +962,33 @@ def test_pinned_inverse_is_an_inverse():
                 assert entry == (p == S.points[q])
         for c in pins:
             assert inverse[c] == {}
+    assert cores >= 8 and scaled >= 2
 
 
 def test_pinned_inverse_rejects_singular_and_foreign_pins():
+    # Two pins on one axis of T4 make a square singular system, one pin or
+    # three a system that is not square, and a rectangle plus a point with
+    # two fresh values, pinned at its first point, a square singular one of
+    # deficiency n - 1.  The peel reads no inverse of any, and the
+    # Gauss-Jordan oracle finds none.  A pin off the columns is refused
+    # where the pin rows are stacked.
     S = cube_set(T4)
     system = gs.IncidenceSystem(S)
-    with pytest.raises(gs.VerificationError, match="singular"):
-        _pinned_inverse(system, [(0, 0), (0, 1)])
-    with pytest.raises(gs.VerificationError, match="expected square"):
-        _pinned_inverse(system, [(0, 0)])
+    for pins in ([(0, 0), (0, 1)], [(0, 0)], [(0, 0), (1, 0), (2, 0)]):
+        rows = _stack_pins(system, pins)
+        assert _peeled_inverse(rows, len(S), len(system.columns)) == (None, None)
+    looped = pset([(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0), (2, 2, 0)], (3, 3, 1))
+    base = looped.points[0]
+    looped_system = gs.IncidenceSystem(looped)
+    rows = _stack_pins(looped_system, [(0, base[0]), (1, base[1])])
+    assert len(rows) == len(looped_system.columns)
+    assert _peeled_inverse(rows, len(looped), len(rows)) == (None, None)
+    with pytest.raises(ValueError, match="singular"):
+        pinned_inverse(looped, base)
+    with pytest.raises(ValueError, match="not square"):
+        pinned_inverse(cube_set(DIAGONAL), DIAGONAL[0])
     with pytest.raises(gs.PreconditionError, match="not a column"):
-        _pinned_inverse(system, [(0, 0), (0, 7)])
+        _stack_pins(system, [(0, 0), (0, 7)])
 
 
 def test_is_boundary_agrees_with_sympy_rank_of_the_stacked_pins():

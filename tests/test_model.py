@@ -97,6 +97,20 @@ def test_evaluate_examples():
     assert halves.evaluate((0, 0)) == Fraction(5, 6)
 
 
+def test_decomposition_sum_takes_only_decompositions():
+    # d + 1 read `other.space` off the int and leaked an AttributeError, and
+    # d + a FunctionTable leaked one too; like 1 + d, each is a TypeError.
+    S = cube_set(T4)
+    d = gs.Decomposition(S.space, ({0: 1}, {0: 2}, {1: Fraction(1, 2)}))
+    f = gs.FunctionTable.indicator(S, T4[0])
+    for left, right in ((d, 1), (1, d), (d, f), (f, d)):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            left + right
+    assert (d + d).tables == ({0: 2}, {0: 4}, {1: 1})
+    with pytest.raises(gs.PreconditionError, match="different spaces"):
+        d + gs.Decomposition.zero(int_space((2, 2)))
+
+
 def test_function_table_total():
     S = cube_set(T4)
     with pytest.raises(gs.PreconditionError):

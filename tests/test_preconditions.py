@@ -166,13 +166,13 @@ def test_geodesic_entries_run_one_good_set_elimination(monkeypatch):
     # `related`, `geodesic` and `full_component` rank S once and read the
     # rest off the matching order, which does no arithmetic and is seeded by
     # that rank's peel; on a set with def(S) = n - 1, `bound_diagnostics`
-    # takes its one pinned inversion as the check.  The rank peels S first
-    # and eliminates only a core that is left: T4 and `apart` keep one (T4
-    # has no private coordinate), and the doubling chain peels to nothing,
-    # so it is ranked with no elimination.  Each entry runs its one check,
-    # `structure._require_good`.  The known geodesics still come back, and
-    # a dependent set still gets the exact message after its one
-    # elimination.
+    # takes its inverse, read along the peel, as the check.  The rank peels
+    # S first and eliminates only a core that is left: T4 and `apart` keep
+    # one (T4 has no private coordinate), and the doubling chain peels to
+    # nothing, so it is ranked, and its inverse read, with no elimination.
+    # Each entry runs its one check, `structure._require_good`.  The known
+    # geodesics still come back, and a dependent set still gets the exact
+    # message after its one elimination.
     calls = _count_eliminations(monkeypatch)
     real_check, checks = structure._require_good, []
 
@@ -213,7 +213,7 @@ def test_geodesic_entries_run_one_good_set_elimination(monkeypatch):
             assert len(checks) == 1 and len(calls) == cores[name]
     calls.clear()
     assert gs.bound_diagnostics(chain.point_set).max_geodesic_length == 19
-    assert len(calls) == 1
+    assert len(calls) == 0
     # The pinned solve eliminates S's core, so the solve routes count
     # good-set checks: the geodesic route checks S once, and the
     # componentwise route leaves its check to the refinement behind
@@ -236,14 +236,14 @@ def test_geodesic_entries_run_one_good_set_elimination(monkeypatch):
 
 def test_singular_class_inversion_is_a_precondition_only_on_the_whole_set(monkeypatch):
     # The one pinned inversion left is `bound_diagnostics`' of the whole set
-    # with def(S) = n - 1, where a singular inversion means S is not good.
-    # No other entry inverts a class: the matching order answers them, so a
-    # broken inversion leaves their answers as they were.
-    def singular(system, coords):
-        raise gs.VerificationError("pinned system is singular")
+    # with def(S) = n - 1, read along the peel, where no inverse means S is
+    # not good.  No other entry inverts a class: the matching order answers
+    # them, so a broken inversion leaves their answers as they were.
+    def singular(rows, count, ncols):
+        return None, None
 
-    monkeypatch.setattr(linalg, "_pinned_inverse", singular)
-    monkeypatch.setattr(solve, "_pinned_inverse", singular)
+    monkeypatch.setattr(linalg, "_peeled_inverse", singular)
+    monkeypatch.setattr(solve, "_peeled_inverse", singular)
     t4 = cube_set(T4)
     apart = pset(T4 + [(2, 2, 2)], (3, 3, 3))
     assert gs.is_good(apart) and apart.deficiency() > apart.space.n - 1

@@ -1,3 +1,5 @@
+import gc
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -9,7 +11,6 @@ from hypothesis import strategies as st
 import goodsets as gs
 from goodsets import linalg, solve
 from goodsets.instances import _example10, example_instance, parse_instance
-from goodsets.linalg import _pinned_inverse
 from util import (
     DIAGONAL,
     T4,
@@ -17,6 +18,7 @@ from util import (
     cube_set,
     greedy_maximal_cube,
     int_space,
+    pinned_inverse,
     pset,
     random_decomposition,
     random_fraction,
@@ -384,17 +386,63 @@ def test_bound_diagnostics_matches_indicator_sweep():
 
 
 def test_indicator_maximum_matches_every_inverse_entry():
-    # The sweep's maximum skips the inverse's zero entries; it must equal
-    # the largest |v| over all of them, zeros included.
+    # The sweep's maximum skips the zero entries of the inverse it reads
+    # along the peel; it must equal the largest |v| over every entry of the
+    # Gauss-Jordan inverse (`tests/util.pinned_inverse`), zeros included.
     sets = [greedy_maximal_cube(random.Random(seed), k) for seed in range(3) for k in (8, 20)]
     sets += [greedy_maximal_cube(random.Random(seed), 5, 4) for seed in range(3)]
     rng = random.Random(103)
     for S in sets:
         base = rng.choice(S.points)
-        pins = [(i, base[i]) for i in range(S.space.n - 1)]
-        inverse = _pinned_inverse(gs.IncidenceSystem(S), pins)
+        inverse = pinned_inverse(S, base)
         expected = max(abs(row.get(k, 0)) for row in inverse.values() for k in range(len(S)))
         assert gs.bound_diagnostics(S, base).max_abs_indicator_value == expected
+
+
+def _looped(S: gs.PointSet, rng) -> gs.PointSet | None:
+    """S, full, with a point of its projections' product added and a point with two fresh values.
+
+    The first point lies in the span of S's rows, as S is full, and the
+    second adds two coordinates, so the set has S's deficiency n - 1 and a
+    loop; None when S's projections hold no other point.
+    """
+    inside = [p for p in itertools.product(*map(S.projection, range(S.space.n))) if p not in S]
+    if not inside:
+        return None
+    sizes = [len(axis.values) for axis in S.space.axes]
+    a, b = rng.sample(range(S.space.n), 2)
+    fresh = [rng.choice(S.projection(i)) for i in range(S.space.n)]
+    fresh[a], fresh[b] = sizes[a], sizes[b]
+    space = int_space([size + 1 for size in sizes])
+    return gs.PointSet.of(space, [*S.points, rng.choice(inside), tuple(fresh)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["closure", "greedy"]))
+def test_indicator_sweep_matches_the_gauss_jordan_inverse(seed, kind):
+    # On full closures of random good sets and on greedy maximal cubes, whose
+    # peel leaves a core, the sweep is the largest |entry| of the Gauss-Jordan
+    # inverse (`tests/util.pinned_inverse`) pinned at a random base.  The same
+    # set with a loop planted and deficiency kept at n - 1 has no inverse,
+    # and the sweep says so as the good-set precondition.
+    rng = random.Random(seed)
+    if kind == "greedy":
+        S = greedy_maximal_cube(rng, *rng.choice([(4, 2), (8, 3), (5, 4)]))
+    else:
+        S = gs.full_closure(random_good_set(rng, random_space(rng), 9))
+    base = rng.choice(S.points)
+    inverse = pinned_inverse(S, base)
+    expected = max(abs(w) for row in inverse.values() for w in row.values())
+    assert gs.bound_diagnostics(S, base).max_abs_indicator_value == expected
+    T = _looped(S, rng)
+    if T is not None:
+        assert T.deficiency() == T.space.n - 1
+        base = rng.choice(T.points)
+        with pytest.raises(ValueError, match="singular"):
+            pinned_inverse(T, base)
+        with pytest.raises(gs.PreconditionError) as err:
+            gs.bound_diagnostics(T, base)
+        assert str(err.value) == "bound_diagnostics requires a good set"
 
 
 def test_doubling_chain_frontier_depth_twelve():
@@ -415,7 +463,7 @@ def test_doubling_chain_frontier_depth_twelve():
 
 
 def test_doubling_chain_frontier_depth_forty():
-    # 121 points: one pinned inverse for the indicator sweep, and every
+    # 121 points: the indicator sweep read along the peel, and every
     # geodesic length read off the matching order.
     depth = 40
     S = parse_instance(_example10(depth)).point_set
@@ -433,6 +481,21 @@ def test_doubling_chain_frontier_depth_forty():
     assert all(report.decomposition.evaluate(p) == f(p) for p in S)
     assert diag_elapsed < 5
     assert solve_elapsed < 5
+
+
+def test_doubling_chain_indicator_sweep_frontier():
+    # The d = 400 chain (1,201 points) pinned at its base peels to an empty
+    # core, so every indicator's split is read by integer substitution with
+    # no elimination, though its values grow like 2^d.
+    S = parse_instance(_example10(400)).point_set
+    gc.collect()
+    start = time.monotonic()
+    diag = gs.bound_diagnostics(S)
+    elapsed = time.monotonic() - start
+    assert len(S) == 1201
+    assert diag.max_abs_indicator_value == 2**400
+    assert diag.max_geodesic_length == 1201
+    assert elapsed < 1
 
 
 def test_doubling_chain_frontier_depth_two_hundred():
@@ -664,6 +727,11 @@ def test_integer_split_check_matches_the_fraction_check(rng):
     assert _raised(solve._check, S, f, split, pins) == expected
 
 
+def _largest_abs(values) -> Fraction:
+    """The largest |value|, 0 for none, by `Fraction` comparison."""
+    return max(map(abs, values), default=Fraction(0))
+
+
 @settings(max_examples=150, deadline=None)
 @given(rng=st.randoms(use_true_random=False))
 def test_solver_built_split_matches_the_validated_one(rng):
@@ -673,7 +741,9 @@ def test_solver_built_split_matches_the_validated_one(rng):
     # elimination does.  Either way it equals and prints as the split
     # validated from the same `Fraction`s, its integer form is its
     # values, its report's largest |value| is `_largest_abs` over its
-    # tables, and the split check refuses it with any one value changed.
+    # tables, compared as `Fraction`s, the report built by position equals
+    # and prints as the one built by name, and the split check refuses the
+    # split with any one value changed.
     S = random_good_set(rng, random_space(rng), 9)
     f = random_function(rng, S)
     bound = gs.boundary(S).boundary
@@ -687,7 +757,12 @@ def test_solver_built_split_matches_the_validated_one(rng):
     assert split == validated and repr(split) == repr(validated)
     numerators, D = split._integer
     assert [Fraction(a, D) for a in numerators] == values
-    assert solve._report("direct", out).max_abs_value == solve._largest_abs(values)
+    report = solve._report("direct", out)
+    assert report.max_abs_value == _largest_abs(values)
+    by_name = solve.SolveReport(
+        **vars(out), method="direct", max_geodesic_length=None, max_abs_value=_largest_abs(values)
+    )
+    assert report == by_name and repr(report) == repr(by_name)
     solve._check(S, f, split, pins)
     axis = rng.choice([i for i, table in enumerate(split.tables) if table])
     label = rng.choice(list(split.tables[axis]))
@@ -752,11 +827,11 @@ def test_no_pinned_inverse_on_either_geodesic_route(monkeypatch):
     # check is one rank of S; neither inverts a class or a geodesic, and
     # each runs `linalg._peeled_solution` exactly once.  Their splits equal
     # the direct solve pinned at the same base.
-    def no_inverse(system, coords):
+    def no_inverse(rows, count, ncols):
         raise AssertionError("a geodesic route inverted a pinned system")
 
-    monkeypatch.setattr(linalg, "_pinned_inverse", no_inverse)
-    monkeypatch.setattr(solve, "_pinned_inverse", no_inverse)
+    monkeypatch.setattr(linalg, "_peeled_inverse", no_inverse)
+    monkeypatch.setattr(solve, "_peeled_inverse", no_inverse)
     real, peeled = linalg._peeled_solution, []
 
     def counted(rows, rhs, ncols):

@@ -15,6 +15,8 @@ tagged elimination's circuit must match coefficient for coefficient,
 `union_find_ei_classes` the union-find that the set-merging chain classes
 must match class for class, `oracle_is_boundary` the sympy rank of the
 stacked pin rows that the one boundary test must agree with,
+`pinned_inverse` the `Fraction` Gauss-Jordan inverse of the pinned system
+that the inverse read along the peel must match entry for entry,
 `inverse_walk` the walk over a pinned inverse that the matching order's
 geodesics must match point for point, and `geodesic_inverse_rows` the
 per-geodesic inversion whose rows the class's pinned inverse must match
@@ -33,7 +35,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import goodsets as gs
-from goodsets.linalg import _pinned_inverse, _tagged_echelon
+from goodsets.linalg import _tagged_echelon
 
 
 def int_space(sizes) -> gs.Space:
@@ -280,8 +282,45 @@ def oracle_is_boundary(S: gs.PointSet, coords) -> bool:
 
 
 def pinned_inverse(F: gs.PointSet, x) -> dict:
-    """F's inverse pinned at x's first n - 1 coordinates, every row, by `linalg._pinned_inverse`."""
-    return _pinned_inverse(gs.IncidenceSystem(F), [(i, x[i]) for i in range(F.space.n - 1)])
+    """F's inverse pinned at x's first n - 1 coordinates, every row, by `Fraction` Gauss-Jordan.
+
+    A is F's 0/1 incidence rows over C(F), rebuilt from the points, over one
+    unit row per pinned coordinate, and [A | I] is reduced to [I | A^-1] on
+    rows kept as dicts of their nonzero `Fraction` entries.  Row c of A^-1 is
+    returned, in column order, as a dict {k: Fraction} of its nonzero entries
+    at the points k, the weight of f at F.points[k] in u_c; the pin rows'
+    weights are left out, as every pin is held at zero.  ValueError if A is
+    not square or is singular.
+    """
+    columns = F.coordinates()
+    index = {c: j for j, c in enumerate(columns)}
+    size = len(columns)
+    pins = [(i, x[i]) for i in range(F.space.n - 1)]
+    coords = [list(enumerate(p)) for p in F.points] + [[c] for c in pins]
+    if len(coords) != size:
+        raise ValueError("the pinned system is not square")
+    one = Fraction(1)
+    rows = [{**{index[c]: one for c in cs}, size + k: one} for k, cs in enumerate(coords)]
+    for j in range(size):
+        pivot = next((r for r in range(j, size) if j in rows[r]), None)
+        if pivot is None:
+            raise ValueError("the pinned system is singular")
+        rows[j], rows[pivot] = rows[pivot], rows[j]
+        a = rows[j][j]
+        prow = rows[j] = {i: v / a for i, v in rows[j].items()}
+        for row in rows:
+            b = row.get(j) if row is not prow else None
+            if b:
+                for i, w in prow.items():
+                    v = row.get(i, 0) - b * w
+                    if v:
+                        row[i] = v
+                    else:
+                        del row[i]
+    return {
+        c: {k: v for k in range(len(F)) if (v := rows[j].get(size + k))}
+        for j, c in enumerate(columns)
+    }
 
 
 def inverse_walk(F: gs.PointSet, x, y, inverse) -> set:
