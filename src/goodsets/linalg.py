@@ -26,21 +26,27 @@ again and again, a row together with a column that only it holds, or a row
 with one live column together with that column, each step adding 1 to the
 rank.  Only the 2-core left, if any, goes to the one elimination; a private
 column's one holder is read off a running sum of holder indices.  The
-doubling chain peels to nothing, and so does every unit pin row.  A solve
-peels first too, for the unique verdict (`_peeled_solution`): a unique
-solution does not depend on that choice either, so it is read along the
-peel by integer substitution, forward for a step whose other columns are
-known and backward for one with a private column, with only the core
-eliminated, and handed to the split builder (`_decomposition`) as integer
-numerators over one denominator.  The columns of a square system's inverse
-at its point rows, the solves of every indicator right-hand side at once,
-are read along the same peel in the same order (`_peeled_inverse`): each
-value is a sparse integer combination of the right-hand sides, and the
-core is eliminated once, each row tagged with its combination; a core short
-of full rank means there is no inverse.  Answers that do depend on the
-choice (an underdetermined solve's split and kernel, an inconsistent one's
-witness, span tests, signatures) eliminate the rows as they are, and so
-does the dependence scan below, which stops at the tail it needs.
+doubling chain peels to nothing, and so does every unit pin row.  The peel
+also sorts its steps for the reads along it: a step whose row has no other
+live column is forward, and the rest, each with a private column, are
+backward.  A solve peels first too, for the unique verdict
+(`_peeled_solution`): a unique solution does not depend on that choice
+either, so it is read along the peel by integer substitution, forward steps
+in step order, then the core, then backward steps in reverse, and handed to
+the split builder (`_decomposition`) as integer numerators over one
+denominator.  The columns of a square system's inverse at its point rows,
+the solves of every indicator right-hand side at once, are read along the
+same peel in the same order (`_peeled_inverse`): each value is a sparse
+integer combination of the right-hand sides, and the core's rows are tagged
+with theirs; a core short of full rank means there is no inverse.  The two
+reads share the peel's plan (`_plan`) and the one core step (`_core_step`),
+which `_canonical_solution` and `_pinned_basis` run on all the rows; their
+arithmetic stays apart, as one dict-valued read for both took about 1.25
+times the int read's time on the unique solves of an exact-solve and a
+related-search pass.  Answers that do depend on the choice (an underdetermined solve's
+split and kernel, an inconsistent one's witness, span tests, signatures)
+eliminate the rows as they are, and so does the dependence scan below,
+which stops at the tail it needs.
 
 One dependence scan decides goodness and yields loops (`extract_circuit`):
 one reverse pass over the canonical support finds the first point e_k that
@@ -198,8 +204,8 @@ def _echelon(rows: Iterable[Mapping[int, int]], ncols: int) -> RowBasis:
     return basis
 
 
-def _peel(rows: Sequence[Mapping[int, int]], ncols: int) -> tuple[list, dict[int, dict[int, int]]]:
-    """(steps, core): the 2-core peel of the rows, with no arithmetic.
+def _peel(rows: Sequence[Mapping[int, int]], ncols: int) -> tuple[list, list, dict, list]:
+    """(forward, backward, core, dropped): the 2-core peel of the rows, with no arithmetic.
 
     A step (k, j) removes row k together with column j, where k holds j and
     either no other live row holds j (j is private to k) or j is the one
@@ -208,16 +214,25 @@ def _peel(rows: Sequence[Mapping[int, int]], ncols: int) -> tuple[list, dict[int
     nonzero there.  So each step adds exactly 1 to the rank.  Steps repeat
     until neither rule applies.  `core` maps each row left, in increasing
     index, to its entries at the live columns; a row left with no live
-    column is zero and is dropped.  So the rows' rank is len(steps) plus
-    the core's rank.  A row with a private column is in no relation among
-    the rows; on incidence rows, n >= 2 entries each, the second rule never
-    fires, so the core holds every loop.  Stored entries must be nonzero;
-    the value of an entry is never read.  O(nonzeros).
+    column is zero, and `dropped` lists it.  So the rows' rank is the step
+    count plus the core's rank.  A row with a private column is in no
+    relation among the rows; on incidence rows, n >= 2 entries each, the
+    second rule never fires, so the core holds every loop.  Stored entries
+    must be nonzero; the value of an entry is never read.  O(nonzeros).
+
+    The peel also sorts its steps for the readers along it.  A step whose
+    row has one live column left when it is taken is *forward*: every other
+    column of the row went in an earlier forward step, as a column that a
+    live row still holds is private to no other row.  Every other step is
+    *backward*: its row still holds live columns, which a later step or
+    the core removes.  `forward` and `backward` each keep step order, and a
+    dropped row holds forward columns only.
 
     Each live column keeps its count of live holders and the sum of their
     indices, so a private column's one holder is that sum.  Only a step by
     the second rule, on a column other live rows still hold, lowers their
-    degrees, and only then are holder lists built, once.
+    degrees, and only then are holder lists built, once; so every live
+    row's degree is exact, and it sorts the step.
     """
     count = [0] * ncols
     total = [0] * ncols  # per column, the sum of its live holders' indices
@@ -231,7 +246,8 @@ def _peel(rows: Sequence[Mapping[int, int]], ncols: int) -> tuple[list, dict[int
     private = [j for j, c in enumerate(count) if c == 1]
     single = [k for k, d in enumerate(degree) if d == 1]
     holders = None
-    steps = []
+    forward, backward = [], []
+    dropped = [k for k, d in enumerate(degree) if not d]
     while private or single:
         if private:
             j = private.pop()
@@ -243,7 +259,7 @@ def _peel(rows: Sequence[Mapping[int, int]], ncols: int) -> tuple[list, dict[int
             if not row_live[k] or degree[k] != 1:
                 continue
             j = next(j for j in rows[k] if col_live[j])
-        steps.append((k, j))
+        (forward if degree[k] == 1 else backward).append((k, j))
         row_live[k] = col_live[j] = False
         for i in rows[k]:
             if col_live[i]:
@@ -265,20 +281,23 @@ def _peel(rows: Sequence[Mapping[int, int]], ncols: int) -> tuple[list, dict[int
                     single.append(h)
                 elif degree[h] == 0:
                     row_live[h] = False
+                    dropped.append(h)
     core = {
         k: {j: x for j, x in row.items() if col_live[j]}
         for k, row in enumerate(rows)
         if row_live[k]
     }
-    return steps, core
+    return forward, backward, core, dropped
 
 
 def _peeled_rank(rows: Sequence[Mapping[int, int]], ncols: int) -> tuple[int, list]:
     """(rank, steps): the peel's step count plus the core's rank, and the peel's steps.
 
-    The core is eliminated only when it is not empty.
+    The steps come forward ones first.  The core is eliminated only when it
+    is not empty.
     """
-    steps, core = _peel(rows, ncols)
+    forward, backward, core, _ = _peel(rows, ncols)
+    steps = forward + backward
     return len(steps) + (_echelon(core.values(), ncols).rank if core else 0), steps
 
 
@@ -288,125 +307,134 @@ def _augment(rows, rhs: Sequence[Fraction], ncols: int) -> tuple[list[dict[int, 
     return [{**r, ncols: a} if a else r for r, a in zip(rows, numerators)], scale
 
 
+def _core_step(rows, width: int, ncols: int) -> tuple[RowBasis, int | None]:
+    """(basis, m): the one back-substituted elimination, m None where it is refused.
+
+    The rows, over width columns, the first ncols of them the system's, are
+    eliminated by `RowBasis`.  A pivot at or past ncols is a row that is
+    zero on the system's columns but not past them (at a rhs or a tag
+    column), so the read is refused: the basis is returned as eliminated,
+    with m None.  Otherwise the basis is back-substituted, so pivot column
+    p is read off row p alone, and m is the lcm of the pivot entries, 1
+    with no rows.  `_peeled_solution` and `_peeled_inverse` run it on the
+    core, `_canonical_solution` and `_pinned_basis` on all the rows.
+    """
+    basis = _echelon(rows, width)
+    if any(p >= ncols for p in basis.pivot_rows):
+        return basis, None
+    basis.back_substitute()
+    return basis, lcm(*(row[p] for p, row in basis.pivot_rows.items()))
+
+
+def _plan(rows: Sequence[Mapping[int, int]], ncols: int):
+    """(forward, backward, core, dropped, held): the peel a read follows, or None.
+
+    The one check both readers share: a read along the peel decides
+    nothing unless the steps and the held columns, those the core holds,
+    number ncols, which is counted before any arithmetic; then held is
+    their count.  Every step's entry must be 1, as on incidence and pin
+    rows, so that a step divides by 1; a step that breaks it is a
+    `VerificationError`.
+    """
+    forward, backward, core, dropped = _peel(rows, ncols)
+    held = len({j for row in core.values() for j in row})
+    if len(forward) + len(backward) + held != ncols:
+        return None
+    if any(rows[k][j] != 1 for k, j in forward + backward):
+        raise VerificationError("a peel step's entry is not 1")
+    return forward, backward, core, dropped, held
+
+
 def _peeled_solution(rows: Sequence[Mapping[int, int]], rhs: Sequence[Fraction], ncols: int):
     """(verdict, numerators, D): the unique x with rows . x = rhs, as numerators over D.
 
-    x is read along the peel.  Precondition: the entry of every peel step is
-    1, as on incidence and pin rows, so a step divides by 1; it is checked,
-    and a step that breaks it is a `VerificationError`.  The solution is
-    unique only if the steps and the columns the core holds number ncols,
-    which is counted before any arithmetic.  Then the rhs is put over D, the
-    lcm of its denominators, and every value is an integer numerator until
-    the end.  A step (k, j) whose other columns went in earlier steps reads
-    u_j = b_k minus the others *forward*, in step order; such columns are
-    all forward ones, as a column that a live row still holds is never
-    private.  The core, whose removed columns are all forward, is eliminated
-    once by `RowBasis` on its rhs reduced by those values, and
-    back-substituted; every value is then brought over D m, m the lcm of the
-    core's pivot entries.  The other steps, each with a private column, read
-    theirs *backward*, in reverse step order, once every later column has
-    its value.  A row the peel dropped as zero holds forward columns only
-    and must sum to its rhs.  The verdict is UNIQUE, and the numerators go
-    to the split builder (`_decomposition`) over D as they are, with no
-    `Fraction` built here.  Every forward value is forced by its row, so a
-    dropped row that fails, or a core whose rhs column is a pivot, makes the
-    system inconsistent: (INCONSISTENT, None, None).  A core short of full
-    rank, or a count short of ncols, gives (None, None, None): not unique,
-    and not decided further.
+    x is read along the peel (`_plan`), which has sorted its steps; the
+    solution is unique only if the plan passes.  Then the rhs is put over
+    D, the lcm of its denominators, and every value is an integer numerator
+    until the end; a column not yet read counts as 0 in a row's sum.  Each
+    forward step (k, j) reads u_j = b_k minus the row's other columns, in
+    step order.  A row the peel dropped as zero holds forward columns only
+    and must sum to its rhs.  The core, whose removed columns are all
+    forward, goes through the core step (`_core_step`) on its rhs reduced
+    by those values; every value is then brought over D m, m the lcm of the
+    core's pivot entries.  The backward steps read theirs last, in reverse
+    step order, once every later column has its value.  The verdict is
+    UNIQUE, and the numerators go to the split builder (`_decomposition`)
+    over D as they are, with no `Fraction` built here.  Every forward value
+    is forced by its row, so a dropped row that fails, or a core step
+    refused at the rhs column, makes the system inconsistent:
+    (INCONSISTENT, None, None).  A core short of full rank, or a plan that
+    fails its count, gives (None, None, None): not unique, and not decided
+    further.
     """
-    steps, core = _peel(rows, ncols)
-    held = {j for row in core.values() for j in row}
-    if len(steps) + len(held) != ncols:
+    plan = _plan(rows, ncols)
+    if plan is None:
         return None, None, None
+    forward, backward, core, dropped, held = plan
     b, scale = _over_common_denominator(rhs)
-    value: list = [None] * ncols
-    backward = []
-    for k, j in steps:
-        row = rows[k]
-        if row[j] != 1:
-            raise VerificationError("a peel step's entry is not 1")
-        s = b[k]
-        for i, x in row.items():
-            if i != j:
-                v = value[i]
-                if v is None:
-                    backward.append((k, j))
-                    break
-                s -= x * v
-        else:
-            value[j] = s
-    get = value.__getitem__
-    dropped = set(range(len(rows))).difference(core, (k for k, _ in steps))
-    for k in dropped:
-        if sum(map(mul, rows[k].values(), map(get, rows[k]))) != b[k]:
-            return INCONSISTENT, None, None
+    value = [0] * ncols
+
+    def total(k: int) -> int:
+        """Row k's sum over the values read so far."""
+        return sum(map(mul, rows[k].values(), map(value.__getitem__, rows[k])))
+
+    for k, j in forward:
+        value[j] = b[k] - total(k)
+    if any(total(k) != b[k] for k in dropped):
+        return INCONSISTENT, None, None
     m = 1
     if core:
-        reduced = []
-        for k, row in core.items():
-            s = b[k] - sum(x * value[i] for i, x in rows[k].items() if i not in row)
-            reduced.append({**row, ncols: s} if s else row)
-        basis = _echelon(reduced, ncols + 1)
-        if ncols in basis.pivot_rows:
+        reduced, _ = _augment(core.values(), [b[k] - total(k) for k in core], ncols)
+        basis, m = _core_step(reduced, ncols + 1, ncols)
+        if m is None:
             return INCONSISTENT, None, None
-        if basis.rank != len(held):
+        if basis.rank != held:
             return None, None, None
-        basis.back_substitute()
-        m = lcm(*(row[p] for p, row in basis.pivot_rows.items()))
-        if m != 1:
-            value[:] = [v if v is None else v * m for v in value]
+        value[:] = [v * m for v in value]
         for p, row in basis.pivot_rows.items():
             value[p] = row.get(ncols, 0) * (m // row[p])
     for k, j in reversed(backward):
-        row = rows[k]
-        value[j] = 0  # so that the row's sum leaves column j out
-        value[j] = m * b[k] - sum(map(mul, row.values(), map(get, row)))
+        value[j] = m * b[k] - total(k)
     return UNIQUE, value, scale * m
 
 
 def _peeled_inverse(rows: Sequence[Mapping[int, int]], count: int, ncols: int):
     """(values, m): the square rows' inverse at its first count columns, over m; or (None, None).
 
-    The many-rhs read of `_peeled_solution`, with the same precondition on
-    the peel steps' entries: the rhs of row k is the unit e_k for k < count
-    and 0 for the rows after, and values[j] is a sparse integer combination
-    {k: coefficient} of those rhs, so u_j = sum_k values[j][k] f_k / m.
-    Along the same peel, in the same order: forward steps, then the core,
-    eliminated once by `RowBasis` with a tag column ncols + k for each k <
-    count that carries each row's combination, and back-substituted, then
-    backward steps.  m is the lcm of the core's pivot entries, 1 with no
-    core.  The rows must be square, the steps and the core's columns must
-    number ncols, and the core must have full rank; otherwise there is no
-    inverse, and the read gives (None, None).
+    The many-rhs read of `_peeled_solution`, along the same plan (`_plan`):
+    the rhs of row k is the unit e_k for k < count and 0 for the rows
+    after, and values[j] is a sparse integer combination {k: coefficient}
+    of those rhs, so u_j = sum_k values[j][k] f_k / m.  Forward steps, then
+    the core step (`_core_step`) on the core with a tag column ncols + k for
+    each k < count that carries each row's combination, then backward
+    steps.  m is the lcm of the core's pivot entries, 1 with no core.  The
+    rows must be square, the plan must pass, and the core must have full
+    rank; otherwise there is no inverse, and the read gives (None, None).
+    The arithmetic stays apart from `_peeled_solution`'s: one dict-valued
+    read for both took about 1.25 times the int read's time on the unique
+    solves of an exact-solve and a related-search pass.
     """
-    steps, core = _peel(rows, ncols)
-    held = {j for row in core.values() for j in row}
-    if len(rows) != ncols or len(steps) + len(held) != ncols:
+    plan = _plan(rows, ncols) if len(rows) == ncols else None
+    if plan is None:
         return None, None
-    value, backward, m = [None] * ncols, [], 1
+    forward, backward, core, _, held = plan
+    value, m = [{}] * ncols, 1
 
     def read(k: int, a: int) -> dict[int, int]:
-        """Row k's rhs times a, less each entry x of the row times its column's value, if any."""
+        """Row k's rhs times a, less each entry x of the row times its column's value."""
         s = {k: a} if k < count else {}
         for i, x in rows[k].items():
-            for r, c in (value[i] or {}).items():
+            for r, c in value[i].items():
                 s[r] = s.get(r, 0) - x * c
         return {r: c for r, c in s.items() if c}
 
-    for k, j in steps:
-        if rows[k][j] != 1:
-            raise VerificationError("a peel step's entry is not 1")
-        if all(value[i] is not None for i in rows[k] if i != j):
-            value[j] = read(k, 1)
-        else:
-            backward.append((k, j))
+    for k, j in forward:
+        value[j] = read(k, 1)
     if core:
         tagged = ({ncols + r: c for r, c in read(k, 1).items()} | row for k, row in core.items())
-        basis = _echelon(tagged, ncols + count)
-        if not held.issubset(basis.pivot_rows):
+        basis, m = _core_step(tagged, ncols + count, ncols)
+        if m is None or basis.rank != held:
             return None, None
-        basis.back_substitute()
-        m = lcm(*(row[p] for p, row in basis.pivot_rows.items()))
         value[:] = [v and {r: c * m for r, c in v.items()} for v in value]
         for p, row in basis.pivot_rows.items():
             value[p] = {r - ncols: c * (m // row[p]) for r, c in row.items() if r != p}
@@ -418,18 +446,17 @@ def _peeled_inverse(rows: Sequence[Mapping[int, int]], count: int, ncols: int):
 def _canonical_solution(rows, rhs: Sequence[Fraction], ncols: int):
     """(x, basis): x solves rows . x = rhs with free columns at 0, or is None.
 
-    The basis is the back-substituted echelon form of the augmented rows when
-    the system is consistent, so its first ncols columns carry the kernel.
-    `solve_pinned` runs it only when `_peeled_solution` finds no unique
-    solution: which columns are free decides the solution, the kernel and
-    the witness, so those eliminate the rows as they are.  An inconsistent
-    verdict of the peel skips it.
+    The basis is the core step's (`_core_step`) on all the augmented rows,
+    and when the system is consistent it is back-substituted, so its first
+    ncols columns carry the kernel.  `solve_pinned` runs it only when
+    `_peeled_solution` finds no unique solution: which columns are free
+    decides the solution, the kernel and the witness, so those eliminate
+    the rows as they are.  An inconsistent verdict of the peel skips it.
     """
     augmented, scale = _augment(rows, rhs, ncols)
-    basis = _echelon(augmented, ncols + 1)
-    if ncols in basis.pivot_rows:
+    basis, m = _core_step(augmented, ncols + 1, ncols)
+    if m is None:
         return None, basis
-    basis.back_substitute()
     x = [Fraction(0)] * ncols
     for p, row in basis.pivot_rows.items():
         x[p] = Fraction(row.get(ncols, 0), row[p] * scale)
@@ -530,10 +557,13 @@ def _kernel_dicts(system: IncidenceSystem, basis: RowBasis) -> list[dict]:
 
 
 def _pinned_basis(system: IncidenceSystem, coords) -> RowBasis:
-    """The back-substituted basis of the incidence rows over unit rows at the coordinates."""
-    basis = _echelon(_stack_pins(system, coords), len(system.columns))
-    basis.back_substitute()
-    return basis
+    """The back-substituted basis of the incidence rows over unit rows at the coordinates.
+
+    It is the core step's (`_core_step`) on all the rows, which has no
+    column past the system's to refuse at.
+    """
+    size = len(system.columns)
+    return _core_step(_stack_pins(system, coords), size, size)[0]
 
 
 def column_kernel(system: IncidenceSystem, pins: PinSet | None = None) -> list[dict]:

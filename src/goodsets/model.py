@@ -325,6 +325,7 @@ class PointSet(_Frozen):
 
         The shortest point sets the arity, and the points are then read
         against the space built, so a point of another arity is rejected.
+        Axis names, when given, must number the arity.
         """
         pts = tuple(points)
         if not pts:
@@ -335,7 +336,9 @@ class PointSet(_Frozen):
             raise PreconditionError(
                 "points must be sequences of hashable labels that sort on each axis"
             ) from None
-        names = tuple(axis_names) if axis_names else tuple(f"x{i+1}" for i in range(len(columns)))
+        names = [f"x{i+1}" for i in range(len(columns))] if axis_names is None else [*axis_names]
+        if len(names) != len(columns):
+            raise PreconditionError(f"{len(names)} axis names for points of arity {len(columns)}")
         return cls(Space(tuple(map(Axis, names, columns))), pts)
 
     def __len__(self) -> int:
@@ -345,11 +348,18 @@ class PointSet(_Frozen):
         return iter(self.points)
 
     def __contains__(self, point) -> bool:
-        """Plain membership; a point that cannot be hashed as given, such as a list, is read."""
+        """Plain membership; a point not hashable as given, such as a list, is looked up as a tuple.
+
+        Anything else that is no sequence of hashable labels is not a member.
+        """
         try:
             return point in self._members
         except TypeError:
-            return self.space.validate_point(point) in self._members
+            pass
+        try:
+            return tuple(point) in self._members
+        except TypeError:
+            return False
 
     def require_nonempty(self, what: str = "operation"):
         if not self.points:

@@ -529,8 +529,8 @@ def test_peeled_rank_matches_sympy(kind, rng):
     # ranks the dense rows over every coordinate of the space.
     S = _peel_input(kind, rng)
     system = gs.IncidenceSystem(S)
-    steps, core = _peel(system.sparse_rows, len(system.columns))
-    _assert_two_core(system.sparse_rows, steps, core)
+    forward, backward, core, _ = _peel(system.sparse_rows, len(system.columns))
+    _assert_two_core(system.sparse_rows, forward + backward, core)
     assert gs.rank(system) == oracle_rank(S.space, S.points)
 
 
@@ -564,7 +564,7 @@ def test_every_loop_lies_in_the_core(kind, rng):
     assume(not gs.is_good(S))
     circuit = gs.extract_circuit(S.space, S.points)
     system = gs.IncidenceSystem(S)
-    _, core = _peel(system.sparse_rows, len(system.columns))
+    core = _peel(system.sparse_rows, len(system.columns))[2]
     assert set(circuit.points) <= {S.points[k] for k in core}
 
 
@@ -577,8 +577,8 @@ def test_two_fold_core_is_empty_exactly_on_forests(rng):
     product = list(space.all_points())
     S = gs.PointSet.of(space, rng.sample(product, rng.randint(1, min(10, len(product)))))
     system = gs.IncidenceSystem(S)
-    steps, core = _peel(system.sparse_rows, len(system.columns))
-    assert (not core) == bipartite_is_forest(S.points) == (len(steps) == len(S))
+    forward, backward, core, _ = _peel(system.sparse_rows, len(system.columns))
+    assert (not core) == bipartite_is_forest(S.points) == (len(forward) + len(backward) == len(S))
 
 
 def _solve_input(kind, rng) -> gs.PointSet:
@@ -627,6 +627,18 @@ def _sympy_verdict(rows, rhs, ncols) -> str:
     return "unique" if rank == ncols else "underdetermined"
 
 
+def _stacked_systems(kind, rng):
+    """(rows, ncols): a `_solve_input` set's rows over each of its `_pin_lists`,
+    stacked, with up to two zero rows put in at random."""
+    S = _solve_input(kind, rng)
+    system = gs.IncidenceSystem(S)
+    for coords in _pin_lists(S, system, rng):
+        rows = _stack_pins(system, coords)
+        for _ in range(rng.randint(0, 2)):
+            rows.insert(rng.randint(0, len(rows)), {})
+        yield rows, len(system.columns)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     kind=st.sampled_from(("random", "dense", "chain", "greedy")),
@@ -639,20 +651,60 @@ def test_holder_sum_peel_matches_the_holder_list_peel(kind, rng):
     # steps as the holder-list oracle and leaves the same core; each of its
     # steps takes a column of its own, held by its row; and its rank is
     # sympy's.
-    S = _solve_input(kind, rng)
-    system = gs.IncidenceSystem(S)
-    ncols = len(system.columns)
-    for coords in _pin_lists(S, system, rng):
-        rows = _stack_pins(system, coords)
-        for _ in range(rng.randint(0, 2)):
-            rows.insert(rng.randint(0, len(rows)), {})
-        steps, core = _peel(rows, ncols)
+    for rows, ncols in _stacked_systems(kind, rng):
+        forward, backward, core, _ = _peel(rows, ncols)
+        steps = forward + backward
         oracle_steps, oracle_core = holder_list_peel(rows, ncols)
         assert len(steps) == len(oracle_steps) and core == oracle_core
         assert len({j for _, j in steps}) == len({k for k, _ in steps}) == len(steps)
         assert all(j in rows[k] for k, j in steps)
         dense = [[row.get(j, 0) for j in range(ncols)] for row in rows]
         assert _peeled_rank(rows, ncols)[0] == _sympy_rank(dense)
+
+
+def _assert_sorted_peel(rows, ncols, forward, backward, core, dropped):
+    """The order the readers follow: every other column of a forward step's
+    row went in an earlier forward step, so its value is known when the
+    step is read; every other column of a backward step's row is a forward
+    column, a core column or the column of a later backward step, read
+    before it in reverse step order, or an idle column, one that no step
+    takes and no core row holds, which only a system the readers' count
+    refuses has; a core row's removed columns and a dropped row's columns
+    are all forward; and every row is a step, a core row or dropped."""
+    known = set()
+    for k, j in forward:
+        assert set(rows[k]) - {j} <= known
+        known.add(j)
+    held = {j for row in core.values() for j in row}
+    idle = set(range(ncols)) - known - held - {j for _, j in backward}
+    assert (not idle) == (len(forward) + len(backward) + len(held) == ncols)
+    later = set()
+    for k, j in reversed(backward):
+        assert set(rows[k]) - {j} <= known | held | later | idle
+        later.add(j)
+    assert all(set(rows[k]) - set(row) <= known for k, row in core.items())
+    assert all(set(rows[k]) <= known for k in dropped)
+    stepped = [k for k, _ in forward + backward]
+    assert sorted([*stepped, *core, *dropped]) == list(range(len(rows)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(("random", "dense", "chain", "greedy")),
+    rng=st.randoms(use_true_random=False),
+)
+def test_peel_sorts_its_steps_into_forward_and_backward(kind, rng):
+    # On the holder-sum peel's inputs (stacked pins, a repeated pin, zero
+    # rows), the steps come sorted in the order the readers follow
+    # (`_assert_sorted_peel`); forward and backward steps number the
+    # holder-list oracle's steps, and the core is the oracle's.
+    # `test_peeled_solve_by_hand` shows that a peel marking every step
+    # forward fails the order.
+    for rows, ncols in _stacked_systems(kind, rng):
+        forward, backward, core, dropped = _peel(rows, ncols)
+        _assert_sorted_peel(rows, ncols, forward, backward, core, dropped)
+        oracle_steps, oracle_core = holder_list_peel(rows, ncols)
+        assert len(forward) + len(backward) == len(oracle_steps) and core == oracle_core
 
 
 @settings(max_examples=200, deadline=None)
@@ -729,8 +781,9 @@ def test_peeled_solve_matches_canonical_elimination_and_sympy(kind, rng):
             rhs = [sum(split[c] for c in enumerate(p)) for p in S] + [split[c] for c in coords]
         solution, basis = _canonical_solution(rows, rhs, ncols)
         unique = solution is not None and basis.rank == ncols
-        steps, core = _peel(rows, ncols)
-        determined = len(steps) + len({j for row in core.values() for j in row}) == ncols
+        forward, backward, core, _ = _peel(rows, ncols)
+        held = {j for row in core.values() for j in row}
+        determined = len(forward) + len(backward) + len(held) == ncols
         if unique:
             peeled = UNIQUE, solution
         else:
@@ -792,19 +845,26 @@ def test_inconsistent_verdict_of_the_peel_skips_the_canonical_elimination(monkey
 
 
 def test_peeled_solve_by_hand():
-    # Greedy maximal in 3^3, pinned at its first point's first two
-    # coordinates: the two pins and two points peel forward, two points with
-    # a private coordinate backward, and the core is three points in an odd
-    # cycle, each pair sharing one coordinate, whose determinant is 2.  So
-    # an integer f has half-integer splits, read only through the core's lcm.
+    # Greedy maximal in 3^3, pinned at its second point's first two
+    # coordinates: the two pins and one point peel forward, three points
+    # each with a private coordinate and another live one peel backward, and
+    # the core is three points in an odd cycle, each pair sharing one
+    # coordinate, whose determinant is 2.  So an integer f has half-integer
+    # splits, read only through the core's lcm, which the backward steps
+    # read after the core.
     S = greedy_maximal_cube(random.Random(1), 3)
     assert S.points == ((0, 2, 0), (1, 0, 0), (1, 0, 1), (1, 1, 2), (1, 2, 0), (2, 0, 2), (2, 1, 1))
     system = gs.IncidenceSystem(S)
     ncols = len(system.columns)
-    coords = [(0, 0), (1, 2)]
+    coords = [(0, 1), (1, 0)]
     rows = _stack_pins(system, coords)
-    steps, core = _peel(rows, ncols)
-    assert len(steps) == 6 and sorted(core) == [3, 5, 6]
+    forward, backward, core, dropped = _peel(rows, ncols)
+    assert len(forward) == 3 and len(backward) == 3 and sorted(core) == [3, 5, 6] and not dropped
+    _assert_sorted_peel(rows, ncols, forward, backward, core, dropped)
+    # A peel that marked every step forward would have the first backward
+    # step read before its core column has a value.
+    with pytest.raises(AssertionError):
+        _assert_sorted_peel(rows, ncols, forward + backward, [], core, dropped)
     rhs = [Fraction(k == 2) for k in range(len(rows))]
     solution, _ = _canonical_solution(rows, rhs, ncols)
     assert Fraction(1, 2) in solution
@@ -946,7 +1006,7 @@ def test_pinned_inverse_is_an_inverse():
         assert len(S) + len(pins) == len(columns)
         rows = _stack_pins(system, pins)
         values, m = _peeled_inverse(rows, len(S), len(columns))
-        cores += bool(_peel(rows, len(columns))[1])
+        cores += bool(_peel(rows, len(columns))[2])
         scaled += m > 1
         assert m >= 1 and len(values) == len(columns)
         inverse = {

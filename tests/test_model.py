@@ -202,11 +202,35 @@ def test_every_point_entry_reads_through_the_space():
     for case in cases:
         with pytest.raises(gs.PreconditionError):
             case()
-    # A hit is a plain lookup; a list is read first; anything else is just not a member.
+    # A hit is a plain lookup; a list is looked up as a tuple; anything else
+    # is just not a member.  A list off the space, of the wrong arity or
+    # holding an unhashable label raised `PreconditionError`.
     assert ("a", "c") in S and ["a", "c"] in S and 5 not in S and ("a",) not in S
+    assert ("a", "zz") not in S and ["a", "zz"] not in S and ["a"] not in S
+    assert [["a"], "c"] not in S and ("a", ["c"]) not in S and "ac" not in S
     assert gs.FunctionTable.zero(S)(["a", "c"]) == 0
     assert gs.FiniteMeasure.uniform(S)(["b", "d"]) == 0
     assert space.point_key(["b", "d"]) == (1, 1) and marginals.mass(1, "d") == Fraction(1, 3)
+
+
+@pytest.mark.parametrize(
+    "points, names, message",
+    [
+        ([(0, 1), (1, 0)], ["a", "b", "c"], "3 axis names for points of arity 2"),
+        ([(0, 1, 2), (1, 0, 2)], ["a", "b"], "2 axis names for points of arity 3"),
+        ([(0, 1), (1, 0)], [], "0 axis names for points of arity 2"),
+    ],
+    ids=["extra", "too-few", "empty"],
+)
+def test_from_points_axis_names_number_the_arity(points, names, message):
+    # Extra names were dropped, too few were blamed on the points ("point
+    # (0, 1, 2) has arity 3, want 2"), and [] meant the default names.
+    with pytest.raises(gs.PreconditionError, match=message):
+        gs.PointSet.from_points(points, names)
+    named = gs.PointSet.from_points(points, iter(f"v{i}" for i in range(len(points[0]))))
+    assert [axis.name for axis in named.space.axes] == [f"v{i}" for i in range(len(points[0]))]
+    default = gs.PointSet.from_points(points)
+    assert [axis.name for axis in default.space.axes] == [f"x{i + 1}" for i in range(len(points[0]))]
 
 
 def test_fractions_never_floats():
