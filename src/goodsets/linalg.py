@@ -43,10 +43,17 @@ reads share the peel's plan (`_plan`) and the one core step (`_core_step`),
 which `_canonical_solution` and `_pinned_basis` run on all the rows; their
 arithmetic stays apart, as one dict-valued read for both took about 1.25
 times the int read's time on the unique solves of an exact-solve and a
-related-search pass.  Answers that do depend on the choice (an underdetermined solve's
-split and kernel, an inconsistent one's witness, span tests, signatures)
-eliminate the rows as they are, and so does the dependence scan below,
-which stops at the tail it needs.
+related-search pass.  Each column's functional on the column kernel, by
+which the relatedness refinement groups points, is read along the same
+peel (`_peeled_kernel`): a free column is m at itself, a core pivot is read
+off its back-substituted row, and each backward step's column, in reverse,
+is minus its row's other columns.  Which columns are free changes the
+functionals but not which of them are equal, so the signatures they give
+are the same.  It shares the core step, and the backward read
+(`_less_row`) with the inverse.  Answers that do depend on the choice (an
+underdetermined solve's split and kernel, an inconsistent one's witness,
+span tests) eliminate the rows as they are, and so does the dependence
+scan below, which stops at the tail it needs.
 
 One dependence scan decides goodness and yields loops (`extract_circuit`):
 one reverse pass over the canonical support finds the first point e_k that
@@ -398,6 +405,18 @@ def _peeled_solution(rows: Sequence[Mapping[int, int]], rhs: Sequence[Fraction],
     return UNIQUE, value, scale * m
 
 
+def _less_row(s: dict[int, int], row: Mapping[int, int], value) -> dict[int, int]:
+    """The sparse sum s less each entry x of the row times its column's value, zeros dropped.
+
+    s is consumed.  A column with no value read yet holds {}, which adds
+    nothing.  The backward read of `_peeled_inverse` and `_peeled_kernel`.
+    """
+    for i, x in row.items():
+        for r, c in value[i].items():
+            s[r] = s.get(r, 0) - x * c
+    return {r: c for r, c in s.items() if c}
+
+
 def _peeled_inverse(rows: Sequence[Mapping[int, int]], count: int, ncols: int):
     """(values, m): the square rows' inverse at its first count columns, over m; or (None, None).
 
@@ -421,12 +440,8 @@ def _peeled_inverse(rows: Sequence[Mapping[int, int]], count: int, ncols: int):
     value, m = [{}] * ncols, 1
 
     def read(k: int, a: int) -> dict[int, int]:
-        """Row k's rhs times a, less each entry x of the row times its column's value."""
-        s = {k: a} if k < count else {}
-        for i, x in rows[k].items():
-            for r, c in value[i].items():
-                s[r] = s.get(r, 0) - x * c
-        return {r: c for r, c in s.items() if c}
+        """Row k's rhs times a, less the row's sum over the values read so far."""
+        return _less_row({k: a} if k < count else {}, rows[k], value)
 
     for k, j in forward:
         value[j] = read(k, 1)
@@ -441,6 +456,44 @@ def _peeled_inverse(rows: Sequence[Mapping[int, int]], count: int, ncols: int):
     for k, j in reversed(backward):
         value[j] = read(k, m)
     return value, m
+
+
+def _peeled_kernel(rows: Sequence[Mapping[int, int]], ncols: int):
+    """(rank, values, m): each column's functional on the rows' column kernel K, over m.
+
+    K is parametrised by its values at the free columns: those that no step
+    removes and no core pivot holds.  values[j] is a sparse integer dict
+    {f: coefficient} over the free columns f, so g_j = sum_f values[j][f]
+    g_f / m for every g in K, m the lcm of the core's pivot entries, 1 with
+    no core.  A free column is m at itself.  A forward column is 0 on K, as
+    its row's other columns went in earlier forward steps.  A core pivot p
+    is read off the core step's (`_core_step`) back-substituted row p, whose
+    other columns are free.  Each backward step's column, in reverse step
+    order, is minus the sum of its row's other columns, all read by then;
+    its entry must be 1, as on incidence rows, where every step is
+    backward.  Two columns agree on all of K exactly when their dicts are
+    equal, whatever the parametrisation.  rank is the step count plus the
+    core's rank, so the rows are independent exactly when it is their count;
+    the read is the same either way.
+    """
+    forward, backward, core, _ = _peel(rows, ncols)
+    rank, value, m = len(forward) + len(backward), [None] * ncols, 1
+    for _, j in forward + backward:
+        value[j] = {}
+    if core:
+        basis, m = _core_step(core.values(), ncols, ncols)
+        rank += basis.rank
+        for p, row in basis.pivot_rows.items():
+            a = m // row[p]
+            value[p] = {f: -x * a for f, x in row.items() if f != p}
+    for j, v in enumerate(value):
+        if v is None:
+            value[j] = {j: m}
+    for k, j in reversed(backward):
+        if rows[k][j] != 1:
+            raise VerificationError("a peel step's entry is not 1")
+        value[j] = _less_row({}, rows[k], value)
+    return rank, value, m
 
 
 def _canonical_solution(rows, rhs: Sequence[Fraction], ncols: int):

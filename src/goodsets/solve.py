@@ -299,10 +299,10 @@ def bound_diagnostics(S: PointSet, base=None) -> BoundDiagnostics:
     """
     S.require_nonempty("bound_diagnostics")
     base = S.points[0] if base is None else S.require_member(base)
-    if S.deficiency() != S.space.n - 1:
-        _require_good(S, "bound_diagnostics")
-        raise PreconditionError("diagnostics are per component; this set has several")
     system = IncidenceSystem(S)
+    if S.deficiency() != S.space.n - 1:
+        _require_good(system, "bound_diagnostics")
+        raise PreconditionError("diagnostics are per component; this set has several")
     rows = _stack_pins(system, [(i, base[i]) for i in range(S.space.n - 1)])
     values, m = _peeled_inverse(rows, len(S), len(system.columns))
     if values is None:

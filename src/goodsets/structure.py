@@ -24,36 +24,46 @@ classes.
       K(G) lies in the per-axis constants, def(G) <= n - 1, and G is full.
 By (a) every full subset of G stays inside one part at every step, and a
 part that is full is a full subset itself; by (b) a part that is not full
-splits.  So at most |G| - 1 splits, one kernel each, leave parts that are
+splits.  So at most |G| - 1 splits, one read each, leave parts that are
 full and that hold every full subset through any of their points.  Two full
 subsets F1, F2 sharing a point have a full union:
 def(F1 | F2) = 2(n - 1) - |C(F1) & C(F2)| + |F1 & F2|, and the nonempty good
 set F1 & F2 has |C(F1) & C(F2)| >= |C(F1 & F2)| >= |F1 & F2| + n - 1, so
 def(F1 | F2) <= n - 1, which the good set F1 | F2 can only meet with
 equality.  Hence x's class, the union of the full subsets through x, is the
-final part holding x.  A full group is taken as final before any kernel is
-built, so full and maximal sets cost no kernel here.
+final part holding x.  A full group is taken as final before any read, so
+full and maximal sets cost no read here.
 
-Signatures in integers.  Eliminate G's rows and back-substitute.  Each
-pivot row r_p is primitive with a positive lead r_p[p] and, besides p, is
-nonzero only at free columns.  The basis of K(G) has one vector per free
-column f: 1 at f, 0 at the other free columns, and -r_p[f] / r_p[p] at
-each pivot p.  So the basis's column at a pivot p, the values of the basis
-vectors there, is v = -w / r_p[p], w the row's entries off p; at a free f
-it is the unit vector e_f.  For a rational vector v exactly one a > 0 makes
-(a, -a v) integer and primitive, and at a pivot that pair is (r_p[p], w),
-the row itself: the primitive back-substituted row is the one
-representative of its column's ray.  So the key (r_p[p], w) and the column
-determine each other.  For e_f the pair is (1, {f: -1}), the key of a free
-column f.  Two points share a signature exactly when their n coordinate
-keys agree, and no `Fraction` is built to compare them.
+Signatures along the peel.  Whether two points share a signature does not
+depend on the basis of K(G): p and q share one exactly when
+g(i, p_i) = g(i, q_i) for every axis i and every g in K(G), that is, when
+on each axis the columns (i, p_i) and (i, q_i) are the same linear
+functional g -> g(c) on K(G).  So any parametrisation of K(G) groups the
+points alike, and `linalg._peeled_kernel` reads one along the peel of G's
+rows, with no kernel built and only the 2-core eliminated.  K(G) is
+parametrised by its values at the free columns, those that no peel step
+removes and no core pivot holds, and each column's functional is a sparse
+integer dict over them, over one m, the lcm of the core's pivot entries.
+A free column is m at itself.  A core pivot p is read off the core's
+back-substituted row r_p, which besides p holds only free columns:
+-r_p[f] m / r_p[p] at each free f.  Each step column, in reverse step
+order, is minus the sum of its row's other columns: on incidence rows
+every step removes a column private to its row, and the row's other
+columns are free, core pivots or a later step's, all read by then.  Over
+one m, two columns are the same functional exactly when their dicts are
+equal.  Each dict gets a number, and two points share a signature exactly
+when their n numbers agree; no `Fraction` is built to compare them.  The
+doubling chain less some of its points peels to nothing, and so costs no
+elimination.
 
 Goodness.  Each public entry names itself to its one good-set check.  The
-refinement's first elimination of S is the check behind `related_components`
-and `boundary`: one rank of S's rows when def(S) = n - 1, otherwise the
-first split's elimination, as dim K(S) = |C(S)| - rank exceeds def(S)
-exactly when the rows are dependent.  Every later group is a subset of S
-and good with it.  `related`, `geodesic` and `full_component` rank S once
+refinement's first read of S is the check behind `related_components` and
+`boundary`: one rank of S's rows when def(S) = n - 1, otherwise the first
+split's read along the peel, whose rank, the step count plus the core's,
+is |S| exactly when the rows are independent, that is, when the core has
+full row rank.  Every later group is a subset of S and good with it.
+`boundary` builds S's incidence system once, for that read and for its
+certificate.  `related`, `geodesic` and `full_component` rank S once
 (`_require_good`) and then read the matching order below, which counts and
 so is right only on a good set.  That rank, like the one for a full S in
 the refinement, peels S first (`linalg._peeled_rank`): a point with a
@@ -127,6 +137,7 @@ from .linalg import (
     _echelon,
     _incidence_row,
     _is_boundary,
+    _peeled_kernel,
     _peeled_rank,
 )
 from .model import (
@@ -156,65 +167,60 @@ __all__ = [
 ]
 
 
-def _signature_groups(G: PointSet, what: str | None = None) -> list[list[Point]]:
-    """G's points grouped by their signature over a basis of K(G), in G's order.
+def _signature_groups(G: IncidenceSystem, what: str | None = None) -> list[list[Point]]:
+    """The points of G, a set's incidence system, grouped by signature, in the set's order.
 
-    The signature is read off G's back-substituted rows as one integer key
-    per coordinate (see the module docstring), with no kernel built.  With
-    `what`, a kernel larger than def(G) means G is not good.
+    Each column's functional on K(G) is read along the peel
+    (`linalg._peeled_kernel`), and a point's key is its n functionals, with
+    no kernel built (see the module docstring).  With `what`, dependent rows
+    mean the set is not good.
     """
-    system = IncidenceSystem(G)
-    ncols = len(system.columns)
-    basis = _echelon(system.sparse_rows, ncols)
-    if what is not None and ncols - basis.rank != G.deficiency():
+    rank, values, _ = _peeled_kernel(G.sparse_rows, len(G.columns))
+    if what is not None and rank != len(G.points):
         raise PreconditionError(f"{what} requires a good set")
-    basis.back_substitute()
-    rows = basis.pivot_rows
-    keys = [
-        (row[j], frozenset((k, x) for k, x in row.items() if k != j))
-        if (row := rows.get(j)) is not None
-        else (1, frozenset({(j, -1)}))
-        for j in range(ncols)
-    ]
+    ids: dict[frozenset, int] = {}
+    keys = [ids.setdefault(frozenset(v.items()), len(ids)) for v in values]
     groups: dict[tuple, list[Point]] = {}
-    for p, prow in zip(G, system.sparse_rows):
-        groups.setdefault(tuple(keys[j] for j in prow), []).append(p)
+    for p, row in zip(G.points, G.sparse_rows):
+        groups.setdefault(tuple(map(keys.__getitem__, row)), []).append(p)
     return list(groups.values())
 
 
-def _require_good(S: PointSet, what: str) -> Iterator[tuple[Point, Coordinate]]:
-    """The good-set check by one rank of S's rows, naming `what` when it fails.
+def _require_good(system: IncidenceSystem, what: str) -> Iterator[tuple[Point, Coordinate]]:
+    """The good-set check by one rank of the system's rows, naming `what` when it fails.
 
-    The rank (`linalg._peeled_rank`) peels S to its 2-core and eliminates
-    only the core, if any is left; no loop lies outside it.  Returns the
-    peel's steps as (point, coordinate) pairs, built only as they are read:
-    each sends a point to one of its own coordinates, and no two share
-    either, so they seed `_order`'s matching.
+    The rank (`linalg._peeled_rank`) peels the set to its 2-core and
+    eliminates only the core, if any is left; no loop lies outside it.
+    Returns the peel's steps as (point, coordinate) pairs, built only as
+    they are read: each sends a point to one of its own coordinates, and no
+    two share either, so they seed `_order`'s matching.
     """
-    system = IncidenceSystem(S)
     rank, steps = _peeled_rank(system.sparse_rows, len(system.columns))
-    if rank != len(S):
+    if rank != len(system.points):
         raise PreconditionError(f"{what} requires a good set")
-    points, columns = S.points, system.columns
+    points, columns = system.points, system.columns
     return ((points[k], columns[j]) for k, j in steps)
 
 
-def _classes(S: PointSet, what: str) -> list[PointSet]:
-    """The relatedness classes of S.
+def _classes(S: PointSet, what: str, system: IncidenceSystem) -> list[PointSet]:
+    """The relatedness classes of S, whose incidence system is `system`.
 
     A full group is final; any other group splits by signature, and one that
-    does not split means the theorem failed.  S's first elimination is also
-    its good-set check, failing with `what` named.
+    does not split means the theorem failed.  S's first read, on `system`,
+    is also its good-set check, failing with `what` named.
     """
     groups, classes = [S], []
     while groups:
         G = groups.pop()
         if G.deficiency() == S.space.n - 1:
             if G is S:
-                _require_good(S, what)
+                _require_good(system, what)
             classes.append(G)
             continue
-        parts = _signature_groups(G, what if G is S else None)
+        if G is S:
+            parts = _signature_groups(system, what)
+        else:
+            parts = _signature_groups(IncidenceSystem(G))
         if len(parts) == 1:
             raise VerificationError("a group that is not full has one kernel signature")
         groups.extend(map(S._part, parts))
@@ -245,7 +251,7 @@ def _order(S: PointSet, x: Point, what: str | None) -> tuple:
     owner: dict = dict.fromkeys(enumerate(x), x)
     match = {x: (S.space.n - 1, x[-1])}
     if what is not None:
-        for p, c in _require_good(S, what):
+        for p, c in _require_good(IncidenceSystem(S), what):
             if c not in owner:
                 match[p], owner[c] = c, p
     for p in (p for p in S if p not in match):
@@ -330,13 +336,14 @@ def related_components(S: PointSet) -> ComponentPartition:
 
     Distinct classes may share at most n - 2 kinds of coordinates.
     """
-    return _partition(S, "related_components")
+    S.require_nonempty("related_components")
+    return _partition(IncidenceSystem(S), "related_components")
 
 
-def _partition(S: PointSet, what: str) -> ComponentPartition:
-    """`related_components`, with `what` named when S is empty or not good."""
-    S.require_nonempty(what)
-    components = sorted(_classes(S, what), key=lambda c: S.space.point_key(c.points[0]))
+def _partition(system: IncidenceSystem, what: str) -> ComponentPartition:
+    """`related_components` of the system's nonempty set, with `what` named when it is not good."""
+    S = system.point_set
+    components = sorted(_classes(S, what, system), key=lambda c: S.space.point_key(c.points[0]))
     if _overshared(components, S.space.n):
         raise VerificationError("distinct components share too many coordinate kinds")
     return ComponentPartition(tuple(components))
@@ -446,7 +453,9 @@ def boundary(S: PointSet) -> BoundaryConstruction:
     must make the stacked system square of full rank, so any prescribed
     boundary values and any right-hand side admit exactly one solution.
     """
-    partition = _partition(S, "boundary")
+    S.require_nonempty("boundary")
+    system = IncidenceSystem(S)
+    partition = _partition(system, "boundary")
     ei = ei_classes(S, partition)
 
     generators = tuple((i, cls) for i in range(S.space.n) for cls in ei.classes_by_axis[i])
@@ -471,7 +480,7 @@ def boundary(S: PointSet) -> BoundaryConstruction:
         boundary=bound,
     )
 
-    verify_boundary(S, construction)
+    _verify_boundary(S, construction, system)
     return construction
 
 
@@ -481,6 +490,14 @@ def verify_boundary(S: PointSet, construction: BoundaryConstruction):
     A boundary meets each class at most once and has def(S) coordinates, so
     stacked under S's rows it is square; `linalg._is_boundary` then decides
     its rank.
+    """
+    _verify_boundary(S, construction, None)
+
+
+def _verify_boundary(S: PointSet, construction: BoundaryConstruction, system):
+    """`verify_boundary` on S's incidence system, built here when `system` is None.
+
+    `boundary` hands in the system its refinement read, so one call builds one.
     """
     bound = tuple(map(_coordinate, construction.boundary))
     seen_classes = set()
@@ -493,5 +510,7 @@ def verify_boundary(S: PointSet, construction: BoundaryConstruction):
         raise VerificationError(
             f"boundary size {len(bound)} differs from deficiency {S.deficiency()}"
         )
-    if not _is_boundary(IncidenceSystem(S), bound):
+    if system is None:
+        system = IncidenceSystem(S)
+    if not _is_boundary(system, bound):
         raise VerificationError("boundary pins do not force a unique solution")

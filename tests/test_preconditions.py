@@ -234,6 +234,40 @@ def test_geodesic_entries_run_one_good_set_elimination(monkeypatch):
         assert len(calls) == 1
 
 
+def test_refinement_reads_signatures_along_the_peel(monkeypatch):
+    # The refinement reads each group's kernel functionals along the peel
+    # and eliminates only a 2-core that is left.  The d = 300 chain less its
+    # middle point (900 points, 676 classes) and the d = 40 chain less every
+    # 10th point (108 points, each its own class) peel to nothing, so their
+    # partition takes no elimination, the good-set check included.
+    # `boundary` adds its generator elimination and the rank of its
+    # certificate, on the incidence system its refinement read.
+    calls = _count_eliminations(monkeypatch)
+    systems = []
+    real_system = structure.IncidenceSystem
+
+    def built(S):
+        systems.append(S)
+        return real_system(S)
+
+    monkeypatch.setattr(structure, "IncidenceSystem", built)
+    middle = parse_instance(_example10(300)).point_set
+    thinned = parse_instance(_example10(40)).point_set
+    sets = [
+        (middle.difference([middle.points[len(middle) // 2]]), 676),
+        (thinned.difference(thinned.points[::10]), 108),
+    ]
+    for S, classes in sets:
+        calls.clear()
+        assert len(gs.related_components(S)) == classes
+        assert len(calls) == 0
+        calls.clear()
+        systems.clear()
+        assert len(gs.boundary(S).partition) == classes
+        assert len(calls) == 2
+        assert systems.count(S) == 1
+
+
 def test_singular_class_inversion_is_a_precondition_only_on_the_whole_set(monkeypatch):
     # The one pinned inversion left is `bound_diagnostics`' of the whole set
     # with def(S) = n - 1, read along the peel, where no inverse means S is

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import goodsets as gs
 from goodsets import structure
 from goodsets.instances import _example10, parse_instance
-from goodsets.linalg import _echelon
+from goodsets.linalg import _peel, _peeled_kernel
 from util import (
     DIAGONAL,
     RECTANGLE,
@@ -545,7 +545,7 @@ def _chain_minus_middle(depth):
 
 
 def test_chain_minus_middle_components_frontier():
-    # 60 points in 46 classes, one kernel per split.
+    # 60 points in 46 classes, one read along the peel per split.
     S = _chain_minus_middle(20)
     start = time.monotonic()
     partition = gs.related_components(S)
@@ -577,6 +577,21 @@ def test_doubling_chain_peel_frontier():
     assert g.points == S
     assert geodesic_s < 0.2
     assert rank_s < 0.1
+
+
+def test_chain_minus_every_tenth_components_frontier():
+    # The d = 1,000 chain less every 10th point (2,700 points, each its own
+    # class): each group's signatures are read along its peel, which
+    # leaves no core, so the partition eliminates nothing.  The time left is
+    # the peel reads and `_overshared`'s pair count over the hub values.
+    S = parse_instance(_example10(1000)).point_set
+    S = S.difference(S.points[::10])
+    gc.collect()
+    start = time.monotonic()
+    partition = gs.related_components(S)
+    elapsed = time.monotonic() - start
+    assert len(S) == len(partition) == 2700
+    assert elapsed < 1.5
 
 
 def test_chain_minus_middle_full_component_frontier():
@@ -612,8 +627,14 @@ def test_thinned_maximal_sets_components_frontier():
     assert elapsed < 10
 
 
+def _greedy_minus_a_few(rng):
+    """A greedy maximal set in 6^4 (21 points) less 1-4 points: most keep a 2-core."""
+    maximal = greedy_maximal_cube(rng, 6, 4)
+    return maximal.difference(rng.sample(maximal.points, rng.randint(1, 4)))
+
+
 def _signature_inputs():
-    """Random good sets, chains minus their middle point and thinned maximal sets."""
+    """Random good sets, chains minus their middle point, thinned maximal sets and greedy ones."""
     rng = random.Random(89)
     sets = [
         random_good_set(rng, int_space(tuple(rng.randint(2, 5) for _ in range(n))), 12)
@@ -625,24 +646,62 @@ def _signature_inputs():
     for _ in range(20):
         maximal = gs.extend_to_maximal(random_good_set(rng, space, 21))
         sets.append(maximal.difference(rng.sample(maximal.points, rng.randint(3, 12))))
+    greedy = random.Random(97)
+    sets += [_greedy_minus_a_few(greedy) for _ in range(20)]
     return sets
 
 
 def test_integer_signature_keys_match_fraction_kernel():
-    # The integer keys must group the points as the Fraction kernel's
-    # signatures do, group for group and in the same order, including where
-    # a back-substituted row's pivot entry is above 1 and the key stands for
-    # the column -row / row[p].  A key without its pivot entry would split
-    # a pivot column from the free column it equals; one with the entry set
-    # to 1 would not be caught, since K(G) holds the per-axis constants and
-    # so no two coordinate columns are distinct positive multiples.
+    # The functionals read along the peel must group the points as the
+    # Fraction kernel's signatures do, group for group and in the same
+    # order.  The read is exercised where it does arithmetic: some inputs
+    # keep a 2-core, and some core's m, the lcm of its pivot entries, is
+    # above 1.  A read that counts a core pivot column as free would give
+    # it its own functional, splitting it from the columns it equals; one
+    # that drops m would set the free columns off by m from the pivots
+    # read off the core's rows.
     inputs = _signature_inputs()
     assert len(inputs) >= 200
-    largest_pivot = 0
+    cores = largest_m = 0
     for G in inputs:
-        assert structure._signature_groups(G) == fraction_signature_groups(G)
         system = gs.IncidenceSystem(G)
-        basis = _echelon(system.sparse_rows, len(system.columns))
-        basis.back_substitute()
-        largest_pivot = max(largest_pivot, *(row[p] for p, row in basis.pivot_rows.items()))
-    assert largest_pivot > 1
+        assert structure._signature_groups(system) == fraction_signature_groups(G)
+        rows, ncols = system.sparse_rows, len(system.columns)
+        cores += bool(_peel(rows, ncols)[2])
+        largest_m = max(largest_m, _peeled_kernel(rows, ncols)[2])
+    assert cores >= 10 and largest_m > 1
+
+
+def _fraction_classes(S):
+    """The refinement run on `fraction_signature_groups`: split until every part is full."""
+    groups, classes = [S], []
+    while groups:
+        G = groups.pop()
+        if G.deficiency() == S.space.n - 1:
+            classes.append(frozenset(G.points))
+        else:
+            groups.extend(S.subset(part) for part in fraction_signature_groups(G))
+    return sorted(classes, key=sorted)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["random", "chain", "greedy"]))
+def test_peeled_signatures_match_the_fraction_kernel_and_brute_force(seed, kind):
+    # On random good sets (n = 2-4), chains minus their middle point and
+    # greedy maximal sets in 6^4 less a few points, which keep a 2-core:
+    # the read's groups are the Fraction kernel's, group for group and in
+    # order, and the classes of `related_components` are those of the
+    # refinement run on the Fraction signatures and, up to 9 points, those
+    # of the subset search.
+    rng = random.Random(seed)
+    if kind == "random":
+        S = random_good_set(rng, random_space(rng, (2, 3, 4), max_axis=5), 12)
+    elif kind == "chain":
+        S = _chain_minus_middle(rng.randint(2, 8))
+    else:
+        S = _greedy_minus_a_few(rng)
+    assert structure._signature_groups(gs.IncidenceSystem(S), "test") == fraction_signature_groups(S)
+    classes = sorted((frozenset(c.points) for c in gs.related_components(S).components), key=sorted)
+    assert classes == _fraction_classes(S)
+    if len(S) <= 9:
+        assert classes == brute_force_components(S.points)
