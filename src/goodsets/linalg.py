@@ -857,14 +857,15 @@ def verify_circuit(space: Space, circuit: CircuitVector):
     it vanishes on no point.  A repeated point would pass the rank test (one
     point listed twice, with coefficients 1 and -1, has rank 1 = 2 - 1).
     """
-    pts = tuple(map(space.validate_point, circuit.points))
+    reads = list(map(space._read, circuit.points))
     coeffs = circuit.coefficients
-    if len(pts) != len(coeffs) or not pts:
+    if len(reads) != len(coeffs) or not reads:
         raise VerificationError("circuit points and coefficients do not align")
-    if len(set(pts)) != len(pts):
+    keys = dict(reads)
+    if len(keys) != len(reads):
         raise VerificationError("circuit repeats a point")
     sums: dict = {}
-    for p, c in zip(pts, coeffs):
+    for p, c in zip(keys, coeffs):
         if c == 0:
             raise VerificationError("circuit carries a zero coefficient")
         for coord in enumerate(p):
@@ -881,8 +882,9 @@ def verify_circuit(space: Space, circuit: CircuitVector):
     # nothing here, and the rows go straight to the elimination.
     # The rank does not depend on the order of the rows; the reverse order,
     # the scan's, fills in far less on loops such as the closed chain's.
-    # The rows are the scan's too, over the space's columns.
+    # The rows are the scan's too, over the space's columns, sorted by the
+    # canonical keys that reading the points gave.
     columns = space._columns
-    rows = [_incidence_row(p, columns) for p in reversed(PointSet(space, pts).points)]
-    if _echelon(rows, len(columns)).rank != len(pts) - 1:
+    rows = [_incidence_row(p, columns) for p in sorted(keys, key=keys.__getitem__, reverse=True)]
+    if _echelon(rows, len(columns)).rank != len(keys) - 1:
         raise VerificationError("circuit support is not minimal")

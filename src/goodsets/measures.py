@@ -18,7 +18,11 @@ epsilon = min w_p / |c_p| over the loop's entries, and `is_simplicial`
 checks both perturbed measures in integers over the loop's distinct points
 alone.  They keep total mass one exactly when the coefficients sum to
 zero, and stay nonnegative exactly when each point's weight covers epsilon
-times the sum of its coefficients; no other weight moves.
+times the sum of its coefficients; no other weight moves.  The step and
+the moved weights are integer reads too: with w_p = a / d, the least ratio
+a / (d*|c_p|) is found by cross-multiplying numerators and denominators,
+and epsilon is the one `Fraction` built for it; `perturbed` builds one
+`Fraction` per distinct loop point and keeps every other weight as it is.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ class FiniteMeasure(_Frozen):
     def __init__(self, support, weights):
         support.require_nonempty("finite measure")
         w = {p: as_fraction(v) for p, v in weights.items()}
-        if w.keys() != set(support.points):
+        if w.keys() != support._members:
             raise PreconditionError("weights must be given exactly on the support")
         numerators, D = _over_common_denominator(w.values())
         if any(a <= 0 for a in numerators):
@@ -135,25 +139,41 @@ class SimplicialVerdict(_Frozen):
         m must be a measure the certificate perturbs: each loop point weighs
         at least eps * |its coefficient| in m, so neither sign takes a
         weight below zero; a loop point off m's support weighs 0 and fails.
+        With eps = e / f and a weight a / d, each entry's check reads
+        a*f < |c*e|*d in integers, and each distinct loop point gets one
+        `Fraction`, (a*f + sign*C_p*e*d) / (d*f) for C_p the sum of its
+        coefficients; a zero drops the point.  Every other weight is m's.
         """
         if self.simplicial:
             raise PreconditionError("no perturbation exists; the measure is extreme")
         if type(sign) is not int or sign not in (1, -1):
             raise PreconditionError(f"sign {sign!r} is not the int +1 or -1")
-        w = dict(m.weights)
+        e, f = self.epsilon.as_integer_ratio()
+        moves: dict = {}
         for p, c in zip(self.loop.points, self.loop.coefficients):
-            move = self.epsilon * (sign * c)
-            if m(p) < abs(move):
+            a, d = m(p).as_integer_ratio()
+            if a * f < abs(c * e) * d:
                 raise PreconditionError(f"the measure weighs {p!r} below the certificate's step")
-            w[p] = w.get(p, Fraction(0)) + move
-        for p in dict.fromkeys(self.loop.points):
-            if not w[p]:
-                del w[p]
+            moves[p] = moves.get(p, 0) + c
+        w = dict(m.weights)
+        for p, c in moves.items():
+            a, d = w.get(p, 0).as_integer_ratio()
+            value = Fraction(a * f + sign * c * e * d, d * f)
+            if value:
+                w[p] = value
+            else:
+                w.pop(p, None)
         return w
 
 
 def is_simplicial(m: FiniteMeasure) -> SimplicialVerdict:
     """Extreme among measures with the same marginals <=> support is good.
+
+    epsilon is the least w_p / |c_p| over the loop's entries, repeated
+    points entry by entry: with w_p = a / d, the entry's ratio is
+    a / (d*|c_p|), two ratios compare by cross-multiplying, and only the
+    least becomes a `Fraction`.  A loop point off the weights raises
+    `KeyError`.
 
     The certificate is checked before it is returned, over the loop alone:
     with epsilon = e / f and C_p the sum of point p's coefficients,
@@ -166,14 +186,20 @@ def is_simplicial(m: FiniteMeasure) -> SimplicialVerdict:
     if verdict.good:
         return SimplicialVerdict(True, None, None)
     loop = verdict.loop
-    epsilon = min(m.weights[p] / abs(c) for p, c in zip(loop.points, loop.coefficients))
+    weights = m.weights
     moves: dict = {}
+    e, f = 1, 0  # the least ratio so far, e / f; f = 0 reads as infinity
     for p, c in zip(loop.points, loop.coefficients):
+        a, d = weights[p].as_integer_ratio()
         moves[p] = moves.get(p, 0) + c
+        d *= abs(c)
+        if a * f < e * d:
+            e, f = a, d
+    epsilon = Fraction(e, f)
     e, f = epsilon.as_integer_ratio()
     for sign in (+1, -1):
         for p, c in moves.items():
-            a, d = m.weights[p].as_integer_ratio()
+            a, d = weights[p].as_integer_ratio()
             if a * f + sign * c * e * d < 0:
                 raise VerificationError("perturbed measure went negative")
         if sum(moves.values()):

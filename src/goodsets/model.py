@@ -265,7 +265,7 @@ class Space(_Frozen):
             point = tuple(point)
         except TypeError:
             raise PreconditionError(f"point {point!r} is not a sequence of labels") from None
-        if len(point) != self.n:
+        if len(point) != len(self._value_index):
             raise PreconditionError(f"point {point!r} has arity {len(point)}, want {self.n}")
         try:
             return point, tuple(map(dict.__getitem__, self._value_index, point))

@@ -337,6 +337,35 @@ def test_verify_circuit_rejects_repeated_point():
         gs.verify_circuit(space, vector)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(("dense-subset", "closed-chain", "maximal-plus-one")),
+    rng=st.randoms(use_true_random=False),
+)
+def test_verify_circuit_reads_points_in_any_order(kind, rng):
+    # The rows are sorted by the keys read with the points, so any order of
+    # the (point, coefficient) pairs is the same circuit; the first pair is
+    # kept positive, as normalization asks.
+    S = _scan_input(kind, rng)
+    loop = gs.is_good(S).loop
+    assume(loop is not None)
+    pairs = list(zip(loop.points, loop.coefficients))
+    first = rng.choice([pair for pair in pairs if pair[1] > 0])
+    pairs.remove(first)
+    rng.shuffle(pairs)
+    points, coefficients = zip(first, *pairs)
+    gs.verify_circuit(S.space, gs.CircuitVector(points, coefficients))
+    # A repeat, also spelled as a list, is found once the lengths align.
+    k = rng.randrange(len(points))
+    for repeat in (points[k], list(points[k])):
+        repeated = gs.CircuitVector(points + (repeat,), coefficients + (coefficients[k],))
+        with pytest.raises(gs.VerificationError, match="repeats a point"):
+            gs.verify_circuit(S.space, repeated)
+        short = gs.CircuitVector(points + (repeat,), coefficients)
+        with pytest.raises(gs.VerificationError, match="do not align"):
+            gs.verify_circuit(S.space, short)
+
+
 def _deletion_loop_support(space, points):
     """Oracle: shrink to a circuit by the deletion loop, dependence by sympy rank.
 

@@ -1,9 +1,12 @@
 import gc
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import goodsets as gs
 from goodsets import measures
@@ -260,6 +263,7 @@ def test_loop_only_check_matches_the_full_dict_check(monkeypatch):
     # check raised, in the same order, or pass where it passed.
     rng = random.Random(149)
     outcomes = set()
+    passed = set()
     for _ in range(300):
         S = random_point_set(rng, random_space(rng, (2, 3), max_axis=3), 8)
         m = random_measure(rng, S)
@@ -272,7 +276,15 @@ def test_loop_only_check_matches_the_full_dict_check(monkeypatch):
         want = _full_dict_verdict(m, gs.Loop(tuple(points), tuple(coefficients)))
         if want is None:
             verdict = gs.is_simplicial(m)
-            assert verdict.epsilon == fraction_perturbation(m, verdict.loop, 1)[0]
+            for sign in (+1, -1):
+                epsilon, weights = fraction_perturbation(m, verdict.loop, sign)
+                assert verdict.epsilon == epsilon
+                assert list(verdict.perturbed(m, sign).items()) == list(weights.items())
+            moves = Counter()
+            for p, c in zip(points, coefficients):
+                moves[p] += c
+            if len(moves) < len(points):
+                passed.add("zero-sum repeat" if 0 in moves.values() else "repeat")
         else:
             with pytest.raises(gs.VerificationError) as exc:
                 gs.is_simplicial(m)
@@ -281,6 +293,34 @@ def test_loop_only_check_matches_the_full_dict_check(monkeypatch):
     assert outcomes == {
         None, "perturbed measure went negative", "perturbed measure lost total mass"
     }
+    assert passed == {"repeat", "zero-sum repeat"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_integer_step_and_push_match_the_fraction_oracle(rng):
+    # Mixed denominators: epsilon, read by integer cross-multiplication, and
+    # both perturbed dicts, one `Fraction` per loop point, against the plain
+    # `Fraction` step and push over the whole dict.
+    S = random_point_set(rng, random_space(rng, (2, 3, 4), max_axis=5), 40)
+    m = gs.FiniteMeasure(S, _mixed_weights(rng, S))
+    verdict = gs.is_simplicial(m)
+    assume(not verdict.simplicial)
+    for sign in (+1, -1):
+        epsilon, weights = fraction_perturbation(m, verdict.loop, sign)
+        assert verdict.epsilon == epsilon
+        assert list(verdict.perturbed(m, sign).items()) == list(weights.items())
+    # A second measure on the same support puts half the step's weight on
+    # the loop's first point and scales the others to total one: the step
+    # does not fit it there.
+    q, c = verdict.loop.points[0], verdict.loop.coefficients[0]
+    low = verdict.epsilon * abs(c) / 2
+    scale = (1 - low) / (1 - m.weights[q])
+    second = gs.FiniteMeasure(S, {p: low if p == q else w * scale for p, w in m.weights.items()})
+    for sign in (+1, -1):
+        with pytest.raises(gs.PreconditionError) as exc:
+            verdict.perturbed(second, sign)
+        assert str(exc.value) == f"the measure weighs {q!r} below the certificate's step"
 
 
 def test_measure_repr_and_equality_ignore_the_integer_form():
