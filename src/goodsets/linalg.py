@@ -34,26 +34,31 @@ backward.  A solve peels first too, for the unique verdict
 either, so it is read along the peel by integer substitution, forward steps
 in step order, then the core, then backward steps in reverse, and handed to
 the split builder (`_decomposition`) as integer numerators over one
-denominator.  The columns of a square system's inverse at its point rows,
-the solves of every indicator right-hand side at once, are read along the
-same peel in the same order (`_peeled_inverse`): each value is a sparse
-integer combination of the right-hand sides, and the core's rows are tagged
-with theirs; a core short of full rank means there is no inverse.  The two
-reads share the peel's plan (`_plan`) and the one core step (`_core_step`),
-which `_canonical_solution` and `_pinned_basis` run on all the rows; their
-arithmetic stays apart, as one dict-valued read for both took about 1.25
-times the int read's time on the unique solves of an exact-solve and a
-related-search pass.  Each column's functional on the column kernel, by
-which the relatedness refinement groups points, is read along the same
-peel (`_peeled_kernel`): a free column is m at itself, a core pivot is read
-off its back-substituted row, and each backward step's column, in reverse,
-is minus its row's other columns.  Which columns are free changes the
-functionals but not which of them are equal, so the signatures they give
-are the same.  It shares the core step, and the backward read
-(`_less_row`) with the inverse.  Answers that do depend on the choice (an
-underdetermined solve's split and kernel, an inconsistent one's witness,
-span tests) eliminate the rows as they are, and so does the dependence
-scan below, which stops at the tail it needs.
+denominator.  Every other read along the peel is one reader
+(`_peeled_read`), which reads every column of the general solution
+x = W b + V g at once: each value is a sparse integer dict over one m,
+keyed by the solution's parameters, the right-hand side of each of the
+first count rows at its tag column ncols + k and each free column, one that
+no step removes and no core pivot holds, at itself.  Forward steps go in
+step order, then the core step on the core's rows tagged with their
+right-hand-side combinations, then each free column is m at itself, and
+backward steps go in reverse.  With count 0 the values are each column's
+functional on the column kernel, by which the relatedness refinement groups
+points; which columns are free changes the functionals but not which of
+them are equal, so the signatures they give are the same.  With the point
+rows counted, on a square system of full rank, no column is free and the
+values are the inverse at its point rows, the solves of every indicator
+right-hand side at once.  The two readers share the peel's step check
+(`_plan`) and the one core step (`_core_step`), which `_canonical_solution`
+and `_pinned_basis` run on all the rows; their arithmetic stays apart, as
+one dict-valued read for both took about 1.25 times the int read's time on
+the unique solves of an exact-solve and a related-search pass.  Answers
+that do depend on the choice (an underdetermined solve's split and kernel,
+an inconsistent one's witness) eliminate the rows as they are, and so does
+the dependence scan below, which stops at the tail it needs.  The span test
+(`in_span`) eliminates them too, though its answer does not depend on the
+choice: a vector lies in the row span exactly when it vanishes on the
+column kernel, whatever basis spans the kernel.
 
 One dependence scan decides goodness and yields loops (`extract_circuit`):
 one reverse pass over the canonical support finds the first point e_k that
@@ -323,7 +328,7 @@ def _core_step(rows, width: int, ncols: int) -> tuple[RowBasis, int | None]:
     column), so the read is refused: the basis is returned as eliminated,
     with m None.  Otherwise the basis is back-substituted, so pivot column
     p is read off row p alone, and m is the lcm of the pivot entries, 1
-    with no rows.  `_peeled_solution` and `_peeled_inverse` run it on the
+    with no rows.  `_peeled_solution` and `_peeled_read` run it on the
     core, `_canonical_solution` and `_pinned_basis` on all the rows.
     """
     basis = _echelon(rows, width)
@@ -334,50 +339,46 @@ def _core_step(rows, width: int, ncols: int) -> tuple[RowBasis, int | None]:
 
 
 def _plan(rows: Sequence[Mapping[int, int]], ncols: int):
-    """(forward, backward, core, dropped, held): the peel a read follows, or None.
+    """(forward, backward, core, dropped, held): the peel (`_peel`) that both reads follow.
 
-    The one check both readers share: a read along the peel decides
-    nothing unless the steps and the held columns, those the core holds,
-    number ncols, which is counted before any arithmetic; then held is
-    their count.  Every step's entry must be 1, as on incidence and pin
-    rows, so that a step divides by 1; a step that breaks it is a
-    `VerificationError`.
+    held is the count of the columns the core holds, so the rows' rank is
+    at most the step count plus held, which each read counts before any
+    arithmetic.  The one check the reads share: every step's entry must be
+    1, as on incidence and pin rows, so that a step divides by 1; a step
+    that breaks it is a `VerificationError`.
     """
     forward, backward, core, dropped = _peel(rows, ncols)
-    held = len({j for row in core.values() for j in row})
-    if len(forward) + len(backward) + held != ncols:
-        return None
     if any(rows[k][j] != 1 for k, j in forward + backward):
         raise VerificationError("a peel step's entry is not 1")
-    return forward, backward, core, dropped, held
+    return forward, backward, core, dropped, len({j for row in core.values() for j in row})
 
 
 def _peeled_solution(rows: Sequence[Mapping[int, int]], rhs: Sequence[Fraction], ncols: int):
     """(verdict, numerators, D): the unique x with rows . x = rhs, as numerators over D.
 
     x is read along the peel (`_plan`), which has sorted its steps; the
-    solution is unique only if the plan passes.  Then the rhs is put over
-    D, the lcm of its denominators, and every value is an integer numerator
-    until the end; a column not yet read counts as 0 in a row's sum.  Each
-    forward step (k, j) reads u_j = b_k minus the row's other columns, in
-    step order.  A row the peel dropped as zero holds forward columns only
-    and must sum to its rhs.  The core, whose removed columns are all
-    forward, goes through the core step (`_core_step`) on its rhs reduced
-    by those values; every value is then brought over D m, m the lcm of the
-    core's pivot entries.  The backward steps read theirs last, in reverse
-    step order, once every later column has its value.  The verdict is
-    UNIQUE, and the numerators go to the split builder (`_decomposition`)
-    over D as they are, with no `Fraction` built here.  Every forward value
-    is forced by its row, so a dropped row that fails, or a core step
-    refused at the rhs column, makes the system inconsistent:
-    (INCONSISTENT, None, None).  A core short of full rank, or a plan that
-    fails its count, gives (None, None, None): not unique, and not decided
-    further.
+    solution is unique only if the steps and the held columns, those the
+    core holds, number ncols, which is counted before any arithmetic.  Then
+    the rhs is put over D, the lcm of its denominators, and every value is
+    an integer numerator until the end; a column not yet read counts as 0
+    in a row's sum.  Each forward step (k, j) reads u_j = b_k minus the
+    row's other columns, in step order.  A row the peel dropped as zero
+    holds forward columns only and must sum to its rhs.  The core, whose
+    removed columns are all forward, goes through the core step
+    (`_core_step`) on its rhs reduced by those values; every value is then
+    brought over D m, m the lcm of the core's pivot entries.  The backward
+    steps read theirs last, in reverse step order, once every later column
+    has its value.  The verdict is UNIQUE, and the numerators go to the
+    split builder (`_decomposition`) over D as they are, with no `Fraction`
+    built here.  Every forward value is forced by its row, so a dropped row
+    that fails, or a core step refused at the rhs column, makes the system
+    inconsistent: (INCONSISTENT, None, None).  A core short of full rank,
+    or a peel that fails the count, gives (None, None, None): not unique,
+    and not decided further.
     """
-    plan = _plan(rows, ncols)
-    if plan is None:
+    forward, backward, core, dropped, held = _plan(rows, ncols)
+    if len(forward) + len(backward) + held != ncols:
         return None, None, None
-    forward, backward, core, dropped, held = plan
     b, scale = _over_common_denominator(rhs)
     value = [0] * ncols
 
@@ -405,95 +406,74 @@ def _peeled_solution(rows: Sequence[Mapping[int, int]], rhs: Sequence[Fraction],
     return UNIQUE, value, scale * m
 
 
-def _less_row(s: dict[int, int], row: Mapping[int, int], value) -> dict[int, int]:
-    """The sparse sum s less each entry x of the row times its column's value, zeros dropped.
+def _peeled_read(rows: Sequence[Mapping[int, int]], count: int, ncols: int):
+    """(rank, values, m): every column of the general solution of rows . x = b, over m.
 
-    s is consumed.  A column with no value read yet holds {}, which adds
-    nothing.  The backward read of `_peeled_inverse` and `_peeled_kernel`.
+    The rhs b_k of row k is a parameter for k < count and 0 after.
+    values[j] is a sparse integer dict over the solution's parameters, so
+    x_j = sum_r values[j][r] t_r / m: t_r is b_k at r = ncols + k, the tag
+    column that carries it through the core step, and the value of free
+    column f at r = f.  A free column is one that no step removes and no
+    core pivot holds.  m is the lcm of the core's pivot entries, 1 with no
+    core.
+
+    The read follows the plan (`_plan`); a column not yet read counts as 0
+    in a row's sum.  Each forward step's column, in step order, is its
+    row's rhs less the row's other columns, all forward.  The core step
+    (`_core_step`) runs on the core's rows, each with its rhs combination
+    at the tag columns, and the values read so far are brought over m.  A
+    core pivot p is read off the back-substituted row p, each tag entry
+    with a + sign and each free entry with a - sign.  A free column is m at
+    itself.  Each backward step's column, in reverse step order, is its
+    row's rhs times m less the row's other columns, all read by then.
+
+    rank is the step count plus the core's rank, so the rows are
+    independent exactly when it is their count.  With count > 0 a read is
+    refused, giving (None, None, None), only on dependent rows: before any
+    arithmetic where the plan's count proves them dependent, with fewer
+    steps and held columns than rows, and where the core step is refused at
+    a tag column.  With count 0 no read is refused, and the values are each
+    column's functional on the rows' column kernel K: two columns agree on
+    all of K exactly when their dicts are equal, whatever the
+    parametrisation.  On square rows of rank ncols no column is free,
+    and the values are the inverse at its first count columns:
+    x_j = sum_k values[j][ncols + k] b_k / m.  The arithmetic stays apart
+    from `_peeled_solution`'s: one dict-valued read for both took about
+    1.25 times the int read's time on the unique solves of an exact-solve
+    and a related-search pass.
     """
-    for i, x in row.items():
-        for r, c in value[i].items():
-            s[r] = s.get(r, 0) - x * c
-    return {r: c for r, c in s.items() if c}
-
-
-def _peeled_inverse(rows: Sequence[Mapping[int, int]], count: int, ncols: int):
-    """(values, m): the square rows' inverse at its first count columns, over m; or (None, None).
-
-    The many-rhs read of `_peeled_solution`, along the same plan (`_plan`):
-    the rhs of row k is the unit e_k for k < count and 0 for the rows
-    after, and values[j] is a sparse integer combination {k: coefficient}
-    of those rhs, so u_j = sum_k values[j][k] f_k / m.  Forward steps, then
-    the core step (`_core_step`) on the core with a tag column ncols + k for
-    each k < count that carries each row's combination, then backward
-    steps.  m is the lcm of the core's pivot entries, 1 with no core.  The
-    rows must be square, the plan must pass, and the core must have full
-    rank; otherwise there is no inverse, and the read gives (None, None).
-    The arithmetic stays apart from `_peeled_solution`'s: one dict-valued
-    read for both took about 1.25 times the int read's time on the unique
-    solves of an exact-solve and a related-search pass.
-    """
-    plan = _plan(rows, ncols) if len(rows) == ncols else None
-    if plan is None:
-        return None, None
-    forward, backward, core, _, held = plan
-    value, m = [{}] * ncols, 1
+    forward, backward, core, _, held = _plan(rows, ncols)
+    steps = forward + backward
+    if count and len(steps) + held < len(rows):
+        return None, None, None
+    value = [{}] * ncols
 
     def read(k: int, a: int) -> dict[int, int]:
-        """Row k's rhs times a, less the row's sum over the values read so far."""
-        return _less_row({k: a} if k < count else {}, rows[k], value)
+        """Row k's rhs times a, less the row's sum over the values read so far, zeros dropped."""
+        s = {ncols + k: a} if k < count else {}
+        for i, x in rows[k].items():
+            for r, c in value[i].items():
+                s[r] = s.get(r, 0) - x * c
+        return {r: c for r, c in s.items() if c}
 
     for k, j in forward:
         value[j] = read(k, 1)
+    pivot_rows, m = {}, 1
     if core:
-        tagged = ({ncols + r: c for r, c in read(k, 1).items()} | row for k, row in core.items())
+        tagged = (read(k, 1) | row for k, row in core.items())
         basis, m = _core_step(tagged, ncols + count, ncols)
-        if m is None or basis.rank != held:
-            return None, None
+        if m is None:
+            return None, None, None
+        pivot_rows = basis.pivot_rows
         value[:] = [v and {r: c * m for r, c in v.items()} for v in value]
-        for p, row in basis.pivot_rows.items():
-            value[p] = {r - ncols: c * (m // row[p]) for r, c in row.items() if r != p}
+    for p, row in pivot_rows.items():
+        a = m // row[p]
+        value[p] = {r: c * a if r >= ncols else -c * a for r, c in row.items() if r != p}
+    for f in set(range(ncols)).difference(pivot_rows, (j for _, j in steps)):
+        value[f] = {f: m}
     for k, j in reversed(backward):
         value[j] = read(k, m)
-    return value, m
-
-
-def _peeled_kernel(rows: Sequence[Mapping[int, int]], ncols: int):
-    """(rank, values, m): each column's functional on the rows' column kernel K, over m.
-
-    K is parametrised by its values at the free columns: those that no step
-    removes and no core pivot holds.  values[j] is a sparse integer dict
-    {f: coefficient} over the free columns f, so g_j = sum_f values[j][f]
-    g_f / m for every g in K, m the lcm of the core's pivot entries, 1 with
-    no core.  A free column is m at itself.  A forward column is 0 on K, as
-    its row's other columns went in earlier forward steps.  A core pivot p
-    is read off the core step's (`_core_step`) back-substituted row p, whose
-    other columns are free.  Each backward step's column, in reverse step
-    order, is minus the sum of its row's other columns, all read by then;
-    its entry must be 1, as on incidence rows, where every step is
-    backward.  Two columns agree on all of K exactly when their dicts are
-    equal, whatever the parametrisation.  rank is the step count plus the
-    core's rank, so the rows are independent exactly when it is their count;
-    the read is the same either way.
-    """
-    forward, backward, core, _ = _peel(rows, ncols)
-    rank, value, m = len(forward) + len(backward), [None] * ncols, 1
-    for _, j in forward + backward:
-        value[j] = {}
-    if core:
-        basis, m = _core_step(core.values(), ncols, ncols)
-        rank += basis.rank
-        for p, row in basis.pivot_rows.items():
-            a = m // row[p]
-            value[p] = {f: -x * a for f, x in row.items() if f != p}
-    for j, v in enumerate(value):
-        if v is None:
-            value[j] = {j: m}
-    for k, j in reversed(backward):
-        if rows[k][j] != 1:
-            raise VerificationError("a peel step's entry is not 1")
-        value[j] = _less_row({}, rows[k], value)
-    return rank, value, m
+    return len(steps) + len(pivot_rows), value, m
 
 
 def _canonical_solution(rows, rhs: Sequence[Fraction], ncols: int):

@@ -19,9 +19,9 @@ Four routes produce the same numbers:
 lengths from a base, the sizes of the order's closures, and the largest
 solution value over singleton indicator right-hand sides.  Those solutions
 are the point columns of the inverse of the system pinned at the base's
-first n - 1 coordinates, all read along the peel at once
-(`linalg._peeled_inverse`), and finding that inverse is also its good-set
-check.
+first n - 1 coordinates, all read along the peel at once, with the point
+rows' right-hand sides as the read's parameters (`linalg._peeled_read`),
+and finding that inverse is also its good-set check.
 
 Every route solves once, with `linalg.solve_pinned`, and a unique solve
 is one read along the peel, `linalg._peeled_solution`: it substitutes in
@@ -56,7 +56,7 @@ from .linalg import (
     LinearSolve,
     _is_boundary,
     _over_common_denominator,
-    _peeled_inverse,
+    _peeled_read,
     _require_total,
     _stack_pins,
     solve_pinned,
@@ -290,12 +290,14 @@ def bound_diagnostics(S: PointSet, base=None) -> BoundDiagnostics:
     The indicator sweep is the largest absolute value of any u solving
     u = 1_{p}, p in S, with the base's first n - 1 coordinates pinned at
     zero.  Those solutions are the point columns of the pinned system's
-    inverse, read along its peel (`linalg._peeled_inverse`) as integers
-    over one m, so the sweep is their largest |integer| over m.  The
-    system is square exactly when def(S) = n - 1, and then invertible
-    exactly when S is good, so the read is the good-set check; any other S
-    is ranked, as a good one has several classes.  The lengths are the
-    closures of `structure._order` from the base, each computed once.
+    inverse, read along its peel (`linalg._peeled_read`, with the |S|
+    point rows counted) as integers over one m, so the sweep is their
+    largest |integer| over m.  The system is square exactly when
+    def(S) = n - 1, and then invertible exactly when S is good, that is,
+    when the read's rank is the column count; so the read is the good-set
+    check.  Any other S is ranked, as a good one has several classes.  The
+    lengths are the closures of `structure._order` from the base, each
+    computed once.
     """
     S.require_nonempty("bound_diagnostics")
     base = S.points[0] if base is None else S.require_member(base)
@@ -304,8 +306,8 @@ def bound_diagnostics(S: PointSet, base=None) -> BoundDiagnostics:
         _require_good(system, "bound_diagnostics")
         raise PreconditionError("diagnostics are per component; this set has several")
     rows = _stack_pins(system, [(i, base[i]) for i in range(S.space.n - 1)])
-    values, m = _peeled_inverse(rows, len(S), len(system.columns))
-    if values is None:
+    rank, values, m = _peeled_read(rows, len(S), len(system.columns))
+    if rank != len(system.columns):
         raise PreconditionError("bound_diagnostics requires a good set")
     close = _order(S, base, None)[1]
     lengths = {y: len(close(y)) for y in S}

@@ -39,13 +39,13 @@ depend on the basis of K(G): p and q share one exactly when
 g(i, p_i) = g(i, q_i) for every axis i and every g in K(G), that is, when
 on each axis the columns (i, p_i) and (i, q_i) are the same linear
 functional g -> g(c) on K(G).  So any parametrisation of K(G) groups the
-points alike, and `linalg._peeled_kernel` reads one along the peel of G's
-rows, with no kernel built and only the 2-core eliminated.  K(G) is
-parametrised by its values at the free columns, those that no peel step
-removes and no core pivot holds, and each column's functional is a sparse
-integer dict over them, over one m, the lcm of the core's pivot entries.
-A free column is m at itself.  A core pivot p is read off the core's
-back-substituted row r_p, which besides p holds only free columns:
+points alike, and `linalg._peeled_read`, with count 0, reads one along the
+peel of G's rows, with no kernel built and only the 2-core eliminated.
+K(G) is parametrised by its values at the free columns, those that no peel
+step removes and no core pivot holds, and each column's functional is a
+sparse integer dict over them, over one m, the lcm of the core's pivot
+entries.  A free column is m at itself.  A core pivot p is read off the
+core's back-substituted row r_p, which besides p holds only free columns:
 -r_p[f] m / r_p[p] at each free f.  Each step column, in reverse step
 order, is minus the sum of its row's other columns: on incidence rows
 every step removes a column private to its row, and the row's other
@@ -137,8 +137,8 @@ from .linalg import (
     _echelon,
     _incidence_row,
     _is_boundary,
-    _peeled_kernel,
     _peeled_rank,
+    _peeled_read,
 )
 from .model import (
     Coordinate,
@@ -170,12 +170,12 @@ __all__ = [
 def _signature_groups(G: IncidenceSystem, what: str | None = None) -> list[list[Point]]:
     """The points of G, a set's incidence system, grouped by signature, in the set's order.
 
-    Each column's functional on K(G) is read along the peel
-    (`linalg._peeled_kernel`), and a point's key is its n functionals, with
-    no kernel built (see the module docstring).  With `what`, dependent rows
-    mean the set is not good.
+    Each column's functional on K(G) is read along the peel, with count 0
+    (`linalg._peeled_read`), and a point's key is its n functionals, with
+    no kernel built (see the module docstring).  With `what`, dependent
+    rows mean the set is not good.
     """
-    rank, values, _ = _peeled_kernel(G.sparse_rows, len(G.columns))
+    rank, values, _ = _peeled_read(G.sparse_rows, 0, len(G.columns))
     if what is not None and rank != len(G.points):
         raise PreconditionError(f"{what} requires a good set")
     ids: dict[frozenset, int] = {}

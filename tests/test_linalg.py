@@ -23,8 +23,8 @@ from goodsets.linalg import (
     _is_boundary,
     _kernel_dicts,
     _peel,
-    _peeled_inverse,
     _peeled_rank,
+    _peeled_read,
     _peeled_solution,
     _stack_pins,
     _witness,
@@ -831,9 +831,15 @@ def test_peeled_solve_matches_canonical_elimination_and_sympy(kind, rng):
 
 def test_peeled_solve_refuses_a_step_entry_other_than_one():
     # Incidence and pin rows are 0/1, so every step divides by 1; a step on
-    # an entry of 2 is refused rather than read.
+    # an entry of 2 is refused rather than read.  `_peeled_read`, the
+    # kernel read with count 0 and the inverse read with count 1, refuses a
+    # forward step on it, [{0: 2}], and a backward one, [{0: 1, 1: 2}].
     with pytest.raises(gs.VerificationError, match="peel step's entry is not 1"):
         _peeled_solution([{0: 2}], [Fraction(1)], 1)
+    for rows, ncols in (([{0: 2}], 1), ([{0: 1, 1: 2}], 2)):
+        for count in (0, 1):
+            with pytest.raises(gs.VerificationError, match="peel step's entry is not 1"):
+                _peeled_read(rows, count, ncols)
     assert _peeled([{0: 1, 1: 1}, {1: 1}], [Fraction(3), Fraction(1, 2)], 2) == (
         UNIQUE,
         [Fraction(5, 2), Fraction(1, 2)],
@@ -1016,7 +1022,8 @@ def _full_sets_and_chains():
 
 def test_pinned_inverse_is_an_inverse():
     # The inverse read along the peel, W at the point columns of A^-1, A the
-    # stacked pinned system, multiplied out in plain Fraction arithmetic:
+    # stacked pinned system, keyed by the tag columns ncols + k of the point
+    # rows' rhs, multiplied out in plain Fraction arithmetic:
     # every point row of A times W is the identity, and W is empty at each
     # pinned coordinate (the pin rows of A times W are zero).  As A is
     # invertible, that fixes every returned entry, and each equals the
@@ -1034,12 +1041,12 @@ def test_pinned_inverse_is_an_inverse():
         columns = system.columns
         assert len(S) + len(pins) == len(columns)
         rows = _stack_pins(system, pins)
-        values, m = _peeled_inverse(rows, len(S), len(columns))
+        rank, values, m = _peeled_read(rows, len(S), len(columns))
         cores += bool(_peel(rows, len(columns))[2])
         scaled += m > 1
-        assert m >= 1 and len(values) == len(columns)
+        assert rank == len(columns) and m >= 1 and len(values) == len(columns)
         inverse = {
-            c: {k: Fraction(x, m) for k, x in sorted(v.items())}
+            c: {k - len(columns): Fraction(x, m) for k, x in sorted(v.items())}
             for c, v in zip(columns, values)
         }
         assert inverse == pinned_inverse(S, base)
@@ -1054,30 +1061,129 @@ def test_pinned_inverse_is_an_inverse():
     assert cores >= 8 and scaled >= 2
 
 
-def test_pinned_inverse_rejects_singular_and_foreign_pins():
+def test_pinned_inverse_rejects_singular_and_foreign_pins(monkeypatch):
     # Two pins on one axis of T4 make a square singular system, one pin or
     # three a system that is not square, and a rectangle plus a point with
     # two fresh values, pinned at its first point, a square singular one of
-    # deficiency n - 1.  The peel reads no inverse of any, and the
-    # Gauss-Jordan oracle finds none.  A pin off the columns is refused
-    # where the pin rows are stacked.
+    # deficiency n - 1.  The peel reads no inverse of any: the rows are not
+    # square, or their rank is not the column count.  The last one's peel
+    # leaves fewer steps and held columns than rows, so its read is refused
+    # with no core step.  The Gauss-Jordan oracle finds none.  A pin off
+    # the columns is refused where the pin rows are stacked.
     S = cube_set(T4)
     system = gs.IncidenceSystem(S)
+    ncols = len(system.columns)
     for pins in ([(0, 0), (0, 1)], [(0, 0)], [(0, 0), (1, 0), (2, 0)]):
         rows = _stack_pins(system, pins)
-        assert _peeled_inverse(rows, len(S), len(system.columns)) == (None, None)
+        rank = _peeled_read(rows, len(S), ncols)[0]
+        assert (len(rows), rank) != (ncols, ncols)
     looped = pset([(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0), (2, 2, 0)], (3, 3, 1))
     base = looped.points[0]
     looped_system = gs.IncidenceSystem(looped)
     rows = _stack_pins(looped_system, [(0, base[0]), (1, base[1])])
     assert len(rows) == len(looped_system.columns)
-    assert _peeled_inverse(rows, len(looped), len(rows)) == (None, None)
+    monkeypatch.setattr(linalg, "_core_step", None)
+    assert _peeled_read(rows, len(looped), len(rows)) == (None, None, None)
     with pytest.raises(ValueError, match="singular"):
         pinned_inverse(looped, base)
     with pytest.raises(ValueError, match="not square"):
         pinned_inverse(cube_set(DIAGONAL), DIAGONAL[0])
     with pytest.raises(gs.PreconditionError, match="not a column"):
         _stack_pins(system, [(0, 0), (0, 7)])
+
+
+def _general_solution_inputs(kind, rng):
+    """(rows, count, ncols): a set's rows with 0-3 random pins, or a base point's first n - 1,
+    stacked under them, each read with count 0, |S| and a random count.
+
+    The sets: random point sets, good or not, and full closures of random
+    good sets; doubling chains less some points, or none; greedy maximal
+    sets in 6^3, whole or less every 5th point, which keep a 2-core.
+    """
+    if kind == "random":
+        space = random_space(rng, max_axis=4)
+        S = random_point_set(rng, space, 9)
+        if rng.random() < 0.5:
+            S = gs.full_closure(random_good_set(rng, space, 9))
+    elif kind == "chain":
+        chain = parse_instance(_example10(rng.randint(1, 6))).point_set
+        S = chain.difference(rng.sample(chain.points, rng.randint(0, len(chain) // 2)))
+    else:
+        greedy = greedy_maximal_cube(rng, 6)
+        S = greedy if rng.random() < 0.5 else greedy.difference(greedy.points[rng.randrange(5) :: 5])
+    system = gs.IncidenceSystem(S)
+    columns = list(system.columns)
+    base = rng.choice(S.points)
+    for pins in (rng.choices(columns, k=rng.randint(0, 3)), list(enumerate(base[:-1]))):
+        rows = _stack_pins(system, pins)
+        for count in (0, len(S), rng.randint(1, len(rows))):
+            yield rows, count, len(columns)
+
+
+def _assert_general_solution(rows, count, ncols) -> set:
+    """Check one read along the peel and return the kinds of read it is.
+
+    The rank is sympy's, and a read is refused only with count > 0 on
+    dependent rows.  Whenever count is 0 or the rows are independent, the
+    values are the general solution: each value's keys are parameters, a
+    tag ncols + k for a row k < count or a free column f, which is m at
+    itself alone; the free columns number ncols less the rank; and every
+    row k sums to its rhs over m, {ncols + k: m} for k < count and {} after.
+    """
+    rank, values, m = _peeled_read(rows, count, ncols)
+    oracle = _sympy_rank([[row.get(j, 0) for j in range(ncols)] for row in rows])
+    kinds = {"core"} if _peel(rows, ncols)[2] else set()
+    if rank is None:
+        assert count > 0 and oracle < len(rows)
+        return kinds | {"refused"}
+    assert rank == oracle
+    if count and rank < len(rows):
+        return kinds
+    free = {j for j, v in enumerate(values) if v == {j: m}}
+    tags = {ncols + k for k in range(count)}
+    keys = {r for v in values for r in v}
+    assert keys <= free | tags and len(free) == ncols - rank
+    for k, row in enumerate(rows):
+        total = Counter()
+        for j, x in row.items():
+            total.update({r: x * c for r, c in values[j].items()})
+        assert {r: c for r, c in total.items() if c} == ({ncols + k: m} if k < count else {})
+    if not count:
+        kinds.add("kernel")
+    elif not free:
+        kinds.add("inverse")
+    elif keys & tags and keys & free:
+        kinds.add("both")
+    if count and m > 1:
+        kinds.add("scaled")
+    return kinds
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(("random", "chain", "greedy")), rng=st.randoms(use_true_random=False))
+def test_peeled_read_is_the_general_solution(kind, rng):
+    # One read along the peel gives both halves of the general solution
+    # x = W b + V g: count 0 is the kernel read behind the refinement's
+    # signatures, count |S| on square rows of full rank the inverse behind
+    # the indicator sweep, and a count between reads both kinds of
+    # parameter.  Every read is checked by `_assert_general_solution`.
+    for rows, count, ncols in _general_solution_inputs(kind, rng):
+        _assert_general_solution(rows, count, ncols)
+
+
+def test_peeled_read_property_reaches_every_kind_of_read():
+    # The inputs of `test_peeled_read_is_the_general_solution`, drawn from
+    # fixed seeds, reach every kind of read at least 100 times: kernel
+    # reads, inverse reads, reads with both kinds of parameter, refused
+    # reads, reads with a 2-core, and reads with rhs tags over an m above 1,
+    # where a forward value left unscaled or a free column read as 1 shows.
+    tally = Counter()
+    for seed in range(200):
+        for kind in ("random", "chain", "greedy"):
+            for rows, count, ncols in _general_solution_inputs(kind, random.Random(seed)):
+                tally.update(_assert_general_solution(rows, count, ncols))
+    kinds = ("kernel", "inverse", "both", "refused", "core", "scaled")
+    assert all(tally[kind] >= 100 for kind in kinds), tally
 
 
 def test_is_boundary_agrees_with_sympy_rank_of_the_stacked_pins():

@@ -272,12 +272,16 @@ def test_singular_class_inversion_is_a_precondition_only_on_the_whole_set(monkey
     # The one pinned inversion left is `bound_diagnostics`' of the whole set
     # with def(S) = n - 1, read along the peel, where no inverse means S is
     # not good.  No other entry inverts a class: the matching order answers
-    # them, so a broken inversion leaves their answers as they were.
-    def singular(rows, count, ncols):
-        return None, None
+    # them, so a broken inversion leaves their answers as they were.  Only
+    # reads with rhs tags (count > 0) are inversions; the refinement's
+    # kernel read (count 0) still runs.
+    real = linalg._peeled_read
 
-    monkeypatch.setattr(linalg, "_peeled_inverse", singular)
-    monkeypatch.setattr(solve, "_peeled_inverse", singular)
+    def singular(rows, count, ncols):
+        return (None, None, None) if count else real(rows, count, ncols)
+
+    for module in (linalg, solve, structure):
+        monkeypatch.setattr(module, "_peeled_read", singular)
     t4 = cube_set(T4)
     apart = pset(T4 + [(2, 2, 2)], (3, 3, 3))
     assert gs.is_good(apart) and apart.deficiency() > apart.space.n - 1

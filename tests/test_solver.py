@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import goodsets as gs
-from goodsets import linalg, solve
+from goodsets import linalg, solve, structure
 from goodsets.instances import _example10, example_instance, parse_instance
 from util import (
     DIAGONAL,
@@ -826,12 +826,18 @@ def test_no_pinned_inverse_on_either_geodesic_route(monkeypatch):
     # solve once, pinned at the bases, and the geodesic route's good-set
     # check is one rank of S; neither inverts a class or a geodesic, and
     # each runs `linalg._peeled_solution` exactly once.  Their splits equal
-    # the direct solve pinned at the same base.
-    def no_inverse(rows, count, ncols):
-        raise AssertionError("a geodesic route inverted a pinned system")
+    # the direct solve pinned at the same base.  An inversion is a read
+    # along the peel with rhs tags (count > 0); the refinement's kernel read
+    # (count 0) still runs.
+    real_read = linalg._peeled_read
 
-    monkeypatch.setattr(linalg, "_peeled_inverse", no_inverse)
-    monkeypatch.setattr(solve, "_peeled_inverse", no_inverse)
+    def no_inverse(rows, count, ncols):
+        if count:
+            raise AssertionError("a geodesic route inverted a pinned system")
+        return real_read(rows, count, ncols)
+
+    for module in (linalg, solve, structure):
+        monkeypatch.setattr(module, "_peeled_read", no_inverse)
     real, peeled = linalg._peeled_solution, []
 
     def counted(rows, rhs, ncols):

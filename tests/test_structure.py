@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import goodsets as gs
 from goodsets import structure
 from goodsets.instances import _example10, parse_instance
-from goodsets.linalg import _peel, _peeled_kernel
+from goodsets.linalg import _peel, _peeled_read
 from util import (
     DIAGONAL,
     RECTANGLE,
@@ -668,7 +668,7 @@ def test_integer_signature_keys_match_fraction_kernel():
         assert structure._signature_groups(system) == fraction_signature_groups(G)
         rows, ncols = system.sparse_rows, len(system.columns)
         cores += bool(_peel(rows, ncols)[2])
-        largest_m = max(largest_m, _peeled_kernel(rows, ncols)[2])
+        largest_m = max(largest_m, _peeled_read(rows, 0, ncols)[2])
     assert cores >= 10 and largest_m > 1
 
 
