@@ -57,15 +57,11 @@ def _indices_payload(instance: Instance, points) -> list:
 
 
 def _decomposition_payload(instance: Instance, decomposition) -> dict:
+    # Every reported split is built by `linalg._decomposition`, which fills each table in
+    # the system's column order: each axis's labels in declaration order, as printed.
     return {
-        ax.name: {
-            label: format_rational(v)
-            for label, v in sorted(
-                decomposition.tables[i].items(),
-                key=lambda kv: instance.space.value_index(i, kv[0]),
-            )
-        }
-        for i, ax in enumerate(instance.space.axes)
+        ax.name: {label: format_rational(v) for label, v in table.items()}
+        for ax, table in zip(instance.space.axes, decomposition.tables)
     }
 
 

@@ -26,10 +26,12 @@ again and again, a row together with a column that only it holds, or a row
 with one live column together with that column, each step adding 1 to the
 rank.  Only the 2-core left, if any, goes to the one elimination; a private
 column's one holder is read off a running sum of holder indices.  The
-doubling chain peels to nothing, and so does every unit pin row.  The peel
-also sorts its steps for the reads along it: a step whose row has no other
-live column is forward, and the rest, each with a private column, are
-backward.  A solve peels first too, for the unique verdict
+doubling chain peels to nothing, and so does every unit pin row.  Every
+step's entry must be 1, as on incidence and pin rows, and the peel checks
+it where it takes the step.  The peel also sorts its steps for the reads
+along it: a step whose row has no other live column is forward, and the
+rest, each with a private column, are backward.  A solve peels first too,
+for the unique verdict
 (`_peeled_solution`): a unique solution does not depend on that choice
 either, so it is read along the peel by integer substitution, forward steps
 in step order, then the core, then backward steps in reverse, and handed to
@@ -48,8 +50,8 @@ points; which columns are free changes the functionals but not which of
 them are equal, so the signatures they give are the same.  With the point
 rows counted, on a square system of full rank, no column is free and the
 values are the inverse at its point rows, the solves of every indicator
-right-hand side at once.  The two readers share the peel's step check
-(`_plan`) and the one core step (`_core_step`), which `_canonical_solution`
+right-hand side at once.  The two readers share the peel, with its step
+check, and the one core step (`_core_step`), which `_canonical_solution`
 and `_pinned_basis` run on all the rows; their arithmetic stays apart, as
 one dict-valued read for both took about 1.25 times the int read's time on
 the unique solves of an exact-solve and a related-search pass.  Answers
@@ -230,7 +232,11 @@ def _peel(rows: Sequence[Mapping[int, int]], ncols: int) -> tuple[list, list, di
     count plus the core's rank.  A row with a private column is in no
     relation among the rows; on incidence rows, n >= 2 entries each, the
     second rule never fires, so the core holds every loop.  Stored entries
-    must be nonzero; the value of an entry is never read.  O(nonzeros).
+    must be nonzero.  O(nonzeros).
+
+    Every step's entry must be 1, as on incidence and pin rows, so that the
+    readers along the peel divide by 1 at each step; a step on any other
+    entry is a `VerificationError`, raised where the step is taken.
 
     The peel also sorts its steps for the readers along it.  A step whose
     row has one live column left when it is taken is *forward*: every other
@@ -271,6 +277,8 @@ def _peel(rows: Sequence[Mapping[int, int]], ncols: int) -> tuple[list, list, di
             if not row_live[k] or degree[k] != 1:
                 continue
             j = next(j for j in rows[k] if col_live[j])
+        if rows[k][j] != 1:
+            raise VerificationError("a peel step's entry is not 1")
         (forward if degree[k] == 1 else backward).append((k, j))
         row_live[k] = col_live[j] = False
         for i in rows[k]:
@@ -338,25 +346,10 @@ def _core_step(rows, width: int, ncols: int) -> tuple[RowBasis, int | None]:
     return basis, lcm(*(row[p] for p, row in basis.pivot_rows.items()))
 
 
-def _plan(rows: Sequence[Mapping[int, int]], ncols: int):
-    """(forward, backward, core, dropped, held): the peel (`_peel`) that both reads follow.
-
-    held is the count of the columns the core holds, so the rows' rank is
-    at most the step count plus held, which each read counts before any
-    arithmetic.  The one check the reads share: every step's entry must be
-    1, as on incidence and pin rows, so that a step divides by 1; a step
-    that breaks it is a `VerificationError`.
-    """
-    forward, backward, core, dropped = _peel(rows, ncols)
-    if any(rows[k][j] != 1 for k, j in forward + backward):
-        raise VerificationError("a peel step's entry is not 1")
-    return forward, backward, core, dropped, len({j for row in core.values() for j in row})
-
-
 def _peeled_solution(rows: Sequence[Mapping[int, int]], rhs: Sequence[Fraction], ncols: int):
     """(verdict, numerators, D): the unique x with rows . x = rhs, as numerators over D.
 
-    x is read along the peel (`_plan`), which has sorted its steps; the
+    x is read along the peel (`_peel`), which has sorted its steps; the
     solution is unique only if the steps and the held columns, those the
     core holds, number ncols, which is counted before any arithmetic.  Then
     the rhs is put over D, the lcm of its denominators, and every value is
@@ -376,7 +369,8 @@ def _peeled_solution(rows: Sequence[Mapping[int, int]], rhs: Sequence[Fraction],
     or a peel that fails the count, gives (None, None, None): not unique,
     and not decided further.
     """
-    forward, backward, core, dropped, held = _plan(rows, ncols)
+    forward, backward, core, dropped = _peel(rows, ncols)
+    held = len(set().union(*core.values()))
     if len(forward) + len(backward) + held != ncols:
         return None, None, None
     b, scale = _over_common_denominator(rhs)
@@ -417,7 +411,7 @@ def _peeled_read(rows: Sequence[Mapping[int, int]], count: int, ncols: int):
     core pivot holds.  m is the lcm of the core's pivot entries, 1 with no
     core.
 
-    The read follows the plan (`_plan`); a column not yet read counts as 0
+    The read follows the peel (`_peel`); a column not yet read counts as 0
     in a row's sum.  Each forward step's column, in step order, is its
     row's rhs less the row's other columns, all forward.  The core step
     (`_core_step`) runs on the core's rows, each with its rhs combination
@@ -430,21 +424,22 @@ def _peeled_read(rows: Sequence[Mapping[int, int]], count: int, ncols: int):
     rank is the step count plus the core's rank, so the rows are
     independent exactly when it is their count.  With count > 0 a read is
     refused, giving (None, None, None), only on dependent rows: before any
-    arithmetic where the plan's count proves them dependent, with fewer
-    steps and held columns than rows, and where the core step is refused at
-    a tag column.  With count 0 no read is refused, and the values are each
-    column's functional on the rows' column kernel K: two columns agree on
-    all of K exactly when their dicts are equal, whatever the
-    parametrisation.  On square rows of rank ncols no column is free,
-    and the values are the inverse at its first count columns:
+    arithmetic where the peel's count proves them dependent, with fewer
+    steps and held columns, those the core holds, than rows, and where the
+    core step is refused at a tag column.  With count 0 no read is refused
+    and nothing is counted, and the values are each column's functional on
+    the rows' column kernel K: two columns agree on all of K exactly when
+    their dicts are equal, whatever the parametrisation.  On square rows of
+    rank ncols no column is free, and the values are the inverse at its
+    first count columns:
     x_j = sum_k values[j][ncols + k] b_k / m.  The arithmetic stays apart
     from `_peeled_solution`'s: one dict-valued read for both took about
     1.25 times the int read's time on the unique solves of an exact-solve
     and a related-search pass.
     """
-    forward, backward, core, _, held = _plan(rows, ncols)
+    forward, backward, core, _ = _peel(rows, ncols)
     steps = forward + backward
-    if count and len(steps) + held < len(rows):
+    if count and len(steps) + len(set().union(*core.values())) < len(rows):
         return None, None, None
     value = [{}] * ncols
 

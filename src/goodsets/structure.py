@@ -54,7 +54,13 @@ one m, two columns are the same functional exactly when their dicts are
 equal.  Each dict gets a number, and two points share a signature exactly
 when their n numbers agree; no `Fraction` is built to compare them.  The
 doubling chain less some of its points peels to nothing, and so costs no
-elimination.
+elimination.  A group is a list of S's point indices in S's order, and its
+rows are S's own, with the columns they hold numbered from 0 in order of
+first appearance: which columns are free, and so their order, changes no
+group, and the read costs the group's size, not |C(S)|, as one over all of
+S's columns would for every small group split late.  The count of those
+columns, less the group's size, is its deficiency, so no group is built as
+a set or a system of its own.
 
 Goodness.  Each public entry names itself to its one good-set check.  The
 refinement's first read of S is the check behind `related_components` and
@@ -73,9 +79,9 @@ only that core is eliminated.  A chain peels to nothing and costs no
 elimination.  Each peel step removes a point with one of its own
 coordinates, and no two steps share either, so the check's steps are a
 partial matching: the steps off C(x) seed the matching of `_order`, and
-only the points they leave are matched by augmenting paths.  Each part
-the refinement splits off, and each geodesic and component, is built from
-S's own points in S's order (`PointSet._part`), read once.
+only the points they leave are matched by augmenting paths.  Each class
+the refinement leaves, and each geodesic and component, is built once from
+S's own points in S's order (`PointSet._part`), with nothing read again.
 
 Geodesics.  The same equality gives |C(F1) & C(F2)| = |F1 & F2| + n - 1,
 which squeezes |C(F1 & F2)| to that value: two full subsets sharing a point
@@ -167,25 +173,6 @@ __all__ = [
 ]
 
 
-def _signature_groups(G: IncidenceSystem, what: str | None = None) -> list[list[Point]]:
-    """The points of G, a set's incidence system, grouped by signature, in the set's order.
-
-    Each column's functional on K(G) is read along the peel, with count 0
-    (`linalg._peeled_read`), and a point's key is its n functionals, with
-    no kernel built (see the module docstring).  With `what`, dependent
-    rows mean the set is not good.
-    """
-    rank, values, _ = _peeled_read(G.sparse_rows, 0, len(G.columns))
-    if what is not None and rank != len(G.points):
-        raise PreconditionError(f"{what} requires a good set")
-    ids: dict[frozenset, int] = {}
-    keys = [ids.setdefault(frozenset(v.items()), len(ids)) for v in values]
-    groups: dict[tuple, list[Point]] = {}
-    for p, row in zip(G.points, G.sparse_rows):
-        groups.setdefault(tuple(map(keys.__getitem__, row)), []).append(p)
-    return list(groups.values())
-
-
 def _require_good(system: IncidenceSystem, what: str) -> Iterator[tuple[Point, Coordinate]]:
     """The good-set check by one rank of the system's rows, naming `what` when it fails.
 
@@ -203,28 +190,42 @@ def _require_good(system: IncidenceSystem, what: str) -> Iterator[tuple[Point, C
 
 
 def _classes(S: PointSet, what: str, system: IncidenceSystem) -> list[PointSet]:
-    """The relatedness classes of S, whose incidence system is `system`.
+    """The relatedness classes of S, whose incidence system is `system`, by least point.
 
-    A full group is final; any other group splits by signature, and one that
-    does not split means the theorem failed.  S's first read, on `system`,
-    is also its good-set check, failing with `what` named.
+    A group is a list of S's point indices in S's order, and its rows are
+    S's own, renumbered over the columns they hold.  A full group is final;
+    any other group splits by signature, read along the peel
+    (`linalg._peeled_read`, count 0), and one that does not split means
+    the theorem failed.  A full S is checked good by one rank
+    (`_require_good`), and otherwise S's first read is the check; either
+    fails with `what` named.  Every later group is a subset of S and good
+    with it, so its read's rank is its size.
     """
-    groups, classes = [S], []
+    if S.deficiency() == S.space.n - 1:
+        _require_good(system, what)
+        return [S]
+    rows = system.sparse_rows
+    groups, classes = [range(len(rows))], []
     while groups:
         G = groups.pop()
-        if G.deficiency() == S.space.n - 1:
-            if G is S:
-                _require_good(system, what)
+        held: dict[int, int] = {}
+        group_rows = [{held.setdefault(j, len(held)): x for j, x in rows[k].items()} for k in G]
+        if len(held) - len(G) == S.space.n - 1:
             classes.append(G)
             continue
-        if G is S:
-            parts = _signature_groups(system, what)
-        else:
-            parts = _signature_groups(IncidenceSystem(G))
+        rank, values, _ = _peeled_read(group_rows, 0, len(held))
+        if rank != len(G):
+            raise PreconditionError(f"{what} requires a good set")
+        ids: dict[frozenset, int] = {}
+        keys = [ids.setdefault(frozenset(v.items()), len(ids)) for v in values]
+        parts: dict[tuple, list[int]] = {}
+        for k, row in zip(G, group_rows):
+            parts.setdefault(tuple(map(keys.__getitem__, row)), []).append(k)
         if len(parts) == 1:
             raise VerificationError("a group that is not full has one kernel signature")
-        groups.extend(map(S._part, parts))
-    return classes
+        groups.extend(parts.values())
+    points = S.points
+    return [S._part(map(points.__getitem__, G)) for G in sorted(classes)]
 
 
 def _order(S: PointSet, x: Point, what: str | None) -> tuple:
@@ -343,7 +344,7 @@ def related_components(S: PointSet) -> ComponentPartition:
 def _partition(system: IncidenceSystem, what: str) -> ComponentPartition:
     """`related_components` of the system's nonempty set, with `what` named when it is not good."""
     S = system.point_set
-    components = sorted(_classes(S, what, system), key=lambda c: S.space.point_key(c.points[0]))
+    components = _classes(S, what, system)
     if _overshared(components, S.space.n):
         raise VerificationError("distinct components share too many coordinate kinds")
     return ComponentPartition(tuple(components))

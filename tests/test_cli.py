@@ -367,9 +367,16 @@ def test_non_object_table_is_parse_error(capsys, tmp_path, field, value):
 
 
 def test_unsplit_group_exits_internal(capsys, inst_dir, monkeypatch):
-    # A group that is not full must split by kernel signature; keeping ex07
-    # (deficiency 5) whole breaks that.
-    monkeypatch.setattr(structure, "_signature_groups", lambda G, what=None: [list(G.points)])
+    # A group that is not full must split by kernel signature; a read that
+    # gives every column the same functional keeps ex07 (deficiency 5) whole
+    # and breaks that.
+    real = structure._peeled_read
+
+    def alike(rows, count, ncols):
+        rank, values, m = real(rows, count, ncols)
+        return rank, [{}] * ncols if count == 0 else values, m
+
+    monkeypatch.setattr(structure, "_peeled_read", alike)
     code, report, err = run_cli(capsys, "components", str(inst_dir / "ex07.json"))
     assert code == 4 and report is None
     assert err.startswith("internal error: a group that is not full has one kernel signature")

@@ -831,11 +831,14 @@ def test_peeled_solve_matches_canonical_elimination_and_sympy(kind, rng):
 
 def test_peeled_solve_refuses_a_step_entry_other_than_one():
     # Incidence and pin rows are 0/1, so every step divides by 1; a step on
-    # an entry of 2 is refused rather than read.  `_peeled_read`, the
-    # kernel read with count 0 and the inverse read with count 1, refuses a
-    # forward step on it, [{0: 2}], and a backward one, [{0: 1, 1: 2}].
+    # an entry of 2 is refused rather than read, by the peel where it takes
+    # the step.  `_peeled_read`, the kernel read with count 0 and the
+    # inverse read with count 1, refuses a forward step on it, [{0: 2}], and
+    # a backward one, [{0: 1, 1: 2}]; so do the solve and the rank.
     with pytest.raises(gs.VerificationError, match="peel step's entry is not 1"):
         _peeled_solution([{0: 2}], [Fraction(1)], 1)
+    with pytest.raises(gs.VerificationError, match="peel step's entry is not 1"):
+        _peeled_rank([{0: 2}], 1)
     for rows, ncols in (([{0: 2}], 1), ([{0: 1, 1: 2}], 2)):
         for count in (0, 1):
             with pytest.raises(gs.VerificationError, match="peel step's entry is not 1"):

@@ -772,6 +772,45 @@ def test_solver_built_split_matches_the_validated_one(rng):
         solve._check(S, f, gs.Decomposition(S.space, tuple(changed)), pins)
 
 
+@settings(max_examples=100, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_every_route_lists_each_axis_in_declaration_order(rng):
+    # The CLI prints each split table as it is, so every route's split must
+    # list each axis's labels in the axis's declaration order.  The labels
+    # are declared shuffled, so sorted and declaration order differ.  S is
+    # 2-3 full sets on disjoint value ranges, so each is one component and
+    # no two share a coordinate: the direct route pinned at a boundary is
+    # unique and at one coordinate fewer underdetermined, the
+    # componentwise and boundary routes solve S, and the geodesic route
+    # solves one component.
+    n = rng.choice((2, 3, 4))
+    offsets, points = [0] * n, []
+    for _ in range(rng.randint(2, 3)):
+        sizes = [rng.randint(1, 3) for _ in range(n)]
+        F = gs.full_closure(random_good_set(rng, int_space(sizes), 6))
+        points += [tuple(o + v for o, v in zip(offsets, p)) for p in F]
+        offsets = [o + s for o, s in zip(offsets, sizes)]
+    axes = ((f"x{i + 1}", tuple(rng.sample(range(s), s))) for i, s in enumerate(offsets))
+    space = gs.Space.of(*axes)
+    S = gs.PointSet.of(space, points)
+    f = random_function(rng, S)
+    bound = gs.boundary(S).boundary
+    pins = gs.PinSet(tuple((c, random_fraction(rng)) for c in bound))
+    reports = [
+        gs.solve_direct(S, f, pins),
+        gs.solve_direct(S, f, gs.PinSet(pins.pins[1:])),
+        gs.solve_componentwise(S, f),
+        gs.solve_with_boundary(S, f, pins),
+    ]
+    component = gs.related_components(S).components[0]
+    reports.append(gs.solve_via_geodesics(component, random_function(rng, component)))
+    assert [r.verdict for r in reports] == ["unique", "underdetermined"] + ["unique"] * 3
+    for report in reports:
+        split = report.decomposition
+        for axis, table in zip(space.axes, split.tables):
+            assert list(table) == [v for v in axis.values if v in table]
+
+
 @pytest.mark.parametrize(
     "route, target, message",
     [

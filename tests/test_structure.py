@@ -651,24 +651,40 @@ def _signature_inputs():
     return sets
 
 
+def _numbered(keys) -> list[int]:
+    """Each key's number, keys numbered in order of first appearance: equal keys, one number."""
+    ids: dict = {}
+    return [ids.setdefault(key, len(ids)) for key in keys]
+
+
+def _assert_columns_match_the_fraction_kernel(G) -> tuple:
+    """The columns whose `_peeled_read` dicts, count 0, are equal are exactly those whose
+    `Fraction` functionals over `gs.column_kernel` are equal; returns (rows, ncols, m)."""
+    system = gs.IncidenceSystem(G)
+    rows, ncols = system.sparse_rows, len(system.columns)
+    _, values, m = _peeled_read(rows, 0, ncols)
+    kernel = gs.column_kernel(system)
+    functionals = (tuple(g.get(c, 0) for g in kernel) for c in system.columns)
+    assert _numbered(frozenset(v.items()) for v in values) == _numbered(functionals)
+    return rows, ncols, m
+
+
 def test_integer_signature_keys_match_fraction_kernel():
-    # The functionals read along the peel must group the points as the
-    # Fraction kernel's signatures do, group for group and in the same
-    # order.  The read is exercised where it does arithmetic: some inputs
-    # keep a 2-core, and some core's m, the lcm of its pivot entries, is
-    # above 1.  A read that counts a core pivot column as free would give
-    # it its own functional, splitting it from the columns it equals; one
-    # that drops m would set the free columns off by m from the pivots
-    # read off the core's rows.
+    # The functionals read along the peel must equal one another exactly
+    # where the Fraction kernel's do, column for column, as the refinement
+    # groups the points by them.  The read is exercised where it does
+    # arithmetic: some inputs keep a 2-core, and some core's m, the lcm of
+    # its pivot entries, is above 1.  A read that counts a core pivot
+    # column as free would give it its own functional, splitting it from
+    # the columns it equals; one that drops m would set the free columns
+    # off by m from the pivots read off the core's rows.
     inputs = _signature_inputs()
     assert len(inputs) >= 200
     cores = largest_m = 0
     for G in inputs:
-        system = gs.IncidenceSystem(G)
-        assert structure._signature_groups(system) == fraction_signature_groups(G)
-        rows, ncols = system.sparse_rows, len(system.columns)
+        rows, ncols, m = _assert_columns_match_the_fraction_kernel(G)
         cores += bool(_peel(rows, ncols)[2])
-        largest_m = max(largest_m, _peeled_read(rows, 0, ncols)[2])
+        largest_m = max(largest_m, m)
     assert cores >= 10 and largest_m > 1
 
 
@@ -689,10 +705,10 @@ def _fraction_classes(S):
 def test_peeled_signatures_match_the_fraction_kernel_and_brute_force(seed, kind):
     # On random good sets (n = 2-4), chains minus their middle point and
     # greedy maximal sets in 6^4 less a few points, which keep a 2-core:
-    # the read's groups are the Fraction kernel's, group for group and in
-    # order, and the classes of `related_components` are those of the
-    # refinement run on the Fraction signatures and, up to 9 points, those
-    # of the subset search.
+    # the read's columns are equal exactly where the Fraction kernel's
+    # functionals are, and the classes of `related_components` are those of
+    # the refinement run on the Fraction signatures and, up to 9 points,
+    # those of the subset search.
     rng = random.Random(seed)
     if kind == "random":
         S = random_good_set(rng, random_space(rng, (2, 3, 4), max_axis=5), 12)
@@ -700,8 +716,61 @@ def test_peeled_signatures_match_the_fraction_kernel_and_brute_force(seed, kind)
         S = _chain_minus_middle(rng.randint(2, 8))
     else:
         S = _greedy_minus_a_few(rng)
-    assert structure._signature_groups(gs.IncidenceSystem(S), "test") == fraction_signature_groups(S)
+    _assert_columns_match_the_fraction_kernel(S)
     classes = sorted((frozenset(c.points) for c in gs.related_components(S).components), key=sorted)
     assert classes == _fraction_classes(S)
     if len(S) <= 9:
         assert classes == brute_force_components(S.points)
+
+
+def _signature_parts(rows, values) -> list[list[int]]:
+    """Row positions grouped by their columns' functionals, in row order."""
+    parts: dict = {}
+    for k, row in enumerate(rows):
+        parts.setdefault(tuple(frozenset(values[j].items()) for j in row), []).append(k)
+    return list(parts.values())
+
+
+def test_refinements_that_read_more_than_once(monkeypatch):
+    # Few random good sets need a second read, a split of a group that S's
+    # first read left not full, so this walks 2,000 of them (n = 2-4, 4-14
+    # points) and keeps those that do.  On each, the classes are the
+    # refinement's run on the Fraction signatures, in order of their least
+    # points and each in S's order, and, up to 9 points, the subset
+    # search's.  Every later group is read over the columns its rows hold,
+    # renumbered from 0, and must split as the Fraction signatures split
+    # the point set those rows give: a point per row, its columns as
+    # labels, each row's columns in axis order.
+    reads = []
+    real = structure._peeled_read
+
+    def recorded(rows, count, ncols):
+        out = real(rows, count, ncols)
+        reads.append((rows, ncols, out[1]))
+        return out
+
+    monkeypatch.setattr(structure, "_peeled_read", recorded)
+    rng = random.Random(7)
+    multi = 0
+    for _ in range(2000):
+        S = random_good_set(rng, random_space(rng, (2, 3, 4), max_axis=5), 14)
+        reads.clear()
+        components = gs.related_components(S).components
+        if len(S) < 4 or len(reads) < 2:
+            continue
+        multi += 1
+        index = {p: k for k, p in enumerate(S.points)}
+        classes = [frozenset(c.points) for c in components]
+        assert classes == sorted(_fraction_classes(S), key=lambda c: min(map(index.__getitem__, c)))
+        assert all(c.points == tuple(sorted(c.points, key=index.__getitem__)) for c in components)
+        if len(S) <= 9:
+            assert sorted(classes, key=sorted) == brute_force_components(S.points)
+        assert len(reads[0][0]) == len(S)
+        for rows, ncols, values in reads[1:]:
+            assert len(rows) < len(S) and set().union(*rows) == set(range(ncols))
+            points = [tuple(row) for row in rows]
+            position = {p: k for k, p in enumerate(points)}
+            oracle = fraction_signature_groups(gs.PointSet.from_points(points))
+            expected = sorted(sorted(map(position.__getitem__, part)) for part in oracle)
+            assert sorted(_signature_parts(rows, values)) == expected
+    assert multi >= 50
