@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 from .measures import FiniteMeasure
@@ -89,8 +90,13 @@ class Instance(_Frozen):
     pins: PinSet | None
     measure: FiniteMeasure | None
 
+    @cached_property
+    def _file_index(self) -> dict:
+        """Each point's index in `file_points`, built on the first `index_of`."""
+        return {p: k for k, p in enumerate(self.file_points)}
+
     def index_of(self, point) -> int:
-        return self.file_points.index(self.point_set.require_member(point))
+        return self._file_index[self.point_set.require_member(point)]
 
 
 def _list(value, what: str) -> list:

@@ -50,17 +50,19 @@ points; which columns are free changes the functionals but not which of
 them are equal, so the signatures they give are the same.  With the point
 rows counted, on a square system of full rank, no column is free and the
 values are the inverse at its point rows, the solves of every indicator
-right-hand side at once.  The two readers share the peel, with its step
-check, and the one core step (`_core_step`), which `_canonical_solution`
-and `_pinned_basis` run on all the rows; their arithmetic stays apart, as
-one dict-valued read for both took about 1.25 times the int read's time on
-the unique solves of an exact-solve and a related-search pass.  Answers
-that do depend on the choice (an underdetermined solve's split and kernel,
-an inconsistent one's witness) eliminate the rows as they are, and so does
-the dependence scan below, which stops at the tail it needs.  The span test
-(`in_span`) eliminates them too, though its answer does not depend on the
-choice: a vector lies in the row span exactly when it vanishes on the
-column kernel, whatever basis spans the kernel.
+right-hand side at once.  The span test (`in_span`) is one count-0 read
+too: a vector lies in the row span exactly when it vanishes on the column
+kernel, whatever basis spans the kernel.  The two readers share the peel,
+with its step check, and the one core step (`_core_step`), which
+`_canonical_solution` and `_pinned_basis` run on all the rows; their
+arithmetic stays apart, as one dict-valued read for both took about 1.25
+times the int read's time on the unique solves of an exact-solve and a
+related-search pass.  Answers that do depend on the choice (an
+underdetermined solve's split and kernel, an inconsistent one's witness)
+eliminate the rows as they are, and so does the dependence scan below,
+which stops at the tail it needs; the underdetermined split is read in
+integers off that elimination (`_canonical_solution`), each pivot the way
+`_peeled_solution` reads its core.
 
 One dependence scan decides goodness and yields loops (`extract_circuit`):
 one reverse pass over the canonical support finds the first point e_k that
@@ -472,11 +474,14 @@ def _peeled_read(rows: Sequence[Mapping[int, int]], count: int, ncols: int):
 
 
 def _canonical_solution(rows, rhs: Sequence[Fraction], ncols: int):
-    """(x, basis): x solves rows . x = rhs with free columns at 0, or is None.
+    """(numerators, D, basis): x with rows . x = rhs and free columns at 0, over D, or None.
 
-    The basis is the core step's (`_core_step`) on all the augmented rows,
-    and when the system is consistent it is back-substituted, so its first
-    ncols columns carry the kernel.  `solve_pinned` runs it only when
+    The basis is the core step's (`_core_step`) on all the augmented rows;
+    where it is refused the system is inconsistent, and the numerators and
+    D are None.  Otherwise it is back-substituted, so its first ncols
+    columns carry the kernel, and pivot p's numerator is read off row p
+    alone over D, the rhs's scale times m, as `_peeled_solution` reads its
+    core; a free column's is 0.  `solve_pinned` runs it only when
     `_peeled_solution` finds no unique solution: which columns are free
     decides the solution, the kernel and the witness, so those eliminate
     the rows as they are.  An inconsistent verdict of the peel skips it.
@@ -484,11 +489,11 @@ def _canonical_solution(rows, rhs: Sequence[Fraction], ncols: int):
     augmented, scale = _augment(rows, rhs, ncols)
     basis, m = _core_step(augmented, ncols + 1, ncols)
     if m is None:
-        return None, basis
-    x = [Fraction(0)] * ncols
+        return None, None, basis
+    x = [0] * ncols
     for p, row in basis.pivot_rows.items():
-        x[p] = Fraction(row.get(ncols, 0), row[p] * scale)
-    return x, basis
+        x[p] = row.get(ncols, 0) * (m // row[p])
+    return x, scale * m, basis
 
 
 def _incidence_row(point: Point, col_index: Mapping) -> dict[int, int]:
@@ -697,7 +702,9 @@ def solve_pinned(
     proves the system inconsistent, the witness (`_witness`) is the only
     elimination left.  Any other system is eliminated as it is
     (`_canonical_solution`), which picks the free columns of the split and
-    the kernel, and an inconsistent one then gets its witness.
+    the kernel, and an inconsistent one then gets its witness.  Either
+    read hands its split to the one split builder (`_decomposition`) as
+    integer numerators over one denominator.
     """
     _require_total(rhs, system.point_set)
     pins = PinSet(()) if pins is None else pins
@@ -707,34 +714,37 @@ def solve_pinned(
     ncols = len(system.columns)
 
     verdict, numerators, D = _peeled_solution(rows, b, ncols)
-    if verdict == UNIQUE:
-        decomposition = _decomposition(system.space, system.columns, numerators, D)
-        return LinearSolve(UNIQUE, decomposition, (), None)
-    solution = None
     if verdict is None:
-        solution, basis = _canonical_solution(rows, b, ncols)
-    if solution is None:
+        numerators, D, basis = _canonical_solution(rows, b, ncols)
+        if numerators is not None and basis.rank == ncols:
+            raise VerificationError("the peel missed a unique solution")
+    if numerators is None:
         labels = list(system.points) + [PinRow(c) for c in pins.coordinates()]
         return LinearSolve(INCONSISTENT, None, (), _witness(rows, b, ncols, labels))
-    if basis.rank == ncols:
-        raise VerificationError("the peel missed a unique solution")
-    numerators, D = _over_common_denominator(solution)
     decomposition = _decomposition(system.space, system.columns, numerators, D)
-    kernel = tuple(_kernel_dicts(system, basis))
-    return LinearSolve(UNDERDETERMINED, decomposition, kernel, None)
+    if verdict == UNIQUE:
+        return LinearSolve(UNIQUE, decomposition, (), None)
+    return LinearSolve(UNDERDETERMINED, decomposition, tuple(_kernel_dicts(system, basis)), None)
 
 
 def in_span(system: IncidenceSystem, vector: Mapping[Coordinate, object]) -> bool:
-    """True iff the vector is a rational combination of the incidence rows."""
-    entries = {}
-    for coord, v in vector.items():
-        j = _column(system, _coordinate(coord))
-        x = as_fraction(v)
-        if x:
-            entries[j] = x
+    """True iff the vector is a rational combination of the incidence rows.
+
+    It is exactly when the vector vanishes on the rows' column kernel,
+    whatever basis spans the kernel, so it is read along the peel: every
+    key and value is read first, then the values go over one denominator,
+    and one count-0 read (`_peeled_read`), never refused, gives each
+    column's functional on the kernel; the vector is in the span when its
+    integer combination of them is zero at every parameter.
+    """
+    entries = {_column(system, _coordinate(c)): as_fraction(v) for c, v in vector.items()}
     numerators, _ = _over_common_denominator(entries.values())
-    basis = _echelon(system.sparse_rows, len(system.columns))
-    return basis.contains_sparse(dict(zip(entries, numerators)))
+    values = _peeled_read(system.sparse_rows, 0, len(system.columns))[1]
+    total = [0] * len(system.columns)
+    for j, a in zip(entries, numerators):
+        for r, c in values[j].items():
+            total[r] += a * c
+    return not any(total)
 
 
 class CircuitVector(_Frozen):

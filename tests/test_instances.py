@@ -13,6 +13,7 @@ from goodsets.instances import (
     example_instance,
     example_names,
     format_rational,
+    _example10,
     instance_to_dict,
     load_instance,
     parse_instance,
@@ -159,6 +160,57 @@ def test_parse_errors():
         data[field] = value
         with pytest.raises(InstanceError):
             parse_instance(data)
+
+
+def _message(error, call, *args) -> str:
+    """The message of the error that call(*args) raises."""
+    with pytest.raises(error) as exc:
+        call(*args)
+    return str(exc.value)
+
+
+def test_instance_checks_name_their_fault():
+    # A negative weight, a point index that is no integer, an unknown
+    # example and a chain of depth 0 are refused, each with its own message.
+    negative = example_instance("rectangle")
+    negative["measure"] = {"0": "1", "1": "-1/2", "2": "1/2"}
+    assert _message(InstanceError, parse_instance, negative) == "measure weights must be nonnegative"
+    for field in ("f", "measure"):
+        data = example_instance("t4")
+        data[field] = {"x": "1"}
+        assert _message(InstanceError, parse_instance, data) == (
+            f"{field!r} point index 'x' is not an integer"
+        )
+    assert _message(InstanceError, example_instance, "nope") == "no shipped example named 'nope'"
+    assert _message(InstanceError, _example10, 0) == "depth must be at least 1"
+
+
+def test_a_measure_survives_the_round_trip():
+    # `instance_to_dict` writes a measure's nonzero weights by point index,
+    # and reading them back gives the same instance.
+    data = example_instance("rectangle")
+    data["measure"] = {"0": "1/2", "1": "1/4", "2": "1/4", "3": "0"}
+    inst = parse_instance(data)
+    out = instance_to_dict(inst)
+    assert out["measure"] == {"0": "1/2", "1": "1/4", "2": "1/4"}
+    assert parse_instance(json.loads(dumps_canonical(out))) == inst
+
+
+def test_index_of_reads_the_file_order_of_a_hand_built_instance():
+    # The file-index map is a cache built on first use, so an `Instance`
+    # built by hand, here with its file order reversed, answers too; a point
+    # the set does not hold is refused by `require_member` first, with its
+    # message.
+    inst = parse_instance(example_instance("t4"))
+    points = inst.file_points
+    hand = Instance(inst.space, inst.point_set, points[::-1], None, None, None)
+    assert [hand.index_of(p) for p in points] == [3, 2, 1, 0]
+    assert [inst.index_of(p) for p in points] == [0, 1, 2, 3]
+    assert _message(gs.PreconditionError, hand.index_of, ("1", "1", "1")) == (
+        "('1', '1', '1') is not a point of the set"
+    )
+    with pytest.raises(gs.PreconditionError, match="not a point of the set"):
+        inst.index_of(("1", "1", "1"))
 
 
 @settings(max_examples=150, deadline=None)

@@ -228,6 +228,147 @@ def test_in_span_examples():
         gs.in_span(gs.IncidenceSystem(D), {(0, 9): 1})
 
 
+def test_in_span_names_a_bad_key_before_a_bad_value():
+    # Every key and every value is read before any arithmetic, item by item,
+    # each key before its value: a key that is no pair or no column is
+    # named even when its value is no rational, and a bad value is named
+    # before a later item's bad key.
+    system = gs.IncidenceSystem(cube_set(T4))
+    for vector, message in (
+        ({(0, 9): "abc"}, "coordinate (0, 9) is not a column of the system"),
+        ({5: "abc"}, "coordinate 5 is not an (axis, label) pair"),
+        ({(0, 0): "abc", (0, 9): 1}, "not an exact rational: 'abc'"),
+        ({(0, 0): 1, (1, 0): [1], (0, 9): 1}, "not an exact rational: [1]"),
+    ):
+        with pytest.raises(gs.PreconditionError) as exc:
+            gs.in_span(system, vector)
+        assert str(exc.value) == message
+
+
+def _span_input(kind, rng) -> gs.PointSet:
+    """A set for the span test.
+
+    Random point sets, good or not, and random good sets; doubling chains
+    (d = 1-8) less some points; greedy maximal sets in 4^3-6^3 less up to a
+    third of their points, which keep a 2-core.
+    """
+    if kind == "random":
+        space = random_space(rng, max_axis=4)
+        if rng.random() < 0.5:
+            return random_point_set(rng, space, 12)
+        return random_good_set(rng, space, 9)
+    if kind == "chain":
+        chain = parse_instance(_example10(rng.randint(1, 8))).point_set
+        return chain.difference(rng.sample(chain.points, rng.randint(0, len(chain) // 2)))
+    greedy = greedy_maximal_cube(rng, rng.randint(4, 6))
+    return greedy.difference(rng.sample(greedy.points, rng.randint(0, len(greedy) // 3)))
+
+
+def _span_vectors(S: gs.PointSet, rng) -> list[dict]:
+    """{}, incidence vectors of points of the product of S's projections,
+    rational combinations of S's rows, and random sparse rationals on its
+    columns, some written as strings."""
+    columns = S.coordinates()
+    vectors = [{}]
+    for _ in range(2):
+        point = tuple(rng.choice(values) for values in S.projections())
+        vectors.append(gs.incidence_vector(S.space, point))
+    for _ in range(2):
+        combination = {}
+        for point in rng.sample(S.points, rng.randint(1, len(S))):
+            c = random_fraction(rng)
+            for coord in enumerate(point):
+                combination[coord] = combination.get(coord, 0) + c
+        vectors.append(combination)
+    for _ in range(2):
+        keys = rng.sample(columns, rng.randint(1, min(4, len(columns))))
+        vectors.append({c: str(random_fraction(rng)) for c in keys})
+    return vectors
+
+
+def _assert_span(S: gs.PointSet, rng) -> Counter:
+    """Check `in_span` on S's `_span_vectors` and tally what was read.
+
+    Each answer is the one-elimination answer, `RowBasis.contains_sparse`
+    over `_echelon` of S's rows, and sympy's: v is in the span exactly when
+    appending it keeps the rank.
+    """
+    system = gs.IncidenceSystem(S)
+    ncols = len(system.columns)
+    rows = [[row.get(j, 0) for j in range(ncols)] for row in system.sparse_rows]
+    rank = _sympy_rank(rows)
+    basis = linalg._echelon(system.sparse_rows, ncols)
+    core = bool(_peel(system.sparse_rows, ncols)[2])
+    tally = Counter()
+    for vector in _span_vectors(S, rng):
+        entries = {system.col_index[c]: Fraction(x) for c, x in vector.items() if Fraction(x)}
+        numerators, _ = _over_common_denominator(entries.values())
+        dense = [0] * ncols
+        for j, a in zip(entries, numerators):
+            dense[j] = a
+        inside = _sympy_rank(rows + [dense]) == rank
+        assert basis.contains_sparse(dict(zip(entries, numerators))) == inside
+        assert gs.in_span(system, vector) == inside, (S.points, vector)
+        tally["inside" if inside else "outside"] += 1
+        tally["not good"] += rank < len(S)
+        tally["core"] += core
+    return tally
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(("random", "chain", "greedy")), rng=st.randoms(use_true_random=False))
+def test_span_test_along_the_peel_matches_the_echelon_and_sympy(kind, rng):
+    # `in_span` reads each column's functional on the column kernel with one
+    # count-0 read along the peel: v is in the row span exactly when its
+    # combination of them vanishes.  On sets good or not, chains less some
+    # points and greedy sets with a 2-core, it answers as the echelon and
+    # sympy do (`_assert_span`).
+    _assert_span(_span_input(kind, rng), rng)
+
+
+def test_span_property_reaches_vectors_outside_and_sets_that_are_not_good():
+    # The span property's inputs, drawn from fixed seeds, hold at least 100
+    # vectors outside the span and at least 50 read on sets that are not
+    # good, where the read is never refused.
+    tally = Counter()
+    for seed in range(40):
+        for kind in ("random", "chain", "greedy"):
+            rng = random.Random(seed)
+            tally.update(_assert_span(_span_input(kind, rng), rng))
+    assert tally["outside"] >= 100 and tally["not good"] >= 50 and tally["inside"] >= 100, tally
+    assert tally["core"] >= 50, tally
+
+
+def test_span_test_frontier(monkeypatch):
+    # The d = 1,000 chain (3,001 points) peels to nothing, so `in_span`
+    # reads its kernel functionals with no elimination at all, where an
+    # echelon of all 3,001 rows takes about 2 s.  The chain is full,
+    # so its kernel holds only the shifts between axes: every point of the
+    # product of its projections is in the span, and no unit vector is.
+    S = parse_instance(_example10(1000)).point_set
+    assert len(S) == 3001 and S.deficiency() == S.space.n - 1
+    system = gs.IncidenceSystem(S)
+    first, last = S.points[0], S.points[-1]
+    real, eliminations = linalg._echelon, []
+
+    def counted(rows, ncols):
+        eliminations.append(ncols)
+        return real(rows, ncols)
+
+    monkeypatch.setattr(linalg, "_echelon", counted)
+    for vector, inside in (
+        (gs.incidence_vector(S.space, last), True),
+        (gs.incidence_vector(S.space, (first[0], last[1], first[2])), True),
+        ({(0, first[0]): 1}, False),
+    ):
+        gc.collect()
+        start = time.monotonic()
+        answer = gs.in_span(system, vector)
+        elapsed = time.monotonic() - start
+        assert answer == inside and elapsed < 0.3
+    assert eliminations == []
+
+
 def test_extract_circuit_rectangle():
     S = pset(RECTANGLE)
     circuit = gs.extract_circuit(S.space, S.points)
@@ -771,12 +912,22 @@ def _peeled(rows, rhs, ncols):
     return verdict, [Fraction(a, D) for a in numerators]
 
 
+def _canonical(rows, rhs, ncols):
+    """`_canonical_solution`'s numerators over D rebuilt as `Fraction`s, or None; and its basis."""
+    numerators, D, basis = _canonical_solution(rows, rhs, ncols)
+    if numerators is None:
+        assert D is None
+        return None, basis
+    assert all(type(a) is int for a in numerators) and type(D) is int and D > 0
+    return [Fraction(a, D) for a in numerators], basis
+
+
 def _canonical_solve(system, rhs, pins):
     """`solve_pinned` as one canonical elimination with no peel: (verdict, split, kernel, witness)."""
     rows = _stack_pins(system, pins.coordinates())
     b = [rhs(p) for p in system.points] + [value for _, value in pins]
     ncols = len(system.columns)
-    solution, basis = _canonical_solution(rows, b, ncols)
+    solution, basis = _canonical(rows, b, ncols)
     if solution is None:
         labels = list(system.points) + [PinRow(c) for c in pins.coordinates()]
         return "inconsistent", None, (), _witness(rows, b, ncols, labels)
@@ -808,7 +959,7 @@ def test_peeled_solve_matches_canonical_elimination_and_sympy(kind, rng):
             # Consistent on S: f is a split's sum and each pin its value.
             split = {c: random_fraction(rng) for c in system.columns}
             rhs = [sum(split[c] for c in enumerate(p)) for p in S] + [split[c] for c in coords]
-        solution, basis = _canonical_solution(rows, rhs, ncols)
+        solution, basis = _canonical(rows, rhs, ncols)
         unique = solution is not None and basis.rank == ncols
         forward, backward, core, _ = _peel(rows, ncols)
         held = {j for row in core.values() for j in row}
@@ -904,7 +1055,7 @@ def test_peeled_solve_by_hand():
     with pytest.raises(AssertionError):
         _assert_sorted_peel(rows, ncols, forward + backward, [], core, dropped)
     rhs = [Fraction(k == 2) for k in range(len(rows))]
-    solution, _ = _canonical_solution(rows, rhs, ncols)
+    solution, _ = _canonical(rows, rhs, ncols)
     assert Fraction(1, 2) in solution
     assert _peeled(rows, rhs, ncols) == (UNIQUE, solution)
     # The first pin again: its row is dropped as zero, and must agree, or

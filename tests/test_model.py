@@ -97,6 +97,26 @@ def test_evaluate_examples():
     assert halves.evaluate((0, 0)) == Fraction(5, 6)
 
 
+def test_value_checks_name_their_fault():
+    # Duplicate axis names, a space from no points, a split with a table
+    # short, and the perturbation of an extreme measure are refused, each
+    # with its own message; c * d is d.scale(c).
+    with pytest.raises(gs.PreconditionError, match="^axis names must be distinct$"):
+        gs.Space.of(("x", (0, 1)), ("x", (0, 1)))
+    with pytest.raises(gs.PreconditionError, match="^cannot infer a space from no points$"):
+        gs.PointSet.from_points([])
+    S = cube_set(T4)
+    with pytest.raises(gs.PreconditionError, match="^one table per axis required$"):
+        gs.Decomposition(S.space, ({0: 1}, {0: 2}))
+    d = gs.Decomposition(S.space, ({0: 1}, {0: 2}, {1: Fraction(1, 2)}))
+    assert 2 * d == d.scale(2) and (2 * d).tables == ({0: 2}, {0: 4}, {1: 1})
+    m = gs.FiniteMeasure.uniform(S)
+    verdict = gs.is_simplicial(m)
+    assert verdict.simplicial
+    with pytest.raises(gs.PreconditionError, match="^no perturbation exists; the measure is extreme$"):
+        verdict.perturbed(m, 1)
+
+
 def test_decomposition_sum_takes_only_decompositions():
     # d + 1 read `other.space` off the int and leaked an AttributeError, and
     # d + a FunctionTable leaked one too; like 1 + d, each is a TypeError.

@@ -434,6 +434,44 @@ def test_boundary_requires_good():
         gs.boundary(pset(RECTANGLE))
 
 
+def _with_boundary(c, bound):
+    """The boundary construction c with its boundary replaced by `bound`."""
+    return gs.BoundaryConstruction(
+        c.partition, c.cross_section, c.ei, c.generators,
+        c.relations, c.pivot_generators, c.basis_generators, boundary=bound,
+    )
+
+
+def test_verify_boundary_accepts_the_construction_and_names_each_fault():
+    # The public check, which builds S's system itself, accepts `boundary`'s
+    # own construction on a full set and on the diagonal, and raises each of
+    # its three errors: a class met twice, a size that is not the
+    # deficiency, and pins that meet each class once at the right size yet
+    # leave the solve free.
+    full = cube_set(T4)
+    assert full.deficiency() == 2
+    diagonal = cube_set(DIAGONAL)
+    for S in (full, diagonal):
+        assert structure.verify_boundary(S, gs.boundary(S)) is None
+    c = gs.boundary(diagonal)
+    assert c.boundary == ((1, 0), (1, 1), (2, 0), (2, 1))
+    with pytest.raises(gs.VerificationError, match="^boundary meets a class twice$"):
+        structure.verify_boundary(diagonal, _with_boundary(c, c.boundary[:1] + c.boundary[:3]))
+    with pytest.raises(
+        gs.VerificationError, match="^boundary size 3 differs from deficiency 4$"
+    ):
+        structure.verify_boundary(diagonal, _with_boundary(c, c.boundary[1:]))
+    # {(0,0,0), (1,1,1)}: every value is its own class, so these four pins
+    # meet each of four classes once, and def = 6 - 2 = 4; but they pin all
+    # of (0,0,0)'s coordinates and only one of (1,1,1)'s.
+    bound = ((0, 0), (1, 0), (2, 0), (0, 1))
+    assert len({(axis, c.ei.class_of(axis, label)) for axis, label in bound}) == 4
+    with pytest.raises(
+        gs.VerificationError, match="^boundary pins do not force a unique solution$"
+    ):
+        structure.verify_boundary(diagonal, _with_boundary(c, bound))
+
+
 def test_full_intersection_closure_sampled():
     # A, B, and their union full with nonempty intersection force a full
     # intersection.
