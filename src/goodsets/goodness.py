@@ -28,12 +28,13 @@ from .linalg import (
     _circuit,
     _combine,
     _echelon,
-    _first_kernel_coordinate,
     _incidence_row,
     _is_boundary,
+    column_kernel,
     rank,
 )
 from .model import (
+    PinSet,
     PointSet,
     PreconditionError,
     VerificationError,
@@ -224,9 +225,9 @@ def full_split(S: PointSet) -> PointSet:
     coordinate of x0 to a value where the solution is nonzero; the new point
     lowers the deficiency by exactly one.  The solution is the first vector
     of `linalg.column_kernel` over those pins, the one of the least free
-    column, and it lists its nonzero coordinates in column order; the
-    swap is its first, which `linalg._first_kernel_coordinate` reads with
-    no kernel built.
+    column f0: it is nonzero at f0 and at each pivot whose back-substituted
+    row holds f0, and it lists those coordinates in column order.  The swap
+    is its first key.
     """
     grown = _addable(S, S.projections(), "full_split")
     n = S.space.n
@@ -239,10 +240,10 @@ def full_split(S: PointSet) -> PointSet:
     F = S.union([first])
     while F.deficiency() > n - 1:
         x0 = next(p for p in F if p not in S)
-        swap = _first_kernel_coordinate(IncidenceSystem(F), [(i, x0[i]) for i in range(n - 1)])
-        if swap is None:
+        kernel = column_kernel(IncidenceSystem(F), PinSet.zeros((i, x0[i]) for i in range(n - 1)))
+        if not kernel:
             raise VerificationError("set not full but pinned kernel is trivial")
-        j, value = swap
+        j, value = next(iter(kernel[0]))
         new_point = tuple(value if i == j else x0[i] for i in range(n))
         if new_point in F:
             raise VerificationError("split construction produced an existing point")

@@ -54,15 +54,19 @@ right-hand side at once.  The span test (`in_span`) is one count-0 read
 too: a vector lies in the row span exactly when it vanishes on the column
 kernel, whatever basis spans the kernel.  The two readers share the peel,
 with its step check, and the one core step (`_core_step`), which
-`_canonical_solution` and `_pinned_basis` run on all the rows; their
+`column_kernel` and `_canonical_solution` also run on all the rows; their
 arithmetic stays apart, as one dict-valued read for both took about 1.25
 times the int read's time on the unique solves of an exact-solve and a
 related-search pass.  Answers that do depend on the choice (an
 underdetermined solve's split and kernel, an inconsistent one's witness)
 eliminate the rows as they are, and so does the dependence scan below,
-which stops at the tail it needs; the underdetermined split is read in
-integers off that elimination (`_canonical_solution`), each pivot the way
-`_peeled_solution` reads its core.
+which stops at the tail it needs.  One reader (`_canonical_solution`)
+reads a split in integers off the core step: the underdetermined split off
+all the rows, and, for `_peeled_solution`, the unique solve's core, which
+has no free column.  `goodness.full_split`'s swap is the first key of
+`column_kernel`'s first vector, and a circuit is minimal exactly when the
+dependence scan of its support first meets a dependent row at its first
+point (`verify_circuit`).
 
 One dependence scan decides goodness and yields loops (`extract_circuit`):
 one reverse pass over the canonical support finds the first point e_k that
@@ -338,8 +342,9 @@ def _core_step(rows, width: int, ncols: int) -> tuple[RowBasis, int | None]:
     column), so the read is refused: the basis is returned as eliminated,
     with m None.  Otherwise the basis is back-substituted, so pivot column
     p is read off row p alone, and m is the lcm of the pivot entries, 1
-    with no rows.  `_peeled_solution` and `_peeled_read` run it on the
-    core, `_canonical_solution` and `_pinned_basis` on all the rows.
+    with no rows.  `_peeled_read` runs it on the core, `column_kernel` on
+    all the rows, and `_canonical_solution` on whatever rows it is given:
+    all of them, or `_peeled_solution`'s core.
     """
     basis = _echelon(rows, width)
     if any(p >= ncols for p in basis.pivot_rows):
@@ -359,9 +364,11 @@ def _peeled_solution(rows: Sequence[Mapping[int, int]], rhs: Sequence[Fraction],
     in a row's sum.  Each forward step (k, j) reads u_j = b_k minus the
     row's other columns, in step order.  A row the peel dropped as zero
     holds forward columns only and must sum to its rhs.  The core, whose
-    removed columns are all forward, goes through the core step
-    (`_core_step`) on its rhs reduced by those values; every value is then
-    brought over D m, m the lcm of the core's pivot entries.  The backward
+    removed columns are all forward, is read by `_canonical_solution` on
+    its rhs reduced by those values, already integer, so its numerators are
+    over m, the lcm of the core's pivot entries; a core of full rank has no
+    free column, so they are its unique values.  Every forward value is
+    then brought over D m and each core value added.  The backward
     steps read theirs last, in reverse step order, once every later column
     has its value.  The verdict is UNIQUE, and the numerators go to the
     split builder (`_decomposition`) over D as they are, with no `Fraction`
@@ -388,15 +395,12 @@ def _peeled_solution(rows: Sequence[Mapping[int, int]], rhs: Sequence[Fraction],
         return INCONSISTENT, None, None
     m = 1
     if core:
-        reduced, _ = _augment(core.values(), [b[k] - total(k) for k in core], ncols)
-        basis, m = _core_step(reduced, ncols + 1, ncols)
-        if m is None:
+        x, m, basis = _canonical_solution(core.values(), [b[k] - total(k) for k in core], ncols)
+        if x is None:
             return INCONSISTENT, None, None
         if basis.rank != held:
             return None, None, None
-        value[:] = [v * m for v in value]
-        for p, row in basis.pivot_rows.items():
-            value[p] = row.get(ncols, 0) * (m // row[p])
+        value[:] = [v * m + a for v, a in zip(value, x)]
     for k, j in reversed(backward):
         value[j] = m * b[k] - total(k)
     return UNIQUE, value, scale * m
@@ -480,8 +484,9 @@ def _canonical_solution(rows, rhs: Sequence[Fraction], ncols: int):
     where it is refused the system is inconsistent, and the numerators and
     D are None.  Otherwise it is back-substituted, so its first ncols
     columns carry the kernel, and pivot p's numerator is read off row p
-    alone over D, the rhs's scale times m, as `_peeled_solution` reads its
-    core; a free column's is 0.  `solve_pinned` runs it only when
+    alone over D, the rhs's scale times m; a free column's is 0.
+    `_peeled_solution` runs it on its core, whose reduced rhs is integer,
+    so D is m there.  `solve_pinned` runs it on all the rows only when
     `_peeled_solution` finds no unique solution: which columns are free
     decides the solution, the kernel and the witness, so those eliminate
     the rows as they are.  An inconsistent verdict of the peel skips it.
@@ -589,38 +594,17 @@ def _kernel_dicts(system: IncidenceSystem, basis: RowBasis) -> list[dict]:
     return [{columns[j]: x for j, x in sorted(v.items())} for v in vectors.values()]
 
 
-def _pinned_basis(system: IncidenceSystem, coords) -> RowBasis:
-    """The back-substituted basis of the incidence rows over unit rows at the coordinates.
-
-    It is the core step's (`_core_step`) on all the rows, which has no
-    column past the system's to refuse at.
-    """
-    size = len(system.columns)
-    return _core_step(_stack_pins(system, coords), size, size)[0]
-
-
 def column_kernel(system: IncidenceSystem, pins: PinSet | None = None) -> list[dict]:
     """Basis of {g on columns : M g = 0, g = 0 at pinned coordinates}.
 
     Pinning with value 0 is what the kernel of the pinned system means; the
-    pin *values* are ignored here on purpose.
+    pin *values* are ignored here on purpose.  The basis is the core step's
+    (`_core_step`) on the incidence rows over unit rows at the pinned
+    coordinates, which has no column past the system's to refuse at.
     """
     coords = () if pins is None else pins.coordinates()
-    return _kernel_dicts(system, _pinned_basis(system, coords))
-
-
-def _first_kernel_coordinate(system: IncidenceSystem, coords) -> Coordinate | None:
-    """The first key of `column_kernel`'s first vector, pinned at coords; None if it has none.
-
-    That vector is the one of the least free column f0, nonzero at f0 and
-    at each pivot p whose back-substituted row holds f0, so its first
-    coordinate is the least of those columns; no `Fraction` is built.
-    """
-    rows = _pinned_basis(system, coords).pivot_rows
-    f0 = next((j for j in range(len(system.columns)) if j not in rows), None)
-    if f0 is None:
-        return None
-    return system.columns[min([f0, *(p for p, row in rows.items() if f0 in row)])]
+    size = len(system.columns)
+    return _kernel_dicts(system, _core_step(_stack_pins(system, coords), size, size)[0])
 
 
 class LinearSolve(_Frozen):
@@ -643,32 +627,22 @@ class LinearSolve(_Frozen):
         return self.verdict == UNIQUE
 
 
-def _tagged_echelon(rows: Sequence[Mapping[int, int]], width: int) -> RowBasis:
-    """The echelon basis of [rows | I]: row k carries a unit tag at column width + k.
-
-    The tags keep every row independent, and a basis row's tag entries give
-    the integer combination of the rows that it is.  A basis row whose lead
-    is at or past column width is zero before it, so its tags are a primitive
-    integer relation among the rows' first width entries, led by a positive
-    entry at the least row index it involves.  Its callers are `_witness`,
-    which reads an inconsistent solve's combination off it, and the test
-    suite's oracle for the dependence scan; the scan itself (`_scan`) tags
-    its rows as it goes.
-    """
-    return _echelon(({**r, width + k: 1} for k, r in enumerate(rows)), width + len(rows))
-
-
 def _witness(rows, rhs: Sequence[Fraction], ncols: int, labels) -> tuple:
     """A row combination that kills every column but not the rhs.
 
-    Eliminates the augmented rows [rows | D rhs] tagged: on an inconsistent
-    system the rhs column is a pivot, and its basis row is zero on the
-    columns and carries the combination in its tags.
+    Eliminates the augmented rows [rows | D rhs] tagged: row k carries a
+    unit tag at column ncols + 1 + k, so a basis row's tags say which
+    integer combination of the rows it is.  On an inconsistent system the
+    rhs column is a pivot, and its basis row is zero on the columns and
+    carries the combination in its tags.  The dependence scan (`_scan`)
+    tags its rows the same way.
     """
     augmented, _ = _augment(rows, rhs, ncols)
-    combination = _tagged_echelon(augmented, ncols + 1).pivot_rows[ncols]
+    width = ncols + 1
+    tagged = ({**r, width + k: 1} for k, r in enumerate(augmented))
+    combination = _echelon(tagged, width + len(augmented)).pivot_rows[ncols]
     return tuple(
-        (labels[k - ncols - 1], Fraction(c)) for k, c in sorted(combination.items()) if k > ncols
+        (labels[k - width], Fraction(c)) for k, c in sorted(combination.items()) if k > ncols
     )
 
 
@@ -735,9 +709,18 @@ def in_span(system: IncidenceSystem, vector: Mapping[Coordinate, object]) -> boo
     key and value is read first, then the values go over one denominator,
     and one count-0 read (`_peeled_read`), never refused, gives each
     column's functional on the kernel; the vector is in the span when its
-    integer combination of them is zero at every parameter.
+    integer combination of them is zero at every parameter.  Keys are
+    read as coordinates (`model._coordinate`), and a second key that reads
+    as a coordinate already given is refused, as `PinSet` refuses a
+    repeated pin.
     """
-    entries = {_column(system, _coordinate(c)): as_fraction(v) for c, v in vector.items()}
+    entries = {}
+    for key, v in vector.items():
+        coord = _coordinate(key)
+        j = _column(system, coord)
+        if j in entries:
+            raise PreconditionError(f"coordinate {coord!r} is given twice")
+        entries[j] = as_fraction(v)
     numerators, _ = _over_common_denominator(entries.values())
     values = _peeled_read(system.sparse_rows, 0, len(system.columns))[1]
     total = [0] * len(system.columns)
@@ -862,14 +845,12 @@ def verify_circuit(space: Space, circuit: CircuitVector):
         g = gcd(g, abs(c))
     if g != 1 or coeffs[0] <= 0:
         raise VerificationError("circuit coefficients are not normalized")
-    # A circuit is its own 2-core: a point holding a coordinate no other
-    # point holds would have coefficient 0.  So the peel would remove
-    # nothing here, and the rows go straight to the elimination.
-    # The rank does not depend on the order of the rows; the reverse order,
-    # the scan's, fills in far less on loops such as the closed chain's.
-    # The rows are the scan's too, over the space's columns, sorted by the
-    # canonical keys that reading the points gave.
-    columns = space._columns
-    rows = [_incidence_row(p, columns) for p in sorted(keys, key=keys.__getitem__, reverse=True)]
-    if _echelon(rows, len(columns)).rank != len(keys) - 1:
+    # The dependence scan (`_scan`) decides the rank, over the space's
+    # columns and the support sorted by the canonical keys that reading the
+    # points gave.  The relation above misses no row, so a dependent row
+    # first met at k > 0 makes rows[k:] carry a second relation, which
+    # misses row 0: rank at most |support| - 2, and the scan stops there.
+    # Met first at k = 0, rows[1:] are independent: rank |support| - 1.
+    found = _scan(sorted(keys, key=keys.__getitem__), space._columns, 0, tagged=False)
+    if found is None or found[0]:
         raise VerificationError("circuit support is not minimal")

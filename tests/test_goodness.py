@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import goodsets as gs
 from goodsets import goodness
-from goodsets.linalg import _first_kernel_coordinate
 from util import (
     DIAGONAL,
     E5,
@@ -23,6 +22,8 @@ from util import (
     random_good_set,
     random_point_set,
     random_space,
+    rref_full_split,
+    rref_swap,
 )
 
 
@@ -435,11 +436,13 @@ def test_cross_is_full():
 @settings(max_examples=200, deadline=None)
 @given(rng=st.randoms(use_true_random=False))
 def test_swap_coordinate_is_the_first_key_of_the_pinned_kernel(rng):
-    # `full_split` swaps x0 to the first coordinate of `column_kernel`'s
-    # first vector over zero pins at x0's first n - 1 coordinates; it is
-    # read off the back-substituted rows with no kernel built.  On any set,
+    # `full_split` swaps x0 to the first key of `column_kernel`'s first
+    # vector over zero pins at x0's first n - 1 coordinates.  On any set,
     # good or not, pinned at a point's first n - 1 coordinates or at random
-    # columns, it is that key, or None when the kernel is trivial.
+    # columns, that key, or None when the kernel is trivial, is the one
+    # sympy's rref of the stacked rows gives (tests/util.rref_swap): the
+    # least of f0, the least non-pivot column, and the pivot columns whose
+    # rref row is nonzero at f0.
     space = random_space(rng, max_axis=5)
     S = random_good_set(rng, space, 12) if rng.random() < 0.5 else random_point_set(rng, space, 12)
     system = gs.IncidenceSystem(S)
@@ -450,5 +453,32 @@ def test_swap_coordinate_is_the_first_key_of_the_pinned_kernel(rng):
         rng.sample(columns, rng.randint(0, len(columns))),
     ):
         kernel = gs.column_kernel(system, gs.PinSet.zeros(coords))
-        want = next(iter(kernel[0])) if kernel else None
-        assert _first_kernel_coordinate(system, coords) == want
+        assert (next(iter(kernel[0])) if kernel else None) == rref_swap(S, coords)
+
+
+def test_full_split_matches_the_rref_swap_loop(monkeypatch):
+    # On random good sets that are not full (n = 2-4, at most 12 points),
+    # `full_split` grows S as tests/util.rref_full_split does: the same
+    # first point, then each round's swap read off sympy's rref.  The set
+    # each round pins is recorded, since another choice of swaps can still
+    # end at the same split.  A set of deficiency n - 1 + r takes r points,
+    # the first and r - 1 rounds; at least 50 sets need two rounds or more.
+    column_kernel, pinned = goodness.column_kernel, []
+
+    def recorded(system, pins):
+        pinned.append(system.point_set)
+        return column_kernel(system, pins)
+
+    monkeypatch.setattr(goodness, "column_kernel", recorded)
+    rng = random.Random(1)
+    multi = 0
+    for _ in range(1200):
+        S = random_good_set(rng, random_space(rng, (2, 3, 4), max_axis=5), 12)
+        r = S.deficiency() - (S.space.n - 1)
+        if r == 0:
+            continue
+        pinned.clear()
+        F = gs.full_split(S)
+        assert [*pinned, F] == rref_full_split(S)
+        multi += r >= 3
+    assert multi >= 50

@@ -245,6 +245,20 @@ def test_in_span_names_a_bad_key_before_a_bad_value():
         assert str(exc.value) == message
 
 
+def test_in_span_refuses_a_coordinate_given_twice():
+    # Any 2-item iterable reads as a coordinate, so the bytes key b'\x00\x00'
+    # is (0, 0) again; keeping either entry would make the answer depend on
+    # which, so the second is refused, named as read, before its value is.
+    system = gs.IncidenceSystem(pset([(0, 0), (1, 1)]))
+    for vector in (
+        {(0, 0): 1, b"\x00\x00": 0, (1, 0): 1},
+        {(0, 0): 1, b"\x00\x00": "abc"},
+    ):
+        with pytest.raises(gs.PreconditionError) as exc:
+            gs.in_span(system, vector)
+        assert str(exc.value) == "coordinate (0, 0) is given twice"
+
+
 def _span_input(kind, rng) -> gs.PointSet:
     """A set for the span test.
 
@@ -1008,12 +1022,22 @@ def test_inconsistent_verdict_of_the_peel_skips_the_canonical_elimination(monkey
     # the rhs a pivot, and a consistent one leaves the peel undecided.  The
     # d = 2 chain with its boundary and one more pin, off the split, fails
     # at a dropped row.  Every outcome is the canonical-only reference's.
+    # The peel reads a core with `_canonical_solution` too, so only the
+    # calls on the stacked rows themselves, `_stack_pins`' list, count: on
+    # the cube the core is every row, but not that list.
     real, canonical = linalg._canonical_solution, []
+    real_stack, stacked = linalg._stack_pins, []
+
+    def stack(system, coords):
+        stacked.append(real_stack(system, coords))
+        return stacked[-1]
 
     def counted(rows, rhs, ncols):
-        canonical.append(ncols)
+        if any(rows is s for s in stacked):
+            canonical.append(ncols)
         return real(rows, rhs, ncols)
 
+    monkeypatch.setattr(linalg, "_stack_pins", stack)
     monkeypatch.setattr(linalg, "_canonical_solution", counted)
     cube = cube_set(list(itertools.product((0, 1), repeat=3)))
     chain = parse_instance(_example10(2))

@@ -25,9 +25,12 @@ lazy dependence scan must match circuit for circuit, and
 `fraction_perturbation` the full-dict `Fraction` perturbation that the
 loop-only integer certificate must match step and weights alike,
 `holder_list_peel` the peel over per-column holder lists whose step count
-and core the holder-sum peel must match, and `incidence_row` the 0/1 row
+and core the holder-sum peel must match, `incidence_row` the 0/1 row
 over an index of coordinates whose rows, key order included,
-`IncidenceSystem` must match.
+`IncidenceSystem` must match, `rref_swap` the sympy rref of the pinned
+rows whose canonical first kernel key `column_kernel`'s first vector must
+lead with, and `rref_full_split` the split loop over those swaps whose
+set after each point added `full_split` must match round for round.
 """
 
 import itertools
@@ -35,7 +38,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import goodsets as gs
-from goodsets.linalg import _tagged_echelon
 
 
 def int_space(sizes) -> gs.Space:
@@ -205,7 +207,7 @@ def whole_system_circuit(S: gs.PointSet):
     This is how `linalg._circuit` ran before it built rows lazily, kept as
     it was: every point's row is built up front, the reverse scan finds the
     first dependent point e_k, and the tail's rows from e_k on are
-    eliminated tagged.
+    eliminated tagged, row i with a unit tag at column ncols + i.
     """
     system = gs.IncidenceSystem(S)
     rows = system.sparse_rows
@@ -214,7 +216,9 @@ def whole_system_circuit(S: gs.PointSet):
     k = next((k for k in reversed(range(len(rows))) if scan.add_sparse(rows[k]) is None), None)
     if k is None:
         return None
-    basis = _tagged_echelon(rows[k:], ncols)
+    basis = gs.RowBasis(ncols + len(rows) - k)
+    for i, row in enumerate(rows[k:]):
+        basis.add_sparse({**row, ncols + i: 1})
     assert [p for p in basis.pivot_rows if p >= ncols] == [ncols]
     tags, coefficients = zip(*sorted(basis.pivot_rows[ncols].items()))
     return gs.CircuitVector(tuple(S.points[k + j - ncols] for j in tags), coefficients)
@@ -359,6 +363,55 @@ def geodesic_inverse_rows(F: gs.PointSet, x, y, inverse) -> dict:
     index = {p: k for k, p in enumerate(F.points)}
     rows = pinned_inverse(G, x)
     return {c: {index[G.points[k]]: w for k, w in rows[c].items()} for c in enumerate(y)}
+
+
+def rref_swap(S: gs.PointSet, coords):
+    """The first key of the canonical kernel vector of the least free column, by sympy's rref.
+
+    S's dense 0/1 rows over C(S), in declaration order, are stacked over a
+    unit row per coordinate in coords and put in reduced row echelon form.
+    f0 is the least non-pivot column, and the kernel vector that is 1 at f0
+    and 0 at the other non-pivot columns is nonzero at f0 and at each pivot
+    column whose rref row is nonzero at f0; the key is the least of those.
+    None when every column is a pivot.
+    """
+    from sympy import Matrix
+
+    held = {(i, label) for p in S.points for i, label in enumerate(p)}
+    columns = [(i, v) for i, axis in enumerate(S.space.axes) for v in axis.values if (i, v) in held]
+    rows = [[int(p[i] == v) for i, v in columns] for p in S.points]
+    rows += [[int(c == pin) for c in columns] for pin in coords]
+    reduced, pivots = Matrix(rows).rref()
+    f0 = next((j for j in range(len(columns)) if j not in pivots), None)
+    if f0 is None:
+        return None
+    return columns[min([f0, *(p for r, p in enumerate(pivots) if reduced[r, f0] != 0)])]
+
+
+def rref_full_split(S: gs.PointSet) -> list[gs.PointSet]:
+    """Reference for `gs.full_split` on a good S that is not full: F after each point it adds.
+
+    F starts as S plus the least point of the product of S's projections,
+    in lexicographic order, that is outside S and whose row is independent
+    of S's by sympy's rank.  While def(F) > n - 1, x0 is the first point of
+    F - S in canonical order, and x0 with its coordinate at `rref_swap`'s
+    key, pinned at x0's first n - 1 coordinates, swapped in joins F.  The
+    last set is the split.
+    """
+    space, n = S.space, S.space.n
+    first = next(
+        p
+        for p in itertools.product(*S.projections())
+        if p not in S.points and oracle_independent(space, [*S.points, p])
+    )
+    rounds = [gs.PointSet.of(space, [*S.points, first])]
+    while sum(map(len, rounds[-1].projections())) - len(rounds[-1]) > n - 1:
+        F = rounds[-1]
+        x0 = next(p for p in F.points if p not in S.points)
+        j, value = rref_swap(F, [(i, x0[i]) for i in range(n - 1)])
+        swapped = tuple(value if i == j else x0[i] for i in range(n))
+        rounds.append(gs.PointSet.of(space, [*F.points, swapped]))
+    return rounds
 
 
 def oracle_rank(space, points) -> int:
